@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .crypto import KeyRegistry, Signature
 from .encoding import (
@@ -93,6 +94,11 @@ class TbsCertificate:
             raise CertError("not_before must precede not_after")
         if self.serial < 0:
             raise CertError("serial must be non-negative")
+
+    @cached_property
+    def encoded(self) -> bytes:
+        """Canonical bytes, encoded on first use; the instance is frozen."""
+        return encode_tbs(self)
 
 
 @dataclass(frozen=True)
@@ -206,7 +212,7 @@ def encode_revocation_ext(ext: RevocationExtension) -> bytes:
 
 
 def _enc_certificate(w: ByteWriter, cert: Certificate) -> None:
-    w.blob(encode_tbs(cert.tbs))
+    w.blob(cert.tbs.encoded)
     _enc_signature(w, cert.signature)
 
 
@@ -224,7 +230,7 @@ def postcert_signing_payload(
     status: str,
 ) -> bytes:
     w = ByteWriter()
-    w.blob(encode_tbs(tbs))
+    w.blob(tbs.encoded)
     _enc_revocation_ext(w, revocation_ext)
     w.text(scheme.value)
     w.text(status)
@@ -232,7 +238,7 @@ def postcert_signing_payload(
 
 
 def _enc_postcertificate(w: ByteWriter, post: Postcertificate) -> None:
-    w.blob(encode_tbs(post.tbs))
+    w.blob(post.tbs.encoded)
     _enc_revocation_ext(w, post.revocation_ext)
     w.text(post.scheme.value)
     w.text(post.status)
@@ -302,7 +308,7 @@ def postcertificate_to_text(post: Postcertificate) -> str:
 # Construction ----------------------------------------------------------------
 
 def sign_certificate(registry: KeyRegistry, issuer_key_id: str, tbs: TbsCertificate) -> Certificate:
-    return Certificate(tbs=tbs, signature=registry.sign(issuer_key_id, encode_tbs(tbs)))
+    return Certificate(tbs=tbs, signature=registry.sign(issuer_key_id, tbs.encoded))
 
 
 def make_precertificate(
@@ -419,7 +425,7 @@ def _verify_cert_signature(cert: Certificate, issuer: Certificate, registry: Key
         return False
     if cert.signature.signer_id != issuer.tbs.public_key_id:
         return False
-    return registry.verify(cert.signature, encode_tbs(cert.tbs))
+    return registry.verify(cert.signature, cert.tbs.encoded)
 
 
 def _validate_issuer_chain(

@@ -230,7 +230,10 @@ def _read_log_dumps(path: str | None) -> dict[str, SnapshotLogReader]:
     if not path:
         return readers
     for file in sorted(Path(path).glob("*.log")):
-        reader = SnapshotLogReader.from_text(file.read_text())
+        try:
+            reader = SnapshotLogReader.from_text(file.read_text())
+        except DecodeError as exc:
+            raise DecodeError(f"{file}: {exc}") from None
         readers[reader.log_id] = reader
     return readers
 
@@ -239,7 +242,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         events = _load_trace(args.trace)
         readers = _read_log_dumps(args.logs)
-    except OSError as exc:
+    except (OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     obs = observations_from_events(events)

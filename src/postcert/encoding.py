@@ -149,17 +149,6 @@ def decode_artifact(data: bytes) -> object:
     return obj
 
 
-def artifact_kind(data: bytes) -> type:
-    """Recover the artifact type from encoded bytes without full decoding."""
-    if not data:
-        raise DecodeError("empty artifact")
-    decode = _DECODERS.get(data[0])
-    if decode is None:
-        raise DecodeError(f"unknown artifact tag {data[0]}")
-    obj = decode(ByteReader(data[1:]))
-    return type(obj)
-
-
 # Human-readable fixture form: "key: value" lines plus the exact bytes in a
 # final "bytes:" line, so text fixtures always round-trip via the canonical
 # encoding.

@@ -38,7 +38,55 @@ def default_clock() -> int:
     return int(time.time() * 1000)
 
 
+def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
+    """JSON body of one read endpoint at time ``now``; None for an unknown path."""
+    if path == "/ct/v1/get-sth":
+        sth = log.get_sth(now)
+        return {
+            "tree_size": sth.treesize,
+            "timestamp": sth.t,
+            "sha256_root_hash": _b64(sth.root_hash),
+            "tree_head_signature": _b64(sth.signature.value),
+            "log_id": sth.log_id,
+            "signer_id": sth.signature.signer_id,
+        }
+    if path == "/ct/v1/get-entries":
+        start = int(query["start"][0])
+        end = int(query["end"][0])
+        entries = log.get_entries(start, end, now)
+        return {
+            "entries": [
+                {
+                    "leaf_input": _b64(e.payload),
+                    "extra_data": {"number": e.number, "timestamp": e.t_submission},
+                }
+                for e in entries
+            ]
+        }
+    if path == "/ct/v1/get-sth-consistency":
+        first = int(query["first"][0])
+        second = int(query["second"][0])
+        log.advance(now)
+        return {"consistency": [_b64(node) for node in log.consistency_proof(first, second)]}
+    if path == "/ct/v1/get-proof-by-hash":
+        leaf_hash = _unb64(query["hash"][0])
+        tree_size = int(query["tree_size"][0])
+        log.advance(now)
+        proof = log.get_proof_by_hash(leaf_hash, tree_size)
+        return {
+            "leaf_index": proof.entry_number,
+            "audit_path": [_b64(node) for node in proof.path],
+        }
+    return None
+
+
 def make_handler(log: CtLog, clock: Callable[[], int]):
+    # ThreadingHTTPServer answers each request in its own thread, and CtLog is
+    # not thread-safe: every log call, and the clock reading it uses, happens
+    # under this lock, so requests reach the log one at a time and in clock
+    # order.
+    lock = threading.Lock()
+
     class LogRequestHandler(BaseHTTPRequestHandler):
         def log_message(self, *args) -> None:  # silence request logging
             pass
@@ -54,50 +102,16 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
         def do_GET(self) -> None:
             parsed = urllib.parse.urlparse(self.path)
             query = urllib.parse.parse_qs(parsed.query)
-            now = clock()
             try:
-                if parsed.path == "/ct/v1/get-sth":
-                    sth = log.get_sth(now)
-                    self._send(200, {
-                        "tree_size": sth.treesize,
-                        "timestamp": sth.t,
-                        "sha256_root_hash": _b64(sth.root_hash),
-                        "tree_head_signature": _b64(sth.signature.value),
-                        "log_id": sth.log_id,
-                        "signer_id": sth.signature.signer_id,
-                    })
-                elif parsed.path == "/ct/v1/get-entries":
-                    start = int(query["start"][0])
-                    end = int(query["end"][0])
-                    entries = log.get_entries(start, end, now)
-                    self._send(200, {
-                        "entries": [
-                            {
-                                "leaf_input": _b64(e.payload),
-                                "extra_data": {"number": e.number, "timestamp": e.t_submission},
-                            }
-                            for e in entries
-                        ]
-                    })
-                elif parsed.path == "/ct/v1/get-sth-consistency":
-                    first = int(query["first"][0])
-                    second = int(query["second"][0])
-                    log.advance(now)
-                    path = log.consistency_proof(first, second)
-                    self._send(200, {"consistency": [_b64(node) for node in path]})
-                elif parsed.path == "/ct/v1/get-proof-by-hash":
-                    leaf_hash = _unb64(query["hash"][0])
-                    tree_size = int(query["tree_size"][0])
-                    log.advance(now)
-                    proof = log.get_proof_by_hash(leaf_hash, tree_size)
-                    self._send(200, {
-                        "leaf_index": proof.entry_number,
-                        "audit_path": [_b64(node) for node in proof.path],
-                    })
-                else:
-                    self._send(404, {"error": "unknown endpoint"})
+                with lock:
+                    payload = _read_endpoint(log, parsed.path, query, clock())
             except (LogError, ValueError, KeyError) as exc:
                 self._send(400, {"error": str(exc)})
+                return
+            if payload is None:
+                self._send(404, {"error": "unknown endpoint"})
+            else:
+                self._send(200, payload)
 
         def do_POST(self) -> None:
             parsed = urllib.parse.urlparse(self.path)
@@ -110,7 +124,8 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
                 chain_b64 = body["chain"]
                 leaf = decode_payload(_unb64(chain_b64[0]))
                 chain = [decode_artifact(_unb64(item)) for item in chain_b64[1:]]
-                sct = log.submit(leaf, chain, clock())
+                with lock:
+                    sct = log.submit(leaf, chain, clock())
                 self._send(200, {
                     "sct_version": 0,
                     "id": _b64(sct.log_id.encode("utf-8")),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .certs import (
@@ -30,7 +31,7 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import ByteReader, ByteWriter, register_artifact, text_block
+from .encoding import ByteReader, ByteWriter, DecodeError, register_artifact, text_block
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -419,8 +420,15 @@ class CtLog:
         if now < self._now:
             return
         self._now = now
-        interval = self.config.update_interval_ms
         periodic = self.config.update_class is UpdateClass.PERIODIC
+        # Without ticks, only a due queue head can change anything; merges
+        # never run ahead of ``now``, so the head is due once it is ready.
+        if not periodic and (
+            self._pending_head == len(self._pending)
+            or self._pending[self._pending_head].ready_at > now
+        ):
+            return
+        interval = self.config.update_interval_ms
         while True:
             merge_t: int | None = None
             if self._pending_head < len(self._pending):
@@ -533,11 +541,13 @@ class CtLog:
         if mode is SthCacheMode.OUT_OF_ORDER:
             return self.rng.choice(self.sth_history[:-1])
         # LAGGING: a cached tree head that excludes already-retrievable entries.
-        size = len(self.entries)
-        stale = [sth for sth in self.sth_history if sth.treesize < size]
+        # Tree sizes never decrease along the history, so the stale heads are
+        # a prefix of it. choice() only takes len() and indexes, so a choice
+        # over range(stale) uses the RNG as a choice over that prefix would.
+        stale = bisect_left(self.sth_history, len(self.entries), key=lambda s: s.treesize)
         if not stale:
             return latest
-        return self.rng.choice(stale)
+        return self.sth_history[self.rng.choice(range(stale))]
 
     def published_size(self, now: int | None = None) -> int:
         if now is not None:
@@ -590,6 +600,25 @@ def log_snapshot_text(log: CtLog) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _snapshot_fields(rest: str, lineno: int) -> dict[str, str]:
+    fields = {}
+    for item in rest.split():
+        key, sep, value = item.partition("=")
+        if not sep:
+            raise DecodeError(f"snapshot line {lineno}: malformed field {item!r}")
+        fields[key] = value
+    return fields
+
+
+def _snapshot_field(fields: dict[str, str], name: str, parse, lineno: int):
+    if name not in fields:
+        raise DecodeError(f"snapshot line {lineno}: missing field {name!r}")
+    try:
+        return parse(fields[name])
+    except ValueError:
+        raise DecodeError(f"snapshot line {lineno}: bad {name} value {fields[name]!r}") from None
+
+
 class SnapshotLogReader:
     """Read-only view reconstructed from a snapshot, able to serve proofs."""
 
@@ -607,33 +636,42 @@ class SnapshotLogReader:
 
     @classmethod
     def from_text(cls, text: str, scheme: HashScheme = SHA256) -> "SnapshotLogReader":
+        """Parse ``log_snapshot_text`` output.
+
+        Raises DecodeError naming the line for a malformed or missing field,
+        a non-integer value or bad hex.
+        """
         log_id = ""
         entries: list[LogEntry] = []
         sths: list[STH] = []
-        for line in text.splitlines():
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             kind, _, rest = line.partition(" ")
-            fields = dict(item.split("=", 1) for item in rest.split())
+            fields = _snapshot_fields(rest, lineno)
+
+            def field(name: str, parse=str):
+                return _snapshot_field(fields, name, parse, lineno)
+
             if kind == "log":
-                log_id = fields["id"]
+                log_id = field("id")
             elif kind == "entry":
                 entries.append(
                     LogEntry(
-                        payload=bytes.fromhex(fields["payload"]),
-                        t_submission=int(fields["t_submission"]),
+                        payload=field("payload", bytes.fromhex),
+                        t_submission=field("t_submission", int),
                         log_id=log_id,
-                        number=int(fields["number"]),
+                        number=field("number", int),
                     )
                 )
             elif kind == "sth":
                 sths.append(
                     STH(
                         log_id=log_id,
-                        t=int(fields["t"]),
-                        treesize=int(fields["treesize"]),
-                        root_hash=bytes.fromhex(fields["root"]),
-                        signature=Signature(fields["signer"], bytes.fromhex(fields["sig"])),
+                        t=field("t", int),
+                        treesize=field("treesize", int),
+                        root_hash=field("root", bytes.fromhex),
+                        signature=Signature(field("signer"), field("sig", bytes.fromhex)),
                     )
                 )
         return cls(log_id, entries, sths, scheme)

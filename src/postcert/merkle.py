@@ -2,7 +2,10 @@
 
 Tree shape follows the transparency-log convention: a tree over n leaves
 splits at the largest power of two strictly less than n, leaves are hashed
-with the 0x00 prefix and nodes with 0x01. Proof verification uses the
+with the 0x00 prefix and nodes with 0x01. The store keeps every complete,
+aligned subtree hash in flat per-level lists (the compact-range layout of
+RFC 9162 section 2.1), so a root or proof node is a short fold over stored
+nodes rather than a recursion over leaves. Proof verification uses the
 iterative index-walk algorithms, so generation and verification are
 independent code paths.
 """
@@ -20,43 +23,56 @@ def largest_power_of_two_below(n: int) -> int:
 
 
 class MerkleTree:
-    """Grow-only leaf store with subtree-hash caching.
+    """Grow-only leaf store keeping every complete subtree hash per level.
 
-    Only complete, aligned subtrees are memoized; that keeps the cache linear
-    in the number of leaves while making repeated root/proof computations on
-    a growing tree cheap.
+    ``_levels[h][i]`` is the hash of leaves ``[i << h, (i + 1) << h)``, so
+    ``_levels[0]`` holds the leaf hashes. ``append`` hashes each complete
+    node as soon as its right half arrives; storage stays under two hashes
+    per leaf and no subtree is ever hashed twice.
     """
 
     def __init__(self, scheme: HashScheme = SHA256) -> None:
         self.scheme = scheme
-        self._leaf_hashes: list[bytes] = []
-        self._memo: dict[tuple[int, int], bytes] = {}
+        self._levels: list[list[bytes]] = [[]]
 
     @property
     def size(self) -> int:
-        return len(self._leaf_hashes)
+        return len(self._levels[0])
 
     def append(self, payload: bytes) -> bytes:
         leaf = self.scheme.hash_leaf(payload)
-        self._leaf_hashes.append(leaf)
+        levels = self._levels
+        levels[0].append(leaf)
+        node, height = leaf, 0
+        while not len(levels[height]) & 1:  # this node completed a pair
+            node = self.scheme.hash_node(levels[height][-2], node)
+            height += 1
+            if height == len(levels):
+                levels.append([])
+            levels[height].append(node)
         return leaf
 
     def leaf_hash(self, index: int) -> bytes:
-        return self._leaf_hashes[index]
+        return self._levels[0][index]
 
     def _range_hash(self, lo: int, hi: int) -> bytes:
-        n = hi - lo
-        if n == 1:
-            return self._leaf_hashes[lo]
-        complete = n & (n - 1) == 0 and lo % n == 0
-        if complete:
-            cached = self._memo.get((lo, hi))
-            if cached is not None:
-                return cached
-        k = largest_power_of_two_below(n)
-        value = self.scheme.hash_node(self._range_hash(lo, lo + k), self._range_hash(lo + k, hi))
-        if complete:
-            self._memo[(lo, hi)] = value
+        """Hash of leaves ``[lo, hi)``.
+
+        ``lo`` must be a multiple of the smallest power of two that is at
+        least ``hi - lo``, which holds for every range the split recursion
+        visits. The range is then one stored node per set bit of ``hi - lo``,
+        largest first, and its hash is the right-to-left fold over them.
+        """
+        nodes: list[bytes] = []
+        start, rest = lo, hi - lo
+        while rest:
+            height = rest.bit_length() - 1
+            nodes.append(self._levels[height][start >> height])
+            start += 1 << height
+            rest -= 1 << height
+        value = nodes.pop()
+        while nodes:
+            value = self.scheme.hash_node(nodes.pop(), value)
         return value
 
     def root(self, treesize: int | None = None) -> bytes:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -242,16 +243,18 @@ def lagging_fraction(sths: list[SthObservation], size_probes: list[SizeProbe]) -
     if len(ordered) < 2:
         return 0.0
     probes = sorted(size_probes, key=lambda p: p.t)
+    times = [p.t for p in probes]
     lagging = 0
-    for prev, cur in zip(ordered, ordered[1:]):
-        window_max = None
-        for probe in probes:
-            if prev.t_response < probe.t <= cur.t_response:
-                window_max = probe.size if window_max is None else max(window_max, probe.size)
-            elif probe.t > cur.t_response:
-                break
-        if window_max is not None and window_max - 1 >= cur.sth.treesize:
-            lagging += 1
+    # The windows (prev.t_response, cur.t_response] are consecutive, so each
+    # one starts where the previous one ended.
+    lo = bisect_right(times, ordered[0].t_response)
+    for cur in ordered[1:]:
+        hi = bisect_right(times, cur.t_response, lo)
+        if hi > lo:
+            window_max = max(probe.size for probe in probes[lo:hi])
+            if window_max - 1 >= cur.sth.treesize:
+                lagging += 1
+        lo = hi
     return lagging / (len(ordered) - 1)
 
 

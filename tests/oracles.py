@@ -74,3 +74,35 @@ class BruteForceTree:
             return sub(m - k, lo + k, hi, False) + [self._mth(lo, lo + k)]
 
         return tuple(sub(first, 0, second, True))
+
+
+def lagging_fraction(sths, size_probes) -> float:
+    """Quadratic rescan: for each consecutive pair of tree-head responses,
+    the largest size probed in (prev.t_response, cur.t_response]."""
+    ordered = sorted(sths, key=lambda o: o.t_response)
+    if len(ordered) < 2:
+        return 0.0
+    probes = sorted(size_probes, key=lambda p: p.t)
+    lagging = 0
+    for prev, cur in zip(ordered, ordered[1:]):
+        window_max = None
+        for probe in probes:
+            if prev.t_response < probe.t <= cur.t_response:
+                window_max = probe.size if window_max is None else max(window_max, probe.size)
+            elif probe.t > cur.t_response:
+                break
+        if window_max is not None and window_max - 1 >= cur.sth.treesize:
+            lagging += 1
+    return lagging / (len(ordered) - 1)
+
+
+def lagging_sth_draw(history, size: int, rng, p: float):
+    """The LAGGING tree-head draw as a full scan: with probability ``p`` a
+    uniformly chosen head older than ``size``, else the latest."""
+    latest = history[-1]
+    if len(history) < 2 or rng.random() >= p:
+        return latest
+    stale = [sth for sth in history if sth.treesize < size]
+    if not stale:
+        return latest
+    return rng.choice(stale)

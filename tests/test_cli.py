@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from postcert.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+import re
+
+import pytest
+
+from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -88,6 +92,46 @@ def test_verify_proof_proven_and_rejected(tmp_path, capsys):
     )
     assert code == EXIT_REJECTED
     assert out.startswith("REJECTED")
+
+
+@pytest.fixture(scope="module")
+def m1_bundle(tmp_path_factory):
+    """An M1 proof bundle and the log snapshots it verifies against."""
+    root = tmp_path_factory.mktemp("m1")
+    code = main([
+        "simulate", "--preset", "m1", "--seed", "4", "--out", str(root / "t.trace"),
+        "--dump-logs", str(root / "logs"), "--emit-proofs", str(root / "proofs"),
+    ])
+    assert code == EXIT_OK
+    return root / "proofs" / "m1-proven.proof", root / "logs"
+
+
+@pytest.mark.parametrize(
+    "line_pattern, replacement, message",
+    [
+        (r"^(entry number=0 .*payload=)..", r"\1zz", "bad payload value"),
+        (r"^(entry number=0 t_submission=)\d+", r"\1soon", "bad t_submission value"),
+        (r"^(sth .*) root=\S+", r"\1", "missing field 'root'"),
+    ],
+    ids=["bad-hex", "non-integer", "missing-field"],
+)
+def test_verify_proof_malformed_snapshot_is_io_error(
+    m1_bundle, tmp_path, capsys, line_pattern, replacement, message
+):
+    bundle, dumps = m1_bundle
+    broken = tmp_path / "logs"
+    broken.mkdir()
+    for snapshot in dumps.glob("*.log"):
+        text = snapshot.read_text()
+        if snapshot.name == "log-a.log":
+            text = re.sub(line_pattern, replacement, text, count=1, flags=re.M)
+        (broken / snapshot.name).write_text(text)
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(bundle), "--logs", str(broken))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "log-a.log: snapshot line " in err
+    assert message in err
 
 
 def test_verify_proof_m3_roundtrip(tmp_path, capsys):

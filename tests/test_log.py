@@ -27,7 +27,7 @@ from postcert.log import (
 )
 from postcert.timeutil import HOUR_MS, MINUTE_MS, SECOND_MS
 
-from oracles import BruteForceTree
+from oracles import BruteForceTree, lagging_sth_draw
 
 
 def _make_log(registry, trust, **config) -> CtLog:
@@ -301,6 +301,34 @@ def test_lagging_log_serves_entries_beyond_advertised_size(registry, trust, ca_r
     assert sth.treesize < size
     highest = log.get_entries(size - 1, size - 1)[0]
     assert highest.number >= sth.treesize  # index M >= advertised N
+
+
+def test_lagging_get_sth_draws_like_full_scan(registry, trust, ca_root):
+    """Over a long seeded run the prefix search picks exactly the head the
+    full scan of the history would, consuming the same random numbers."""
+    make = _cert_factory(registry)
+    p = 0.3
+    log = _make_log(
+        registry, trust,
+        sth_cache=SthCacheMode.LAGGING, sth_cache_p=p,
+        publication_delay="uniform:0:5000",
+    )
+    pace = random.Random(7)
+    shadow = random.Random()
+    now = 0
+    stale_draws = 0
+    for _ in range(1500):
+        now += pace.choice((0, 300, 1000, 4000))
+        for _ in range(pace.randrange(3)):
+            log.submit(make(), [ca_root], now=now)
+        log.advance(now)
+        shadow.setstate(log.rng.getstate())
+        expected = lagging_sth_draw(log.sth_history, len(log.entries), shadow, p)
+        got = log.get_sth(now)
+        assert got is expected
+        assert log.rng.getstate() == shadow.getstate()
+        stale_draws += got.treesize < len(log.entries)
+    assert stale_draws > 100
 
 
 def test_honest_get_sth_is_monotone(registry, trust, ca_root):

@@ -164,3 +164,21 @@ def test_consistency_empty_prefix():
     assert tree.consistency_path(0, 9) == ()
     assert verify_consistency(0, 9, SHA256.empty_root(), tree.root(9), ())
     assert not verify_consistency(0, 9, tree.root(1), tree.root(9), ())
+
+
+def test_interleaved_appends_match_oracle_at_every_size():
+    """Appends between queries: every root, audit path and consistency path
+    of the growing tree matches the oracle at each size up to 130."""
+    payloads = _payloads(130, seed=112)
+    oracle = BruteForceTree(payloads)
+    tree = MerkleTree()
+    for n in range(1, len(payloads) + 1):
+        tree.append(payloads[n - 1])
+        assert tree.size == n
+        assert tree.root() == oracle.root(n)
+        for index in range(n):
+            assert tree.audit_path(index, n) == oracle.audit_path(index, n)
+        for first in range(n + 1):
+            assert tree.consistency_path(first, n) == oracle.consistency_path(first, n)
+        earlier = n // 3
+        assert tree.root(earlier) == oracle.root(earlier)

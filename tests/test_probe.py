@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postcert.certs import TbsCertificate, sign_certificate
 from postcert.crypto import Signature
@@ -24,6 +26,8 @@ from postcert.probe import (
     submission_to_publication,
 )
 from postcert.trace import SizeProbe, SthObservation, SubmissionRecord
+
+import oracles
 
 
 def _sth(t: int, size: int, log_id: str = "log1") -> STH:
@@ -276,6 +280,33 @@ def test_lagging_detects_excluded_entries():
     probes = [SizeProbe("log1", 15_000, 11)]
     # the middle response advertises 5 while entry 10 was already retrievable
     assert lagging_fraction(sths, probes) == 0.5
+
+
+# Small time and size ranges make equal response times, probes on window
+# edges and empty windows common.
+_times = st.integers(min_value=0, max_value=40)
+_sizes = st.integers(min_value=0, max_value=12)
+
+
+@settings(max_examples=300)
+@given(
+    sths=st.lists(st.tuples(_times, _sizes), max_size=25),
+    probes=st.lists(st.tuples(_times, _sizes), max_size=25),
+)
+def test_lagging_fraction_matches_quadratic_oracle(sths, probes):
+    observations = [_obs(t, size) for t, size in sths]
+    size_probes = [SizeProbe("log1", t, size) for t, size in probes]
+    assert lagging_fraction(observations, size_probes) == oracles.lagging_fraction(
+        observations, size_probes
+    )
+
+
+def test_lagging_fraction_probe_on_window_edges():
+    sths = [_obs(10, 3), _obs(20, 3), _obs(20, 3), _obs(30, 9)]
+    # a probe at 10 is outside (10, 20]; one at 20 is inside it; nothing
+    # falls into the empty (20, 20]; the probe at 30 closes (20, 30]
+    probes = [SizeProbe("log1", 10, 8), SizeProbe("log1", 20, 4), SizeProbe("log1", 30, 10)]
+    assert lagging_fraction(sths, probes) == oracles.lagging_fraction(sths, probes) == 2 / 3
 
 
 def test_sth_update_rate_saturates_at_probe_cadence():
