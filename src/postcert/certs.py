@@ -405,15 +405,16 @@ class TrustStore:
     """Set of trusted self-signed root certificates."""
 
     def __init__(self, roots: list[Certificate] | None = None) -> None:
-        self._roots: set[bytes] = set()
-        for root in roots or []:
-            self.add(root)
+        # Certificates are frozen dataclasses whose equality covers exactly the
+        # fields of their canonical encoding, so a set of them matches a root
+        # by value without encoding it.
+        self._roots: set[Certificate] = set(roots or [])
 
     def add(self, root: Certificate) -> None:
-        self._roots.add(encode_artifact(root))
+        self._roots.add(root)
 
     def contains(self, cert: Certificate) -> bool:
-        return encode_artifact(cert) in self._roots
+        return cert in self._roots
 
 
 def _has_critical_unknown_extension(tbs: TbsCertificate) -> bool:

@@ -2,7 +2,7 @@
 project-growth, probe.
 
 Exit codes: 0 success, 1 usage error, 2 proof verification rejected,
-3 I/O failure.
+3 I/O failure or malformed input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .encoding import DecodeError, decode_artifact, text_block_bytes
-from .log import SnapshotLogReader, log_snapshot_text
+from .log import LogError, SnapshotLogReader, log_snapshot_text
 from .misbehavior import (
     MisbehaviorProofM12,
     MisbehaviorProofM3,
@@ -41,7 +41,7 @@ from .probe import (
     sth_update_rate,
     submission_to_publication,
 )
-from .sim import Simulation, scenario_from_text
+from .sim import ScenarioError, Simulation, scenario_from_text
 from .timeutil import parse_duration_ms
 from .trace import (
     EventKind,
@@ -72,7 +72,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario:
         try:
             scenario = scenario_from_text(Path(args.scenario).read_text())
-        except OSError as exc:
+        except (OSError, DecodeError, ScenarioError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
     else:
@@ -347,34 +347,12 @@ def _cmd_project_growth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_probe(args: argparse.Namespace) -> int:
-    from .httpapi import HttpLogReader
-    from .probe import binary_search_size
-    from .trace import TraceEvent, write_trace
+def _observe_live(reader, args: argparse.Namespace) -> list:
+    """Trace events of ``postcert probe`` against a live log for ``--duration``."""
     from .encoding import encode_artifact as enc
+    from .probe import binary_search_size
+    from .trace import TraceEvent
 
-    if not args.target.startswith("http"):
-        # scenario target: run the named preset (its probe actor records the
-        # observations) and write the resulting trace
-        from .sim import Simulation
-        from .trace import write_trace as write
-
-        name = args.target.removeprefix("scenario:")
-        try:
-            scenario = build_preset(name, args.seed)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        events = Simulation(scenario).run()
-        try:
-            with open(args.out, "w") as stream:
-                write(events, stream)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"recorded {len(events)} events from scenario {name!r}", file=sys.stderr)
-        return EXIT_OK
-    reader = HttpLogReader(args.target)
     duration_ms = parse_duration_ms(args.duration)
     sth_interval = parse_duration_ms(args.sth_interval)
     size_interval = parse_duration_ms(args.size_interval) if args.size_interval else 0
@@ -395,6 +373,42 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             seq += 1
             next_size += size_interval / 1000.0
         time.sleep(sth_interval / 1000.0)
+    return events
+
+
+def _cmd_probe(args: argparse.Namespace) -> int:
+    import http.client
+
+    from .httpapi import HttpLogReader
+    from .trace import write_trace
+
+    if not args.target.startswith("http"):
+        # scenario target: run the named preset (its probe actor records the
+        # observations) and write the resulting trace
+        name = args.target.removeprefix("scenario:")
+        try:
+            scenario = build_preset(name, args.seed)
+        except KeyError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        events = Simulation(scenario).run()
+        try:
+            with open(args.out, "w") as stream:
+                write_trace(events, stream)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        print(f"recorded {len(events)} events from scenario {name!r}", file=sys.stderr)
+        return EXIT_OK
+    try:
+        reader = HttpLogReader(args.target)
+        try:
+            events = _observe_live(reader, args)
+        finally:
+            reader.close()
+    except (OSError, http.client.HTTPException, LogError) as exc:
+        print(f"error: {args.target}: {exc}", file=sys.stderr)
+        return EXIT_IO
     try:
         with open(args.out, "w") as stream:
             write_trace(events, stream)

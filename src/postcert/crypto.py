@@ -72,7 +72,7 @@ class TruncatedHashScheme(HashScheme):
 SHA256 = HashScheme()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     signer_id: str
     value: bytes

@@ -6,17 +6,22 @@ JSON field names, so recordings of real logs can be replayed through the same
 analysis code. The client side wraps such an endpoint in the same reader
 interface the in-process log implements, and busts caches by appending a
 unique throwaway query parameter to state requests.
+
+Both sides speak HTTP/1.1 keep-alive: a reader sends all its requests over one
+persistent connection, and the server answers each connection in one thread.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import http.client
 import itertools
 import json
+import socket
 import threading
 import time
 import urllib.parse
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -36,6 +41,12 @@ def _unb64(data: str) -> bytes:
 
 def default_clock() -> int:
     return int(time.time() * 1000)
+
+
+def _error_body(exc: Exception) -> dict:
+    if isinstance(exc, LogError):
+        return {"error": exc.code, "detail": exc.detail}
+    return {"error": str(exc)}
 
 
 def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
@@ -81,13 +92,18 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
 
 
 def make_handler(log: CtLog, clock: Callable[[], int]):
-    # ThreadingHTTPServer answers each request in its own thread, and CtLog is
-    # not thread-safe: every log call, and the clock reading it uses, happens
+    # ThreadingHTTPServer answers each connection in its own thread, and CtLog
+    # is not thread-safe: every log call, and the clock reading it uses, happens
     # under this lock, so requests reach the log one at a time and in clock
     # order.
     lock = threading.Lock()
 
     class LogRequestHandler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep-alive; every answer carries Content-Length
+        # The header and body of an answer go out in two writes; with Nagle's
+        # algorithm the second waits for the client's delayed ACK of the first.
+        disable_nagle_algorithm = True
+
         def log_message(self, *args) -> None:  # silence request logging
             pass
 
@@ -96,6 +112,8 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -106,7 +124,7 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
                 with lock:
                     payload = _read_endpoint(log, parsed.path, query, clock())
             except (LogError, ValueError, KeyError) as exc:
-                self._send(400, {"error": str(exc)})
+                self._send(400, _error_body(exc))
                 return
             if payload is None:
                 self._send(404, {"error": "unknown endpoint"})
@@ -114,62 +132,135 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
                 self._send(200, payload)
 
         def do_POST(self) -> None:
+            # Read the body before any answer: on a kept-alive connection,
+            # unread body bytes would be taken for the next request.
+            length = self.headers.get("Content-Length", "0")
+            if not (length.isascii() and length.isdigit()):
+                self.close_connection = True  # the body's end is unknown
+                self._send(400, {"error": "bad Content-Length"})
+                return
+            body = self.rfile.read(int(length))
             parsed = urllib.parse.urlparse(self.path)
             if parsed.path not in ("/ct/v1/add-chain", "/ct/v1/add-pre-chain"):
                 self._send(404, {"error": "unknown endpoint"})
                 return
-            length = int(self.headers.get("Content-Length", "0"))
             try:
-                body = json.loads(self.rfile.read(length))
-                chain_b64 = body["chain"]
+                chain_b64 = json.loads(body)["chain"]
                 leaf = decode_payload(_unb64(chain_b64[0]))
                 chain = [decode_artifact(_unb64(item)) for item in chain_b64[1:]]
                 with lock:
                     sct = log.submit(leaf, chain, clock())
-                self._send(200, {
-                    "sct_version": 0,
-                    "id": _b64(sct.log_id.encode("utf-8")),
-                    "timestamp": sct.timestamp,
-                    "extensions": "",
-                    "signature": _b64(sct.signature.value),
-                    "signer_id": sct.signature.signer_id,
-                    "entry_hash": _b64(sct.entry_hash),
-                })
-            except LogError as exc:
-                self._send(400, {"error": exc.code, "detail": exc.detail})
-            except (ValueError, KeyError) as exc:
-                self._send(400, {"error": str(exc)})
+            except (LogError, ValueError, KeyError) as exc:
+                self._send(400, _error_body(exc))
+                return
+            self._send(200, {
+                "sct_version": 0,
+                "id": _b64(sct.log_id.encode("utf-8")),
+                "timestamp": sct.timestamp,
+                "extensions": "",
+                "signature": _b64(sct.signature.value),
+                "signer_id": sct.signature.signer_id,
+                "entry_hash": _b64(sct.entry_hash),
+            })
 
     return LogRequestHandler
+
+
+class _LogServer(ThreadingHTTPServer):
+    """A threading HTTP server that ends its open connections when it closes.
+
+    A kept-alive connection holds its handler thread in a wait for the next
+    request; without this, a closed server would go on answering there.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+        super().__init__(*args, **kwargs)
+
+    def process_request(self, request, client_address) -> None:
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connections_lock:
+            for request in self._connections:
+                with contextlib.suppress(OSError):
+                    request.shutdown(socket.SHUT_RDWR)  # the handler sees EOF and exits
 
 
 def serve_log(log: CtLog, host: str = "127.0.0.1", port: int = 0,
               clock: Callable[[], int] = default_clock) -> ThreadingHTTPServer:
     """Start a background HTTP server for one log; caller shuts it down."""
-    server = ThreadingHTTPServer((host, port), make_handler(log, clock))
+    server = _LogServer((host, port), make_handler(log, clock))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
 
 
 class HttpLogReader:
-    """Client for the endpoint surface above, usable as a log reader."""
+    """Client for the endpoint surface above, usable as a log reader.
+
+    A reader holds one HTTP/1.1 connection to its server, opened on first use
+    and reused for every request. It is not shared between threads.
+    """
 
     def __init__(self, base_url: str, log_id: str | None = None, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        self._conn = connection(url.netloc, timeout=timeout)
+        self._path_prefix = url.path
         self._bust = itertools.count()
         self.log_id = log_id or self._fetch_log_id()
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def _request(self, method: str, path: str, body: bytes | None = None) -> dict:
+        """JSON body of a 200 answer; LogError(code, detail) for any other status."""
+        reused = self._conn.sock is not None
+        try:
+            self._conn.request(method, self._path_prefix + path, body,
+                               {"Content-Type": "application/json"} if body else {})
+            response = self._conn.getresponse()
+            status, data = response.status, response.read()
+        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
+            self._conn.close()
+            # The server may close an idle connection at any time, so a GET
+            # retries once on a fresh one. A POST does not: the server may
+            # have logged it, and under REINSERT a resend logs it twice.
+            if reused and method == "GET":
+                return self._request(method, path)
+            raise
+        except BaseException:
+            self._conn.close()  # leave no half-sent request on the connection
+            raise
+        if status != 200:
+            try:
+                detail = json.loads(data)
+            except ValueError:
+                detail = None
+            if not isinstance(detail, dict):
+                detail = {}
+            raise LogError(detail.get("error", f"http-{status}"), detail.get("detail", ""))
+        return json.loads(data)
 
     def _get(self, path: str, params: dict | None = None, bust: bool = False) -> dict:
         query = dict(params or {})
         if bust:
             query["nocache"] = str(next(self._bust))
-        url = f"{self.base_url}{path}"
         if query:
-            url += "?" + urllib.parse.urlencode(query)
-        with urllib.request.urlopen(url, timeout=self.timeout) as response:
-            return json.loads(response.read())
+            path += "?" + urllib.parse.urlencode(query)
+        return self._request("GET", path)
 
     def _fetch_log_id(self) -> str:
         return self._get("/ct/v1/get-sth", bust=True)["log_id"]
@@ -235,16 +326,7 @@ class HttpLogReader:
             "chain": [_b64(encode_artifact(payload))]
             + [_b64(encode_artifact(cert)) for cert in chain],
         }).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.base_url}/ct/v1/add-chain", data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                data = json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            detail = json.loads(exc.read() or b"{}")
-            raise LogError(detail.get("error", "http-error"), detail.get("detail", ""))
+        data = self._request("POST", "/ct/v1/add-chain", body)
         return SCT(
             log_id=_unb64(data["id"]).decode("utf-8"),
             timestamp=data["timestamp"],

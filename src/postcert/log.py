@@ -66,7 +66,7 @@ class SthCacheMode(enum.Enum):
     LAGGING = "LAGGING"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SCT:
     log_id: str
     timestamp: int
@@ -74,7 +74,7 @@ class SCT:
     signature: Signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogEntry:
     payload: bytes
     t_submission: int
@@ -85,7 +85,7 @@ class LogEntry:
         return decode_payload(self.payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class STH:
     log_id: str
     t: int
@@ -94,7 +94,7 @@ class STH:
     signature: Signature
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MerkleAuditProof:
     entry_number: int
     treesize: int

@@ -32,7 +32,7 @@ from .certs import (
     sign_certificate,
 )
 from .crypto import KeyRegistry, SHA256
-from .encoding import encode_artifact
+from .encoding import DecodeError, encode_artifact
 from .log import CtLog, LogConfig, LogError, SCT
 from .misbehavior import (
     Case,
@@ -980,99 +980,110 @@ def scenario_to_text(scenario: Scenario) -> str:
 
 
 def scenario_from_text(text: str) -> Scenario:
+    """Parse ``scenario_to_text`` output.
+
+    Raises DecodeError naming the line for a malformed or missing field or a
+    bad value, and ScenarioError for an unknown line or a missing header.
+    """
     from .log import DuplicatePolicy, SthCacheMode, UpdateClass
 
-    header: dict[str, str] = {}
+    header: dict | None = None
     logs: list[SimLogConfig] = []
     cas: list[SimCaConfig] = []
     clients: list[SimClientConfig] = []
     probe: ProbeConfig | None = None
     schedule: list[ScheduledEvent] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("scenario="):
-            header = dict(item.split("=", 1) for item in line.split())
-            continue
-        kind, _, rest = line.partition(" ")
-        fields = dict(item.split("=", 1) for item in rest.split())
-        if kind == "log":
-            interval = int(fields["interval"]) or None
-            logs.append(
-                SimLogConfig(
-                    log_id=fields["id"],
-                    config=LogConfig(
-                        mmd_ms=int(fields["mmd"]),
+        try:
+            if line.startswith("scenario="):
+                fields = dict(item.split("=", 1) for item in line.split())
+                header = dict(
+                    name=fields["scenario"],
+                    seed=int(fields["seed"]),
+                    horizon_ms=int(fields["horizon"]),
+                    policy=MrdPolicy(mode=MrdMode(fields["mrd_mode"]), mrd_ms=int(fields["mrd"]),
+                                     mmd_ms=int(fields["mmd"])),
+                    build_proofs=bool(int(fields.get("build_proofs", "1"))),
+                    check_delay_bounds=bool(int(fields.get("check_bounds", "1"))),
+                )
+                continue
+            kind, _, rest = line.partition(" ")
+            fields = dict(item.split("=", 1) for item in rest.split())
+            if kind == "log":
+                interval = int(fields["interval"]) or None
+                logs.append(
+                    SimLogConfig(
+                        log_id=fields["id"],
+                        config=LogConfig(
+                            mmd_ms=int(fields["mmd"]),
+                            clock_offset_ms=int(fields["offset"]),
+                            update_class=UpdateClass(fields["class"]),
+                            update_interval_ms=interval,
+                            publication_delay=fields["delay"],
+                            duplicate_policy=DuplicatePolicy(fields["dup"]),
+                            sth_cache=SthCacheMode(fields["cache"]),
+                            sth_cache_p=float(fields["cache_p"]),
+                            accept_self_signed=bool(int(fields["self_signed"])),
+                            frozen=bool(int(fields["frozen"])),
+                            forget=bool(int(fields["forget"])),
+                        ),
+                        background_per_hour=float(fields["background"]),
+                        operator="" if fields["operator"] == "-" else fields["operator"],
+                        trusted=bool(int(fields["trusted"])),
+                    )
+                )
+            elif kind == "ca":
+                monitors = () if fields["monitors"] == "-" else tuple(fields["monitors"].split(","))
+                cas.append(
+                    SimCaConfig(
+                        ca_id=fields["id"],
+                        poll_interval_ms=int(fields["poll"]),
+                        status_validity_ms=int(fields["validity"]),
+                        update_delay_ms=int(fields["update"]),
+                        processing_delay_ms=int(fields["processing"]),
                         clock_offset_ms=int(fields["offset"]),
-                        update_class=UpdateClass(fields["class"]),
-                        update_interval_ms=interval,
-                        publication_delay=fields["delay"],
-                        duplicate_policy=DuplicatePolicy(fields["dup"]),
-                        sth_cache=SthCacheMode(fields["cache"]),
-                        sth_cache_p=float(fields["cache_p"]),
-                        accept_self_signed=bool(int(fields["self_signed"])),
-                        frozen=bool(int(fields["frozen"])),
-                        forget=bool(int(fields["forget"])),
-                    ),
-                    background_per_hour=float(fields["background"]),
-                    operator="" if fields["operator"] == "-" else fields["operator"],
-                    trusted=bool(int(fields["trusted"])),
+                        misbehavior=CaMisbehavior(fields["misbehavior"]),
+                        monitored_logs=monitors,
+                    )
                 )
-            )
-        elif kind == "ca":
-            monitors = () if fields["monitors"] == "-" else tuple(fields["monitors"].split(","))
-            cas.append(
-                SimCaConfig(
-                    ca_id=fields["id"],
-                    poll_interval_ms=int(fields["poll"]),
-                    status_validity_ms=int(fields["validity"]),
-                    update_delay_ms=int(fields["update"]),
-                    processing_delay_ms=int(fields["processing"]),
-                    clock_offset_ms=int(fields["offset"]),
-                    misbehavior=CaMisbehavior(fields["misbehavior"]),
-                    monitored_logs=monitors,
+            elif kind == "client":
+                clients.append(
+                    SimClientConfig(
+                        client_id=fields["id"],
+                        submit_copies=int(fields["copies"]),
+                        sct_handoff=bool(int(fields["handoff"])),
+                        handoff_delay_ms=int(fields["handoff_delay"]),
+                        avoid_issuer_log=bool(int(fields["avoid_issuer"])),
+                        scheme=PostcertScheme(fields["scheme"]),
+                    )
                 )
-            )
-        elif kind == "client":
-            clients.append(
-                SimClientConfig(
-                    client_id=fields["id"],
-                    submit_copies=int(fields["copies"]),
-                    sct_handoff=bool(int(fields["handoff"])),
-                    handoff_delay_ms=int(fields["handoff_delay"]),
-                    avoid_issuer_log=bool(int(fields["avoid_issuer"])),
-                    scheme=PostcertScheme(fields["scheme"]),
+            elif kind == "probe":
+                probe = ProbeConfig(
+                    sth_interval_ms=int(fields["sth"]),
+                    size_interval_ms=int(fields["size"]),
+                    submit_interval_ms=int(fields["submit"]),
+                    submit_limit=int(fields.get("submit_limit", "0")),
+                    logs=() if fields["logs"] == "-" else tuple(fields["logs"].split(",")),
                 )
-            )
-        elif kind == "probe":
-            probe = ProbeConfig(
-                sth_interval_ms=int(fields["sth"]),
-                size_interval_ms=int(fields["size"]),
-                submit_interval_ms=int(fields["submit"]),
-                submit_limit=int(fields.get("submit_limit", "0")),
-                logs=() if fields["logs"] == "-" else tuple(fields["logs"].split(",")),
-            )
-        elif kind == "event":
-            params = {k: v for k, v in fields.items() if k not in ("t", "kind")}
-            schedule.append(ScheduledEvent(t=int(fields["t"]), kind=fields["kind"], params=params))
-        else:
-            raise ScenarioError(f"invalid-scenario: unknown line {line!r}")
-    if not header:
+            elif kind == "event":
+                params = {k: v for k, v in fields.items() if k not in ("t", "kind")}
+                schedule.append(ScheduledEvent(t=int(fields["t"]), kind=fields["kind"], params=params))
+            else:
+                raise ScenarioError(f"invalid-scenario: unknown line {line!r}")
+        except KeyError as exc:
+            raise DecodeError(f"line {lineno}: missing field {exc}") from None
+        except ValueError as exc:
+            raise DecodeError(f"line {lineno}: {exc}") from None
+    if header is None:
         raise ScenarioError("invalid-scenario: missing scenario header")
-    policy = MrdPolicy(
-        mode=MrdMode(header["mrd_mode"]), mrd_ms=int(header["mrd"]), mmd_ms=int(header["mmd"])
-    )
     return Scenario(
-        name=header["scenario"],
-        seed=int(header["seed"]),
-        horizon_ms=int(header["horizon"]),
-        policy=policy,
+        **header,
         logs=tuple(logs),
         cas=tuple(cas),
         clients=tuple(clients),
         probe=probe,
         schedule=tuple(schedule),
-        build_proofs=bool(int(header.get("build_proofs", "1"))),
-        check_delay_bounds=bool(int(header.get("check_bounds", "1"))),
     )

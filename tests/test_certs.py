@@ -197,3 +197,16 @@ def test_tbs_invariants():
         )
     with pytest.raises(CertError):
         Extension(oid="", critical=False, value=b"")
+
+
+def test_trust_store_matches_roots_by_value(registry, ca_root):
+    from postcert.encoding import decode_artifact, encode_artifact
+
+    trust = TrustStore([ca_root])
+    fresh = decode_artifact(encode_artifact(ca_root))
+    assert fresh == ca_root and fresh is not ca_root
+    assert trust.contains(fresh)
+    other_tbs = dataclasses.replace(ca_root.tbs, not_after=ca_root.tbs.not_after + 1)
+    assert not trust.contains(dataclasses.replace(ca_root, tbs=other_tbs))
+    resigned = sign_certificate(registry, "ca1", other_tbs)
+    assert not trust.contains(dataclasses.replace(ca_root, signature=resigned.signature))

@@ -193,3 +193,40 @@ def test_scenario_file_flow(tmp_path, capsys):
                       "--out", str(out_b))
     assert code == EXIT_OK
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement, message",
+    [
+        (r" horizon=\d+", " horizon=soon", "line 1: invalid literal for int()"),
+        (r" horizon=\d+", "", "line 1: missing field 'horizon'"),
+    ],
+    ids=["non-integer", "missing-field"],
+)
+def test_malformed_scenario_header_is_io_error(tmp_path, capsys, pattern, replacement, message):
+    from postcert.presets import normal_revocation
+    from postcert.sim import scenario_to_text
+
+    text = scenario_to_text(normal_revocation(seed=21))
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(re.sub(pattern, replacement, text, count=1))
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and message in err
+
+
+def test_probe_unreachable_target_is_io_error(tmp_path, capsys):
+    import socket
+
+    with socket.socket() as sock:  # a loopback port nobody listens on
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    out = tmp_path / "live.trace"
+    code, _, err = _run(capsys, "probe", "--target", f"http://127.0.0.1:{port}",
+                        "--out", str(out), "--duration", "1s")
+    assert code == EXIT_IO
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: http://127.0.0.1:{port}: ")
+    assert not out.exists()

@@ -28,6 +28,7 @@ def served_log(registry, trust, ca_root):
     host, port = server.server_address
     reader = HttpLogReader(f"http://{host}:{port}")
     yield log, reader, clock_value
+    reader.close()
     server.shutdown()
     server.server_close()
 
@@ -166,6 +167,8 @@ def test_concurrent_add_chain_and_get_sth_keep_log_consistent(registry, trust, c
                 scts.append((cert, reader.submit(cert, [ca_root])))
         except Exception as exc:  # surfaced by the assertion below
             errors.append(exc)
+        finally:
+            reader.close()
 
     def watch(seen):
         reader = HttpLogReader(url, log_id="log1")
@@ -175,6 +178,8 @@ def test_concurrent_add_chain_and_get_sth_keep_log_consistent(registry, trust, c
                 seen.append(reader.get_sth())
         except Exception as exc:
             errors.append(exc)
+        finally:
+            reader.close()
 
     threads = [threading.Thread(target=submit, args=(batch,)) for batch in certs]
     threads += [threading.Thread(target=watch, args=(seen,)) for seen in heads]
@@ -207,7 +212,121 @@ def test_concurrent_add_chain_and_get_sth_keep_log_consistent(registry, trust, c
             assert verify_sth(newer, registry)
             path = reader.consistency_proof(older.treesize, newer.treesize)
             assert verify_consistency_sths(older, newer, path)
+        reader.close()
     finally:
         sys.setswitchinterval(switch_interval)
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """Counts the TCP connections every HTTPConnection opens."""
+    import http.client
+
+    opened = []
+    original = http.client.HTTPConnection.connect
+
+    def connect(self):
+        opened.append(self)
+        original(self)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
+    return opened
+
+
+def test_reader_sends_every_request_over_one_connection(served_log, registry, ca_root, connects):
+    log, served, clock = served_log
+    reader = HttpLogReader(served.base_url)
+    certs = [_cert(registry, 400 + i) for i in range(10)]
+    for cert in certs:
+        reader.submit(cert, [ca_root])
+    clock["now"] += 1000
+    requests = 1 + len(certs)
+    for cert in certs[:8]:
+        sth = reader.get_sth()
+        entry = reader.get_entries(sth.treesize - 1, sth.treesize - 1)[0]
+        proof = reader.get_proof_by_hash(SHA256.hash_leaf(entry.payload), sth.treesize)
+        assert verify_audit_proof(entry.payload, proof, sth)
+        reader.consistency_proof(1, sth.treesize)
+        assert reader.submit(cert, [ca_root]).log_id == "log1"  # a duplicate
+        requests += 5
+    reader.close()
+    assert requests == 51
+    assert len(connects) == 1
+
+
+def test_reader_reconnects_to_a_restarted_server(registry, trust, ca_root, connects):
+    first = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:0"), seed=1)
+    server = serve_log(first, clock=lambda: 1_000_000)
+    host, port = server.server_address
+    reader = HttpLogReader(f"http://{host}:{port}")
+    assert reader.get_sth().treesize == 0
+    server.shutdown()
+    server.server_close()
+    second = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:0"), seed=1)
+    second.submit(_cert(registry, 500), [ca_root], 1_000_000)
+    server = serve_log(second, port=port, clock=lambda: 1_000_000)
+    try:
+        assert reader.get_sth().treesize == 1
+        assert len(connects) == 2
+    finally:
+        reader.close()
+        server.shutdown()
+        server.server_close()
+
+
+def test_unanswered_post_body_does_not_reach_the_next_request(served_log, connects):
+    import http.client
+    import json
+
+    log, reader, clock = served_log
+    host, port = reader.base_url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", "/ct/v1/no-such-endpoint", json.dumps({"chain": ["AA=="]}).encode())
+        response = conn.getresponse()
+        assert response.status == 404
+        response.read()
+        conn.request("GET", "/ct/v1/get-sth")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["log_id"] == "log1"
+    finally:
+        conn.close()
+    assert len(connects) == 1
+
+
+def test_read_error_is_a_log_error(served_log, registry, ca_root, leaf_cert):
+    log, reader, clock = served_log
+    reader.submit(leaf_cert, [ca_root])
+    clock["now"] += 1000
+    with pytest.raises(LogError) as err:
+        reader.get_proof_by_hash(SHA256.hash_leaf(encode_artifact(leaf_cert)), 5)
+    assert err.value.code == "entry-out-of-range"
+    assert reader.get_sth().treesize == 1  # the connection still serves
+
+
+def test_plain_urllib_request_is_answered(served_log):
+    import json
+    import urllib.request
+
+    log, reader, clock = served_log
+    with urllib.request.urlopen(f"{reader.base_url}/ct/v1/get-sth", timeout=10) as response:
+        assert json.loads(response.read())["log_id"] == "log1"
+
+
+@pytest.mark.parametrize("length", ["abc", "-1"])
+def test_malformed_content_length_is_answered_and_closes(served_log, length):
+    import socket
+
+    log, reader, clock = served_log
+    host, port = reader.base_url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(f"POST /ct/v1/add-chain HTTP/1.1\r\nHost: x\r\n"
+                     f"Content-Length: {length}\r\n\r\n{{}}".encode())
+        answer = b""
+        while chunk := sock.recv(4096):  # the server closes after answering
+            answer += chunk
+    assert answer.startswith(b"HTTP/1.1 400 ")
+    assert b"\r\nConnection: close\r\n" in answer and b"bad Content-Length" in answer
