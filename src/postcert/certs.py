@@ -261,8 +261,16 @@ def _dec_postcertificate(r: ByteReader) -> Postcertificate:
     )
 
 
+_POSTCERT_TAG = 2
+_POSTCERT_TAG_BYTE = bytes((_POSTCERT_TAG,))
+
 register_artifact(1, Certificate, _enc_certificate, _dec_certificate)
-register_artifact(2, Postcertificate, _enc_postcertificate, _dec_postcertificate)
+register_artifact(_POSTCERT_TAG, Postcertificate, _enc_postcertificate, _dec_postcertificate)
+
+
+def is_postcert_payload(payload: bytes) -> bool:
+    """Whether artifact bytes carry the Postcertificate tag, read without decoding."""
+    return payload[:1] == _POSTCERT_TAG_BYTE
 
 
 def encode_payload(obj: Certificate | Postcertificate) -> bytes:

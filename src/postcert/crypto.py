@@ -111,12 +111,12 @@ class KeyRegistry:
         secret = self._secrets.get(signer_id)
         if secret is None:
             raise UnknownSignerError(f"unknown signer: {signer_id}")
-        tag = hmac.new(secret, payload, hashlib.sha256).digest()
+        tag = hmac.digest(secret, payload, "sha256")
         return Signature(signer_id=signer_id, value=tag)
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
         secret = self._secrets.get(signature.signer_id)
         if secret is None:
             return False
-        expected = hmac.new(secret, payload, hashlib.sha256).digest()
+        expected = hmac.digest(secret, payload, "sha256")
         return hmac.compare_digest(expected, signature.value)

@@ -25,7 +25,7 @@ import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-from .certs import Certificate, Postcertificate, decode_payload
+from .certs import CertError, Certificate, Postcertificate, decode_payload
 from .crypto import Signature
 from .encoding import decode_artifact, encode_artifact
 from .log import CtLog, LogEntry, LogError, MerkleAuditProof, SCT, STH
@@ -91,6 +91,28 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
     return None
 
 
+def _parse_add_chain(body: bytes) -> tuple[Certificate | Postcertificate, list[Certificate]]:
+    """The leaf and the issuer chain of an add-chain body.
+
+    Raises ValueError, KeyError or CertError unless the body is a JSON object
+    whose ``chain`` is a non-empty list of base64 strings: a certificate or
+    postcertificate, then certificates.
+    """
+    request = json.loads(body)
+    if not isinstance(request, dict):
+        raise ValueError("add-chain body must be a JSON object")
+    chain_b64 = request["chain"]
+    if not isinstance(chain_b64, list) or not chain_b64:
+        raise ValueError("chain must be a non-empty list")
+    if not all(isinstance(item, str) for item in chain_b64):
+        raise ValueError("chain items must be base64 strings")
+    leaf = decode_payload(_unb64(chain_b64[0]))
+    chain = [decode_artifact(_unb64(item)) for item in chain_b64[1:]]
+    if not all(isinstance(cert, Certificate) for cert in chain):
+        raise CertError("chain holds a non-certificate")
+    return leaf, chain
+
+
 def make_handler(log: CtLog, clock: Callable[[], int]):
     # ThreadingHTTPServer answers each connection in its own thread, and CtLog
     # is not thread-safe: every log call, and the clock reading it uses, happens
@@ -145,12 +167,10 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
                 self._send(404, {"error": "unknown endpoint"})
                 return
             try:
-                chain_b64 = json.loads(body)["chain"]
-                leaf = decode_payload(_unb64(chain_b64[0]))
-                chain = [decode_artifact(_unb64(item)) for item in chain_b64[1:]]
+                leaf, chain = _parse_add_chain(body)
                 with lock:
                     sct = log.submit(leaf, chain, clock())
-            except (LogError, ValueError, KeyError) as exc:
+            except (LogError, CertError, ValueError, KeyError) as exc:
                 self._send(400, _error_body(exc))
                 return
             self._send(200, {

@@ -396,7 +396,10 @@ class CtLog:
     def _sign_sth(self, t_ref: int) -> STH:
         t_log = self._log_clock(t_ref)
         size = len(self.entries)
-        root = self.tree.root(size)
+        if self.sth_history and self.sth_history[-1].treesize == size:
+            root = self.sth_history[-1].root_hash  # the tree only grows: same size, same root
+        else:
+            root = self.tree.root(size)
         sig = self.registry.sign(self.log_id, sth_signing_payload(self.log_id, t_log, size, root))
         sth = STH(self.log_id, t_log, size, root, sig)
         self.sth_history.append(sth)

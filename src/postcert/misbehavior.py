@@ -25,7 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED
+from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
 from .crypto import HashScheme, KeyRegistry, SHA256
 from .encoding import ByteReader, ByteWriter, decode_artifact, encode_artifact, register_artifact, text_block
 from .log import (
@@ -347,19 +347,10 @@ def _scan_postcerts(obs: ObservationBag) -> list[tuple[LogEntry, Postcertificate
                 continue
             size = reader.published_size()
             for entry in reader.get_entries(0, size - 1) if size else []:
-                payload = decode_artifact(entry.payload)
-                if isinstance(payload, Postcertificate):
-                    found.append((entry, payload))
+                if is_postcert_payload(entry.payload):
+                    found.append((entry, decode_artifact(entry.payload)))
         obs._postcert_scan = found
     return obs._postcert_scan
-
-
-def _postcert_entries(obs: ObservationBag, target: CertRef | None) -> list[LogEntry]:
-    return [
-        entry
-        for entry, payload in _scan_postcerts(obs)
-        if target is None or payload.target_ref == target
-    ]
 
 
 def _earliest_covering_sth(obs: ObservationBag, entry: LogEntry) -> STH | None:
@@ -378,15 +369,18 @@ def _earliest_covering_sth(obs: ObservationBag, entry: LogEntry) -> STH | None:
 def _pick_m12_evidence(
     obs: ObservationBag, target: CertRef | None, want_good: bool, strict: bool
 ) -> MisbehaviorProofM12:
-    candidates = _postcert_entries(obs, target)
+    candidates = [
+        (entry, post)
+        for entry, post in _scan_postcerts(obs)
+        if target is None or post.target_ref == target
+    ]
     if not candidates:
         raise InsufficientEvidenceError("insufficient-evidence: no logged postcertificate")
     best: tuple[int, MisbehaviorProofM12] | None = None
-    for entry in candidates:
+    for entry, post in candidates:
         sth = _earliest_covering_sth(obs, entry)
         if sth is None:
             continue
-        post = decode_artifact(entry.payload)
         t_proof = earliest_proof_time(
             Case.M1_MISSING_UPDATE, obs.policy, entry=entry, covering_sth=sth
         )

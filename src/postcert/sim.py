@@ -28,6 +28,8 @@ from .certs import (
     PostcertScheme,
     TbsCertificate,
     TrustStore,
+    encode_payload,
+    is_postcert_payload,
     make_postcertificate,
     sign_certificate,
 )
@@ -340,9 +342,9 @@ class _CaActor:
             if size <= cursor:
                 continue
             for entry in log.get_entries(cursor, size - 1):
-                payload = entry.decoded()
-                if not isinstance(payload, Postcertificate):
+                if not is_postcert_payload(entry.payload):
                     continue
+                payload = entry.decoded()
                 if payload.tbs.issuer != self.ca_id:
                     continue
                 serial = payload.tbs.serial
@@ -756,14 +758,12 @@ class Simulation:
             )
         if m.t_discovery is None or m.discovery_log is None:
             return None
+        # The only postcertificate ever submitted for a serial is the one its
+        # CA made at issuance, so that one's leaf hash finds the first entry
+        # with the serial and issuer.
+        postcert = self.cas[m.ca_id].issued[m.serial].postcert
         log = self.logs[m.discovery_log]
-        entry_number = None
-        for number, entry in enumerate(log.entries):
-            payload = entry.decoded()
-            if isinstance(payload, Postcertificate) and payload.tbs.serial == m.serial and \
-                    payload.tbs.issuer == m.ca_id:
-                entry_number = number
-                break
+        entry_number = log._number_by_leaf_hash.get(log.scheme.hash_leaf(encode_payload(postcert)))
         if entry_number is None:
             return None
         t_publish = log.merge_time_ref(entry_number)

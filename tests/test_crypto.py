@@ -134,3 +134,29 @@ def test_registry_with_explicit_secret_isolates_keys():
     sig = registry.sign("a", b"m")
     assert registry.verify(sig, b"m")
     assert not registry.verify(Signature("b", sig.value), b"m")
+
+
+def test_sign_matches_rfc4231_hmac_sha256_vector():
+    # RFC 4231, test case 2.
+    registry = KeyRegistry({"jefe": b"Jefe"})
+    sig = registry.sign("jefe", b"what do ya want for nothing?")
+    assert sig.value.hex() == "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+    assert registry.verify(sig, b"what do ya want for nothing?")
+
+
+def test_sign_matches_hmac_new_for_derived_secrets():
+    import hmac
+
+    from postcert.crypto import _derive_secret
+
+    registry = KeyRegistry.with_signers(["log1", "ca1"])
+    rng = random.Random(5)
+    for signer_id in ("log1", "ca1"):
+        for _ in range(50):
+            payload = rng.randbytes(rng.randrange(0, 200))
+            expected = hmac.new(_derive_secret(signer_id), payload, hashlib.sha256).digest()
+            sig = registry.sign(signer_id, payload)
+            assert sig.value == expected
+            assert registry.verify(sig, payload)
+            assert not registry.verify(Signature(signer_id, bytes([expected[0] ^ 1]) + expected[1:]),
+                                       payload)

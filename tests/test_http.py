@@ -330,3 +330,50 @@ def test_malformed_content_length_is_answered_and_closes(served_log, length):
             answer += chunk
     assert answer.startswith(b"HTTP/1.1 400 ")
     assert b"\r\nConnection: close\r\n" in answer and b"bad Content-Length" in answer
+
+
+def _b64_artifact(obj) -> str:
+    import base64
+
+    return base64.b64encode(encode_artifact(obj)).decode("ascii")
+
+
+@pytest.mark.parametrize("make_body", [
+    pytest.param(lambda sth, root: {"chain": []}, id="empty-chain"),
+    pytest.param(lambda sth, root: {"chain": [_b64_artifact(sth), _b64_artifact(root)]},
+                 id="non-certificate-leaf"),
+    pytest.param(lambda sth, root: [_b64_artifact(root)], id="list-body"),
+    pytest.param(lambda sth, root: {"chain": 5}, id="chain-not-a-list"),
+    pytest.param(lambda sth, root: {"chain": [_b64_artifact(root), 5]}, id="chain-item-not-a-string"),
+    pytest.param(lambda sth, root: {"chain": [_b64_artifact(root), _b64_artifact(sth)]},
+                 id="non-certificate-issuer"),
+])
+def test_malformed_add_chain_is_a_400_on_a_usable_connection(
+    served_log, ca_root, leaf_cert, connects, make_body
+):
+    import http.client
+    import json
+
+    log, reader, clock = served_log
+    host, port = reader.base_url.removeprefix("http://").split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", "/ct/v1/add-chain", json.dumps(make_body(log.latest_sth(), ca_root)))
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"]
+        good = {"chain": [_b64_artifact(leaf_cert), _b64_artifact(ca_root)]}
+        conn.request("POST", "/ct/v1/add-chain", json.dumps(good))
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["timestamp"] == clock["now"]
+    finally:
+        conn.close()
+    assert len(connects) == 1
+
+
+def test_reader_submit_of_a_non_certificate_is_a_log_error(served_log, ca_root, leaf_cert):
+    log, reader, clock = served_log
+    with pytest.raises(LogError):
+        reader.submit(log.latest_sth(), [ca_root])
+    assert reader.submit(leaf_cert, [ca_root]).log_id == "log1"

@@ -380,3 +380,30 @@ def test_snapshot_round_trip_serves_same_proofs(registry, trust, ca_root):
     for i in range(9):
         assert reader.audit_proof(i, 9) == log.audit_proof(i, 9)
     assert reader.consistency_proof(4, 9) == log.consistency_proof(4, 9)
+
+
+def test_periodic_heads_carry_the_oracle_root_with_and_without_merges(registry, trust, ca_root):
+    make = _cert_factory(registry)
+    log = _make_log(
+        registry, trust,
+        update_class=UpdateClass.PERIODIC, update_interval_ms=60 * SECOND_MS,
+        publication_delay="fixed:1000",
+    )
+    payloads = []
+    # Bursts of submissions separated by quiet spans of several ticks.
+    for burst, now in enumerate((5 * SECOND_MS, 7 * MINUTE_MS, 11 * MINUTE_MS, 15 * MINUTE_MS)):
+        for _ in range(burst + 1):
+            cert = make()
+            payloads.append(encode_artifact(cert))
+            log.submit(cert, [ca_root], now=now)
+        log.get_sth(now + 90 * SECOND_MS)
+    log.advance(25 * MINUTE_MS)
+    history = log.sth_history
+    assert len(log.entries) == len(payloads) == 10
+    sizes = [sth.treesize for sth in history]
+    assert any(a == b for a, b in zip(sizes, sizes[1:]))  # ticks without a merge
+    assert any(a < b for a, b in zip(sizes, sizes[1:]))  # ticks after merges
+    oracle = BruteForceTree(payloads)
+    for sth in history:
+        assert sth.root_hash == oracle.root(sth.treesize)
+        assert verify_sth(sth, registry)

@@ -313,3 +313,28 @@ def test_single_fault_preserves_honest_world_shape():
     assert faulted.logs == honest.logs
     assert faulted.policy == honest.policy
     assert faulted.cas[0].misbehavior is CaMisbehavior.M1_SKIP_UPDATE
+
+
+def test_delay_breakdown_finds_the_first_logged_postcert_of_its_serial():
+    from postcert.certs import Postcertificate
+
+    checked = 0
+    for seed in range(12):
+        sim = Simulation(honest_random(seed))
+        sim.run()
+        for m in sim.milestones.values():
+            if m.pathway != "POSTCERT" or m.t_update is None or m.t_discovery is None:
+                continue
+            if m.t_handoff is not None and m.t_handoff <= m.t_discovery:
+                continue
+            log = sim.logs[m.discovery_log]
+            first = next(
+                number for number, entry in enumerate(log.entries)
+                if isinstance(post := entry.decoded(), Postcertificate)
+                and (post.tbs.serial, post.tbs.issuer) == (m.serial, m.ca_id)
+            )
+            breakdown = sim._breakdown_for(m)
+            assert breakdown.publication_ms == log.merge_time_ref(first) - m.t_first_submit
+            assert breakdown.mon_discovery_ms == m.t_discovery - log.merge_time_ref(first)
+            checked += 1
+    assert checked >= 4
