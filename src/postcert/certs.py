@@ -45,8 +45,8 @@ REASON_CODES = (
 REQUESTED_STATUS_REVOKED = "REVOKED"
 
 
-class CertError(Exception):
-    pass
+class CertError(ValueError):
+    """A certificate invariant or chain rule does not hold."""
 
 
 class PostcertScheme(enum.Enum):

@@ -240,12 +240,11 @@ def _read_log_dumps(path: str | None) -> dict[str, SnapshotLogReader]:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        events = _load_trace(args.trace)
+        obs = observations_from_events(_load_trace(args.trace))
         readers = _read_log_dumps(args.logs)
     except (OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    obs = observations_from_events(events)
     report = render_report(obs, readers)
     if args.out:
         try:
@@ -260,11 +259,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     try:
-        events = _load_trace(args.trace)
-    except OSError as exc:
+        obs = observations_from_events(_load_trace(args.trace))
+    except (OSError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    obs = observations_from_events(events)
     for log_id in obs.log_ids():
         try:
             log_class = classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, []))
@@ -326,11 +324,10 @@ def _cmd_project_growth(args: argparse.Namespace) -> int:
             return EXIT_IO
     elif args.trace:
         try:
-            events = _load_trace(args.trace)
-        except OSError as exc:
+            obs = observations_from_events(_load_trace(args.trace))
+        except (OSError, DecodeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
-        obs = observations_from_events(events)
         sths = obs.sths.get(args.log or (obs.log_ids()[0] if obs.log_ids() else ""), [])
         sizes = [o.sth.treesize for o in sorted(sths, key=lambda o: o.t_response)]
         history = [float(max(sizes[: i + 1])) for i in range(len(sizes))]

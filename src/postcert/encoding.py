@@ -22,71 +22,94 @@ class DecodeError(ValueError):
     pass
 
 
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+_BYTES = [bytes([value]) for value in range(256)]
+
+
 class ByteWriter:
+    """Collects the encoded fields as parts joined once by ``getvalue``."""
+
+    __slots__ = ("_parts",)
+
     def __init__(self) -> None:
         self._parts: list[bytes] = []
 
     def u8(self, value: int) -> None:
         if not 0 <= value <= 0xFF:
             raise ValueError("u8 out of range")
-        self._parts.append(bytes([value]))
+        self._parts.append(_BYTES[value])
 
     def u32(self, value: int) -> None:
-        self._parts.append(struct.pack(">I", value))
+        self._parts.append(_U32.pack(value))
 
     def u64(self, value: int) -> None:
-        self._parts.append(struct.pack(">Q", value))
+        self._parts.append(_U64.pack(value))
 
     def i64(self, value: int) -> None:
-        self._parts.append(struct.pack(">q", value))
+        self._parts.append(_I64.pack(value))
 
     def boolean(self, value: bool) -> None:
-        self.u8(1 if value else 0)
+        self._parts.append(b"\x01" if value else b"\x00")
 
     def blob(self, value: bytes) -> None:
-        self.u32(len(value))
-        self._parts.append(bytes(value))
+        self._parts.extend((_U32.pack(len(value)), bytes(value)))
 
     def text(self, value: str) -> None:
-        self.blob(value.encode("utf-8"))
+        data = value.encode("utf-8")
+        self._parts.extend((_U32.pack(len(data)), data))
+
+    def artifact(self, obj: object) -> None:
+        """A nested artifact, as a blob of its tagged encoding."""
+        self.blob(encode_artifact(obj))
 
     def optional_u64(self, value: int | None) -> None:
-        self.boolean(value is not None)
-        if value is not None:
-            self.u64(value)
+        if value is None:
+            self._parts.append(b"\x00")
+        else:
+            self._parts.extend((b"\x01", _U64.pack(value)))
 
     def optional_i64(self, value: int | None) -> None:
-        self.boolean(value is not None)
-        if value is not None:
-            self.i64(value)
+        if value is None:
+            self._parts.append(b"\x00")
+        else:
+            self._parts.extend((b"\x01", _I64.pack(value)))
 
     def getvalue(self) -> bytes:
         return b"".join(self._parts)
 
 
 class ByteReader:
+    __slots__ = ("_data", "_pos")
+
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+    def _skip(self, n: int) -> int:
+        """Start offset of the next ``n`` bytes, which the reader moves past."""
+        pos = self._pos
+        if pos + n > len(self._data):
             raise DecodeError("truncated input")
-        chunk = self._data[self._pos : self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = pos + n
+        return pos
+
+    def _take(self, n: int) -> bytes:
+        pos = self._skip(n)
+        return self._data[pos : pos + n]
 
     def u8(self) -> int:
-        return self._take(1)[0]
+        return self._data[self._skip(1)]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        return _U32.unpack_from(self._data, self._skip(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack(">Q", self._take(8))[0]
+        return _U64.unpack_from(self._data, self._skip(8))[0]
 
     def i64(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
+        return _I64.unpack_from(self._data, self._skip(8))[0]
 
     def boolean(self) -> bool:
         flag = self.u8()
@@ -103,6 +126,14 @@ class ByteReader:
         except UnicodeDecodeError as exc:
             raise DecodeError("invalid utf-8") from exc
 
+    def artifact(self, cls: type[T]) -> T:
+        """A nested artifact written by ``ByteWriter.artifact``; it must be
+        a ``cls``."""
+        obj = decode_artifact(self.blob())
+        if not isinstance(obj, cls):
+            raise DecodeError(f"expected a nested {cls.__name__}, got {type(obj).__name__}")
+        return obj
+
     def optional_u64(self) -> int | None:
         return self.u64() if self.boolean() else None
 
@@ -117,14 +148,14 @@ class ByteReader:
 # Artifact envelope: one byte of type tag, then the type's own encoding.
 
 _ENCODERS: dict[type, tuple[int, Callable[[ByteWriter, object], None]]] = {}
-_DECODERS: dict[int, Callable[[ByteReader], object]] = {}
+_DECODERS: dict[int, tuple[str, Callable[[ByteReader], object]]] = {}
 
 
 def register_artifact(tag: int, cls: type, encode: Callable, decode: Callable) -> None:
     if tag in _DECODERS:
         raise ValueError(f"duplicate artifact tag {tag}")
     _ENCODERS[cls] = (tag, encode)
-    _DECODERS[tag] = decode
+    _DECODERS[tag] = (cls.__name__, decode)
 
 
 def encode_artifact(obj: object) -> bytes:
@@ -139,12 +170,24 @@ def encode_artifact(obj: object) -> bytes:
 
 
 def decode_artifact(data: bytes) -> object:
+    """Decode a tagged artifact; every failure raises ``DecodeError``.
+
+    Bytes that parse but break an invariant of the artifact's type (a value
+    its constructor rejects, an unknown enum value) are malformed input too,
+    so their ``ValueError`` becomes a ``DecodeError`` naming the artifact.
+    """
     reader = ByteReader(data)
     tag = reader.u8()
-    decode = _DECODERS.get(tag)
-    if decode is None:
+    entry = _DECODERS.get(tag)
+    if entry is None:
         raise DecodeError(f"unknown artifact tag {tag}")
-    obj = decode(reader)
+    name, decode = entry
+    try:
+        obj = decode(reader)
+    except DecodeError:
+        raise
+    except ValueError as exc:
+        raise DecodeError(f"invalid {name}: {exc}") from exc
     reader.expect_eof()
     return obj
 

@@ -5,9 +5,12 @@ the entry into its Merkle tree after a configurable publication delay that is
 never allowed to exceed the maximum merge delay. Entries merge in submission
 order, so entry numbers are dense and submission timestamps non-decreasing.
 
-Signing cadence is configurable: BUSY logs sign a tree head whenever the
-published set changes, UNBUSY logs sign one tree head per merged entry, and
-PERIODIC logs re-sign on a fixed interval whether or not anything changed.
+Signing cadence is configurable: BUSY logs fix a tree head whenever the
+published set changes, UNBUSY logs fix one tree head per merged entry, and
+PERIODIC logs fix one on a fixed interval whether or not anything changed.
+Fixing a head records its log time and tree size; its root and signature are
+computed when the head is first read. Signatures are deterministic and the
+tree keeps every level, so a head's bytes are the same whenever it is read.
 ``get_sth`` can also reproduce two real-world response pathologies, returning
 out-of-order or lagging tree heads with a configured probability while
 ``get_entries`` keeps serving everything already merged.
@@ -18,6 +21,7 @@ from __future__ import annotations
 import enum
 import random
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .certs import (
@@ -338,10 +342,63 @@ class LogConfig:
         DelayModel(self.publication_delay)
 
 
-@dataclass
+class TreeHeads(Sequence[STH]):
+    """A log's tree heads in publication order, each signed on first read.
+
+    ``publish`` fixes a head as its (log time, tree size). Reading it, by
+    index, slice or iteration, computes the root and signature once and
+    caches the ``STH``, so every later read returns that same object.
+    ``len`` and ``sizes`` never sign anything.
+    """
+
+    __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_sths", "_roots")
+
+    def __init__(self, log_id: str, registry: KeyRegistry, tree: MerkleTree) -> None:
+        self._log_id = log_id
+        self._registry = registry
+        self._tree = tree
+        self._times: list[int] = []
+        self._sizes: list[int] = []
+        self._sths: list[STH | None] = []
+        self._roots: dict[int, bytes] = {}  # the tree only grows: one root per size
+
+    def publish(self, t: int, treesize: int) -> None:
+        self._times.append(t)
+        self._sizes.append(treesize)
+        self._sths.append(None)
+
+    @property
+    def sizes(self) -> list[int]:
+        """Tree size of every head, non-decreasing; do not modify."""
+        return self._sizes
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._sizes)))]
+        return self._sths[index] or self._sign(index % len(self._sizes))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._sizes)))
+
+    def _sign(self, index: int) -> STH:
+        t, size = self._times[index], self._sizes[index]
+        root = self._roots.get(size)
+        if root is None:
+            root = self._roots[size] = self._tree.root(size)
+        payload = sth_signing_payload(self._log_id, t, size, root)
+        sth = STH(self._log_id, t, size, root, self._registry.sign(self._log_id, payload))
+        self._sths[index] = sth
+        return sth
+
+
+@dataclass(slots=True)
 class _Pending:
     ready_at: int
     payload: bytes
+    leaf_hash: bytes
     sct_timestamp: int
 
 
@@ -372,8 +429,8 @@ class CtLog:
         self.scheme = scheme
         self.rng = random.Random(f"{seed}:{log_id}")
         self.entries: list[LogEntry] = []
-        self.sth_history: list[STH] = []
         self.tree = MerkleTree(scheme)
+        self.sth_history = TreeHeads(log_id, registry, self.tree)
         self._pending: list[_Pending] = []
         self._pending_head = 0
         self._merge_t_ref: list[int] = []
@@ -386,24 +443,15 @@ class CtLog:
         self._submission_index = 0
         self._drop_serials: set[int] = set()
         self.frozen = self.config.frozen
-        self._sign_sth(start_time_ms)
+        self._publish_sth(start_time_ms)
 
     # -- internal machinery
 
     def _log_clock(self, t_ref: int) -> int:
         return t_ref + self.config.clock_offset_ms
 
-    def _sign_sth(self, t_ref: int) -> STH:
-        t_log = self._log_clock(t_ref)
-        size = len(self.entries)
-        if self.sth_history and self.sth_history[-1].treesize == size:
-            root = self.sth_history[-1].root_hash  # the tree only grows: same size, same root
-        else:
-            root = self.tree.root(size)
-        sig = self.registry.sign(self.log_id, sth_signing_payload(self.log_id, t_log, size, root))
-        sth = STH(self.log_id, t_log, size, root, sig)
-        self.sth_history.append(sth)
-        return sth
+    def _publish_sth(self, t_ref: int) -> None:
+        self.sth_history.publish(self._log_clock(t_ref), len(self.entries))
 
     def _merge_one(self, pending: _Pending, t_ref: int) -> None:
         number = len(self.entries)
@@ -414,7 +462,7 @@ class CtLog:
             number=number,
         )
         self.entries.append(entry)
-        leaf = self.tree.append(pending.payload)
+        leaf = self.tree.append(pending.payload, pending.leaf_hash)
         self._number_by_leaf_hash.setdefault(leaf, number)
         self._merge_t_ref.append(t_ref)
 
@@ -448,9 +496,9 @@ class CtLog:
                 break
             if tick_t is not None and (merge_t is None or tick_t <= merge_t):
                 self._last_tick = tick_t
-                self._sign_sth(tick_t)
+                self._publish_sth(tick_t)
                 continue
-            # Merge every queued entry due at this instant, then sign per class.
+            # Merge every queued entry due at this instant, then publish per class.
             batch_t = merge_t
             merged = 0
             while self._pending_head < len(self._pending):
@@ -463,9 +511,9 @@ class CtLog:
                 self._pending_head += 1
                 merged += 1
                 if self.config.update_class is UpdateClass.UNBUSY:
-                    self._sign_sth(batch_t)
+                    self._publish_sth(batch_t)
             if merged and self.config.update_class is UpdateClass.BUSY:
-                self._sign_sth(batch_t)
+                self._publish_sth(batch_t)
             if self._pending_head == len(self._pending):
                 self._pending.clear()
                 self._pending_head = 0
@@ -520,7 +568,7 @@ class CtLog:
         if not forget:
             self._pending.append(
                 _Pending(ready_at=now + self._publication_delay(), payload=payload_bytes,
-                         sct_timestamp=timestamp)
+                         leaf_hash=entry_hash, sct_timestamp=timestamp)
             )
         self._sct_by_payload.setdefault(payload_bytes, sct)
         self._submission_index += 1
@@ -528,29 +576,32 @@ class CtLog:
 
     def sign_tree_head(self, now: int) -> STH:
         self.advance(now)
-        return self._sign_sth(now)
+        self._publish_sth(now)
+        return self.sth_history[-1]
 
     def latest_sth(self) -> STH:
         return self.sth_history[-1]
 
     def get_sth(self, now: int) -> STH:
         self.advance(now)
-        latest = self.sth_history[-1]
+        heads = self.sth_history
         mode = self.config.sth_cache
-        if mode is SthCacheMode.NONE or len(self.sth_history) < 2:
-            return latest
+        if mode is SthCacheMode.NONE or len(heads) < 2:
+            return heads[-1]
         if self.rng.random() >= self.config.sth_cache_p:
-            return latest
+            return heads[-1]
+        # choice() only takes len() and indexes, so a choice over range(n)
+        # uses the RNG as a choice over the first n heads would, and signs
+        # only the head it picks.
         if mode is SthCacheMode.OUT_OF_ORDER:
-            return self.rng.choice(self.sth_history[:-1])
+            return heads[self.rng.choice(range(len(heads) - 1))]
         # LAGGING: a cached tree head that excludes already-retrievable entries.
         # Tree sizes never decrease along the history, so the stale heads are
-        # a prefix of it. choice() only takes len() and indexes, so a choice
-        # over range(stale) uses the RNG as a choice over that prefix would.
-        stale = bisect_left(self.sth_history, len(self.entries), key=lambda s: s.treesize)
+        # a prefix of it.
+        stale = bisect_left(heads.sizes, len(self.entries))
         if not stale:
-            return latest
-        return self.sth_history[self.rng.choice(range(stale))]
+            return heads[-1]
+        return heads[self.rng.choice(range(stale))]
 
     def published_size(self, now: int | None = None) -> int:
         if now is not None:

@@ -39,8 +39,10 @@ class MerkleTree:
     def size(self) -> int:
         return len(self._levels[0])
 
-    def append(self, payload: bytes) -> bytes:
-        leaf = self.scheme.hash_leaf(payload)
+    def append(self, payload: bytes, leaf_hash: bytes | None = None) -> bytes:
+        """Add one leaf and return its hash. A caller that already holds
+        ``hash_leaf(payload)`` passes it as ``leaf_hash`` to skip rehashing."""
+        leaf = self.scheme.hash_leaf(payload) if leaf_hash is None else leaf_hash
         levels = self._levels
         levels[0].append(leaf)
         node, height = leaf, 0

@@ -493,40 +493,41 @@ def build_proof(
 # Serialization --------------------------------------------------------------------
 
 def _enc_m12(w: ByteWriter, proof: MisbehaviorProofM12) -> None:
-    w.blob(encode_artifact(proof.entry))
-    w.blob(encode_artifact(proof.sth))
-    w.blob(encode_artifact(proof.status))
-    w.blob(encode_artifact(proof.audit))
+    w.artifact(proof.entry)
+    w.artifact(proof.sth)
+    w.artifact(proof.status)
+    w.artifact(proof.audit)
 
 
 def _dec_m12(r: ByteReader) -> MisbehaviorProofM12:
-    entry = decode_artifact(r.blob())
-    sth = decode_artifact(r.blob())
-    status = decode_artifact(r.blob())
-    audit = decode_artifact(r.blob())
-    return MisbehaviorProofM12(entry=entry, sth=sth, status=status, audit=audit)
+    return MisbehaviorProofM12(
+        entry=r.artifact(LogEntry),
+        sth=r.artifact(STH),
+        status=r.artifact(RevocationStatus),
+        audit=r.artifact(MerkleAuditProof),
+    )
 
 
 def _enc_m3(w: ByteWriter, proof: MisbehaviorProofM3) -> None:
-    w.blob(encode_artifact(proof.status))
+    w.artifact(proof.status)
     w.u32(len(proof.sth_set))
     for sth in proof.sth_set:
-        w.blob(encode_artifact(sth))
+        w.artifact(sth)
 
 
 def _dec_m3(r: ByteReader) -> MisbehaviorProofM3:
-    status = decode_artifact(r.blob())
-    sths = tuple(decode_artifact(r.blob()) for _ in range(r.u32()))
+    status = r.artifact(RevocationStatus)
+    sths = tuple(r.artifact(STH) for _ in range(r.u32()))
     return MisbehaviorProofM3(status=status, sth_set=sths)
 
 
 def _enc_disclosure(w: ByteWriter, proof: SctDisclosureProof) -> None:
-    w.blob(encode_artifact(proof.sct))
-    w.blob(encode_artifact(proof.sth))
+    w.artifact(proof.sct)
+    w.artifact(proof.sth)
 
 
 def _dec_disclosure(r: ByteReader) -> SctDisclosureProof:
-    return SctDisclosureProof(sct=decode_artifact(r.blob()), sth=decode_artifact(r.blob()))
+    return SctDisclosureProof(sct=r.artifact(SCT), sth=r.artifact(STH))
 
 
 register_artifact(8, MisbehaviorProofM12, _enc_m12, _dec_m12)

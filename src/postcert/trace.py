@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .encoding import ByteReader, ByteWriter, DecodeError, decode_artifact, encode_artifact, register_artifact
+from .encoding import ByteReader, ByteWriter, DecodeError, decode_artifact, register_artifact
 from .log import SCT, STH
 from .status import RevocationStatus
 
@@ -116,11 +116,11 @@ class ProofRecord:
 def _enc_sth_obs(w: ByteWriter, obs: SthObservation) -> None:
     w.i64(obs.t_request)
     w.i64(obs.t_response)
-    w.blob(encode_artifact(obs.sth))
+    w.artifact(obs.sth)
 
 
 def _dec_sth_obs(r: ByteReader) -> SthObservation:
-    return SthObservation(r.i64(), r.i64(), decode_artifact(r.blob()))
+    return SthObservation(r.i64(), r.i64(), r.artifact(STH))
 
 
 def _enc_submission(w: ByteWriter, rec: SubmissionRecord) -> None:
@@ -130,7 +130,7 @@ def _enc_submission(w: ByteWriter, rec: SubmissionRecord) -> None:
     w.blob(rec.payload_hash)
     w.boolean(rec.sct is not None)
     if rec.sct is not None:
-        w.blob(encode_artifact(rec.sct))
+        w.artifact(rec.sct)
     w.optional_u64(rec.final_entry_number)
     w.text(rec.error)
 
@@ -140,7 +140,7 @@ def _dec_submission(r: ByteReader) -> SubmissionRecord:
     t_request = r.i64()
     t_response = r.i64()
     payload_hash = r.blob()
-    sct = decode_artifact(r.blob()) if r.boolean() else None
+    sct = r.artifact(SCT) if r.boolean() else None
     final = r.optional_u64()
     error = r.text()
     return SubmissionRecord(log_id, t_request, t_response, payload_hash, sct, final, error)

@@ -2,14 +2,19 @@
 
 Everything here recomputes results from first principles (naive recursive
 splits over raw payloads, direct hashlib calls) and never reuses the
-production tree machinery, so a bug cannot cancel itself out.
+production tree machinery, so a bug cannot cancel itself out. The one
+exception, ``EagerSthLog``, merges entries as ``CtLog`` does but computes and
+signs each tree head's brute-force root at publication. ``artifact_samples``
+supplies real encodings of every artifact kind.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 from postcert.crypto import HashScheme, SHA256
+from postcert.log import STH, CtLog, sth_signing_payload
 
 
 def sha256(data: bytes) -> bytes:
@@ -106,3 +111,53 @@ def lagging_sth_draw(history, size: int, rng, p: float):
     if not stale:
         return latest
     return rng.choice(stale)
+
+
+class EagerSthLog(CtLog):
+    """A ``CtLog`` that also signs every tree head the moment it publishes
+    it, as logs did before heads were signed on first read.
+
+    ``eager_history[i]`` is head ``i`` with its ``BruteForceTree`` root over
+    the entries merged at publication, signed at once.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.eager_history: list[STH] = []
+        super().__init__(*args, **kwargs)
+
+    def _publish_sth(self, t_ref: int) -> None:
+        super()._publish_sth(t_ref)
+        t, size = self._log_clock(t_ref), len(self.entries)
+        root = BruteForceTree([entry.payload for entry in self.entries], self.scheme).root()
+        sig = self.registry.sign(self.log_id, sth_signing_payload(self.log_id, t, size, root))
+        self.eager_history.append(STH(self.log_id, t, size, root, sig))
+
+
+@functools.cache
+def artifact_samples() -> list[bytes]:
+    """Encoded artifacts of every registered kind, taken from two small runs."""
+    from postcert import encoding
+    from postcert.presets import log_forget, single_fault
+    from postcert.probe import binary_search_size
+    from postcert.sim import Simulation
+    from postcert.trace import EventKind, ViolationRecord
+
+    payloads = {encoding.encode_artifact(ViolationRecord("serial=1", "update", 10, 20))}
+    for scenario in (single_fault(3, "M2"), log_forget(0)):
+        sim = Simulation(scenario)
+        events = sim.run()
+        payloads.update(event.payload for event in events)
+        payloads.update(event.artifact().bundle for event in events if event.kind is EventKind.PROOF)
+        for log in sim.logs.values():
+            payloads.update(entry.payload for entry in log.entries)
+            if log.entries:
+                payloads.update(map(encoding.encode_artifact, (
+                    log.entries[0], log.latest_sth(), log.audit_proof(0, 1),
+                    binary_search_size(log, scenario.horizon_ms),
+                )))
+    by_tag = {}
+    for payload in sorted(payloads):
+        by_tag.setdefault(payload[0], []).append(payload)
+    assert set(by_tag) == set(encoding._DECODERS)
+    # A few of each kind keeps the pool small while covering every tag.
+    return [payload for group in by_tag.values() for payload in group[:8]]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import pytest
 from hypothesis import given
@@ -33,6 +32,8 @@ from postcert.certs import (
     validate_chain,
 )
 from postcert.encoding import decode_artifact
+
+from oracles import artifact_samples
 
 
 def test_precertificate_differs_only_by_poison_extension(registry, leaf_cert):
@@ -218,37 +219,7 @@ def test_trust_store_matches_roots_by_value(registry, ca_root):
     assert not trust.contains(dataclasses.replace(ca_root, signature=resigned.signature))
 
 
-@functools.cache
-def _payloads_of_every_artifact_kind() -> list[bytes]:
-    """Encoded artifacts of every registered kind, taken from two small runs."""
-    from postcert import encoding
-    from postcert.presets import log_forget, single_fault
-    from postcert.probe import binary_search_size
-    from postcert.sim import Simulation
-    from postcert.trace import EventKind, ViolationRecord
-
-    payloads = {encoding.encode_artifact(ViolationRecord("serial=1", "update", 10, 20))}
-    for scenario in (single_fault(3, "M2"), log_forget(0)):
-        sim = Simulation(scenario)
-        events = sim.run()
-        payloads.update(event.payload for event in events)
-        payloads.update(event.artifact().bundle for event in events if event.kind is EventKind.PROOF)
-        for log in sim.logs.values():
-            payloads.update(entry.payload for entry in log.entries)
-            if log.entries:
-                payloads.update(map(encoding.encode_artifact, (
-                    log.entries[0], log.latest_sth(), log.audit_proof(0, 1),
-                    binary_search_size(log, scenario.horizon_ms),
-                )))
-    by_tag = {}
-    for payload in sorted(payloads):
-        by_tag.setdefault(payload[0], []).append(payload)
-    assert set(by_tag) == set(encoding._DECODERS)
-    # A few of each kind keeps the pool small while covering every tag.
-    return [payload for group in by_tag.values() for payload in group[:8]]
-
-
-@given(payload=st.deferred(lambda: st.sampled_from(_payloads_of_every_artifact_kind())))
+@given(payload=st.deferred(lambda: st.sampled_from(artifact_samples())))
 def test_is_postcert_payload_agrees_with_a_full_decode(payload):
     assert is_postcert_payload(payload) == isinstance(decode_artifact(payload), Postcertificate)
 

@@ -7,6 +7,10 @@ import re
 import pytest
 
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from postcert.crypto import Signature
+from postcert.encoding import ByteWriter, encode_artifact
+from postcert.log import STH
+from postcert.trace import SizeProbe
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -132,6 +136,67 @@ def test_verify_proof_malformed_snapshot_is_io_error(
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "log-a.log: snapshot line " in err
     assert message in err
+
+
+def _artifact_bytes(tag: int, *fields) -> bytes:
+    """A tagged artifact written field by field, bypassing its constructor."""
+    w = ByteWriter()
+    w.u8(tag)
+    for write, value in fields:
+        getattr(w, write)(value)
+    return w.getvalue()
+
+
+_STH = STH("log-a", 5, 0, bytes(32), Signature("log-a", bytes(32)))
+
+
+@pytest.mark.parametrize(
+    "proof_text, message",
+    [
+        (None, "invalid RevocationStatus: 'GOON' is not a valid StatusKind"),
+        # An SCT-disclosure bundle (tag 10) carrying a tree head where its SCT goes.
+        ("bytes: " + _artifact_bytes(10, ("artifact", _STH), ("artifact", _STH)).hex(),
+         "expected a nested SCT, got STH"),
+    ],
+    ids=["bad-enum", "wrong-nested-kind"],
+)
+def test_verify_proof_invalid_artifact_is_io_error(m1_bundle, tmp_path, capsys, proof_text, message):
+    bundle, dumps = m1_bundle
+    if proof_text is None:  # the M1 bundle with its status kind GOOD renamed
+        good = b"\x00\x00\x00\x04GOOD".hex()
+        text = bundle.read_text()
+        assert text.count(good) == 1
+        proof_text = text.replace(good, b"\x00\x00\x00\x04GOON".hex())
+    broken = tmp_path / "broken.proof"
+    broken.write_text(proof_text)
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(broken), "--logs", str(dumps))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        # SthObservation (tag 11) with t_request > t_response.
+        (_artifact_bytes(11, ("i64", 10), ("i64", 5), ("artifact", _STH)),
+         "invalid SthObservation: t_request must not exceed t_response"),
+        (_artifact_bytes(11, ("i64", 5), ("i64", 10), ("artifact", SizeProbe("log-a", 5, 0))),
+         "expected a nested STH, got SizeProbe"),
+        (_artifact_bytes(11, ("i64", 5), ("i64", 10), ("artifact", _STH))[:-3], "truncated input"),
+    ],
+    ids=["invariant", "wrong-nested-kind", "truncated"],
+)
+def test_analyze_invalid_artifact_is_io_error(tmp_path, capsys, payload, message):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"t=1 seq=0 actor=probe kind=STH payload={payload.hex()}\n")
+    for command in ("analyze", "classify"):
+        code, out, err = _run(capsys, command, "--trace", str(trace))
+        assert code == EXIT_IO
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ") and message in err
 
 
 def test_verify_proof_m3_roundtrip(tmp_path, capsys):

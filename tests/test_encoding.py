@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from postcert.certs import (
@@ -30,6 +31,8 @@ from postcert.encoding import (
 )
 from postcert.log import SCT, STH, LogEntry, MerkleAuditProof
 from postcert.status import RevocationStatus, StatusKind, StatusValue
+
+from oracles import artifact_samples
 
 
 def test_primitive_round_trip():
@@ -189,3 +192,152 @@ def test_text_fixtures_carry_exact_bytes(registry, leaf_cert):
     text = postcertificate_to_text(post)
     assert decode_artifact(text_block_bytes(text)) == post
     assert "scheme: CA_ISSUED" in text
+
+
+# Every primitive at its bounds ------------------------------------------------
+
+U32_MAX, U64_MAX, I64_MIN, I64_MAX = 2**32 - 1, 2**64 - 1, -(2**63), 2**63 - 1
+
+_PRIMITIVES = {
+    "u8": st.integers(0, 0xFF),
+    "u32": st.integers(0, U32_MAX),
+    "u64": st.integers(0, U64_MAX),
+    "i64": st.integers(I64_MIN, I64_MAX),
+    "boolean": st.booleans(),
+    "blob": st.binary(max_size=300),
+    "text": st.text(max_size=40),
+    "optional_u64": st.none() | st.integers(0, U64_MAX),
+    "optional_i64": st.none() | st.integers(I64_MIN, I64_MAX),
+}
+_BOUNDS = [
+    ("u8", 0), ("u8", 0xFF), ("u32", 0), ("u32", U32_MAX), ("u64", U64_MAX),
+    ("i64", I64_MIN), ("i64", I64_MAX), ("blob", b""), ("text", ""),
+    ("text", "héllo ✓ 日本 \U0001f512"), ("optional_u64", None), ("optional_u64", U64_MAX),
+    ("optional_i64", None), ("optional_i64", I64_MIN),
+]
+_fields = st.lists(
+    st.sampled_from(sorted(_PRIMITIVES)).flatmap(
+        lambda kind: st.tuples(st.just(kind), _PRIMITIVES[kind])
+    ),
+    max_size=12,
+)
+
+
+def _write(fields) -> bytes:
+    w = ByteWriter()
+    for kind, value in fields:
+        getattr(w, kind)(value)
+    return w.getvalue()
+
+
+def _read(data: bytes, kinds) -> list:
+    r = ByteReader(data)
+    values = [getattr(r, kind)() for kind in kinds]
+    r.expect_eof()
+    return values
+
+
+@settings(max_examples=300)
+@given(fields=_fields)
+@example(fields=_BOUNDS)
+def test_every_primitive_round_trips_at_its_bounds(fields):
+    data = _write(fields)
+    assert _read(data, [kind for kind, _ in fields]) == [value for _, value in fields]
+
+
+@settings(max_examples=200)
+@given(fields=_fields.filter(bool))
+@example(fields=_BOUNDS)
+def test_every_truncation_of_a_primitive_encoding_raises(fields):
+    data = _write(fields)
+    kinds = [kind for kind, _ in fields]
+    for cut in range(len(data)):
+        with pytest.raises(DecodeError):
+            _read(data[:cut], kinds)
+
+
+def test_primitive_encodings_are_fixed():
+    assert _write([("u8", 7), ("u32", 1), ("u64", 2), ("i64", -1)]) == (
+        b"\x07" + b"\x00\x00\x00\x01" + b"\x00" * 7 + b"\x02" + b"\xff" * 8
+    )
+    assert _write([("blob", b"ab"), ("text", "é"), ("boolean", True), ("boolean", False)]) == (
+        b"\x00\x00\x00\x02ab" + b"\x00\x00\x00\x02\xc3\xa9" + b"\x01\x00"
+    )
+    assert _write([("optional_u64", None), ("optional_i64", -2)]) == b"\x00\x01" + b"\xff" * 7 + b"\xfe"
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("u8", -1), ("u8", 256), ("u32", -1), ("u32", U32_MAX + 1), ("u64", -1),
+    ("u64", U64_MAX + 1), ("i64", I64_MIN - 1), ("i64", I64_MAX + 1),
+])
+def test_writer_rejects_out_of_range_integers(kind, value):
+    with pytest.raises((ValueError, struct.error)):
+        _write([(kind, value)])
+
+
+# Artifacts of every registered kind -------------------------------------------
+
+@pytest.mark.parametrize("payload", artifact_samples(), ids=lambda p: f"tag{p[0]}-{len(p)}")
+def test_every_truncation_of_an_artifact_raises_decode_error(payload):
+    assert encode_artifact(decode_artifact(payload)) == payload
+    for cut in range(len(payload)):
+        with pytest.raises(DecodeError):
+            decode_artifact(payload[:cut])
+
+
+_MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(("set", "insert", "delete")), st.integers(0, 2**16), st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=1500)
+@given(payload=st.deferred(lambda: st.sampled_from(artifact_samples())), mutations=_MUTATIONS)
+def test_mutated_artifacts_raise_only_decode_error(payload, mutations):
+    data = bytearray(payload)
+    for op, position, byte in mutations:
+        at = position % (len(data) + 1)
+        if op == "insert":
+            data.insert(at, byte)
+        elif data:
+            at %= len(data)
+            if op == "set":
+                data[at] = byte
+            else:
+                del data[at]
+    try:
+        decode_artifact(bytes(data))
+    except DecodeError:
+        pass
+
+
+def _certificate_with_swapped_dates() -> bytes:
+    """A certificate whose not_before is not before its not_after; its
+    constructor refuses that, so the field is set past it."""
+    tbs = TbsCertificate(serial=1, subject="s", issuer="ca", not_before=5, not_after=9,
+                         public_key_id="key")
+    object.__setattr__(tbs, "not_after", 5)
+    return encode_artifact(Certificate(tbs, Signature("ca", bytes(32))))
+
+
+_STH = STH("log", 1, 0, bytes(32), Signature("log", bytes(32)))
+
+
+@pytest.mark.parametrize("payload, message", [
+    # An STH (tag 4) whose signature names no signer.
+    (b"\x04" + _write([("text", "log"), ("i64", 1), ("u64", 0), ("blob", bytes(32)),
+                        ("text", ""), ("blob", b"")]), "invalid STH: signer_id must be non-empty"),
+    # An SthObservation (tag 11) answered before it was requested.
+    (b"\x0b" + _write([("i64", 2), ("i64", 1), ("blob", encode_artifact(_STH))]),
+     "invalid SthObservation: t_request must not exceed t_response"),
+    # An SthObservation carrying an SCT where its tree head goes.
+    (b"\x0b" + _write([("i64", 1), ("i64", 2), ("blob", encode_artifact(_sample_sct()))]),
+     "expected a nested STH, got SCT"),
+    (encode_artifact(RevocationStatus(
+        CertRef("ca", 1), StatusValue(StatusKind.GOOD), 0, 1, Signature("ca", bytes(32))
+    )).replace(b"GOOD", b"GOOF"), "invalid RevocationStatus: 'GOOF' is not a valid StatusKind"),
+    (_certificate_with_swapped_dates(), "invalid Certificate: not_before must precede not_after"),
+], ids=["signature", "observation-times", "nested-kind", "status-kind", "certificate-dates"])
+def test_invariant_failures_become_decode_errors_naming_the_artifact(payload, message):
+    with pytest.raises(DecodeError, match=message):
+        decode_artifact(payload)

@@ -1,5 +1,5 @@
 """Golden digests: a fixed campaign and fixed sweep worlds must keep
-producing the same bytes.
+producing the same bytes, in their traces, reports and log snapshots.
 
 Reruns of one build agreeing with each other is not enough: a change to any
 byte of the trace or the report of these runs fails here.
@@ -12,6 +12,7 @@ import hashlib
 import pytest
 
 from postcert import cli, trace
+from postcert.log import log_snapshot_text
 from postcert.presets import honest_random, pathologies, single_fault
 from postcert.sim import Simulation
 
@@ -36,6 +37,21 @@ SWEEP_WORLDS = {
                 "90d616176618db91ab0ebbcf65480fb6e5c2aa0ee4581985798c1b63b5f0b25a"),
 }
 
+# ``log_snapshot_text`` (the ``simulate --dump-logs`` files) of every log, for
+# the campaign above and for sweep world (4, M3). The snapshot lists every
+# tree head, so it is the first reader of most of them.
+SNAPSHOTS = {
+    "pathologies": {
+        "honest": "1290f39f7a7d50b5346e578f5eb529bfff5629844ef36d618739ac79a77bd8a0",
+        "lagging": "08def71093403f79f93731829f10fa832bd8f958e72b55e6fccd9263f2697fb2",
+        "ooo": "f7561beb40c786acdaa5f7ba069d3b6164b199f43018de0c83726cb13fb5a1dc",
+    },
+    "M3": {
+        "log-0": "f4b88e3a71c93eed48232e3cff9381aa1cb33b39aed8880ac440d9121ab73a07",
+        "log-1": "427b6b483dbcdcbe9fc970a6370b504474f86acff3b42992fff5b1b712470c8e",
+    },
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -54,3 +70,12 @@ def test_sweep_world_trace_and_report_digests(seed, case):
     events = Simulation(scenario).run()
     report = cli.render_report(trace.observations_from_events(events), {})
     assert (_sha256(trace.trace_to_text(events)), _sha256(report)) == SWEEP_WORLDS[seed, case]
+
+
+@pytest.mark.parametrize("world", sorted(SNAPSHOTS))
+def test_log_snapshot_digests(world):
+    scenario = pathologies(0, probes=400) if world == "pathologies" else single_fault(4, "M3")
+    sim = Simulation(scenario)
+    sim.run()
+    digests = {log_id: _sha256(log_snapshot_text(log)) for log_id, log in sim.logs.items()}
+    assert digests == SNAPSHOTS[world]

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from postcert.certs import PostcertScheme, TbsCertificate, make_postcertificate, sign_certificate
-from postcert.crypto import SHA256
+from postcert.crypto import SHA256, HashScheme
 from postcert.encoding import encode_artifact
 from postcert.log import (
     CtLog,
@@ -27,7 +27,7 @@ from postcert.log import (
 )
 from postcert.timeutil import HOUR_MS, MINUTE_MS, SECOND_MS
 
-from oracles import BruteForceTree, lagging_sth_draw
+from oracles import BruteForceTree, EagerSthLog, lagging_sth_draw
 
 
 def _make_log(registry, trust, **config) -> CtLog:
@@ -407,3 +407,122 @@ def test_periodic_heads_carry_the_oracle_root_with_and_without_merges(registry, 
     for sth in history:
         assert sth.root_hash == oracle.root(sth.treesize)
         assert verify_sth(sth, registry)
+
+
+_UPDATE_CLASSES = {
+    "BUSY": {"update_class": UpdateClass.BUSY},
+    "UNBUSY": {"update_class": UpdateClass.UNBUSY},
+    "PERIODIC": {"update_class": UpdateClass.PERIODIC, "update_interval_ms": 5 * SECOND_MS},
+}
+
+
+@pytest.mark.parametrize("cache", list(SthCacheMode), ids=lambda mode: mode.value)
+@pytest.mark.parametrize("update", sorted(_UPDATE_CLASSES))
+def test_heads_signed_on_first_read_equal_eagerly_signed_heads(
+    registry, trust, ca_root, update, cache
+):
+    """Random schedules, heads read mid-run and afterwards in random order:
+    every head is the one an eager log signed at publication, and a re-read
+    returns the very object of the first read."""
+    make = _cert_factory(registry)
+    for seed in range(6):
+        rng = random.Random(seed)
+        config = LogConfig(
+            publication_delay="uniform:0:4000",
+            sth_cache=cache,
+            sth_cache_p=0.0 if cache is SthCacheMode.NONE else 0.5,
+            **_UPDATE_CLASSES[update],
+        )
+        log = EagerSthLog("log1", registry, trust, config, seed=seed)
+        served = []
+        now = 0
+        for _ in range(60):
+            now += rng.choice((0, 300, 1000, 4000))
+            for _ in range(rng.randrange(3)):
+                log.submit(make(), [ca_root], now=now)
+            if rng.random() < 0.3:
+                served.append(log.get_sth(now))
+            if rng.random() < 0.05:
+                served.append(log.sign_tree_head(now))
+        log.advance(now + HOUR_MS)
+        heads, eager = log.sth_history, log.eager_history
+        assert len(heads) == len(eager) > len(served) > 0
+        order = list(range(len(heads)))
+        rng.shuffle(order)
+        first = {}
+        for i in order:
+            head = heads[i] if rng.random() < 0.5 else heads[i - len(heads)]
+            assert head == eager[i]
+            assert verify_sth(head, registry)
+            first[i] = head
+        for i in order:
+            assert heads[i] is first[i]
+        assert all(head is first[i] for i, head in enumerate(heads))
+        assert heads[1:-1:2] == eager[1:-1:2]
+        read = {id(head) for head in heads}
+        assert all(id(sth) in read for sth in served)  # mid-run reads are cached too
+
+
+def test_busy_log_signs_only_scts_until_a_head_is_read(registry, trust, ca_root):
+    make = _cert_factory(registry)
+    certs = [make() for _ in range(40)]
+    signers = []
+    sign = registry.sign
+    registry.sign = lambda signer_id, payload: signers.append(signer_id) or sign(signer_id, payload)
+    log = _make_log(registry, trust, publication_delay="fixed:100")
+    for i, cert in enumerate(certs):
+        log.submit(cert, [ca_root], now=i * 1000)
+    log.advance(len(certs) * 1000)
+    assert len(log.entries) == len(certs)
+    assert len(log.sth_history) == len(certs) + 1  # the empty head plus one per merge
+    assert signers == ["log1"] * len(certs)  # one per SCT
+    latest = log.latest_sth()
+    assert signers == ["log1"] * (len(certs) + 1)
+    assert log.sth_history[-1] is latest and len(signers) == len(certs) + 1
+
+
+def test_each_logged_entry_is_hashed_once(registry, trust, ca_root):
+    class CountingScheme(HashScheme):
+        leaves = 0
+
+        def hash_leaf(self, payload: bytes) -> bytes:
+            CountingScheme.leaves += 1
+            return super().hash_leaf(payload)
+
+    make = _cert_factory(registry)
+    log = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:100"),
+                scheme=CountingScheme())
+    payloads = []
+    for i in range(25):
+        cert = make()
+        payloads.append(encode_artifact(cert))
+        log.submit(cert, [ca_root], now=i * 1000)
+    log.advance(HOUR_MS)
+    assert CountingScheme.leaves == 25
+    assert log.latest_sth().root_hash == BruteForceTree(payloads).root()
+
+
+def test_out_of_order_get_sth_draws_like_a_choice_over_older_heads(registry, trust, ca_root):
+    make = _cert_factory(registry)
+    p = 0.4
+    log = _make_log(registry, trust, sth_cache=SthCacheMode.OUT_OF_ORDER, sth_cache_p=p,
+                    publication_delay="uniform:0:5000")
+    pace = random.Random(11)
+    shadow = random.Random()
+    now = 0
+    older = 0
+    for _ in range(400):
+        now += pace.choice((0, 300, 1000, 4000))
+        for _ in range(pace.randrange(3)):
+            log.submit(make(), [ca_root], now=now)
+        log.advance(now)
+        shadow.setstate(log.rng.getstate())
+        history = list(log.sth_history)
+        expected = history[-1]
+        if len(history) >= 2 and shadow.random() < p:
+            expected = shadow.choice(history[:-1])
+        got = log.get_sth(now)
+        assert got is expected
+        assert log.rng.getstate() == shadow.getstate()
+        older += got is not history[-1]
+    assert older > 50
