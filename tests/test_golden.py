@@ -7,14 +7,16 @@ byte of the trace or the report of these runs fails here.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from postcert import cli, trace
-from postcert.log import log_snapshot_text
-from postcert.presets import honest_random, pathologies, single_fault
-from postcert.sim import Simulation
+from postcert.log import SnapshotLogReader, log_snapshot_text
+from postcert.presets import PRESETS, build_preset, honest_random, normal_revocation, pathologies, single_fault
+from postcert.sim import ScheduledEvent, Simulation
+from postcert.timeutil import MINUTE_MS
 
 PATHOLOGIES_400_TRACE = "602d12bd56263dc7856e9ea9774da3a14ae890d857cd1af66a7a706672e03524"
 PATHOLOGIES_400_REPORT = "00bb0a25f6424a06663848a3ee0855cd4f84f3aa3377f526a2ef651788504767"
@@ -52,6 +54,48 @@ SNAPSHOTS = {
     },
 }
 
+# Every preset but ``pathologies`` at seed 3, plus the world of
+# ``test_frozen_log_event_and_fallback`` (``normal`` at seed 12 with log-a
+# frozen after 30 minutes), the only one here whose run has a log reject a
+# submission. Values are the digests of the trace, of the report and of the
+# concatenated snapshots of every log in log-id order. The ``collisions``
+# report is rendered over the snapshots read back, as ``analyze --logs`` does.
+PRESET_WORLDS = {
+    "classes": ("75587eb70e96e596bc43f71010ea4e5559a05142a569a4653c14a145e46d674d",
+                "70123937f4112677bbe7abdc25c9b9125c56cda6e28781e75f3fd948c52528bc",
+                "a5ec282133661d4710ec45e7435372239ff4d4471085795b75fb0d6c52f54f0d"),
+    "clock-skew": ("7e1e7f1528b5331032712e2b1bc02c252cc1902d3746adcdff540eeecd07df75",
+                   "d7c5cfca30e3982d87a6f8401335217708d06c5b71f3d231330b907c9cd3b41b",
+                   "f9e01e72667a99aa407a458066cfd4165a18b52fe0619356668936973b740d63"),
+    "collisions": ("1f33bde7eedf6cd0ea69ae5d5a33e270f17d2f7a647b532b290ffecf32524092",
+                   "0a29b760076cccddf1ff4b4974402b4dd2a0bdba8e0b656958eea1c2498a6a49",
+                   "a7e23aae4f15aa4a7c6731b82e07fe9064053758e007cfa2bb3f400b1006a965"),
+    "delay-percentiles": ("b572e72ee63e846abf8d7d9290660185eb3801f5fa0ae9da9d2f9e57b4108e3b",
+                          "59cb9390a3b5c9cab1505dff8781e4bb86d753bd1170c9e0cf8328dceda07f6c",
+                          "42b67a213f796cb9384d87f9aa75ae32e8e1d4001f114253beb1cd25ad6d0e86"),
+    "honest-random": ("99ccf7aa923b8d10c757651a425a07ae5d2c6b19d7165bcdd4f6de4e644717ad",
+                      "a3375100ebf9baca2b3088768314adbf922d6701063cd3f5d9e3970e21175f5f",
+                      "fdc21c30b0324c3d4fb9aca725dead7c144f2d4be1987ba5ae54494a08b2c6dc"),
+    "log-forget": ("3f39533c38d3aa8dc300aeb922c9d1d38b3602ee147e3862a918b1d6c51a064f",
+                   "a21b297392d97cac3fe2a74743c755a9db6b2a60e5e191b23f78e44d49af33d5",
+                   "37eae757116c0eb9e3bb0a7b806a8eb06654a207e27d19e6b19728cb15aaa192"),
+    "m1": ("9a77f357e9fd50f2f21013fc686fa15e98fce471a8ea637027b5dac96c2bc017",
+           "ea0aba767e8c75c51f858c961d7d9d7ef52fedf5433808150ba1494de74f43f8",
+           "ee1aaa9da3a8ca88d0dce6266802a3c5c61cf13542515828beec3898e54f6129"),
+    "m2": ("3a0c438fec9de46d8aabc0e4694dcef6d319b707e80a1dbab480e9f36472edf6",
+           "387484eba4dade6053ff3475ef58b8f94205e6348a23d076421f428cd20689db",
+           "ee1aaa9da3a8ca88d0dce6266802a3c5c61cf13542515828beec3898e54f6129"),
+    "m3": ("300b265811f67a8e2dd3e11c1ac5dcd3ec345ceb72742a755e8c29b4df1af35e",
+           "03529ee44295f0d04eb00c9e81d8a76b9597470eebb6a04fa8d885ecd5b644bc",
+           "322ca3d8f358cc85190fe5ffa013db08d5df114b43166687cb90e78022a5d327"),
+    "normal": ("d210576b63d4eda54c4422a07d3285cb5be96de5c5ef0fdbff49bec386abef62",
+               "69e0f7914bff7b6e7e679d61bca98e159b030649dd5228607fc68322063f3c1d",
+               "21baafa983f332cc3f549813524d96c08a633584bed4991f028c4546515cba6e"),
+    "frozen-log": ("2170ee61fb6e6260907a22e5be95174d4232ce15b7b470ba535b91ddb56493dc",
+                   "9557b739499152554ac4217196457b7de593f50b03a7e6810499723f273bea56",
+                   "2d7d956eb30f2b91ec3b49060f3958822ffee553202bd31ee23f6901eaac99e5"),
+}
+
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -79,3 +123,28 @@ def test_log_snapshot_digests(world):
     sim.run()
     digests = {log_id: _sha256(log_snapshot_text(log)) for log_id, log in sim.logs.items()}
     assert digests == SNAPSHOTS[world]
+
+
+def _preset_world(name: str):
+    if name != "frozen-log":
+        return build_preset(name, 3)
+    base = normal_revocation(seed=12)
+    freeze = ScheduledEvent(30 * MINUTE_MS, "freeze-log", {"log": "log-a"})
+    return dataclasses.replace(base, schedule=(freeze,) + base.schedule)
+
+
+def test_preset_worlds_cover_every_preset_but_pathologies():
+    assert set(PRESET_WORLDS) == set(PRESETS) - {"pathologies"} | {"frozen-log"}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_WORLDS))
+def test_preset_trace_report_and_snapshot_digests(name):
+    sim = Simulation(_preset_world(name))
+    events = sim.run()
+    snapshots = [log_snapshot_text(sim.logs[log_id]) for log_id in sorted(sim.logs)]
+    readers = {}
+    if name == "collisions":
+        readers = {r.log_id: r for r in map(SnapshotLogReader.from_text, snapshots)}
+    report = cli.render_report(trace.observations_from_events(events), readers)
+    digests = (_sha256(trace.trace_to_text(events)), _sha256(report), _sha256("".join(snapshots)))
+    assert digests == PRESET_WORLDS[name]
