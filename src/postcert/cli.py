@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from .encoding import DecodeError, decode_artifact, text_block_bytes
-from .log import LogError, SnapshotLogReader, log_snapshot_text
+from .log import LogError, LogReader, SnapshotLogReader, entries_below, log_snapshot_text
 from .misbehavior import (
     MisbehaviorProofM12,
     MisbehaviorProofM3,
@@ -115,7 +115,7 @@ def _load_trace(path: str) -> list:
         return read_trace(stream)
 
 
-def render_report(obs: ObservationSet, readers: dict[str, SnapshotLogReader]) -> str:
+def render_report(obs: ObservationSet, readers: dict[str, LogReader]) -> str:
     """Aligned per-log metric tables plus machine-readable record lines."""
     lines: list[str] = []
     records: list[str] = []
@@ -194,7 +194,8 @@ def render_report(obs: ObservationSet, readers: dict[str, SnapshotLogReader]) ->
         lines.append("")
         lines.append("# entry collisions")
         for log_id in sorted(readers):
-            groups = collision_report(readers[log_id].entries)
+            reader = readers[log_id]
+            groups = collision_report(entries_below(reader, reader.published_size()))
             for group in groups:
                 lines.append(
                     f"{log_id:<16}payload={group.payload_hash.hex()[:16]} "
@@ -225,8 +226,8 @@ def render_report(obs: ObservationSet, readers: dict[str, SnapshotLogReader]) ->
     return "\n".join(lines) + "\n"
 
 
-def _read_log_dumps(path: str | None) -> dict[str, SnapshotLogReader]:
-    readers: dict[str, SnapshotLogReader] = {}
+def _read_log_dumps(path: str | None) -> dict[str, LogReader]:
+    readers: dict[str, LogReader] = {}
     if not path:
         return readers
     for file in sorted(Path(path).glob("*.log")):
@@ -315,13 +316,17 @@ def _cmd_project_growth(args: argparse.Namespace) -> int:
     history: list[float] = []
     if args.history:
         try:
-            for line in Path(args.history).read_text().splitlines():
-                line = line.strip()
-                if line:
-                    history.append(float(line.split()[-1]))
+            lines = Path(args.history).read_text().splitlines()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO
+        for lineno, line in enumerate(lines, 1):
+            try:
+                if line.strip():
+                    history.append(float(line.split()[-1]))
+            except ValueError as exc:
+                print(f"error: {args.history} line {lineno}: {exc}", file=sys.stderr)
+                return EXIT_IO
     elif args.trace:
         try:
             obs = observations_from_events(_load_trace(args.trace))

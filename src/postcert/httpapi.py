@@ -1,11 +1,11 @@
 """HTTP endpoint surface for logs, with the conventional field names.
 
 The server exposes an in-process log at the usual paths (add-chain, get-sth,
-get-sth-consistency, get-proof-by-hash, get-entries) with the conventional
-JSON field names, so recordings of real logs can be replayed through the same
-analysis code. The client side wraps such an endpoint in the same reader
-interface the in-process log implements, and busts caches by appending a
-unique throwaway query parameter to state requests.
+get-sth-consistency, get-proof-by-hash, get-entries, get-entry-and-proof) with
+the conventional JSON field names, so recordings of real logs can be replayed
+through the same analysis code. The client side wraps such an endpoint in the
+``LogReader`` interface the in-process log implements, and busts caches by
+appending a unique throwaway query parameter to state requests.
 
 Both sides speak HTTP/1.1 keep-alive: a reader sends all its requests over one
 persistent connection, and the server answers each connection in one thread.
@@ -49,6 +49,13 @@ def _error_body(exc: Exception) -> dict:
     return {"error": str(exc)}
 
 
+def _entry_json(entry: LogEntry) -> dict:
+    return {
+        "leaf_input": _b64(entry.payload),
+        "extra_data": {"number": entry.number, "timestamp": entry.t_submission},
+    }
+
+
 def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
     """JSON body of one read endpoint at time ``now``; None for an unknown path."""
     if path == "/ct/v1/get-sth":
@@ -64,16 +71,7 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
     if path == "/ct/v1/get-entries":
         start = int(query["start"][0])
         end = int(query["end"][0])
-        entries = log.get_entries(start, end, now)
-        return {
-            "entries": [
-                {
-                    "leaf_input": _b64(e.payload),
-                    "extra_data": {"number": e.number, "timestamp": e.t_submission},
-                }
-                for e in entries
-            ]
-        }
+        return {"entries": [_entry_json(e) for e in log.get_entries(start, end, now)]}
     if path == "/ct/v1/get-sth-consistency":
         first = int(query["first"][0])
         second = int(query["second"][0])
@@ -86,6 +84,15 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
         proof = log.get_proof_by_hash(leaf_hash, tree_size)
         return {
             "leaf_index": proof.entry_number,
+            "audit_path": [_b64(node) for node in proof.path],
+        }
+    if path == "/ct/v1/get-entry-and-proof":
+        index = int(query["leaf_index"][0])
+        tree_size = int(query["tree_size"][0])
+        log.advance(now)
+        proof = log.audit_proof(index, tree_size)
+        return {
+            **_entry_json(log.entries[index]),
             "audit_path": [_b64(node) for node in proof.path],
         }
     return None
@@ -226,7 +233,7 @@ def serve_log(log: CtLog, host: str = "127.0.0.1", port: int = 0,
 
 
 class HttpLogReader:
-    """Client for the endpoint surface above, usable as a log reader.
+    """Client for the endpoint surface above: a ``LogReader`` over HTTP.
 
     A reader holds one HTTP/1.1 connection to its server, opened on first use
     and reused for every request. It is not shared between threads.
@@ -333,12 +340,10 @@ class HttpLogReader:
         )
 
     def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof:
-        entries = self.get_entries(entry_number, entry_number)
-        if not entries:
-            raise LogError("entry-out-of-range")
-        from .crypto import SHA256
-
-        return self.get_proof_by_hash(SHA256.hash_leaf(entries[0].payload), treesize)
+        data = self._get("/ct/v1/get-entry-and-proof",
+                         {"leaf_index": entry_number, "tree_size": treesize})
+        return MerkleAuditProof(entry_number, treesize,
+                                tuple(_unb64(node) for node in data["audit_path"]))
 
     def submit(self, payload: Certificate | Postcertificate, chain: list[Certificate],
                now: int | None = None) -> SCT:

@@ -23,6 +23,7 @@ import random
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Protocol
 
 from .certs import (
     Certificate,
@@ -35,7 +36,7 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import ByteReader, ByteWriter, DecodeError, register_artifact, text_block
+from .encoding import ByteReader, ByteWriter, DecodeError, register_artifact
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -122,12 +123,15 @@ def sth_signing_payload(log_id: str, t: int, treesize: int, root_hash: bytes) ->
     return w.getvalue()
 
 
-def verify_sct(sct: SCT, payload: bytes, registry: KeyRegistry, scheme: HashScheme = SHA256) -> bool:
-    if sct.entry_hash != scheme.hash_leaf(payload):
-        return False
+def verify_sct_signature(sct: SCT, registry: KeyRegistry) -> bool:
+    """The SCT is signed by its own log over its fields; says nothing of the payload."""
     if sct.signature.signer_id != sct.log_id:
         return False
     return registry.verify(sct.signature, sct_signing_payload(sct.log_id, sct.timestamp, sct.entry_hash))
+
+
+def verify_sct(sct: SCT, payload: bytes, registry: KeyRegistry, scheme: HashScheme = SHA256) -> bool:
+    return sct.entry_hash == scheme.hash_leaf(payload) and verify_sct_signature(sct, registry)
 
 
 def verify_sth(sth: STH, registry: KeyRegistry) -> bool:
@@ -223,18 +227,6 @@ register_artifact(3, SCT, _enc_sct, _dec_sct)
 register_artifact(4, STH, _enc_sth, _dec_sth)
 register_artifact(5, LogEntry, _enc_entry, _dec_entry)
 register_artifact(6, MerkleAuditProof, _enc_audit, _dec_audit)
-
-
-def sth_to_text(sth: STH) -> str:
-    from .encoding import encode_artifact
-
-    fields = [
-        ("log_id", sth.log_id),
-        ("t", sth.t),
-        ("treesize", sth.treesize),
-        ("root_hash", sth.root_hash.hex()),
-    ]
-    return text_block("sth", fields, encode_artifact(sth))
 
 
 # Publication delay models -----------------------------------------------------
@@ -394,6 +386,126 @@ class TreeHeads(Sequence[STH]):
         return sth
 
 
+class LogReader(Protocol):
+    """The read side of one log (RFC 6962 §4), for annotations only: ``LogView``
+    (so ``CtLog`` and ``SnapshotLogReader``) and ``httpapi.HttpLogReader``
+    implement it. A live log advances to a given ``now`` first; a view ignores it.
+    """
+
+    log_id: str
+    def latest_sth(self) -> STH: ...
+    def published_size(self, now: int | None = None) -> int: ...
+    def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]: ...
+    def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof: ...
+    def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof: ...
+    def consistency_proof(self, first: int, second: int) -> tuple[bytes, ...]: ...
+
+
+def entries_below(reader: LogReader, size: int) -> list[LogEntry]:
+    """Entries ``0 .. size - 1`` as the reader serves them (fewer if it has fewer)."""
+    return reader.get_entries(0, size - 1) if size else []
+
+
+class LogView:
+    """The published state of one log, and every read it answers: the entries,
+    their Merkle tree, the first entry number of each leaf hash, and the tree
+    heads. ``from_text`` loads a fixed view; ``CtLog`` is the writer of one.
+    """
+
+    def __init__(self, log_id: str, entries: list[LogEntry], sths: Sequence[STH],
+                 scheme: HashScheme = SHA256) -> None:
+        self.log_id = log_id
+        self.scheme = scheme
+        self.entries: list[LogEntry] = []
+        self.tree = MerkleTree(scheme)
+        self.sth_history = sths
+        self._number_by_leaf_hash: dict[bytes, int] = {}
+        for entry in entries:
+            self._append(entry)
+
+    def _append(self, entry: LogEntry, leaf_hash: bytes | None = None) -> None:
+        self.entries.append(entry)
+        leaf = self.tree.append(entry.payload, leaf_hash)
+        self._number_by_leaf_hash.setdefault(leaf, entry.number)
+
+    @staticmethod
+    def from_text(text: str, scheme: HashScheme = SHA256) -> "LogView":
+        """Parse ``log_snapshot_text`` output.
+
+        Raises DecodeError naming the line for a malformed or missing field,
+        a non-integer value or bad hex.
+        """
+        log_id = ""
+        entries: list[LogEntry] = []
+        sths: list[STH] = []
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if not line.strip():
+                continue
+            kind, _, rest = line.partition(" ")
+            fields = _snapshot_fields(rest, lineno)
+
+            def field(name: str, parse=str):
+                return _snapshot_field(fields, name, parse, lineno)
+
+            if kind == "log":
+                log_id = field("id")
+            elif kind == "entry":
+                entries.append(
+                    LogEntry(
+                        payload=field("payload", bytes.fromhex),
+                        t_submission=field("t_submission", int),
+                        log_id=log_id,
+                        number=field("number", int),
+                    )
+                )
+            elif kind == "sth":
+                sths.append(
+                    STH(
+                        log_id=log_id,
+                        t=field("t", int),
+                        treesize=field("treesize", int),
+                        root_hash=field("root", bytes.fromhex),
+                        signature=Signature(field("signer"), field("sig", bytes.fromhex)),
+                    )
+                )
+        return LogView(log_id, entries, sths, scheme)
+
+    def leaf_number(self, leaf_hash: bytes) -> int | None:
+        """Number of the first entry whose leaf hash is ``leaf_hash``, if any."""
+        return self._number_by_leaf_hash.get(leaf_hash)
+
+    def latest_sth(self) -> STH:
+        return self.sth_history[-1]
+
+    def published_size(self, now: int | None = None) -> int:
+        return len(self.entries)
+
+    def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]:
+        if start < 0 or end < start:
+            raise ValueError("invalid entry range")
+        return self.entries[start : min(end + 1, len(self.entries))]
+
+    def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof:
+        if not 0 <= entry_number < treesize <= len(self.entries):
+            raise LogError("entry-out-of-range", f"{entry_number}/{treesize}")
+        return MerkleAuditProof(entry_number, treesize, self.tree.audit_path(entry_number, treesize))
+
+    def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof:
+        number = self.leaf_number(leaf_hash)
+        if number is None:
+            raise LogError("unknown-leaf-hash")
+        return self.audit_proof(number, treesize)
+
+    def consistency_proof(self, first: int, second: int) -> tuple[bytes, ...]:
+        if not 0 <= first <= second <= len(self.entries):
+            raise LogError("size-out-of-range", f"{first}/{second}")
+        return self.tree.consistency_path(first, second)
+
+
+# A view loaded from a ``log_snapshot_text`` blob.
+SnapshotLogReader = LogView
+
+
 @dataclass(slots=True)
 class _Pending:
     ready_at: int
@@ -402,13 +514,14 @@ class _Pending:
     sct_timestamp: int
 
 
-class CtLog:
-    """In-memory transparency log bound to one signing key.
+class CtLog(LogView):
+    """In-memory transparency log bound to one signing key: the writer of a ``LogView``.
 
-    All methods take the current reference-clock time; the log's own clock is
-    the reference plus its configured offset. State advances lazily: any read
-    or write first merges every pending entry whose merge time has arrived and
-    signs the tree heads its update class calls for, with exact timestamps.
+    Writes, and the reads that take it, take the current reference-clock
+    time; the log's own clock is the reference plus its configured offset.
+    State advances lazily: such a call first merges every pending entry whose
+    merge time has arrived and fixes the tree heads its update class calls
+    for, with exact timestamps.
     """
 
     def __init__(
@@ -422,20 +535,16 @@ class CtLog:
         seed: int = 0,
         start_time_ms: int = 0,
     ) -> None:
-        self.log_id = log_id
+        super().__init__(log_id, [], (), scheme)
+        self.sth_history = TreeHeads(log_id, registry, self.tree)  # heads over the view's tree
         self.registry = registry
         self.trust = trust
         self.config = config or LogConfig()
-        self.scheme = scheme
         self.rng = random.Random(f"{seed}:{log_id}")
-        self.entries: list[LogEntry] = []
-        self.tree = MerkleTree(scheme)
-        self.sth_history = TreeHeads(log_id, registry, self.tree)
         self._pending: list[_Pending] = []
         self._pending_head = 0
         self._merge_t_ref: list[int] = []
         self._sct_by_payload: dict[bytes, SCT] = {}
-        self._number_by_leaf_hash: dict[bytes, int] = {}
         self._last_merge_t = start_time_ms
         self._last_tick = start_time_ms
         self._now = start_time_ms
@@ -454,16 +563,13 @@ class CtLog:
         self.sth_history.publish(self._log_clock(t_ref), len(self.entries))
 
     def _merge_one(self, pending: _Pending, t_ref: int) -> None:
-        number = len(self.entries)
         entry = LogEntry(
             payload=pending.payload,
             t_submission=pending.sct_timestamp,
             log_id=self.log_id,
-            number=number,
+            number=len(self.entries),
         )
-        self.entries.append(entry)
-        leaf = self.tree.append(pending.payload, pending.leaf_hash)
-        self._number_by_leaf_hash.setdefault(leaf, number)
+        self._append(entry, pending.leaf_hash)
         self._merge_t_ref.append(t_ref)
 
     def advance(self, now: int) -> None:
@@ -579,9 +685,6 @@ class CtLog:
         self._publish_sth(now)
         return self.sth_history[-1]
 
-    def latest_sth(self) -> STH:
-        return self.sth_history[-1]
-
     def get_sth(self, now: int) -> STH:
         self.advance(now)
         heads = self.sth_history
@@ -606,39 +709,21 @@ class CtLog:
     def published_size(self, now: int | None = None) -> int:
         if now is not None:
             self.advance(now)
-        return len(self.entries)
+        return super().published_size()
+
+    def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]:
+        if now is not None:
+            self.advance(now)
+        return super().get_entries(start, end)
 
     def merge_time_ref(self, number: int) -> int:
         """Reference-clock instant at which entry ``number`` was published."""
         return self._merge_t_ref[number]
 
-    def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]:
-        if now is not None:
-            self.advance(now)
-        if start < 0 or end < start:
-            raise ValueError("invalid entry range")
-        return self.entries[start : min(end + 1, len(self.entries))]
-
-    def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof:
-        if not 0 <= entry_number < treesize <= len(self.entries):
-            raise LogError("entry-out-of-range", f"{entry_number}/{treesize}")
-        return MerkleAuditProof(entry_number, treesize, self.tree.audit_path(entry_number, treesize))
-
-    def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof:
-        number = self._number_by_leaf_hash.get(leaf_hash)
-        if number is None:
-            raise LogError("unknown-leaf-hash")
-        return self.audit_proof(number, treesize)
-
-    def consistency_proof(self, first: int, second: int) -> tuple[bytes, ...]:
-        if not 0 <= first <= second <= len(self.entries):
-            raise LogError("size-out-of-range", f"{first}/{second}")
-        return self.tree.consistency_path(first, second)
-
 
 # Snapshots ----------------------------------------------------------------------
 
-def log_snapshot_text(log: CtLog) -> str:
+def log_snapshot_text(log: LogView) -> str:
     """Serialize published entries and tree-head history to one text blob."""
     lines = [f"log id={log.log_id} scheme={log.scheme.name} size={len(log.entries)}"]
     for entry in log.entries:
@@ -671,91 +756,3 @@ def _snapshot_field(fields: dict[str, str], name: str, parse, lineno: int):
         return parse(fields[name])
     except ValueError:
         raise DecodeError(f"snapshot line {lineno}: bad {name} value {fields[name]!r}") from None
-
-
-class SnapshotLogReader:
-    """Read-only view reconstructed from a snapshot, able to serve proofs."""
-
-    def __init__(self, log_id: str, entries: list[LogEntry], sths: list[STH],
-                 scheme: HashScheme = SHA256) -> None:
-        self.log_id = log_id
-        self.entries = entries
-        self.sth_history = sths
-        self.scheme = scheme
-        self.tree = MerkleTree(scheme)
-        self._number_by_leaf_hash: dict[bytes, int] = {}
-        for entry in entries:
-            leaf = self.tree.append(entry.payload)
-            self._number_by_leaf_hash.setdefault(leaf, entry.number)
-
-    @classmethod
-    def from_text(cls, text: str, scheme: HashScheme = SHA256) -> "SnapshotLogReader":
-        """Parse ``log_snapshot_text`` output.
-
-        Raises DecodeError naming the line for a malformed or missing field,
-        a non-integer value or bad hex.
-        """
-        log_id = ""
-        entries: list[LogEntry] = []
-        sths: list[STH] = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            kind, _, rest = line.partition(" ")
-            fields = _snapshot_fields(rest, lineno)
-
-            def field(name: str, parse=str):
-                return _snapshot_field(fields, name, parse, lineno)
-
-            if kind == "log":
-                log_id = field("id")
-            elif kind == "entry":
-                entries.append(
-                    LogEntry(
-                        payload=field("payload", bytes.fromhex),
-                        t_submission=field("t_submission", int),
-                        log_id=log_id,
-                        number=field("number", int),
-                    )
-                )
-            elif kind == "sth":
-                sths.append(
-                    STH(
-                        log_id=log_id,
-                        t=field("t", int),
-                        treesize=field("treesize", int),
-                        root_hash=field("root", bytes.fromhex),
-                        signature=Signature(field("signer"), field("sig", bytes.fromhex)),
-                    )
-                )
-        return cls(log_id, entries, sths, scheme)
-
-    def latest_sth(self) -> STH:
-        return self.sth_history[-1]
-
-    def get_sth(self, now: int | None = None) -> STH:
-        return self.sth_history[-1]
-
-    def published_size(self, now: int | None = None) -> int:
-        return len(self.entries)
-
-    def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]:
-        if start < 0 or end < start:
-            raise ValueError("invalid entry range")
-        return self.entries[start : min(end + 1, len(self.entries))]
-
-    def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof:
-        if not 0 <= entry_number < treesize <= len(self.entries):
-            raise LogError("entry-out-of-range", f"{entry_number}/{treesize}")
-        return MerkleAuditProof(entry_number, treesize, self.tree.audit_path(entry_number, treesize))
-
-    def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof:
-        number = self._number_by_leaf_hash.get(leaf_hash)
-        if number is None:
-            raise LogError("unknown-leaf-hash")
-        return self.audit_proof(number, treesize)
-
-    def consistency_proof(self, first: int, second: int) -> tuple[bytes, ...]:
-        if not 0 <= first <= second <= len(self.entries):
-            raise LogError("size-out-of-range", f"{first}/{second}")
-        return self.tree.consistency_path(first, second)

@@ -27,13 +27,18 @@ from dataclasses import dataclass, field
 
 from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
 from .crypto import HashScheme, KeyRegistry, SHA256
-from .encoding import ByteReader, ByteWriter, decode_artifact, encode_artifact, register_artifact, text_block
+from .encoding import (
+    ByteReader, ByteWriter, DecodeError, decode_artifact, encode_artifact, register_artifact, text_block,
+)
 from .log import (
     LogEntry,
+    LogReader,
     MerkleAuditProof,
     SCT,
     STH,
+    entries_below,
     verify_audit_proof,
+    verify_sct_signature,
     verify_sth,
 )
 from .status import RevocationStatus, StatusKind, verify_status
@@ -212,7 +217,10 @@ def verify_m12(
         entry.payload, proof.audit, sth, scheme
     ):
         return _rejected("bad-audit-proof")
-    payload = decode_artifact(entry.payload)
+    try:
+        payload = decode_artifact(entry.payload)
+    except DecodeError as exc:
+        return _rejected("undecodable-entry", f"{entry.log_id}#{entry.number}: {exc}")
     if not isinstance(payload, Postcertificate):
         return _rejected("not-a-postcertificate")
     if not verify_status(proof.status, registry):
@@ -234,7 +242,7 @@ def verify_m3(
     policy: MrdPolicy,
     trusted: TrustedLogSet,
     registry: KeyRegistry,
-    log_readers: dict[str, object],
+    log_readers: dict[str, LogReader],
 ) -> Verdict:
     """Check an M3 bundle by exhaustively scanning every trusted log.
 
@@ -262,11 +270,14 @@ def verify_m3(
         reader = log_readers.get(log_id)
         if reader is None:
             return _rejected("entries-unavailable", log_id)
-        entries = reader.get_entries(0, sth.treesize - 1) if sth.treesize else []
+        entries = entries_below(reader, sth.treesize)
         if len(entries) < sth.treesize:
             return _rejected("entries-unavailable", f"{log_id}: {len(entries)}/{sth.treesize}")
         for entry in entries:
-            payload = decode_artifact(entry.payload)
+            try:
+                payload = decode_artifact(entry.payload)
+            except DecodeError as exc:
+                return _rejected("undecodable-entry", f"{log_id}#{entry.number}: {exc}")
             if not isinstance(payload, Postcertificate):
                 continue
             if payload.target_ref == status.cert_ref and entry.t_submission < status.t:
@@ -279,7 +290,7 @@ def verify_sct_disclosure(
     mmd_ms: int,
     trusted: TrustedLogSet,
     registry: KeyRegistry,
-    log_readers: dict[str, object],
+    log_readers: dict[str, LogReader],
     *,
     scheme: HashScheme = SHA256,
 ) -> Verdict:
@@ -294,10 +305,7 @@ def verify_sct_disclosure(
         return _rejected("untrusted-log", sct.log_id)
     if sth.log_id != sct.log_id:
         return _rejected("log-mismatch")
-    if sct.signature.signer_id != sct.log_id or not registry.verify(
-        sct.signature,
-        _sct_payload_bytes(sct),
-    ):
+    if not verify_sct_signature(sct, registry):
         return _rejected("bad-sct-signature")
     if not verify_sth(sth, registry):
         return _rejected("bad-sth-signature")
@@ -306,19 +314,13 @@ def verify_sct_disclosure(
     reader = log_readers.get(sct.log_id)
     if reader is None:
         return _rejected("entries-unavailable", sct.log_id)
-    entries = reader.get_entries(0, sth.treesize - 1) if sth.treesize else []
+    entries = entries_below(reader, sth.treesize)
     if len(entries) < sth.treesize:
         return _rejected("entries-unavailable", sct.log_id)
     for entry in entries:
         if scheme.hash_leaf(entry.payload) == sct.entry_hash:
             return _rejected("entry-published", f"#{entry.number}")
     return PROVEN
-
-
-def _sct_payload_bytes(sct: SCT) -> bytes:
-    from .log import sct_signing_payload
-
-    return sct_signing_payload(sct.log_id, sct.timestamp, sct.entry_hash)
 
 
 # Proof building from observations ------------------------------------------------
@@ -333,7 +335,7 @@ class ObservationBag:
     statuses: list[RevocationStatus] = field(default_factory=list)
     sth_observations: list[STH] = field(default_factory=list)
     scts: list[SCT] = field(default_factory=list)
-    log_readers: dict[str, object] = field(default_factory=dict)
+    log_readers: dict[str, LogReader] = field(default_factory=dict)
     scheme: HashScheme = SHA256
     _postcert_scan: list[tuple[LogEntry, Postcertificate]] | None = None
 
@@ -345,25 +347,22 @@ def _scan_postcerts(obs: ObservationBag) -> list[tuple[LogEntry, Postcertificate
             reader = obs.log_readers.get(log_id)
             if reader is None:
                 continue
-            size = reader.published_size()
-            for entry in reader.get_entries(0, size - 1) if size else []:
+            for entry in entries_below(reader, reader.published_size()):
                 if is_postcert_payload(entry.payload):
                     found.append((entry, decode_artifact(entry.payload)))
         obs._postcert_scan = found
     return obs._postcert_scan
 
 
-def _earliest_covering_sth(obs: ObservationBag, entry: LogEntry) -> STH | None:
-    """First observed tree head covering the entry, in observation order."""
+def _first_head(obs: ObservationBag, log_id: str, accept) -> STH | None:
+    """First observed tree head of ``log_id`` that ``accept`` takes, in
+    observation order, else the log's latest head if ``accept`` takes it."""
     for sth in obs.sth_observations:
-        if sth.log_id == entry.log_id and sth.treesize > entry.number:
+        if sth.log_id == log_id and accept(sth):
             return sth
-    reader = obs.log_readers.get(entry.log_id)
-    if reader is not None:
-        sth = reader.latest_sth()
-        if sth.treesize > entry.number:
-            return sth
-    return None
+    reader = obs.log_readers.get(log_id)
+    latest = reader.latest_sth() if reader is not None else None
+    return latest if latest is not None and accept(latest) else None
 
 
 def _pick_m12_evidence(
@@ -378,7 +377,7 @@ def _pick_m12_evidence(
         raise InsufficientEvidenceError("insufficient-evidence: no logged postcertificate")
     best: tuple[int, MisbehaviorProofM12] | None = None
     for entry, post in candidates:
-        sth = _earliest_covering_sth(obs, entry)
+        sth = _first_head(obs, entry.log_id, lambda head: head.treesize > entry.number)
         if sth is None:
             continue
         t_proof = earliest_proof_time(
@@ -426,17 +425,7 @@ def _pick_m3_evidence(obs: ObservationBag, target: CertRef | None) -> Misbehavio
         t_proof = status.t + obs.policy.mmd_ms
         sths: list[STH] = []
         for log_id in obs.trusted.sorted():
-            chosen: STH | None = None
-            for sth in obs.sth_observations:
-                if sth.log_id == log_id and sth.t >= t_proof:
-                    chosen = sth
-                    break
-            if chosen is None:
-                reader = obs.log_readers.get(log_id)
-                if reader is not None:
-                    latest = reader.latest_sth()
-                    if latest.t >= t_proof:
-                        chosen = latest
+            chosen = _first_head(obs, log_id, lambda head: head.t >= t_proof)
             if chosen is None:
                 break
             sths.append(chosen)
@@ -450,20 +439,16 @@ def _pick_sct_disclosure(obs: ObservationBag) -> SctDisclosureProof:
         reader = obs.log_readers.get(sct.log_id)
         if reader is None:
             continue
-        size = reader.published_size()
         published = any(
             obs.scheme.hash_leaf(entry.payload) == sct.entry_hash
-            for entry in (reader.get_entries(0, size - 1) if size else [])
+            for entry in entries_below(reader, reader.published_size())
         )
         if published:
             continue
         deadline = sct.timestamp + obs.policy.mmd_ms
-        for sth in obs.sth_observations:
-            if sth.log_id == sct.log_id and sth.t >= deadline:
-                return SctDisclosureProof(sct=sct, sth=sth)
-        latest = reader.latest_sth()
-        if latest.t >= deadline:
-            return SctDisclosureProof(sct=sct, sth=latest)
+        sth = _first_head(obs, sct.log_id, lambda head: head.t >= deadline)
+        if sth is not None:
+            return SctDisclosureProof(sct=sct, sth=sth)
     raise InsufficientEvidenceError("insufficient-evidence: every promised entry was published")
 
 

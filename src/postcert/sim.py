@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import heapq
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .certs import (
@@ -191,6 +192,40 @@ def derive_seed(seed: int, label: str) -> str:
     return f"{seed}:{label}"
 
 
+def _submission_attempts(
+    payload: Certificate | Postcertificate,
+    chain: list[Certificate],
+    logs: list[CtLog],
+    k: int,
+    now: int,
+    *,
+    skip_operator: str | None = None,
+    operators: dict[str, str] | None = None,
+) -> Iterator[tuple[str, SCT | None, str]]:
+    """Submit ``payload`` to the logs in order, skipping those operated by
+    ``skip_operator``, until ``k`` accept or the logs run out. Yields each
+    attempt as (log id, SCT, "") or (log id, None, error code); raises
+    AllLogsRejectedError at the end if no log accepted.
+    """
+    accepted = 0
+    failures: list[tuple[str, str]] = []
+    for log in logs:
+        if accepted >= k:
+            break
+        if skip_operator and operators and operators.get(log.log_id) == skip_operator:
+            continue
+        try:
+            sct = log.submit(payload, chain, now)
+        except LogError as exc:
+            failures.append((log.log_id, exc.code))
+            yield log.log_id, None, exc.code
+            continue
+        accepted += 1
+        yield log.log_id, sct, ""
+    if not accepted:
+        raise AllLogsRejectedError(failures)
+
+
 def multi_log_submit(
     postcert: Postcertificate,
     chain: list[Certificate],
@@ -208,20 +243,11 @@ def multi_log_submit(
     """
     if k > len(logs):
         raise ValueError("k exceeds the number of candidate logs")
-    scts: list[SCT] = []
-    failures: list[tuple[str, str]] = []
-    for log in logs:
-        if len(scts) >= k:
-            break
-        if skip_operator and operators and operators.get(log.log_id) == skip_operator:
-            continue
-        try:
-            scts.append(log.submit(postcert, chain, now))
-        except LogError as exc:
-            failures.append((log.log_id, exc.code))
-    if not scts:
-        raise AllLogsRejectedError(failures)
-    return scts, failures
+    attempts = list(_submission_attempts(
+        postcert, chain, logs, k, now, skip_operator=skip_operator, operators=operators
+    ))
+    scts = [sct for _, sct, _ in attempts if sct is not None]
+    return scts, [(log_id, error) for log_id, sct, error in attempts if sct is None]
 
 
 @dataclass
@@ -435,7 +461,7 @@ class _CaActor:
         scts = self.sim.submit_postcert(
             actor=self.ca_id,
             issued=issued,
-            k=min(2, len(self.sim.logs)),
+            k=2,
             now=now,
             milestones=milestones,
         )
@@ -545,7 +571,18 @@ class Simulation:
         self._trace.append((t, actor, kind, artifact))
         return len(self._trace) - 1
 
-    # -- shared submission helper
+    # -- submissions
+
+    def _record_submission(
+        self, now: int, actor: str, log_id: str, payload_hash: bytes, sct: SCT | None, error: str
+    ) -> None:
+        """Trace one submission attempt; an accepted one also gets its SCT
+        event and is resolved to its entry number after the run."""
+        record = SubmissionRecord(log_id, now, now, payload_hash, sct, error=error)
+        index = self.emit(now, actor, EventKind.SUBMIT, record)
+        if sct is not None:
+            self._submission_events.append(index)
+            self.emit(now, actor, EventKind.SCT, sct)
 
     def submit_postcert(
         self,
@@ -556,40 +593,20 @@ class Simulation:
         milestones: _Milestones,
         skip_operator: str | None = None,
     ) -> list[SCT]:
-        payload_bytes = encode_artifact(issued.postcert)
-        payload_hash = SHA256.hash_leaf(payload_bytes)
+        """Submit to ``k`` logs, or to every candidate log if there are fewer."""
+        payload_hash = SHA256.hash_leaf(encode_artifact(issued.postcert))
         scts: list[SCT] = []
-        submitted = 0
-        for sim_log in self.scenario.logs:
-            if submitted >= k:
-                break
-            if skip_operator and self.operators.get(sim_log.log_id) == skip_operator:
+        for log_id, sct, error in _submission_attempts(
+            issued.postcert, issued.chain, list(self.logs.values()), k, now,
+            skip_operator=skip_operator, operators=self.operators,
+        ):
+            self._record_submission(now, actor, log_id, payload_hash, sct, error)
+            if sct is None:
                 continue
-            log = self.logs[sim_log.log_id]
-            try:
-                sct = log.submit(issued.postcert, issued.chain, now)
-            except LogError as exc:
-                record = SubmissionRecord(
-                    log_id=sim_log.log_id, t_request=now, t_response=now,
-                    payload_hash=payload_hash, sct=None, error=exc.code,
-                )
-                self.emit(now, actor, EventKind.SUBMIT, record)
-                continue
-            submitted += 1
             scts.append(sct)
-            record = SubmissionRecord(
-                log_id=sim_log.log_id, t_request=now, t_response=now,
-                payload_hash=payload_hash, sct=sct,
-            )
-            self._submission_events.append(
-                self.emit(now, actor, EventKind.SUBMIT, record)
-            )
-            self.emit(now, actor, EventKind.SCT, sct)
             if milestones.t_first_submit is None:
                 milestones.t_first_submit = now
-            milestones.submit_log_ids.append(sim_log.log_id)
-        if not scts:
-            raise AllLogsRejectedError([("*", "rejected")])
+            milestones.submit_log_ids.append(log_id)
         return scts
 
     def _filler_cert(self, issuer: str, key_id: str, serial: int, now: int) -> Certificate:
@@ -682,14 +699,10 @@ class Simulation:
                     )
                     payload_hash = SHA256.hash_leaf(encode_artifact(cert))
                     try:
-                        sct = self.logs[log_id].submit(cert, [self.probe_root], now)
+                        sct, error = self.logs[log_id].submit(cert, [self.probe_root], now), ""
                     except LogError as exc:
-                        record = SubmissionRecord(log_id, now, now, payload_hash, None, error=exc.code)
-                        self.emit(now, "probe", EventKind.SUBMIT, record)
-                        continue
-                    record = SubmissionRecord(log_id, now, now, payload_hash, sct)
-                    self._submission_events.append(self.emit(now, "probe", EventKind.SUBMIT, record))
-                    self.emit(now, "probe", EventKind.SCT, sct)
+                        sct, error = None, exc.code
+                    self._record_submission(now, "probe", log_id, payload_hash, sct, error)
                 self.schedule(now + probe.submit_interval_ms, submit_tick)
 
             self.schedule(probe.submit_interval_ms, submit_tick)
@@ -729,10 +742,7 @@ class Simulation:
     def _resolve_submissions(self) -> None:
         for index in self._submission_events:
             t, actor, kind, record = self._trace[index]
-            log = self.logs.get(record.log_id)
-            if log is None or record.sct is None:
-                continue
-            number = log._number_by_leaf_hash.get(record.sct.entry_hash)
+            number = self.logs[record.log_id].leaf_number(record.sct.entry_hash)
             if number is not None:
                 self._trace[index] = (t, actor, kind, replace(record, final_entry_number=number))
 
@@ -763,7 +773,7 @@ class Simulation:
         # with the serial and issuer.
         postcert = self.cas[m.ca_id].issued[m.serial].postcert
         log = self.logs[m.discovery_log]
-        entry_number = log._number_by_leaf_hash.get(log.scheme.hash_leaf(encode_payload(postcert)))
+        entry_number = log.leaf_number(log.scheme.hash_leaf(encode_payload(postcert)))
         if entry_number is None:
             return None
         t_publish = log.merge_time_ref(entry_number)

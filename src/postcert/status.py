@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .certs import CertRef, Postcertificate
 from .crypto import KeyRegistry, Signature
-from .encoding import ByteReader, ByteWriter, register_artifact, text_block
+from .encoding import ByteReader, ByteWriter, register_artifact
 from .log import SCT, LogEntry
 from .timeutil import DAY_MS, HOUR_MS
 
@@ -109,20 +109,6 @@ def _dec_status(r: ByteReader) -> RevocationStatus:
 
 
 register_artifact(7, RevocationStatus, _enc_status, _dec_status)
-
-
-def status_to_text(status: RevocationStatus) -> str:
-    from .encoding import encode_artifact
-
-    fields = [
-        ("issuer", status.cert_ref.issuer),
-        ("serial", status.cert_ref.serial),
-        ("status", status.value.kind.value),
-        ("reason", status.value.reason),
-        ("t", status.t),
-        ("validity_ms", status.validity_ms),
-    ]
-    return text_block("status", fields, encode_artifact(status))
 
 
 def _evidence_matches(evidence: SCT | LogEntry | None, cert_ref: CertRef) -> bool:

@@ -7,9 +7,13 @@ import re
 import pytest
 
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
-from postcert.crypto import Signature
+from postcert.certs import CertRef
+from postcert.crypto import KeyRegistry, Signature
 from postcert.encoding import ByteWriter, encode_artifact
-from postcert.log import STH
+from postcert.log import STH, LogEntry, MerkleAuditProof, sth_signing_payload
+from postcert.merkle import MerkleTree
+from postcert.misbehavior import MisbehaviorProofM12, proof_to_text
+from postcert.status import StatusValue, issue_status
 from postcert.trace import SizeProbe
 
 
@@ -199,6 +203,26 @@ def test_analyze_invalid_artifact_is_io_error(tmp_path, capsys, payload, message
         assert err.startswith("error: ") and message in err
 
 
+def test_verify_proof_undecodable_entry_is_rejected(tmp_path, capsys):
+    """An M1 bundle whose audited entry is no artifact, under a correctly
+    signed one-entry head of log-a."""
+    registry = KeyRegistry.with_signers(["log-a", "ca1"])
+    payload = b"\x01garbage"
+    tree = MerkleTree()
+    tree.append(payload)
+    t = 10**9
+    head = sth_signing_payload("log-a", t, 1, tree.root())
+    sth = STH("log-a", t, 1, tree.root(), registry.sign("log-a", head))
+    status = issue_status(registry, "ca1", CertRef("ca1", 7), StatusValue.good(), t, 10 * 3600_000)
+    bundle = MisbehaviorProofM12(LogEntry(payload, 0, "log-a", 0), sth, status,
+                                 MerkleAuditProof(0, 1, ()))
+    path = tmp_path / "garbage.proof"
+    path.write_text(proof_to_text(bundle))
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(path), "--trusted", "log-a")
+    assert code == EXIT_REJECTED
+    assert (out, err) == ("REJECTED(undecodable-entry)\n", "")
+
+
 def test_verify_proof_m3_roundtrip(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     dumps = tmp_path / "logs"
@@ -233,6 +257,17 @@ def test_project_growth_rejects_non_monotone(tmp_path, capsys):
                         "--history", str(history))
     assert code == EXIT_USAGE
     assert "non-monotone" in err
+
+
+def test_project_growth_non_numeric_history_is_io_error(tmp_path, capsys):
+    history = tmp_path / "sizes.txt"
+    history.write_text("0\n100\n\nabc\n400\n")
+    code, out, err = _run(capsys, "project-growth", "--fraction", "0.2",
+                          "--history", str(history))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {history} line 4: ") and "'abc'" in err
 
 
 def test_usage_error_exit_code(capsys):

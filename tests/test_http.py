@@ -10,8 +10,11 @@ from postcert.encoding import encode_artifact
 from postcert.httpapi import HttpLogReader, serve_log
 from postcert.log import (
     CtLog,
+    DuplicatePolicy,
     LogConfig,
     LogError,
+    SnapshotLogReader,
+    log_snapshot_text,
     verify_audit_proof,
     verify_consistency_sths,
     verify_sct,
@@ -100,6 +103,69 @@ def test_binary_search_size_over_http(served_log, registry, ca_root):
         clock["now"] += 500
     probe = binary_search_size(reader)
     assert probe.size == 13
+
+
+def _read_everything(reader, sizes: list[int]) -> dict:
+    """Every answer the read interface gives about a log whose heads have
+    ``sizes``, failures as (error code, detail)."""
+
+    def attempt(call, *args):
+        try:
+            return call(*args)
+        except LogError as exc:
+            return exc.code, exc.detail
+
+    size = sizes[-1]
+    entries = reader.get_entries(0, size - 1)
+    return {
+        "latest_sth": reader.latest_sth(),
+        "published_size": reader.published_size(),
+        "get_entries": [reader.get_entries(a, b) for a, b in
+                        [(0, 0), (2, 5), (0, size - 1), (size - 2, size + 5), (size, size + 3)]],
+        "audit_proof": [reader.audit_proof(n, t) for t in sizes for n in range(t)],
+        "get_proof_by_hash": [reader.get_proof_by_hash(SHA256.hash_leaf(e.payload), size)
+                              for e in entries],
+        "consistency_proof": [reader.consistency_proof(a, b)
+                              for a in sizes for b in sizes if a <= b],
+        "errors": [
+            attempt(reader.audit_proof, size, size),
+            attempt(reader.audit_proof, 0, size + 1),
+            attempt(reader.get_proof_by_hash, b"\x00" * 32, size),
+            attempt(reader.consistency_proof, 1, size + 1),
+        ],
+    }
+
+
+def test_log_snapshot_and_http_readers_answer_alike(registry, trust, ca_root):
+    """One log read three ways, in memory, from its snapshot and over HTTP,
+    gives equal answers, errors included; a payload logged twice under
+    REINSERT proves by hash as its first entry."""
+    config = LogConfig(publication_delay="fixed:0", duplicate_policy=DuplicatePolicy.REINSERT)
+    log = CtLog("log1", registry, trust, config, seed=3)
+    certs = [_cert(registry, serial) for serial in range(500, 507)]
+    now = 1_000_000
+    for cert in certs + [certs[2]]:
+        log.submit(cert, [ca_root], now)
+        now += 1000
+        log.get_sth(now)  # BUSY: a head per merge
+    sizes = sorted({sth.treesize for sth in log.sth_history})
+    assert sizes == list(range(9)) and len(log.entries) == 8
+
+    snapshot = SnapshotLogReader.from_text(log_snapshot_text(log))
+    server = serve_log(log, clock=lambda: now)
+    host, port = server.server_address
+    reader = HttpLogReader(f"http://{host}:{port}")
+    try:
+        answers = [_read_everything(r, sizes) for r in (log, snapshot, reader)]
+    finally:
+        reader.close()
+        server.shutdown()
+        server.server_close()
+    assert answers[0] == answers[1] == answers[2]
+    duplicate = answers[0]["get_proof_by_hash"][7]
+    assert duplicate.entry_number == 2 and answers[0]["audit_proof"][-1].entry_number == 7
+    assert [code for code, _ in answers[0]["errors"]] == [
+        "entry-out-of-range", "entry-out-of-range", "unknown-leaf-hash", "size-out-of-range"]
 
 
 def test_probe_command_records_live_trace(served_log, registry, ca_root, tmp_path, capsys):

@@ -9,7 +9,18 @@ import pytest
 
 from postcert.certs import CertRef, PostcertScheme, make_postcertificate
 from postcert.crypto import KeyRegistry, Signature
-from postcert.log import CtLog, LogConfig, LogEntry, STH, UpdateClass
+from postcert.log import (
+    CtLog,
+    LogConfig,
+    LogEntry,
+    MerkleAuditProof,
+    STH,
+    SnapshotLogReader,
+    UpdateClass,
+    sct_signing_payload,
+    sth_signing_payload,
+)
+from postcert.merkle import MerkleTree
 from postcert.misbehavior import (
     Case,
     InsufficientEvidenceError,
@@ -351,6 +362,30 @@ def test_m3_boundary_is_strict_before():
     assert verdict.proven
 
 
+def _undecodable_entry(registry, t: int) -> tuple[LogEntry, STH]:
+    """A one-entry log of ``log1`` whose only payload is no artifact, and its
+    correctly signed head at time ``t``."""
+    payload = b"\x01garbage"
+    tree = MerkleTree()
+    tree.append(payload)
+    root = tree.root()
+    signature = registry.sign("log1", sth_signing_payload("log1", t, 1, root))
+    return LogEntry(payload, 0, "log1", 0), STH("log1", t, 1, root, signature)
+
+
+def test_undecodable_entry_rejects_instead_of_raising(registry):
+    status = issue_status(registry, "ca1", CertRef("ca1", 7), StatusValue.revoked(), 5 * HOUR_MS,
+                          10 * HOUR_MS, honest=False)
+    entry, sth = _undecodable_entry(registry, status.t + MMD)
+    trusted = TrustedLogSet.of("log1")
+    m12 = MisbehaviorProofM12(entry, sth, status, MerkleAuditProof(0, 1, ()))
+    verdict = verify_m12(m12, PUB_POLICY, trusted, registry)
+    assert (verdict.reason, verdict.detail) == ("undecodable-entry", "log1#0: truncated input")
+    readers = {"log1": SnapshotLogReader("log1", [entry], [sth])}
+    verdict = verify_m3(MisbehaviorProofM3(status, (sth,)), PUB_POLICY, trusted, registry, readers)
+    assert (verdict.reason, verdict.detail) == ("undecodable-entry", "log1#0: truncated input")
+
+
 def test_m3_missing_log_coverage_rejects():
     reg, trust, root, logs = _m3_world_without_postcert()
     status = issue_status(
@@ -438,6 +473,14 @@ def test_sct_disclosure_proven_when_entry_never_published():
         honest_proof, MMD, TrustedLogSet.of("log1"), registry, {"log1": honest}
     )
     assert verdict.reason == "entry-published"
+    # an SCT whose signature does not verify, or is another signer's: rejected
+    by_ca = registry.sign("ca1", sct_signing_payload(sct.log_id, sct.timestamp, sct.entry_hash))
+    for forged in (dataclasses.replace(sct, timestamp=sct.timestamp + 1),
+                   dataclasses.replace(sct, signature=by_ca)):
+        verdict = verify_sct_disclosure(
+            SctDisclosureProof(forged, sth), MMD, TrustedLogSet.of("log1"), registry, {"log1": log}
+        )
+        assert verdict.reason == "bad-sct-signature"
 
 
 # -- builders
