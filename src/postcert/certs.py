@@ -17,12 +17,21 @@ from functools import cached_property
 
 from .crypto import KeyRegistry, Signature
 from .encoding import (
-    ByteReader,
-    ByteWriter,
+    BOOL,
+    BLOB,
+    I64,
+    TEXT,
+    U64,
     decode_artifact,
     encode_artifact,
-    register_artifact,
+    encoded,
+    encoder,
+    inline,
+    optional,
+    seq,
+    signing_payload,
     text_block,
+    wire,
 )
 
 # Poison and embedded-SCT tags reuse the well-known CT arc; the revocation
@@ -68,6 +77,7 @@ REJECT_MISSING_TARGET = "missing-target-in-chain"
 REJECT_EMPTY_CHAIN = "empty-chain"
 
 
+@wire(oid=TEXT, critical=BOOL, value=BLOB)
 @dataclass(frozen=True)
 class Extension:
     oid: str
@@ -79,6 +89,15 @@ class Extension:
             raise CertError("extension oid must be non-empty")
 
 
+@wire(
+    serial=U64,
+    subject=TEXT,
+    issuer=TEXT,
+    not_before=I64,
+    not_after=I64,
+    public_key_id=TEXT,
+    extensions=seq(inline(Extension)),
+)
 @dataclass(frozen=True)
 class TbsCertificate:
     serial: int
@@ -101,6 +120,7 @@ class TbsCertificate:
         return encode_tbs(self)
 
 
+@wire(issuer=TEXT, serial=U64)
 @dataclass(frozen=True)
 class CertRef:
     """(issuer, serial) pair identifying one certificate."""
@@ -109,6 +129,7 @@ class CertRef:
     serial: int
 
 
+@wire(reason_code=TEXT, invalidation_date=optional(I64))
 @dataclass(frozen=True)
 class RevocationExtension:
     reason_code: str = "unspecified"
@@ -119,6 +140,7 @@ class RevocationExtension:
             raise CertError(f"unknown reason code: {self.reason_code}")
 
 
+@wire(1, tbs=encoded(TbsCertificate), signature=inline(Signature))
 @dataclass(frozen=True)
 class Certificate:
     tbs: TbsCertificate
@@ -129,6 +151,19 @@ class Certificate:
         return CertRef(self.tbs.issuer, self.tbs.serial)
 
 
+_POSTCERT_TAG = 2
+_POSTCERT_TAG_BYTE = bytes((_POSTCERT_TAG,))
+
+
+# The signature covers the fields before it, so ``status`` precedes it on the wire.
+@wire(
+    _POSTCERT_TAG,
+    tbs=encoded(TbsCertificate),
+    revocation_ext=inline(RevocationExtension),
+    scheme=PostcertScheme,
+    status=TEXT,
+    signature=inline(Signature),
+)
 @dataclass(frozen=True)
 class Postcertificate:
     tbs: TbsCertificate
@@ -144,128 +179,9 @@ class Postcertificate:
 
 # Canonical encodings ---------------------------------------------------------
 
-def _enc_signature(w: ByteWriter, sig: Signature) -> None:
-    w.text(sig.signer_id)
-    w.blob(sig.value)
-
-
-def _dec_signature(r: ByteReader) -> Signature:
-    return Signature(signer_id=r.text(), value=r.blob())
-
-
-def _enc_extension(w: ByteWriter, ext: Extension) -> None:
-    w.text(ext.oid)
-    w.boolean(ext.critical)
-    w.blob(ext.value)
-
-
-def _dec_extension(r: ByteReader) -> Extension:
-    return Extension(oid=r.text(), critical=r.boolean(), value=r.blob())
-
-
-def encode_tbs(tbs: TbsCertificate) -> bytes:
-    w = ByteWriter()
-    w.u64(tbs.serial)
-    w.text(tbs.subject)
-    w.text(tbs.issuer)
-    w.i64(tbs.not_before)
-    w.i64(tbs.not_after)
-    w.text(tbs.public_key_id)
-    w.u32(len(tbs.extensions))
-    for ext in tbs.extensions:
-        _enc_extension(w, ext)
-    return w.getvalue()
-
-
-def _dec_tbs(r: ByteReader) -> TbsCertificate:
-    serial = r.u64()
-    subject = r.text()
-    issuer = r.text()
-    not_before = r.i64()
-    not_after = r.i64()
-    public_key_id = r.text()
-    extensions = tuple(_dec_extension(r) for _ in range(r.u32()))
-    return TbsCertificate(
-        serial=serial,
-        subject=subject,
-        issuer=issuer,
-        not_before=not_before,
-        not_after=not_after,
-        public_key_id=public_key_id,
-        extensions=extensions,
-    )
-
-
-def _enc_revocation_ext(w: ByteWriter, ext: RevocationExtension) -> None:
-    w.text(ext.reason_code)
-    w.optional_i64(ext.invalidation_date)
-
-
-def _dec_revocation_ext(r: ByteReader) -> RevocationExtension:
-    return RevocationExtension(reason_code=r.text(), invalidation_date=r.optional_i64())
-
-
-def encode_revocation_ext(ext: RevocationExtension) -> bytes:
-    w = ByteWriter()
-    _enc_revocation_ext(w, ext)
-    return w.getvalue()
-
-
-def _enc_certificate(w: ByteWriter, cert: Certificate) -> None:
-    w.blob(cert.tbs.encoded)
-    _enc_signature(w, cert.signature)
-
-
-def _dec_certificate(r: ByteReader) -> Certificate:
-    tbs_reader = ByteReader(r.blob())
-    tbs = _dec_tbs(tbs_reader)
-    tbs_reader.expect_eof()
-    return Certificate(tbs=tbs, signature=_dec_signature(r))
-
-
-def postcert_signing_payload(
-    tbs: TbsCertificate,
-    revocation_ext: RevocationExtension,
-    scheme: PostcertScheme,
-    status: str,
-) -> bytes:
-    w = ByteWriter()
-    w.blob(tbs.encoded)
-    _enc_revocation_ext(w, revocation_ext)
-    w.text(scheme.value)
-    w.text(status)
-    return w.getvalue()
-
-
-def _enc_postcertificate(w: ByteWriter, post: Postcertificate) -> None:
-    w.blob(post.tbs.encoded)
-    _enc_revocation_ext(w, post.revocation_ext)
-    w.text(post.scheme.value)
-    w.text(post.status)
-    _enc_signature(w, post.signature)
-
-
-def _dec_postcertificate(r: ByteReader) -> Postcertificate:
-    tbs_reader = ByteReader(r.blob())
-    tbs = _dec_tbs(tbs_reader)
-    tbs_reader.expect_eof()
-    revocation_ext = _dec_revocation_ext(r)
-    scheme = PostcertScheme(r.text())
-    status = r.text()
-    return Postcertificate(
-        tbs=tbs,
-        revocation_ext=revocation_ext,
-        scheme=scheme,
-        signature=_dec_signature(r),
-        status=status,
-    )
-
-
-_POSTCERT_TAG = 2
-_POSTCERT_TAG_BYTE = bytes((_POSTCERT_TAG,))
-
-register_artifact(1, Certificate, _enc_certificate, _dec_certificate)
-register_artifact(_POSTCERT_TAG, Postcertificate, _enc_postcertificate, _dec_postcertificate)
+encode_tbs = encoder(inline(TbsCertificate))
+encode_revocation_ext = encoder(inline(RevocationExtension))
+postcert_signing_payload = signing_payload(Postcertificate)
 
 
 def is_postcert_payload(payload: bytes) -> bool:

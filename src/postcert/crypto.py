@@ -18,6 +18,8 @@ import hmac
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .encoding import BLOB, TEXT, wire
+
 DIGEST_LEN = 32
 
 LEAF_PREFIX = b"\x00"
@@ -72,6 +74,7 @@ class TruncatedHashScheme(HashScheme):
 SHA256 = HashScheme()
 
 
+@wire(signer_id=TEXT, value=BLOB)
 @dataclass(frozen=True, slots=True)
 class Signature:
     signer_id: str

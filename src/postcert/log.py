@@ -36,7 +36,7 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import ByteReader, ByteWriter, DecodeError, register_artifact
+from .encoding import BLOB, I64, TEXT, U64, DecodeError, inline, seq, signing_payload, wire
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -71,6 +71,7 @@ class SthCacheMode(enum.Enum):
     LAGGING = "LAGGING"
 
 
+@wire(3, log_id=TEXT, timestamp=I64, entry_hash=BLOB, signature=inline(Signature))
 @dataclass(frozen=True, slots=True)
 class SCT:
     log_id: str
@@ -79,6 +80,7 @@ class SCT:
     signature: Signature
 
 
+@wire(5, payload=BLOB, t_submission=I64, log_id=TEXT, number=U64)
 @dataclass(frozen=True, slots=True)
 class LogEntry:
     payload: bytes
@@ -90,6 +92,7 @@ class LogEntry:
         return decode_payload(self.payload)
 
 
+@wire(4, log_id=TEXT, t=I64, treesize=U64, root_hash=BLOB, signature=inline(Signature))
 @dataclass(frozen=True, slots=True)
 class STH:
     log_id: str
@@ -99,6 +102,7 @@ class STH:
     signature: Signature
 
 
+@wire(6, entry_number=U64, treesize=U64, path=seq(BLOB))
 @dataclass(frozen=True, slots=True)
 class MerkleAuditProof:
     entry_number: int
@@ -106,21 +110,8 @@ class MerkleAuditProof:
     path: tuple[bytes, ...]
 
 
-def sct_signing_payload(log_id: str, timestamp: int, entry_hash: bytes) -> bytes:
-    w = ByteWriter()
-    w.text(log_id)
-    w.i64(timestamp)
-    w.blob(entry_hash)
-    return w.getvalue()
-
-
-def sth_signing_payload(log_id: str, t: int, treesize: int, root_hash: bytes) -> bytes:
-    w = ByteWriter()
-    w.text(log_id)
-    w.i64(t)
-    w.u64(treesize)
-    w.blob(root_hash)
-    return w.getvalue()
+sct_signing_payload = signing_payload(SCT)
+sth_signing_payload = signing_payload(STH)
 
 
 def verify_sct_signature(sct: SCT, registry: KeyRegistry) -> bool:
@@ -161,72 +152,6 @@ def verify_consistency_sths(
     return verify_consistency(
         sth_a.treesize, sth_b.treesize, sth_a.root_hash, sth_b.root_hash, path, scheme
     )
-
-
-# Codecs -----------------------------------------------------------------------
-
-def _enc_sig(w: ByteWriter, sig: Signature) -> None:
-    w.text(sig.signer_id)
-    w.blob(sig.value)
-
-
-def _dec_sig(r: ByteReader) -> Signature:
-    return Signature(r.text(), r.blob())
-
-
-def _enc_sct(w: ByteWriter, sct: SCT) -> None:
-    w.text(sct.log_id)
-    w.i64(sct.timestamp)
-    w.blob(sct.entry_hash)
-    _enc_sig(w, sct.signature)
-
-
-def _dec_sct(r: ByteReader) -> SCT:
-    return SCT(r.text(), r.i64(), r.blob(), _dec_sig(r))
-
-
-def _enc_sth(w: ByteWriter, sth: STH) -> None:
-    w.text(sth.log_id)
-    w.i64(sth.t)
-    w.u64(sth.treesize)
-    w.blob(sth.root_hash)
-    _enc_sig(w, sth.signature)
-
-
-def _dec_sth(r: ByteReader) -> STH:
-    return STH(r.text(), r.i64(), r.u64(), r.blob(), _dec_sig(r))
-
-
-def _enc_entry(w: ByteWriter, entry: LogEntry) -> None:
-    w.blob(entry.payload)
-    w.i64(entry.t_submission)
-    w.text(entry.log_id)
-    w.u64(entry.number)
-
-
-def _dec_entry(r: ByteReader) -> LogEntry:
-    return LogEntry(r.blob(), r.i64(), r.text(), r.u64())
-
-
-def _enc_audit(w: ByteWriter, proof: MerkleAuditProof) -> None:
-    w.u64(proof.entry_number)
-    w.u64(proof.treesize)
-    w.u32(len(proof.path))
-    for node in proof.path:
-        w.blob(node)
-
-
-def _dec_audit(r: ByteReader) -> MerkleAuditProof:
-    number = r.u64()
-    treesize = r.u64()
-    path = tuple(r.blob() for _ in range(r.u32()))
-    return MerkleAuditProof(number, treesize, path)
-
-
-register_artifact(3, SCT, _enc_sct, _dec_sct)
-register_artifact(4, STH, _enc_sth, _dec_sth)
-register_artifact(5, LogEntry, _enc_entry, _dec_entry)
-register_artifact(6, MerkleAuditProof, _enc_audit, _dec_audit)
 
 
 # Publication delay models -----------------------------------------------------

@@ -27,9 +27,7 @@ from dataclasses import dataclass, field
 
 from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
 from .crypto import HashScheme, KeyRegistry, SHA256
-from .encoding import (
-    ByteReader, ByteWriter, DecodeError, decode_artifact, encode_artifact, register_artifact, text_block,
-)
+from .encoding import DecodeError, decode_artifact, encode_artifact, nested, seq, text_block, wire
 from .log import (
     LogEntry,
     LogReader,
@@ -92,6 +90,13 @@ class TrustedLogSet:
         return sorted(self.log_ids)
 
 
+@wire(
+    8,
+    entry=nested(LogEntry),
+    sth=nested(STH),
+    status=nested(RevocationStatus),
+    audit=nested(MerkleAuditProof),
+)
 @dataclass(frozen=True)
 class MisbehaviorProofM12:
     entry: LogEntry
@@ -100,6 +105,7 @@ class MisbehaviorProofM12:
     audit: MerkleAuditProof
 
 
+@wire(9, status=nested(RevocationStatus), sth_set=seq(nested(STH)))
 @dataclass(frozen=True)
 class MisbehaviorProofM3:
     status: RevocationStatus
@@ -112,6 +118,7 @@ class MisbehaviorProofM3:
         return None
 
 
+@wire(10, sct=nested(SCT), sth=nested(STH))
 @dataclass(frozen=True)
 class SctDisclosureProof:
     sct: SCT
@@ -348,8 +355,12 @@ def _scan_postcerts(obs: ObservationBag) -> list[tuple[LogEntry, Postcertificate
             if reader is None:
                 continue
             for entry in entries_below(reader, reader.published_size()):
-                if is_postcert_payload(entry.payload):
+                if not is_postcert_payload(entry.payload):
+                    continue
+                try:
                     found.append((entry, decode_artifact(entry.payload)))
+                except DecodeError:
+                    continue  # the verifiers reject it as an undecodable-entry
         obs._postcert_scan = found
     return obs._postcert_scan
 
@@ -473,51 +484,6 @@ def build_proof(
     if case is Case.LOG_FORGET:
         return _pick_sct_disclosure(obs)
     raise ValueError(f"unknown case {case}")
-
-
-# Serialization --------------------------------------------------------------------
-
-def _enc_m12(w: ByteWriter, proof: MisbehaviorProofM12) -> None:
-    w.artifact(proof.entry)
-    w.artifact(proof.sth)
-    w.artifact(proof.status)
-    w.artifact(proof.audit)
-
-
-def _dec_m12(r: ByteReader) -> MisbehaviorProofM12:
-    return MisbehaviorProofM12(
-        entry=r.artifact(LogEntry),
-        sth=r.artifact(STH),
-        status=r.artifact(RevocationStatus),
-        audit=r.artifact(MerkleAuditProof),
-    )
-
-
-def _enc_m3(w: ByteWriter, proof: MisbehaviorProofM3) -> None:
-    w.artifact(proof.status)
-    w.u32(len(proof.sth_set))
-    for sth in proof.sth_set:
-        w.artifact(sth)
-
-
-def _dec_m3(r: ByteReader) -> MisbehaviorProofM3:
-    status = r.artifact(RevocationStatus)
-    sths = tuple(r.artifact(STH) for _ in range(r.u32()))
-    return MisbehaviorProofM3(status=status, sth_set=sths)
-
-
-def _enc_disclosure(w: ByteWriter, proof: SctDisclosureProof) -> None:
-    w.artifact(proof.sct)
-    w.artifact(proof.sth)
-
-
-def _dec_disclosure(r: ByteReader) -> SctDisclosureProof:
-    return SctDisclosureProof(sct=r.artifact(SCT), sth=r.artifact(STH))
-
-
-register_artifact(8, MisbehaviorProofM12, _enc_m12, _dec_m12)
-register_artifact(9, MisbehaviorProofM3, _enc_m3, _dec_m3)
-register_artifact(10, SctDisclosureProof, _enc_disclosure, _dec_disclosure)
 
 
 def proof_to_text(proof) -> str:

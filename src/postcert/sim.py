@@ -204,11 +204,9 @@ def _submission_attempts(
 ) -> Iterator[tuple[str, SCT | None, str]]:
     """Submit ``payload`` to the logs in order, skipping those operated by
     ``skip_operator``, until ``k`` accept or the logs run out. Yields each
-    attempt as (log id, SCT, "") or (log id, None, error code); raises
-    AllLogsRejectedError at the end if no log accepted.
+    attempt as (log id, SCT, "") or (log id, None, error code).
     """
     accepted = 0
-    failures: list[tuple[str, str]] = []
     for log in logs:
         if accepted >= k:
             break
@@ -217,13 +215,10 @@ def _submission_attempts(
         try:
             sct = log.submit(payload, chain, now)
         except LogError as exc:
-            failures.append((log.log_id, exc.code))
             yield log.log_id, None, exc.code
             continue
         accepted += 1
         yield log.log_id, sct, ""
-    if not accepted:
-        raise AllLogsRejectedError(failures)
 
 
 def multi_log_submit(
@@ -247,7 +242,10 @@ def multi_log_submit(
         postcert, chain, logs, k, now, skip_operator=skip_operator, operators=operators
     ))
     scts = [sct for _, sct, _ in attempts if sct is not None]
-    return scts, [(log_id, error) for log_id, sct, error in attempts if sct is None]
+    failures = [(log_id, error) for log_id, sct, error in attempts if sct is None]
+    if not scts:
+        raise AllLogsRejectedError(failures)
+    return scts, failures
 
 
 @dataclass
@@ -593,7 +591,10 @@ class Simulation:
         milestones: _Milestones,
         skip_operator: str | None = None,
     ) -> list[SCT]:
-        """Submit to ``k`` logs, or to every candidate log if there are fewer."""
+        """Submit to ``k`` logs, or to every candidate log if there are fewer.
+
+        Every attempt is traced; when every log rejects, no SCT is returned.
+        """
         payload_hash = SHA256.hash_leaf(encode_artifact(issued.postcert))
         scts: list[SCT] = []
         for log_id, sct, error in _submission_attempts(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .certs import CertRef, Postcertificate
 from .crypto import KeyRegistry, Signature
-from .encoding import ByteReader, ByteWriter, register_artifact
+from .encoding import I64, TEXT, U64, inline, optional, signing_payload, wire
 from .log import SCT, LogEntry
 from .timeutil import DAY_MS, HOUR_MS
 
@@ -36,6 +36,7 @@ class StatusKind(enum.Enum):
     UNKNOWN = "UNKNOWN"
 
 
+@wire(kind=StatusKind, reason=optional(TEXT), invalidation_date=optional(I64))
 @dataclass(frozen=True)
 class StatusValue:
     kind: StatusKind
@@ -55,6 +56,14 @@ class StatusValue:
         return cls(StatusKind.UNKNOWN)
 
 
+@wire(
+    7,
+    cert_ref=inline(CertRef),
+    value=inline(StatusValue),
+    t=I64,
+    validity_ms=U64,
+    signature=inline(Signature),
+)
 @dataclass(frozen=True)
 class RevocationStatus:
     cert_ref: CertRef
@@ -68,47 +77,7 @@ class RevocationStatus:
         return self.t <= at < self.t + self.validity_ms
 
 
-def status_signing_payload(cert_ref: CertRef, value: StatusValue, t: int, validity_ms: int) -> bytes:
-    w = ByteWriter()
-    w.text(cert_ref.issuer)
-    w.u64(cert_ref.serial)
-    w.text(value.kind.value)
-    w.boolean(value.reason is not None)
-    if value.reason is not None:
-        w.text(value.reason)
-    w.optional_i64(value.invalidation_date)
-    w.i64(t)
-    w.u64(validity_ms)
-    return w.getvalue()
-
-
-def _enc_status(w: ByteWriter, status: RevocationStatus) -> None:
-    w.text(status.cert_ref.issuer)
-    w.u64(status.cert_ref.serial)
-    w.text(status.value.kind.value)
-    w.boolean(status.value.reason is not None)
-    if status.value.reason is not None:
-        w.text(status.value.reason)
-    w.optional_i64(status.value.invalidation_date)
-    w.i64(status.t)
-    w.u64(status.validity_ms)
-    w.text(status.signature.signer_id)
-    w.blob(status.signature.value)
-
-
-def _dec_status(r: ByteReader) -> RevocationStatus:
-    issuer = r.text()
-    serial = r.u64()
-    kind = StatusKind(r.text())
-    reason = r.text() if r.boolean() else None
-    invalidation = r.optional_i64()
-    t = r.i64()
-    validity = r.u64()
-    sig = Signature(r.text(), r.blob())
-    return RevocationStatus(CertRef(issuer, serial), StatusValue(kind, reason, invalidation), t, validity, sig)
-
-
-register_artifact(7, RevocationStatus, _enc_status, _dec_status)
+status_signing_payload = signing_payload(RevocationStatus)
 
 
 def _evidence_matches(evidence: SCT | LogEntry | None, cert_ref: CertRef) -> bool:

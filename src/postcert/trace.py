@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .encoding import ByteReader, ByteWriter, DecodeError, decode_artifact, register_artifact
+from .encoding import BLOB, BOOL, I64, TEXT, U64, DecodeError, decode_artifact, nested, optional, wire
 from .log import SCT, STH
 from .status import RevocationStatus
 
@@ -46,6 +46,7 @@ class TraceEvent:
 
 # Observation record artifacts ---------------------------------------------------
 
+@wire(11, t_request=I64, t_response=I64, sth=nested(STH))
 @dataclass(frozen=True)
 class SthObservation:
     t_request: int
@@ -57,6 +58,16 @@ class SthObservation:
             raise ValueError("t_request must not exceed t_response")
 
 
+@wire(
+    12,
+    log_id=TEXT,
+    t_request=I64,
+    t_response=I64,
+    payload_hash=BLOB,
+    sct=optional(nested(SCT)),
+    final_entry_number=optional(U64),
+    error=TEXT,
+)
 @dataclass(frozen=True)
 class SubmissionRecord:
     log_id: str
@@ -76,6 +87,7 @@ class SubmissionRecord:
         return self.sct is not None
 
 
+@wire(13, log_id=TEXT, t=I64, size=U64)
 @dataclass(frozen=True)
 class SizeProbe:
     log_id: str
@@ -87,6 +99,7 @@ class SizeProbe:
             raise ValueError("size must be non-negative")
 
 
+@wire(14, ca_id=TEXT, log_id=TEXT, entry_number=U64, t=I64, via=TEXT)
 @dataclass(frozen=True)
 class DiscoveryRecord:
     ca_id: str
@@ -96,6 +109,7 @@ class DiscoveryRecord:
     via: str = "poll"
 
 
+@wire(15, context=TEXT, kind=TEXT, limit_ms=U64, actual_ms=U64)
 @dataclass(frozen=True)
 class ViolationRecord:
     context: str
@@ -104,6 +118,7 @@ class ViolationRecord:
     actual_ms: int
 
 
+@wire(16, case=TEXT, proven=BOOL, reason=TEXT, t_proof=I64, bundle=BLOB)
 @dataclass(frozen=True)
 class ProofRecord:
     case: str
@@ -111,92 +126,6 @@ class ProofRecord:
     reason: str
     t_proof: int
     bundle: bytes
-
-
-def _enc_sth_obs(w: ByteWriter, obs: SthObservation) -> None:
-    w.i64(obs.t_request)
-    w.i64(obs.t_response)
-    w.artifact(obs.sth)
-
-
-def _dec_sth_obs(r: ByteReader) -> SthObservation:
-    return SthObservation(r.i64(), r.i64(), r.artifact(STH))
-
-
-def _enc_submission(w: ByteWriter, rec: SubmissionRecord) -> None:
-    w.text(rec.log_id)
-    w.i64(rec.t_request)
-    w.i64(rec.t_response)
-    w.blob(rec.payload_hash)
-    w.boolean(rec.sct is not None)
-    if rec.sct is not None:
-        w.artifact(rec.sct)
-    w.optional_u64(rec.final_entry_number)
-    w.text(rec.error)
-
-
-def _dec_submission(r: ByteReader) -> SubmissionRecord:
-    log_id = r.text()
-    t_request = r.i64()
-    t_response = r.i64()
-    payload_hash = r.blob()
-    sct = r.artifact(SCT) if r.boolean() else None
-    final = r.optional_u64()
-    error = r.text()
-    return SubmissionRecord(log_id, t_request, t_response, payload_hash, sct, final, error)
-
-
-def _enc_size(w: ByteWriter, probe: SizeProbe) -> None:
-    w.text(probe.log_id)
-    w.i64(probe.t)
-    w.u64(probe.size)
-
-
-def _dec_size(r: ByteReader) -> SizeProbe:
-    return SizeProbe(r.text(), r.i64(), r.u64())
-
-
-def _enc_discovery(w: ByteWriter, rec: DiscoveryRecord) -> None:
-    w.text(rec.ca_id)
-    w.text(rec.log_id)
-    w.u64(rec.entry_number)
-    w.i64(rec.t)
-    w.text(rec.via)
-
-
-def _dec_discovery(r: ByteReader) -> DiscoveryRecord:
-    return DiscoveryRecord(r.text(), r.text(), r.u64(), r.i64(), r.text())
-
-
-def _enc_violation(w: ByteWriter, rec: ViolationRecord) -> None:
-    w.text(rec.context)
-    w.text(rec.kind)
-    w.u64(rec.limit_ms)
-    w.u64(rec.actual_ms)
-
-
-def _dec_violation(r: ByteReader) -> ViolationRecord:
-    return ViolationRecord(r.text(), r.text(), r.u64(), r.u64())
-
-
-def _enc_proof_record(w: ByteWriter, rec: ProofRecord) -> None:
-    w.text(rec.case)
-    w.boolean(rec.proven)
-    w.text(rec.reason)
-    w.i64(rec.t_proof)
-    w.blob(rec.bundle)
-
-
-def _dec_proof_record(r: ByteReader) -> ProofRecord:
-    return ProofRecord(r.text(), r.boolean(), r.text(), r.i64(), r.blob())
-
-
-register_artifact(11, SthObservation, _enc_sth_obs, _dec_sth_obs)
-register_artifact(12, SubmissionRecord, _enc_submission, _dec_submission)
-register_artifact(13, SizeProbe, _enc_size, _dec_size)
-register_artifact(14, DiscoveryRecord, _enc_discovery, _dec_discovery)
-register_artifact(15, ViolationRecord, _enc_violation, _dec_violation)
-register_artifact(16, ProofRecord, _enc_proof_record, _dec_proof_record)
 
 
 # Trace file I/O -------------------------------------------------------------------

@@ -5,7 +5,8 @@ splits over raw payloads, direct hashlib calls) and never reuses the
 production tree machinery, so a bug cannot cancel itself out. The one
 exception, ``EagerSthLog``, merges entries as ``CtLog`` does but computes and
 signs each tree head's brute-force root at publication. ``artifact_samples``
-supplies real encodings of every artifact kind.
+supplies real encodings of every artifact kind, and ``declared`` a hypothesis
+strategy of any declared type, built from its wire declaration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,12 @@ from __future__ import annotations
 import functools
 import hashlib
 
-from postcert.crypto import HashScheme, SHA256
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from postcert.certs import REASON_CODES, Extension, RevocationExtension
+from postcert.crypto import HashScheme, SHA256, Signature
+from postcert.encoding import DECLARED, Kind
 from postcert.log import STH, CtLog, sth_signing_payload
 
 
@@ -161,3 +167,47 @@ def artifact_samples() -> list[bytes]:
     assert set(by_tag) == set(encoding._DECODERS)
     # A few of each kind keeps the pool small while covering every tag.
     return [payload for group in by_tag.values() for payload in group[:8]]
+
+
+_INTEGERS = {"u32": (0, 2**32 - 1), "u64": (0, 2**64 - 1), "i64": (-(2**63), 2**63 - 1)}
+
+# Fields whose values the constructor restricts, drawn from values it takes.
+# The orderings (``not_before < not_after``, ``t_request <= t_response``) are
+# left to ``assume``, which keeps about half of the draws.
+_OVERRIDES = {
+    (RevocationExtension, "reason_code"): st.sampled_from(REASON_CODES),
+    (Signature, "signer_id"): st.text(min_size=1, max_size=8),
+    (Extension, "oid"): st.text(min_size=1, max_size=8),
+}
+
+
+def _kind_values(kind: Kind):
+    if kind.name in _INTEGERS:
+        return st.integers(*_INTEGERS[kind.name])
+    simple = {"bool": st.booleans(), "blob": st.binary(max_size=40), "text": st.text(max_size=8)}
+    if kind.name in simple:
+        return simple[kind.name]
+    if kind.name == "enum":
+        return st.sampled_from(kind.arg)
+    if kind.name == "optional":
+        return st.none() | _kind_values(kind.arg)
+    if kind.name == "seq":
+        return st.lists(_kind_values(kind.arg), max_size=3).map(tuple)
+    return declared(kind.arg)  # inline, nested, encoded
+
+
+def _construct(cls, fields: dict):
+    try:
+        return cls(**fields)
+    except ValueError:
+        assume(False)
+
+
+@functools.cache
+def declared(cls):
+    """Values of ``cls`` drawn field by field from its wire declaration."""
+    fields = {
+        name: _OVERRIDES[cls, name] if (cls, name) in _OVERRIDES else _kind_values(kind)
+        for name, kind in DECLARED[cls]
+    }
+    return st.fixed_dictionaries(fields).map(lambda drawn: _construct(cls, drawn))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import struct
 
@@ -18,21 +19,28 @@ from postcert.certs import (
     RevocationExtension,
     TbsCertificate,
     certificate_to_text,
+    encode_tbs,
+    postcert_signing_payload,
     postcertificate_to_text,
 )
 from postcert.crypto import Signature
 from postcert.encoding import (
+    DECLARED,
+    U32,
     ByteReader,
     ByteWriter,
     DecodeError,
+    _DECODERS,
     decode_artifact,
     encode_artifact,
+    inline,
     text_block_bytes,
+    wire,
 )
-from postcert.log import SCT, STH, LogEntry, MerkleAuditProof
-from postcert.status import RevocationStatus, StatusKind, StatusValue
+from postcert.log import SCT, STH, LogEntry, MerkleAuditProof, sct_signing_payload, sth_signing_payload
+from postcert.status import RevocationStatus, StatusKind, StatusValue, status_signing_payload
 
-from oracles import artifact_samples
+from oracles import artifact_samples, declared
 
 
 def test_primitive_round_trip():
@@ -311,6 +319,49 @@ def test_mutated_artifacts_raise_only_decode_error(payload, mutations):
         pass
 
 
+@settings(max_examples=500)
+@given(payload=st.deferred(lambda: st.sampled_from(artifact_samples())), mutations=_MUTATIONS)
+def test_mutated_artifacts_that_decode_encode_back_to_the_same_bytes(payload, mutations):
+    data = bytearray(payload)
+    for op, position, byte in mutations:
+        at = position % (len(data) + 1)
+        if op == "insert":
+            data.insert(at, byte)
+        elif data:
+            at %= len(data)
+            if op == "set":
+                data[at] = byte
+            else:
+                del data[at]
+    try:
+        artifact = decode_artifact(bytes(data))
+    except DecodeError:
+        return
+    assert encode_artifact(artifact) == data
+
+
+_TBS = TbsCertificate(serial=1, subject="s", issuer="ca", not_before=5, not_after=9, public_key_id="key")
+_TBS_FIELDS = [("u64", 1), ("text", "s"), ("text", "ca"), ("i64", 5), ("i64", 9), ("text", "key")]
+_SIGNATURE_FIELDS = [("text", "ca"), ("blob", bytes(4))]
+# A TBS whose one extension has ``critical`` byte 2.
+_TBS_CRITICAL_2 = _write(_TBS_FIELDS + [("u32", 1), ("text", "1.2"), ("u8", 2), ("blob", b"")])
+
+
+@pytest.mark.parametrize("payload, message", [
+    (b"", "truncated input"),
+    (b"\xee", "unknown artifact tag 238"),
+    (b"\x01" + _write([("blob", encode_tbs(_TBS) + b"\x00")] + _SIGNATURE_FIELDS), "trailing bytes"),
+    (b"\x01" + _write([("blob", _TBS_CRITICAL_2), *_SIGNATURE_FIELDS]), "invalid boolean"),
+    # A revocation extension whose invalidation-date presence byte is 2.
+    (b"\x02" + _write([("blob", encode_tbs(_TBS)), ("text", "unspecified"), ("u8", 2), ("i64", 0)]),
+     "invalid boolean"),
+    (b"\x03" + _write([("blob", b"\xff"), ("i64", 0), ("blob", b""), *_SIGNATURE_FIELDS]), "invalid utf-8"),
+], ids=["empty", "unknown-tag", "tbs-trailing", "boolean", "presence-flag", "utf-8"])
+def test_malformed_layouts_raise_decode_error(payload, message):
+    with pytest.raises(DecodeError, match=message):
+        decode_artifact(payload)
+
+
 def _certificate_with_swapped_dates() -> bytes:
     """A certificate whose not_before is not before its not_after; its
     constructor refuses that, so the field is set past it."""
@@ -341,3 +392,109 @@ _STH = STH("log", 1, 0, bytes(32), Signature("log", bytes(32)))
 def test_invariant_failures_become_decode_errors_naming_the_artifact(payload, message):
     with pytest.raises(DecodeError, match=message):
         decode_artifact(payload)
+
+
+# Codecs derived from the declarations -----------------------------------------
+
+_TAGS = {name: tag for tag, (name, _) in _DECODERS.items()}
+_TAGGED = sorted((cls for cls in DECLARED if cls.__name__ in _TAGS), key=lambda cls: _TAGS[cls.__name__])
+_SIGNING_PAYLOADS = {
+    SCT: sct_signing_payload,
+    STH: sth_signing_payload,
+    RevocationStatus: status_signing_payload,
+    Postcertificate: postcert_signing_payload,
+}
+
+
+def _name(cls) -> str:
+    return cls.__name__
+
+
+def _write_declared(w: ByteWriter, kind, value) -> None:
+    """``value`` written as its declared ``kind`` says, one primitive at a time."""
+    name = kind.name
+    if name in ("u32", "u64", "i64", "blob", "text"):
+        getattr(w, name)(value)
+    elif name == "bool":
+        w.boolean(value)
+    elif name == "enum":
+        w.text(value.value)
+    elif name == "optional":
+        w.boolean(value is not None)
+        if value is not None:
+            _write_declared(w, kind.arg, value)
+    elif name == "seq":
+        w.u32(len(value))
+        for item in value:
+            _write_declared(w, kind.arg, item)
+    elif name == "inline":
+        for field, field_kind in DECLARED[kind.arg]:
+            _write_declared(w, field_kind, getattr(value, field))
+    elif name == "nested":
+        w.artifact(value)
+    else:
+        assert name == "encoded"
+        inner = ByteWriter()
+        _write_declared(inner, inline(kind.arg), value)
+        w.blob(inner.getvalue())
+
+
+@pytest.mark.parametrize("cls", DECLARED, ids=_name)
+def test_each_declaration_names_exactly_its_dataclass_fields(cls):
+    names = [name for name, _ in DECLARED[cls]]
+    assert len(set(names)) == len(names)
+    assert set(names) == {field.name for field in dataclasses.fields(cls)}
+
+
+def test_a_declaration_that_misses_a_field_is_refused():
+    @dataclasses.dataclass(frozen=True)
+    class Pair:
+        a: int
+        b: int
+
+    with pytest.raises(TypeError, match="Pair declares"):
+        wire(a=U32)(Pair)
+
+
+@pytest.mark.parametrize("cls", _TAGGED, ids=_name)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_declared_types_round_trip(cls, data):
+    artifact = data.draw(declared(cls))
+    assert decode_artifact(encode_artifact(artifact)) == artifact
+
+
+@pytest.mark.parametrize("cls", _TAGGED, ids=_name)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_truncation_of_a_declared_type_raises_decode_error(cls, data):
+    payload = encode_artifact(data.draw(declared(cls)))
+    for cut in range(len(payload)):
+        with pytest.raises(DecodeError):
+            decode_artifact(payload[:cut])
+
+
+@pytest.mark.parametrize("cls", _TAGGED, ids=_name)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_derived_encoder_writes_the_declared_fields_in_order(cls, data):
+    artifact = data.draw(declared(cls))
+    w = ByteWriter()
+    w.u8(_TAGS[cls.__name__])
+    _write_declared(w, inline(cls), artifact)
+    assert encode_artifact(artifact) == w.getvalue()
+
+
+@pytest.mark.parametrize("cls", _SIGNING_PAYLOADS, ids=_name)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_signing_payload_is_the_declared_fields_before_the_signature(cls, data):
+    artifact = data.draw(declared(cls))
+    fields = DECLARED[cls]
+    signed = fields[: [name for name, _ in fields].index("signature")]
+    w = ByteWriter()
+    for name, kind in signed:
+        _write_declared(w, kind, getattr(artifact, name))
+    payload = _SIGNING_PAYLOADS[cls](*(getattr(artifact, name) for name, _ in signed))
+    assert payload == w.getvalue()
+    assert encode_artifact(artifact)[1:].startswith(payload)

@@ -13,10 +13,34 @@ import hashlib
 import pytest
 
 from postcert import cli, trace
-from postcert.log import SnapshotLogReader, log_snapshot_text
+from postcert.certs import (
+    CertRef,
+    Certificate,
+    Extension,
+    Postcertificate,
+    PostcertScheme,
+    RevocationExtension,
+    TbsCertificate,
+    postcert_signing_payload,
+)
+from postcert.crypto import Signature
+from postcert.encoding import decode_artifact, encode_artifact
+from postcert.log import (
+    SCT,
+    STH,
+    MerkleAuditProof,
+    SnapshotLogReader,
+    log_snapshot_text,
+    sct_signing_payload,
+    sth_signing_payload,
+)
+from postcert.misbehavior import MisbehaviorProofM3
 from postcert.presets import PRESETS, build_preset, honest_random, normal_revocation, pathologies, single_fault
 from postcert.sim import ScheduledEvent, Simulation
+from postcert.status import RevocationStatus, StatusValue, status_signing_payload
 from postcert.timeutil import MINUTE_MS
+
+from oracles import artifact_samples
 
 PATHOLOGIES_400_TRACE = "602d12bd56263dc7856e9ea9774da3a14ae890d857cd1af66a7a706672e03524"
 PATHOLOGIES_400_REPORT = "00bb0a25f6424a06663848a3ee0855cd4f84f3aa3377f526a2ef651788504767"
@@ -148,3 +172,136 @@ def test_preset_trace_report_and_snapshot_digests(name):
     report = cli.render_report(trace.observations_from_events(events), readers)
     digests = (_sha256(trace.trace_to_text(events)), _sha256(report), _sha256("".join(snapshots)))
     assert digests == PRESET_WORLDS[name]
+
+
+# Canonical bytes. ``ARTIFACT_SAMPLES`` is the digest of the concatenated
+# ``oracles.artifact_samples()``; ``CODEC_LAYOUTS`` pins hand-built artifacts
+# that reach layouts the presets may not (an optional unset and set, empty and
+# longer sequences), and ``SIGNING_PAYLOADS`` the bytes each signature covers.
+ARTIFACT_SAMPLES = "730e9fd920a1ae2ff817b84dfc38417ec3b8d6cbf16f16c7996c1f93750f35c9"
+
+_SIG = Signature("ca", b"\x5a" * 4)
+_TBS_BARE = TbsCertificate(7, "leaf.example", "ca", 10, 20, "key-leaf")
+_TBS_TWO_EXTENSIONS = TbsCertificate(
+    8, "é", "ca", -5, 5, "k", (Extension("1.2.3", True, b""), Extension("4.5", False, b"\x01\x02"))
+)
+_EXT_DATED = RevocationExtension("keyCompromise", 15)
+_SCT = SCT("log-a", 1000, b"\x11" * 4, Signature("log-a", b"\x22" * 4))
+
+
+def _status(value: StatusValue) -> RevocationStatus:
+    return RevocationStatus(CertRef("ca", 7), value, 50, 8 * 3600_000, _SIG)
+
+
+def _sth(i: int) -> STH:
+    return STH(f"log-{i}", 100 + i, i, bytes([i]) * 4, Signature(f"log-{i}", b"\x33"))
+
+
+CODEC_LAYOUTS = {
+    "certificate-no-extensions": (
+        Certificate(_TBS_BARE, _SIG),
+        "010000003e00000000000000070000000c6c6561662e6578616d706c65000000026361000000000000000a"
+        "0000000000000014000000086b65792d6c65616600000000000000026361000000045a5a5a5a",
+    ),
+    "certificate-two-extensions": (
+        Certificate(_TBS_TWO_EXTENSIONS, _SIG),
+        "0100000049000000000000000800000002c3a9000000026361fffffffffffffffb00000000000000050000"
+        "00016b0000000200000005312e322e33010000000000000003342e3500000000020102000000026361000000"
+        "045a5a5a5a",
+    ),
+    "postcert-invalidation-set": (
+        Postcertificate(_TBS_BARE, _EXT_DATED, PostcertScheme.SELF_SIGNED, _SIG),
+        "020000003e00000000000000070000000c6c6561662e6578616d706c65000000026361000000000000000a"
+        "0000000000000014000000086b65792d6c656166000000000000000d6b6579436f6d70726f6d6973650100"
+        "0000000000000f0000000b53454c465f5349474e4544000000075245564f4b4544000000026361000000045a"
+        "5a5a5a",
+    ),
+    "postcert-invalidation-unset": (
+        Postcertificate(_TBS_BARE, RevocationExtension(), PostcertScheme.CA_ISSUED, _SIG),
+        "020000003e00000000000000070000000c6c6561662e6578616d706c65000000026361000000000000000a"
+        "0000000000000014000000086b65792d6c656166000000000000000b756e73706563696669656400000000"
+        "0943415f495353554544000000075245564f4b4544000000026361000000045a5a5a5a",
+    ),
+    "status-reason-none": (
+        _status(StatusValue.good()),
+        "07000000026361000000000000000700000004474f4f44000000000000000000320000000001b774000000"
+        "00026361000000045a5a5a5a",
+    ),
+    "status-reason-set": (
+        _status(StatusValue.revoked("superseded", 12)),
+        "070000000263610000000000000007000000075245564f4b4544010000000a737570657273656465640100"
+        "0000000000000c00000000000000320000000001b77400000000026361000000045a5a5a5a",
+    ),
+    "submission-with-sct": (
+        trace.SubmissionRecord("log-a", 1, 2, b"\x44" * 4, _SCT, 9),
+        "0c000000056c6f672d61000000000000000100000000000000020000000444444444010000002b03000000"
+        "056c6f672d6100000000000003e80000000411111111000000056c6f672d610000000422222222010000"
+        "00000000000900000000",
+    ),
+    "submission-without-sct": (
+        trace.SubmissionRecord("log-b", 1, 3, b"\x44" * 4, error="log-frozen"),
+        "0c000000056c6f672d6200000000000000010000000000000003000000044444444400000000000a6c6f67"
+        "2d66726f7a656e",
+    ),
+    "audit-empty-path": (
+        MerkleAuditProof(0, 1, ()),
+        "060000000000000000000000000000000100000000",
+    ),
+    "m3-no-heads": (
+        MisbehaviorProofM3(_status(StatusValue.unknown()), ()),
+        "090000003a07000000026361000000000000000700000007554e4b4e4f574e00000000000000000032000000"
+        "0001b77400000000026361000000045a5a5a5a00000000",
+    ),
+    "m3-three-heads": (
+        MisbehaviorProofM3(_status(StatusValue.unknown()), (_sth(0), _sth(1), _sth(2))),
+        "090000003a07000000026361000000000000000700000007554e4b4e4f574e00000000000000000032000000"
+        "0001b77400000000026361000000045a5a5a5a000000030000003004000000056c6f672d3000000000000000"
+        "6400000000000000000000000400000000000000056c6f672d3000000001330000003004000000056c6f672d"
+        "31000000000000006500000000000000010000000401010101000000056c6f672d310000000133000000300400"
+        "0000056c6f672d32000000000000006600000000000000020000000402020202000000056c6f672d32000000"
+        "0133",
+    ),
+}
+
+SIGNING_PAYLOADS = {
+    "sct": (
+        lambda: sct_signing_payload("log-a", 1000, b"\x11" * 4),
+        "000000056c6f672d6100000000000003e80000000411111111",
+    ),
+    "sth": (
+        lambda: sth_signing_payload("log-a", -3, 2**64 - 1, b"\x55" * 4),
+        "000000056c6f672d61fffffffffffffffdffffffffffffffff0000000455555555",
+    ),
+    "status": (
+        lambda: status_signing_payload(
+            CertRef("ca", 7), StatusValue.revoked("superseded", 12), 50, 8 * 3600_000
+        ),
+        "0000000263610000000000000007000000075245564f4b4544010000000a7375706572736564656401000000"
+        "000000000c00000000000000320000000001b77400",
+    ),
+    "postcert": (
+        lambda: postcert_signing_payload(
+            _TBS_TWO_EXTENSIONS, _EXT_DATED, PostcertScheme.SELF_SIGNED, "REVOKED"
+        ),
+        "00000049000000000000000800000002c3a9000000026361fffffffffffffffb000000000000000500000001"
+        "6b0000000200000005312e322e33010000000000000003342e35000000000201020000000d6b6579436f6d70"
+        "726f6d69736501000000000000000f0000000b53454c465f5349474e4544000000075245564f4b4544",
+    ),
+}
+
+
+def test_artifact_samples_digest():
+    assert hashlib.sha256(b"".join(artifact_samples())).hexdigest() == ARTIFACT_SAMPLES
+
+
+@pytest.mark.parametrize("name", sorted(CODEC_LAYOUTS))
+def test_codec_layouts(name):
+    artifact, layout = CODEC_LAYOUTS[name]
+    assert encode_artifact(artifact).hex() == layout
+    assert decode_artifact(bytes.fromhex(layout)) == artifact
+
+
+@pytest.mark.parametrize("name", sorted(SIGNING_PAYLOADS))
+def test_signing_payloads(name):
+    payload, layout = SIGNING_PAYLOADS[name]
+    assert payload().hex() == layout

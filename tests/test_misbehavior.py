@@ -362,10 +362,9 @@ def test_m3_boundary_is_strict_before():
     assert verdict.proven
 
 
-def _undecodable_entry(registry, t: int) -> tuple[LogEntry, STH]:
+def _undecodable_entry(registry, t: int, payload: bytes = b"\x01garbage") -> tuple[LogEntry, STH]:
     """A one-entry log of ``log1`` whose only payload is no artifact, and its
     correctly signed head at time ``t``."""
-    payload = b"\x01garbage"
     tree = MerkleTree()
     tree.append(payload)
     root = tree.root()
@@ -384,6 +383,14 @@ def test_undecodable_entry_rejects_instead_of_raising(registry):
     readers = {"log1": SnapshotLogReader("log1", [entry], [sth])}
     verdict = verify_m3(MisbehaviorProofM3(status, (sth,)), PUB_POLICY, trusted, registry, readers)
     assert (verdict.reason, verdict.detail) == ("undecodable-entry", "log1#0: truncated input")
+
+
+def test_malformed_postcert_entry_is_skipped_when_building_a_proof(registry):
+    entry, sth = _undecodable_entry(registry, 10 * HOUR_MS, b"\x02garbage")
+    bag = ObservationBag(policy=PUB_POLICY, trusted=TrustedLogSet.of("log1"), registry=registry,
+                         log_readers={"log1": SnapshotLogReader("log1", [entry], [sth])})
+    with pytest.raises(InsufficientEvidenceError):
+        build_proof(Case.M1_MISSING_UPDATE, bag)
 
 
 def test_m3_missing_log_coverage_rejects():

@@ -259,6 +259,19 @@ def test_frozen_log_event_and_fallback():
     assert revoked
 
 
+def test_revocation_every_log_rejects_is_traced_not_raised():
+    base = normal_revocation(seed=12)
+    freezes = tuple(
+        ScheduledEvent(30 * MINUTE_MS, "freeze-log", {"log": log.log_id}) for log in base.logs
+    )
+    events = Simulation(dataclasses.replace(base, schedule=freezes + base.schedule)).run()
+    submits = [e.artifact() for e in events if e.kind is EventKind.SUBMIT]
+    assert [(s.log_id, s.ok, s.error) for s in submits] == [
+        ("log-a", False, "log-frozen"), ("log-b", False, "log-frozen"), ("log-c", False, "log-frozen"),
+    ]
+    assert not [e for e in events if e.kind is EventKind.SCT]
+
+
 def test_drop_entry_produces_sct_without_publication():
     base = log_forget(seed=13)
     events = Simulation(base).run()
