@@ -326,15 +326,24 @@ def _reject(reason: str) -> ChainVerdict:
 
 
 class TrustStore:
-    """Set of trusted self-signed root certificates."""
+    """Set of trusted self-issued root certificates.
+
+    A root in the store is a trust anchor, an input to path validation
+    (RFC 5280 §6.1.1(d)), so a chain ending in one does not verify the
+    root's self-signature again.
+    """
 
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         # Certificates are frozen dataclasses whose equality covers exactly the
         # fields of their canonical encoding, so a set of them matches a root
         # by value without encoding it.
-        self._roots: set[Certificate] = set(roots or [])
+        self._roots: set[Certificate] = set()
+        for root in roots or []:
+            self.add(root)
 
     def add(self, root: Certificate) -> None:
+        if root.tbs.issuer != root.tbs.subject or root.signature.signer_id != root.tbs.public_key_id:
+            raise CertError(f"trust anchor {root.tbs.subject!r} is not self-issued")
         self._roots.add(root)
 
     def contains(self, cert: Certificate) -> bool:
@@ -360,11 +369,11 @@ def _validate_issuer_chain(
         if not _verify_cert_signature(child, parent, registry):
             return _reject(REJECT_BAD_SIGNATURE)
     root = chain[-1]
+    if trust.contains(root):
+        return _ACCEPT
     if not _verify_cert_signature(root, root, registry):
         return _reject(REJECT_BAD_SIGNATURE)
-    if not trust.contains(root):
-        return _reject(REJECT_UNTRUSTED_ROOT)
-    return _ACCEPT
+    return _reject(REJECT_UNTRUSTED_ROOT)
 
 
 def validate_chain(

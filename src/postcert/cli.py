@@ -362,6 +362,7 @@ def _observe_live(reader, args: argparse.Namespace) -> list:
     seq = 0
     started = time.monotonic()
     next_size = started + (size_interval / 1000.0) / 2 if size_interval else None
+    last_size = 0  # each size search gallops up from the previous one's result
     while (time.monotonic() - started) * 1000 < duration_ms:
         t_request = int(time.time() * 1000)
         sth = reader.get_sth()
@@ -370,7 +371,8 @@ def _observe_live(reader, args: argparse.Namespace) -> list:
         events.append(TraceEvent(t_request, seq, "probe", EventKind.STH, enc(obs)))
         seq += 1
         if next_size is not None and time.monotonic() >= next_size:
-            probe = binary_search_size(reader, int(time.time() * 1000))
+            probe = binary_search_size(reader, int(time.time() * 1000), last_size)
+            last_size = probe.size
             events.append(TraceEvent(probe.t, seq, "probe", EventKind.SIZE, enc(probe)))
             seq += 1
             next_size += size_interval / 1000.0

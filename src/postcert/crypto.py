@@ -98,28 +98,35 @@ class KeyRegistry:
     """
 
     def __init__(self, secrets: Mapping[str, bytes] | None = None) -> None:
-        self._secrets: dict[str, bytes] = dict(secrets or {})
+        # One keyed HMAC state per signer: the key pads are computed here once,
+        # and each sign or verify continues a copy of the state.
+        self._keyed = {
+            signer_id: hmac.new(secret, digestmod="sha256")
+            for signer_id, secret in (secrets or {}).items()
+        }
 
     @classmethod
     def with_signers(cls, signer_ids: Iterable[str]) -> "KeyRegistry":
         return cls({signer_id: _derive_secret(signer_id) for signer_id in signer_ids})
 
     def has(self, signer_id: str) -> bool:
-        return signer_id in self._secrets
+        return signer_id in self._keyed
 
     def signer_ids(self) -> list[str]:
-        return sorted(self._secrets)
+        return sorted(self._keyed)
 
     def sign(self, signer_id: str, payload: bytes) -> Signature:
-        secret = self._secrets.get(signer_id)
-        if secret is None:
+        keyed = self._keyed.get(signer_id)
+        if keyed is None:
             raise UnknownSignerError(f"unknown signer: {signer_id}")
-        tag = hmac.digest(secret, payload, "sha256")
-        return Signature(signer_id=signer_id, value=tag)
+        mac = keyed.copy()
+        mac.update(payload)
+        return Signature(signer_id=signer_id, value=mac.digest())
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
-        secret = self._secrets.get(signature.signer_id)
-        if secret is None:
+        keyed = self._keyed.get(signature.signer_id)
+        if keyed is None:
             return False
-        expected = hmac.digest(secret, payload, "sha256")
-        return hmac.compare_digest(expected, signature.value)
+        mac = keyed.copy()
+        mac.update(payload)
+        return hmac.compare_digest(mac.digest(), signature.value)

@@ -18,7 +18,8 @@ that travel on their own. The kinds are
     inline(cls)         cls's declared fields, in place
     nested(cls)         a BLOB holding cls's tagged encoding
     encoded(cls)        a BLOB holding cls's untagged encoding, read from the
-                        value's cached ``encoded`` attribute
+                        value's cached ``encoded`` attribute; a decoded value
+                        gets the blob it came from as that cache
 
 At import each tagged declaration is compiled into one encoder and one
 decoder of straight-line source, the way ``dataclasses`` builds
@@ -407,9 +408,13 @@ def _decode(source: _DecoderSource, kind: Kind) -> str:
     length = source.fixed("I")
     source.line(f"_e = p + {length}", "if _e > n:\n    raise DecodeError('truncated input')")
     if name == "encoded":  # the blob holds exactly one untagged kind.arg
+        # Decoding is canonical, so the blob is the value's encoding: it
+        # becomes the cached ``encoded`` and is never encoded again.
         source.line(
-            f"{value}, _end = {source.const(_decoder(inline(kind.arg)))}(d[p:_e], 0)",
+            "_b = d[p:_e]",
+            f"{value}, _end = {source.const(_decoder(inline(kind.arg)))}(_b, 0)",
             "if _end != _e - p:\n    raise DecodeError('trailing bytes')",
+            f"{value}.__dict__['encoded'] = _b",
         )
     else:
         source.line(f"{value} = " + _READ[name].format("d[p:_e]", kind.arg and source.const(kind.arg)))

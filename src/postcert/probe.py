@@ -51,11 +51,16 @@ class LogClass:
 
 # Phase 2: size probing ------------------------------------------------------------
 
-def binary_search_size(reader, now: int | None = None) -> SizeProbe:
+def binary_search_size(reader, now: int | None = None, at_least: int = 0) -> SizeProbe:
     """Exact count of retrievable entries using O(log n) single-entry reads.
 
     Works even when the advertised tree head lags behind what the entry
-    endpoint already serves.
+    endpoint already serves. ``at_least`` is a size the caller has already
+    seen served: when entry ``at_least - 1`` is still there, the search
+    gallops up from it (``at_least``, ``+1``, ``+3``, ``+7``, ...), so a log
+    grown by ``d`` entries costs O(log d) reads; otherwise it searches from 0.
+    Served entries form a prefix, so the answer is exact for any hint, and
+    without one the reads are 0, 1, 2, 4, ... as in a plain search.
     """
 
     def has_entry(index: int) -> bool:
@@ -66,12 +71,15 @@ def binary_search_size(reader, now: int | None = None) -> SizeProbe:
             raise AnalysisError("reader-unavailable", str(exc))
 
     t = now if now is not None else 0
-    if not has_entry(0):
-        return SizeProbe(reader.log_id, t, 0)
-    hi = 1
+    base = max(at_least, 1)
+    if not has_entry(base - 1):
+        if base == 1 or not has_entry(0):
+            return SizeProbe(reader.log_id, t, 0)
+        base = 1  # the hint is above the size: search from 0
+    lo, hi = base - 1, base  # entry lo is present
     while has_entry(hi):
-        hi *= 2
-    lo = hi // 2  # highest known-present index; first absent is in (lo, hi]
+        lo, hi = hi, 2 * hi - base + 1
+    # lo is the highest known-present index; the first absent is in (lo, hi]
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if has_entry(mid):

@@ -669,11 +669,15 @@ class Simulation:
         self.schedule(probe.sth_interval_ms, sth_tick)
 
         if probe.size_interval_ms:
+            # each search gallops up from the size the previous one measured
+            last_size = {log_id: 0 for log_id in self._probe_logs()}
+
             def size_tick(now: int) -> None:
                 if now > self.scenario.horizon_ms:
                     return
                 for log_id in self._probe_logs():
-                    record = binary_search_size(self.logs[log_id], now)
+                    record = binary_search_size(self.logs[log_id], now, last_size[log_id])
+                    last_size[log_id] = record.size
                     self.emit(now, "probe", EventKind.SIZE, record)
                 self.schedule(now + probe.size_interval_ms, size_tick)
 

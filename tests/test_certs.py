@@ -31,6 +31,7 @@ from postcert.certs import (
     sign_certificate,
     validate_chain,
 )
+from postcert.crypto import Signature
 from postcert.encoding import decode_artifact
 
 from oracles import artifact_samples
@@ -231,3 +232,58 @@ def test_is_postcert_payload_is_false_for_other_bytes(payload):
 
 def test_is_postcert_payload_is_false_for_empty_bytes():
     assert not is_postcert_payload(b"")
+
+
+def _counting_verify(registry, monkeypatch) -> list:
+    calls = []
+    verify = registry.verify
+
+    def counting(sig, payload):
+        calls.append(sig)
+        return verify(sig, payload)
+
+    monkeypatch.setattr(registry, "verify", counting)
+    return calls
+
+
+def test_a_trusted_root_is_an_anchor_whose_self_signature_is_not_rechecked(
+    registry, leaf_cert, ca_root, trust, monkeypatch
+):
+    calls = _counting_verify(registry, monkeypatch)
+    verdict = validate_chain(leaf_cert, [ca_root], ValidationContext.LOG_CA_ISSUED, registry, trust)
+    assert verdict
+    assert calls == [leaf_cert.signature]
+    # the anchor is an input to path validation, matched by value
+    unsigned_root = dataclasses.replace(ca_root, signature=Signature("ca1", bytes(32)))
+    verdict = validate_chain(
+        leaf_cert, [unsigned_root], ValidationContext.LOG_CA_ISSUED, registry, TrustStore([unsigned_root])
+    )
+    assert verdict
+
+
+def test_an_untrusted_root_is_still_checked_for_its_self_signature(registry, leaf_cert, ca_root):
+    bad_root = dataclasses.replace(ca_root, signature=Signature("ca1", bytes(32)))
+    other_trust = TrustStore([sign_certificate(registry, "ca2", TbsCertificate(
+        serial=0, subject="ca2", issuer="ca2", not_before=0, not_after=10**12, public_key_id="ca2",
+    ))])
+    for trust in (TrustStore(), other_trust):
+        bad = validate_chain(leaf_cert, [bad_root], ValidationContext.LOG_CA_ISSUED, registry, trust)
+        assert bad.reason == REJECT_BAD_SIGNATURE
+        good = validate_chain(leaf_cert, [ca_root], ValidationContext.LOG_CA_ISSUED, registry, trust)
+        assert good.reason == REJECT_UNTRUSTED_ROOT
+
+
+@pytest.mark.parametrize("change", [
+    {"issuer": "someone-else"},
+    {"subject": "someone-else"},
+    {"public_key_id": "another-key"},
+])
+def test_trust_store_refuses_a_root_that_is_not_self_issued(registry, ca_root, change):
+    tbs = dataclasses.replace(ca_root.tbs, **change)
+    root = sign_certificate(registry, "ca1", tbs)
+    with pytest.raises(CertError, match="not self-issued"):
+        TrustStore([root])
+    trust = TrustStore()
+    with pytest.raises(CertError, match="not self-issued"):
+        trust.add(root)
+    assert not trust.contains(root)

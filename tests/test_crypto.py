@@ -160,3 +160,28 @@ def test_sign_matches_hmac_new_for_derived_secrets():
             assert registry.verify(sig, payload)
             assert not registry.verify(Signature(signer_id, bytes([expected[0] ^ 1]) + expected[1:]),
                                        payload)
+
+
+@pytest.mark.parametrize("secret, payload", [
+    # RFC 4231, test case 6: a 131-byte key, longer than the SHA-256 block.
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First"),
+    (b"k", b"short secret"),
+    (b"", b"empty secret"),
+    (b"secret", b""),
+])
+def test_keyed_state_agrees_with_one_shot_hmac(secret, payload):
+    import hmac
+
+    registry = KeyRegistry({"s": secret})
+    expected = hmac.digest(secret, payload, "sha256")
+    sig = registry.sign("s", payload)
+    assert sig.value == expected
+    assert registry.verify(sig, payload)
+    assert registry.sign("s", payload) == sig  # the keyed state is copied, never consumed
+    assert not registry.verify(sig, payload + b"x")
+
+
+def test_sign_matches_rfc4231_case_6_long_key_vector():
+    registry = KeyRegistry({"long": b"\xaa" * 131})
+    sig = registry.sign("long", b"Test Using Larger Than Block-Size Key - Hash Key First")
+    assert sig.value.hex() == "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"

@@ -498,3 +498,14 @@ def test_signing_payload_is_the_declared_fields_before_the_signature(cls, data):
     payload = _SIGNING_PAYLOADS[cls](*(getattr(artifact, name) for name, _ in signed))
     assert payload == w.getvalue()
     assert encode_artifact(artifact)[1:].startswith(payload)
+
+
+@pytest.mark.parametrize("cls", [Certificate, Postcertificate], ids=_name)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_a_decoded_tbs_caches_the_blob_it_was_read_from(cls, data):
+    payload = encode_artifact(data.draw(declared(cls)))
+    tbs = decode_artifact(payload).tbs
+    assert "encoded" in vars(tbs)  # seeded by the decoder, not computed on read
+    assert tbs.encoded == encode_tbs(tbs)
+    assert encode_artifact(decode_artifact(payload)) == payload

@@ -3,6 +3,8 @@ growth projection."""
 
 from __future__ import annotations
 
+import functools
+import math
 import random
 
 import pytest
@@ -90,6 +92,111 @@ def test_binary_search_sees_past_lagging_sth(registry, trust, ca_root):
     advertised = log.get_sth(100).treesize
     measured = binary_search_size(log, now=100).size
     assert advertised < measured == 25
+
+
+class _RecordingReader:
+    """A reader serving entries 0..size-1 that records every index it is asked for."""
+
+    log_id = "fake"
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.reads: list[int] = []
+
+    def get_entries(self, start: int, end: int, now: int | None = None) -> list[int]:
+        self.reads.append(start)
+        return list(range(start, min(end + 1, self.size)))
+
+
+@pytest.mark.parametrize("n, reads", [
+    (0, [0]),
+    (1, [0, 1]),
+    (13, [0, 1, 2, 4, 8, 16, 12, 14, 13]),
+    (20_000, [0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768,
+              24576, 20480, 18432, 19456, 19968, 20224, 20096, 20032, 20000, 19984, 19992,
+              19996, 19998, 19999]),
+])
+def test_binary_search_without_a_hint_reads_the_plain_search_sequence(n, reads):
+    reader = _RecordingReader(n)
+    assert binary_search_size(reader).size == n
+    assert reader.reads == reads
+
+
+def test_a_hint_above_the_size_falls_back_to_the_search_from_zero():
+    reader = _RecordingReader(13)
+    assert binary_search_size(reader, at_least=16).size == 13
+    assert reader.reads == [15, 0, 1, 2, 4, 8, 16, 12, 14, 13]
+    empty = _RecordingReader(0)
+    assert binary_search_size(empty, at_least=5).size == 0
+    assert empty.reads == [4, 0]
+
+
+@settings(max_examples=300)
+@given(data=st.data(), n=st.integers(0, 600))
+def test_galloping_search_is_exact_for_any_hint(data, n):
+    at_least = data.draw(st.integers(0, n + 5))
+    assert binary_search_size(_RecordingReader(n), at_least=at_least).size == n
+
+
+@settings(max_examples=300)
+@given(n=st.integers(0, 100_000), short=st.integers(0, 100_000))
+def test_galloping_search_costs_logarithmic_reads_in_the_growth(n, short):
+    delta = min(short, n)
+    reader = _RecordingReader(n)
+    assert binary_search_size(reader, at_least=n - delta).size == n
+    assert len(reader.reads) <= 2 * math.ceil(math.log2(delta + 1)) + 3
+
+
+@functools.cache
+def _hundreds_of_submissions():
+    """A registry, trust store, root and 600 leaf certificates, built once."""
+    from postcert.certs import TrustStore
+    from postcert.crypto import KeyRegistry
+
+    registry = KeyRegistry.with_signers(["ca1", "log1"])
+    root = sign_certificate(registry, "ca1", TbsCertificate(
+        serial=0, subject="ca1", issuer="ca1", not_before=0, not_after=10**12, public_key_id="ca1",
+    ))
+    leaves = tuple(
+        sign_certificate(registry, "ca1", TbsCertificate(
+            serial=10_000 + i, subject=f"s{i}.example", issuer="ca1",
+            not_before=0, not_after=10**12, public_key_id="leaf-key-1",
+        ))
+        for i in range(600)
+    )
+    return registry, TrustStore([root]), root, leaves
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(0, 600))
+def test_galloping_search_is_exact_for_any_hint_on_a_ctlog(data, n):
+    at_least = data.draw(st.integers(0, n + 5))
+    registry, trust, root, leaves = _hundreds_of_submissions()
+    log = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:0"), seed=0)
+    for i, cert in enumerate(leaves[:n]):
+        log.submit(cert, [root], now=i + 1)
+    assert binary_search_size(log, now=n + 10, at_least=at_least).size == n
+
+
+def test_simulated_size_probes_gallop_from_the_last_size(monkeypatch):
+    from postcert import sim as sim_module
+    from postcert.presets import pathologies
+    from postcert.sim import Simulation
+
+    hints: dict[str, list[tuple[int, int]]] = {}
+    search = sim_module.binary_search_size
+
+    def recording(reader, now=None, at_least=0):
+        probe = search(reader, now, at_least)
+        hints.setdefault(reader.log_id, []).append((at_least, probe.size))
+        return probe
+
+    monkeypatch.setattr(sim_module, "binary_search_size", recording)
+    Simulation(pathologies(4, probes=30)).run()
+    assert set(hints) == {"ooo", "lagging", "honest"}
+    for calls in hints.values():
+        assert calls[0][0] == 0
+        assert [hint for hint, _ in calls[1:]] == [size for _, size in calls[:-1]]
 
 
 # -- submission-to-publication
