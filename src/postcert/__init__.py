@@ -57,8 +57,10 @@ from .misbehavior import (
     Verdict,
     build_proof,
     earliest_proof_time,
+    proof_time,
     verify_m12,
     verify_m3,
+    verify_proof,
     verify_sct_disclosure,
 )
 from .probe import (
@@ -74,7 +76,7 @@ from .probe import (
     request_processing_stats,
     submission_to_publication,
 )
-from .sim import Scenario, Simulation, multi_log_submit, run
+from .sim import Scenario, Simulation, run
 from .status import (
     RevocationStatus,
     StatusKind,

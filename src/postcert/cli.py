@@ -14,18 +14,7 @@ from pathlib import Path
 
 from .encoding import DecodeError, decode_artifact, text_block_bytes
 from .log import LogError, LogReader, SnapshotLogReader, entries_below, log_snapshot_text
-from .misbehavior import (
-    MisbehaviorProofM12,
-    MisbehaviorProofM3,
-    MrdMode,
-    MrdPolicy,
-    SctDisclosureProof,
-    TrustedLogSet,
-    proof_to_text,
-    verify_m12,
-    verify_m3,
-    verify_sct_disclosure,
-)
+from .misbehavior import MrdMode, MrdPolicy, TrustedLogSet, proof_to_text, verify_proof
 from .crypto import KeyRegistry
 from .presets import PRESETS, build_preset, default_policy
 from .probe import (
@@ -42,6 +31,7 @@ from .probe import (
     submission_to_publication,
 )
 from .sim import ScenarioError, Simulation, scenario_from_text
+from .status import RevocationStatus
 from .timeutil import parse_duration_ms
 from .trace import (
     EventKind,
@@ -60,8 +50,6 @@ EXIT_IO = 3
 
 def _policy_from_args(args: argparse.Namespace) -> MrdPolicy:
     mode = MrdMode.FROM_SUBMISSION if args.mrd_mode == "submission" else MrdMode.FROM_PUBLICATION
-    if args.mrd is None and args.mmd is None:
-        return default_policy(mode)
     base = default_policy(mode)
     mrd = parse_duration_ms(args.mrd) if args.mrd else base.mrd_ms
     mmd = parse_duration_ms(args.mmd) if args.mmd else base.mmd_ms
@@ -78,8 +66,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         policy = _policy_from_args(args)
         scenario = build_preset(args.preset, args.seed, policy)
-    sim = Simulation(scenario)
-    events = sim.run()
+    try:
+        sim = Simulation(scenario)
+        events = sim.run()
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     text = trace_to_text(events)
     try:
         if args.out:
@@ -289,20 +281,14 @@ def _cmd_verify_proof(args: argparse.Namespace) -> int:
     else:
         print("error: --trusted or --logs required", file=sys.stderr)
         return EXIT_USAGE
-    signer_ids = set(trusted.sorted())
-    if isinstance(bundle, MisbehaviorProofM12):
-        signer_ids.add(bundle.status.signature.signer_id)
-        signer_ids.add(bundle.sth.log_id)
-    elif isinstance(bundle, MisbehaviorProofM3):
-        signer_ids.add(bundle.status.signature.signer_id)
-    registry = KeyRegistry.with_signers(sorted(signer_ids))
-    if isinstance(bundle, MisbehaviorProofM12):
-        verdict = verify_m12(bundle, policy, trusted, registry)
-    elif isinstance(bundle, MisbehaviorProofM3):
-        verdict = verify_m3(bundle, policy, trusted, registry, readers)
-    elif isinstance(bundle, SctDisclosureProof):
-        verdict = verify_sct_disclosure(bundle, policy.mmd_ms, trusted, registry, readers)
-    else:
+    # the trusted logs sign the heads and SCTs, the CA signs the status
+    signer_ids = trusted.sorted()
+    status = getattr(bundle, "status", None)
+    if isinstance(status, RevocationStatus):
+        signer_ids.append(status.signature.signer_id)
+    try:
+        verdict = verify_proof(bundle, policy, trusted, KeyRegistry.with_signers(signer_ids), readers)
+    except TypeError:
         print("error: not a proof bundle", file=sys.stderr)
         return EXIT_USAGE
     if verdict.proven:

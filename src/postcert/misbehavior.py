@@ -330,6 +330,35 @@ def verify_sct_disclosure(
     return PROVEN
 
 
+def verify_proof(
+    proof,
+    policy: MrdPolicy,
+    trusted: TrustedLogSet,
+    registry: KeyRegistry,
+    log_readers: dict[str, LogReader],
+) -> Verdict:
+    """Check any proof bundle with the verifier for its type."""
+    if isinstance(proof, MisbehaviorProofM12):
+        return verify_m12(proof, policy, trusted, registry)
+    if isinstance(proof, MisbehaviorProofM3):
+        return verify_m3(proof, policy, trusted, registry, log_readers)
+    if isinstance(proof, SctDisclosureProof):
+        return verify_sct_disclosure(proof, policy.mmd_ms, trusted, registry, log_readers)
+    raise TypeError(f"not a proof: {type(proof).__name__}")
+
+
+def proof_time(proof, policy: MrdPolicy) -> int:
+    """Earliest instant at which a bundle's claim is provable; an SCT
+    disclosure becomes provable one merge delay after the SCT."""
+    if isinstance(proof, MisbehaviorProofM12):
+        return earliest_proof_time(Case.M1_MISSING_UPDATE, policy, entry=proof.entry, covering_sth=proof.sth)
+    if isinstance(proof, MisbehaviorProofM3):
+        return earliest_proof_time(Case.M3_EARLY_STATUS, policy, status=proof.status)
+    if isinstance(proof, SctDisclosureProof):
+        return proof.sct.timestamp + policy.mmd_ms
+    raise TypeError(f"not a proof: {type(proof).__name__}")
+
+
 # Proof building from observations ------------------------------------------------
 
 @dataclass

@@ -8,6 +8,7 @@ seeds redraw the random choices.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .log import DuplicatePolicy, LogConfig, SthCacheMode, UpdateClass
 from .misbehavior import MrdMode, MrdPolicy
@@ -392,43 +393,19 @@ def single_fault(seed: int, case: str) -> Scenario:
         "M2": CaMisbehavior.M2_WRONG_STATUS,
         "M3": CaMisbehavior.M3_EARLY_REVOKE,
     }[case]
-    ca = base.cas[0]
-    schedule = list(base.schedule)
+    schedule = base.schedule
     if flag is CaMisbehavior.M3_EARLY_REVOKE:
         # the early revocation must bypass the log submission entirely
-        schedule = [
+        schedule = tuple(
             e if e.kind == "issue" else ScheduledEvent(e.t, "revoke-direct", {"serial": "1"})
             for e in schedule
-        ]
-    clients = tuple(
-        SimClientConfig(
-            client_id=c.client_id,
-            submit_copies=c.submit_copies,
-            sct_handoff=False,
-            handoff_delay_ms=c.handoff_delay_ms,
-            avoid_issuer_log=c.avoid_issuer_log,
-            scheme=c.scheme,
         )
-        for c in base.clients
-    )
-    return Scenario(
+    return replace(
+        base,
         name=f"fault-{case.lower()}",
-        seed=seed,
-        horizon_ms=base.horizon_ms,
-        policy=base.policy,
-        logs=base.logs,
-        cas=(SimCaConfig(
-            ca_id=ca.ca_id,
-            poll_interval_ms=ca.poll_interval_ms,
-            status_validity_ms=ca.status_validity_ms,
-            update_delay_ms=ca.update_delay_ms,
-            processing_delay_ms=ca.processing_delay_ms,
-            clock_offset_ms=ca.clock_offset_ms,
-            misbehavior=flag,
-        ),),
-        clients=clients,
-        probe=base.probe,
-        schedule=tuple(schedule),
+        cas=(replace(base.cas[0], misbehavior=flag),),
+        clients=tuple(replace(c, sct_handoff=False) for c in base.clients),
+        schedule=schedule,
     )
 
 

@@ -8,6 +8,13 @@ monitor logs, update the status before the deadline, timestamp the revoked
 status after the earliest SCT); a misbehaving actor realizes exactly its
 configured deviation and nothing else.
 
+Every periodic actor (status refreshes, CA polls, background load and the
+probe's tree-head, size and submission ticks) is one ``Simulation.loop``: a
+tick runs, returns the delay to its next run or None to stop, and the run
+ends at the first event past the horizon. Every traced submission, a
+client's, a CA's or the probe's, walks the candidate logs through
+``_submission_attempts``, so a rejection becomes an error code in one place.
+
 At the horizon the run optionally audits itself: measured delay breakdowns go
 through the bound checker, and a third-party monitor view of the trace is fed
 to the misbehavior proof builders. Violations and proof attempts land in the
@@ -45,10 +52,8 @@ from .misbehavior import (
     ObservationBag,
     TrustedLogSet,
     build_proof,
-    earliest_proof_time,
-    verify_m12,
-    verify_m3,
-    verify_sct_disclosure,
+    proof_time,
+    verify_proof,
 )
 from .probe import binary_search_size
 from .status import (
@@ -77,10 +82,11 @@ class ScenarioError(Exception):
     pass
 
 
-class AllLogsRejectedError(Exception):
-    def __init__(self, failures: list[tuple[str, str]]) -> None:
-        super().__init__(f"all-logs-rejected: {failures}")
-        self.failures = failures
+def _root_cert(registry: KeyRegistry, name: str) -> Certificate:
+    """Self-issued root certificate of the signer ``name``."""
+    tbs = TbsCertificate(serial=0, subject=name, issuer=name, not_before=0,
+                         not_after=CERT_LIFETIME_MS * 4, public_key_id=name)
+    return sign_certificate(registry, name, tbs)
 
 
 class CaMisbehavior(enum.Enum):
@@ -167,25 +173,45 @@ def validate_scenario(scenario: Scenario) -> None:
     if not scenario.logs:
         raise ScenarioError("invalid-scenario: at least one log required")
     log_ids = {l.log_id for l in scenario.logs}
-    seen_serials: dict[str, set[int]] = {}
-    for event in scenario.schedule:
+    for named in [c.monitored_logs for c in scenario.cas] + [scenario.probe.logs if scenario.probe else ()]:
+        if not log_ids.issuperset(named):
+            raise ScenarioError(f"invalid-scenario: unknown log in {','.join(named)}")
+    client_ids = {c.client_id for c in scenario.clients}
+    given: dict[str, set[int]] = {c.ca_id: set() for c in scenario.cas}  # serials issued so far
+    held: set[tuple[str, int]] = set()  # (client, serial) issued so far
+    # in run order: by time, ties in schedule order
+    for event in sorted(scenario.schedule, key=lambda e: e.t):
+        params, where = event.params, f"invalid-scenario: {event.kind} at t={event.t}"
         if event.t < 0 or event.t > scenario.horizon_ms:
             raise ScenarioError(f"invalid-scenario: event at t={event.t} outside horizon")
-        if event.kind == "issue":
-            ca = event.params.get("ca")
-            serial = int(event.params.get("serial", "-1"))
-            if ca not in {c.ca_id for c in scenario.cas}:
-                raise ScenarioError(f"invalid-scenario: unknown ca {ca!r}")
-            if serial in seen_serials.setdefault(ca, set()):
-                raise ScenarioError(f"invalid-scenario: duplicate serial {serial} for {ca}")
-            seen_serials[ca].add(serial)
-        elif event.kind in ("freeze-log", "drop-entry"):
-            if event.params.get("log") not in log_ids:
-                raise ScenarioError(f"invalid-scenario: unknown log {event.params.get('log')!r}")
-        elif event.kind in ("revoke-request", "revoke-direct"):
-            pass
-        else:
+        if event.kind not in ("issue", "revoke-request", "revoke-direct", "freeze-log", "drop-entry"):
             raise ScenarioError(f"invalid-scenario: unknown event kind {event.kind!r}")
+        try:
+            ints = {name: int(params[name]) for name in ("serial", "k", "delivery") if name in params}
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from None
+        if any(value < 0 for value in ints.values()):
+            raise ScenarioError(f"{where}: negative value in {ints}")
+        serial = ints.get("serial")
+        if serial is None and event.kind != "freeze-log":
+            raise ScenarioError(f"{where}: no serial")
+        client = params.get("client")
+        if event.kind in ("issue", "revoke-request") and client not in client_ids:
+            raise ScenarioError(f"{where}: unknown client {client!r}")
+        if event.kind in ("freeze-log", "drop-entry") and params.get("log") not in log_ids:
+            raise ScenarioError(f"{where}: unknown log {params.get('log')!r}")
+        if event.kind == "issue":
+            ca = params.get("ca")
+            if ca not in given:
+                raise ScenarioError(f"{where}: unknown ca {ca!r}")
+            if serial in given[ca]:
+                raise ScenarioError(f"{where}: duplicate serial {serial} for {ca}")
+            given[ca].add(serial)
+            held.add((client, serial))
+        elif event.kind == "revoke-request" and (client, serial) not in held:
+            raise ScenarioError(f"{where}: client {client} holds no certificate {serial}")
+        elif event.kind == "revoke-direct" and not any(serial in g for g in given.values()):
+            raise ScenarioError(f"{where}: no issuer for serial {serial}")
 
 
 def derive_seed(seed: int, label: str) -> str:
@@ -221,40 +247,12 @@ def _submission_attempts(
         yield log.log_id, sct, ""
 
 
-def multi_log_submit(
-    postcert: Postcertificate,
-    chain: list[Certificate],
-    logs: list[CtLog],
-    k: int,
-    now: int,
-    *,
-    skip_operator: str | None = None,
-    operators: dict[str, str] | None = None,
-) -> tuple[list[SCT], list[tuple[str, str]]]:
-    """Submit one postcertificate to ``k`` distinct logs.
-
-    Logs operated by ``skip_operator`` are skipped. Rejections are collected
-    and returned; if no log accepts, the whole submission fails.
-    """
-    if k > len(logs):
-        raise ValueError("k exceeds the number of candidate logs")
-    attempts = list(_submission_attempts(
-        postcert, chain, logs, k, now, skip_operator=skip_operator, operators=operators
-    ))
-    scts = [sct for _, sct, _ in attempts if sct is not None]
-    failures = [(log_id, error) for log_id, sct, error in attempts if sct is None]
-    if not scts:
-        raise AllLogsRejectedError(failures)
-    return scts, failures
-
-
 @dataclass
 class _IssuedCert:
     serial: int
     cert: Certificate
     postcert: Postcertificate
     chain: list[Certificate]
-    client_id: str
 
 
 @dataclass
@@ -266,7 +264,6 @@ class _Milestones:
     t_receive: int | None = None
     t_processed: int | None = None
     t_first_submit: int | None = None
-    submit_log_ids: list[str] = field(default_factory=list)
     t_handoff: int | None = None
     discovery_log: str | None = None
     t_discovery: int | None = None
@@ -285,15 +282,7 @@ class _CaActor:
         self.handled: set[int] = set()
         self.cursors: dict[str, int] = {}
         self.refresh_ms = status_update_deadline(config.status_validity_ms)
-        root_tbs = TbsCertificate(
-            serial=0,
-            subject=self.ca_id,
-            issuer=self.ca_id,
-            not_before=0,
-            not_after=CERT_LIFETIME_MS * 4,
-            public_key_id=self.ca_id,
-        )
-        self.root_cert = sign_certificate(sim.registry, self.ca_id, root_tbs)
+        self.root_cert = _root_cert(sim.registry, self.ca_id)
 
     def clock(self, t_ref: int) -> int:
         return t_ref + self.config.clock_offset_ms
@@ -317,24 +306,18 @@ class _CaActor:
         )
         cert = sign_certificate(self.sim.registry, self.ca_id, tbs)
         scheme = client.config.scheme
-        if scheme is PostcertScheme.CA_ISSUED:
-            postcert = make_postcertificate(cert, scheme, self.sim.registry)
-            chain = [self.root_cert]
-        else:
-            postcert = make_postcertificate(cert, scheme, self.sim.registry)
-            chain = [cert, self.root_cert]
-        issued = _IssuedCert(serial, cert, postcert, chain, client.client_id)
+        postcert = make_postcertificate(cert, scheme, self.sim.registry)
+        chain = [self.root_cert] if scheme is PostcertScheme.CA_ISSUED else [cert, self.root_cert]
+        issued = _IssuedCert(serial, cert, postcert, chain)
         self.issued[serial] = issued
         self.current_value[serial] = StatusValue.good()
         client.wallet[serial] = issued
         self._emit_status(serial, now)
-        self.sim.schedule(now + self.refresh_ms, lambda t: self._refresh(serial, t))
+        self.sim.loop(now + self.refresh_ms, lambda t: self._refresh(serial, t))
 
-    def _refresh(self, serial: int, now: int) -> None:
-        if now > self.sim.scenario.horizon_ms:
-            return
+    def _refresh(self, serial: int, now: int) -> int:
         self._emit_status(serial, now)
-        self.sim.schedule(now + self.refresh_ms, lambda t: self._refresh(serial, t))
+        return self.refresh_ms
 
     def _emit_status(self, serial: int, now: int, *, t_override: int | None = None) -> RevocationStatus:
         value = self.current_value[serial]
@@ -355,10 +338,10 @@ class _CaActor:
 
     # -- monitoring
 
-    def monitor_tick(self, now: int) -> list[DiscoveryRecord]:
+    def monitor_tick(self, now: int) -> int:
         """Fetch new entries from every monitored log and react to
-        postcertificates for certificates this CA issued."""
-        discoveries: list[DiscoveryRecord] = []
+        postcertificates for certificates this CA issued; returns the delay
+        to the next poll."""
         for log_id in self.monitored():
             log = self.sim.logs[log_id]
             cursor = self.cursors.get(log_id, 0)
@@ -375,23 +358,27 @@ class _CaActor:
                 if serial not in self.issued:
                     continue
                 record = DiscoveryRecord(self.ca_id, log_id, entry.number, now, via="poll")
-                discoveries.append(record)
                 self.sim.emit(now, self.ca_id, EventKind.DISCOVERY, record)
                 self._on_revocation_evidence(serial, entry, log_id, now)
             self.cursors[log_id] = size
-        return discoveries
+        return self.config.poll_interval_ms
 
     def on_sct_handoff(self, serial: int, scts: list[SCT], now: int) -> None:
-        if serial not in self.issued:
-            return
-        record = DiscoveryRecord(self.ca_id, scts[0].log_id if scts else "-", 0, now, via="sct-handoff")
+        record = DiscoveryRecord(self.ca_id, scts[0].log_id, 0, now, via="sct-handoff")
         self.sim.emit(now, self.ca_id, EventKind.DISCOVERY, record)
         milestones = self.sim.milestones.get(serial)
         if milestones is not None and milestones.t_handoff is None:
             milestones.t_handoff = now
+        self._on_scts(serial, scts, now)
+
+    def _on_scts(self, serial: int, scts: list[SCT], now: int) -> None:
+        """Take SCTs for ``serial`` as revocation evidence; without any there
+        is no evidence and no update."""
+        if not scts:
+            return
         for sct in scts:
             self.known_sct_ts[serial] = max(self.known_sct_ts.get(serial, 0), sct.timestamp)
-        self.evidence.setdefault(serial, scts[0] if scts else None)
+        self.evidence.setdefault(serial, scts[0])
         self._maybe_schedule_update(serial, now)
 
     def _on_revocation_evidence(self, serial: int, entry, log_id: str, now: int) -> None:
@@ -440,9 +427,7 @@ class _CaActor:
         self.sim.schedule(now + self.config.processing_delay_ms, lambda t: self._process_direct(serial, t))
 
     def _process_direct(self, serial: int, now: int) -> None:
-        issued = self.issued.get(serial)
-        if issued is None:
-            return
+        issued = self.issued[serial]
         milestones = self.sim.milestones[serial]
         milestones.t_processed = now
         if self.config.misbehavior is CaMisbehavior.M3_EARLY_REVOKE:
@@ -456,17 +441,7 @@ class _CaActor:
                     milestones.t_update = now
             return
         # Honest flow: submit the postcertificate first, then update.
-        scts = self.sim.submit_postcert(
-            actor=self.ca_id,
-            issued=issued,
-            k=2,
-            now=now,
-            milestones=milestones,
-        )
-        for sct in scts:
-            self.known_sct_ts[serial] = max(self.known_sct_ts.get(serial, 0), sct.timestamp)
-        self.evidence.setdefault(serial, scts[0] if scts else None)
-        self._maybe_schedule_update(serial, now)
+        self._on_scts(serial, self.sim.submit_postcert(self.ca_id, issued, 2, now, milestones), now)
 
 
 class _ClientActor:
@@ -477,9 +452,7 @@ class _ClientActor:
         self.wallet: dict[int, _IssuedCert] = {}
 
     def revoke_via_logs(self, serial: int, now: int, k: int | None = None) -> None:
-        issued = self.wallet.get(serial)
-        if issued is None:
-            raise ScenarioError(f"invalid-scenario: client holds no certificate {serial}")
+        issued = self.wallet[serial]
         milestones = self.sim.milestones.setdefault(
             serial, _Milestones(serial, issued.cert.tbs.issuer)
         )
@@ -513,29 +486,20 @@ class Simulation:
         )
         for event in scenario.schedule:
             if event.kind == "issue":
-                signers.append(f"{event.params['client']}/{event.params['serial']}")
+                signers.append(f"{event.params['client']}/{int(event.params['serial'])}")
         self.registry = KeyRegistry.with_signers(signers)
         self.trust = TrustStore()
         self.milestones: dict[int, _Milestones] = {}
         self._events: list[tuple[int, int, object]] = []
         self._heap_seq = 0
         self._trace: list[tuple[int, str, EventKind, object]] = []
-        self._rng_bg: dict[str, random.Random] = {}
         self._bg_serial = _BACKGROUND_SERIAL_BASE
         self._probe_serial = 0
         self._submission_events: list[int] = []  # trace indexes needing entry resolution
 
-        bg_tbs = TbsCertificate(
-            serial=0, subject="background-ca", issuer="background-ca",
-            not_before=0, not_after=CERT_LIFETIME_MS * 4, public_key_id="background-ca",
-        )
-        self.background_root = sign_certificate(self.registry, "background-ca", bg_tbs)
+        self.background_root = _root_cert(self.registry, "background-ca")
         self.trust.add(self.background_root)
-        probe_tbs = TbsCertificate(
-            serial=0, subject="probe-ca", issuer="probe-ca",
-            not_before=0, not_after=CERT_LIFETIME_MS * 4, public_key_id="probe-ca",
-        )
-        self.probe_root = sign_certificate(self.registry, "probe-ca", probe_tbs)
+        self.probe_root = _root_cert(self.registry, "probe-ca")
         self.trust.add(self.probe_root)
 
         self.cas: dict[str, _CaActor] = {}
@@ -565,22 +529,40 @@ class Simulation:
         heapq.heappush(self._events, (t, self._heap_seq, callback))
         self._heap_seq += 1
 
+    def loop(self, first: int, tick) -> None:
+        """Run ``tick(t)`` at ``first``, then again after each delay it
+        returns, until it returns None."""
+
+        def step(now: int) -> None:
+            delay = tick(now)
+            if delay is not None:
+                self.schedule(now + delay, step)
+
+        self.schedule(first, step)
+
     def emit(self, t: int, actor: str, kind: EventKind, artifact: object) -> int:
         self._trace.append((t, actor, kind, artifact))
         return len(self._trace) - 1
 
     # -- submissions
 
-    def _record_submission(
-        self, now: int, actor: str, log_id: str, payload_hash: bytes, sct: SCT | None, error: str
-    ) -> None:
-        """Trace one submission attempt; an accepted one also gets its SCT
-        event and is resolved to its entry number after the run."""
-        record = SubmissionRecord(log_id, now, now, payload_hash, sct, error=error)
-        index = self.emit(now, actor, EventKind.SUBMIT, record)
-        if sct is not None:
-            self._submission_events.append(index)
-            self.emit(now, actor, EventKind.SCT, sct)
+    def _submit(self, actor: str, payload: Certificate | Postcertificate, chain: list[Certificate],
+                logs: list[CtLog], k: int, now: int, skip_operator: str | None = None) -> list[SCT]:
+        """Submit ``payload`` through ``_submission_attempts`` and trace every
+        attempt; an accepted one also gets its SCT event and is resolved to
+        its entry number after the run. Returns the SCTs in log order."""
+        payload_hash = SHA256.hash_leaf(encode_artifact(payload))
+        scts: list[SCT] = []
+        for log_id, sct, error in _submission_attempts(
+            payload, chain, logs, k, now, skip_operator=skip_operator, operators=self.operators
+        ):
+            record = SubmissionRecord(log_id, now, now, payload_hash, sct, error=error)
+            index = self.emit(now, actor, EventKind.SUBMIT, record)
+            if sct is not None:
+                self._submission_events.append(index)
+                self.emit(now, actor, EventKind.SCT, sct)
+                scts.append(sct)
+        return scts
 
     def submit_postcert(
         self,
@@ -595,19 +577,11 @@ class Simulation:
 
         Every attempt is traced; when every log rejects, no SCT is returned.
         """
-        payload_hash = SHA256.hash_leaf(encode_artifact(issued.postcert))
-        scts: list[SCT] = []
-        for log_id, sct, error in _submission_attempts(
-            issued.postcert, issued.chain, list(self.logs.values()), k, now,
-            skip_operator=skip_operator, operators=self.operators,
-        ):
-            self._record_submission(now, actor, log_id, payload_hash, sct, error)
-            if sct is None:
-                continue
-            scts.append(sct)
-            if milestones.t_first_submit is None:
-                milestones.t_first_submit = now
-            milestones.submit_log_ids.append(log_id)
+        scts = self._submit(
+            actor, issued.postcert, issued.chain, list(self.logs.values()), k, now, skip_operator
+        )
+        if scts and milestones.t_first_submit is None:
+            milestones.t_first_submit = now
         return scts
 
     def _filler_cert(self, issuer: str, key_id: str, serial: int, now: int) -> Certificate:
@@ -628,22 +602,18 @@ class Simulation:
         if rate <= 0:
             return
         rng = random.Random(derive_seed(self.scenario.seed, f"bg:{sim_log.log_id}"))
-        self._rng_bg[sim_log.log_id] = rng
 
-        def arrival(now: int) -> None:
-            if now > self.scenario.horizon_ms:
-                return
+        def arrival(now: int) -> int:
+            # untraced filler: a rejection is simply dropped
             self._bg_serial += 1
             cert = self._filler_cert("background-ca", "background-key", self._bg_serial, now)
             try:
                 self.logs[sim_log.log_id].submit(cert, [self.background_root], now)
             except LogError:
                 pass
-            gap = max(1, int(rng.expovariate(rate / HOUR_MS)))
-            self.schedule(now + gap, arrival)
+            return max(1, int(rng.expovariate(rate / HOUR_MS)))
 
-        first = max(1, int(rng.expovariate(rate / HOUR_MS)))
-        self.schedule(first, arrival)
+        self.loop(max(1, int(rng.expovariate(rate / HOUR_MS))), arrival)
 
     # -- probe actor
 
@@ -658,59 +628,48 @@ class Simulation:
         if probe is None:
             return
 
-        def sth_tick(now: int) -> None:
-            if now > self.scenario.horizon_ms:
-                return
+        def sth_tick(now: int) -> int:
             for log_id in self._probe_logs():
                 obs = SthObservation(now, now, self.logs[log_id].get_sth(now))
                 self.emit(now, "probe", EventKind.STH, obs)
-            self.schedule(now + probe.sth_interval_ms, sth_tick)
+            return probe.sth_interval_ms
 
-        self.schedule(probe.sth_interval_ms, sth_tick)
+        self.loop(probe.sth_interval_ms, sth_tick)
 
         if probe.size_interval_ms:
             # each search gallops up from the size the previous one measured
             last_size = {log_id: 0 for log_id in self._probe_logs()}
 
-            def size_tick(now: int) -> None:
-                if now > self.scenario.horizon_ms:
-                    return
+            def size_tick(now: int) -> int:
                 for log_id in self._probe_logs():
                     record = binary_search_size(self.logs[log_id], now, last_size[log_id])
                     last_size[log_id] = record.size
                     self.emit(now, "probe", EventKind.SIZE, record)
-                self.schedule(now + probe.size_interval_ms, size_tick)
+                return probe.size_interval_ms
 
             # offset size probes so they interleave with tree-head probes
-            self.schedule(probe.size_interval_ms // 2 + 1, size_tick)
+            self.loop(probe.size_interval_ms // 2 + 1, size_tick)
 
         if probe.submit_interval_ms:
             submitted = {log_id: 0 for log_id in self._probe_logs()}
 
-            def submit_tick(now: int) -> None:
-                if now > self.scenario.horizon_ms:
-                    return
-                if probe.submit_limit and all(
-                    count >= probe.submit_limit for count in submitted.values()
-                ):
-                    return
-                for log_id in self._probe_logs():
-                    if probe.submit_limit and submitted[log_id] >= probe.submit_limit:
-                        continue
+            def submit_tick(now: int) -> int | None:
+                due = [
+                    log_id for log_id in self._probe_logs()
+                    if not probe.submit_limit or submitted[log_id] < probe.submit_limit
+                ]
+                if not due:
+                    return None
+                for log_id in due:
                     submitted[log_id] += 1
                     self._probe_serial += 1
                     cert = self._filler_cert(
                         "probe-ca", "probe-key", _BACKGROUND_SERIAL_BASE * 2 + self._probe_serial, now
                     )
-                    payload_hash = SHA256.hash_leaf(encode_artifact(cert))
-                    try:
-                        sct, error = self.logs[log_id].submit(cert, [self.probe_root], now), ""
-                    except LogError as exc:
-                        sct, error = None, exc.code
-                    self._record_submission(now, "probe", log_id, payload_hash, sct, error)
-                self.schedule(now + probe.submit_interval_ms, submit_tick)
+                    self._submit("probe", cert, [self.probe_root], [self.logs[log_id]], 1, now)
+                return probe.submit_interval_ms
 
-            self.schedule(probe.submit_interval_ms, submit_tick)
+            self.loop(probe.submit_interval_ms, submit_tick)
 
     # -- scheduled scenario events
 
@@ -727,13 +686,7 @@ class Simulation:
         elif event.kind == "revoke-direct":
             serial = int(params["serial"])
             delivery = int(params.get("delivery", "0"))
-            issuer = None
-            for ca in self.cas.values():
-                if serial in ca.issued:
-                    issuer = ca
-                    break
-            if issuer is None:
-                raise ScenarioError(f"invalid-scenario: no issuer for serial {serial}")
+            issuer = next(ca for ca in self.cas.values() if serial in ca.issued)
             milestones = self.milestones.setdefault(serial, _Milestones(serial, issuer.ca_id))
             milestones.t_request = now
             self.schedule(now + delivery, lambda t: issuer.on_direct_request(serial, t))
@@ -834,31 +787,15 @@ class Simulation:
                 proof = build_proof(case, bag)
             except InsufficientEvidenceError:
                 continue
-            if case in (Case.M1_MISSING_UPDATE, Case.M2_INCORRECT_STATUS):
-                verdict = verify_m12(proof, bag.policy, bag.trusted, self.registry)
-                t_proof = earliest_proof_time(case, bag.policy, entry=proof.entry, covering_sth=proof.sth)
-            elif case is Case.M3_EARLY_STATUS:
-                verdict = verify_m3(proof, bag.policy, bag.trusted, self.registry, bag.log_readers)
-                t_proof = proof.status.t + bag.policy.mmd_ms
-            else:
-                verdict = verify_sct_disclosure(
-                    proof, bag.policy.mmd_ms, bag.trusted, self.registry, bag.log_readers
-                )
-                t_proof = proof.sct.timestamp + bag.policy.mmd_ms
+            verdict = verify_proof(proof, bag.policy, bag.trusted, self.registry, bag.log_readers)
             record = ProofRecord(
                 case=case.value,
                 proven=verdict.proven,
                 reason=verdict.reason or "",
-                t_proof=t_proof,
+                t_proof=proof_time(proof, bag.policy),
                 bundle=encode_artifact(proof),
             )
             self.emit(horizon, "auditor", EventKind.PROOF, record)
-
-    def _ca_poll(self, ca: _CaActor, now: int) -> None:
-        if now > self.scenario.horizon_ms:
-            return
-        ca.monitor_tick(now)
-        self.schedule(now + ca.config.poll_interval_ms, lambda t, ca=ca: self._ca_poll(ca, t))
 
     # -- main loop
 
@@ -868,7 +805,7 @@ class Simulation:
             self._schedule_background(sim_log)
         self._schedule_probe()
         for ca in self.cas.values():
-            self.schedule(ca.config.poll_interval_ms, lambda t, ca=ca: self._ca_poll(ca, t))
+            self.loop(ca.config.poll_interval_ms, ca.monitor_tick)
         for event in scenario.schedule:
             self.schedule(event.t, lambda t, e=event: self._dispatch(e, t))
 
@@ -904,8 +841,6 @@ def _fmt_fields(pairs: list[tuple[str, object]]) -> str:
 
 
 def scenario_to_text(scenario: Scenario) -> str:
-    from .log import DuplicatePolicy, SthCacheMode, UpdateClass  # local names for values
-
     lines = [
         _fmt_fields(
             [

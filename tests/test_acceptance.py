@@ -43,6 +43,7 @@ from postcert.misbehavior import (
     earliest_proof_time,
     verify_m12,
     verify_m3,
+    verify_proof,
 )
 from postcert.presets import (
     REFERENCE_DELAY_MAX_MS,
@@ -302,11 +303,7 @@ def test_acceptance_03_soundness_and_completeness():
                     proof = build_proof(attempt, bag)
                 except InsufficientEvidenceError:
                     continue
-                if attempt is Case.M3_EARLY_STATUS:
-                    verdict = verify_m3(proof, bag.policy, bag.trusted, bag.registry,
-                                        bag.log_readers)
-                else:
-                    verdict = verify_m12(proof, bag.policy, bag.trusted, bag.registry)
+                verdict = verify_proof(proof, bag.policy, bag.trusted, bag.registry, bag.log_readers)
                 assert not verdict.proven, f"{case} seed {seed} provable before t_proof"
             early_checks += 1
 

@@ -9,7 +9,7 @@ import pytest
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from postcert.certs import CertRef
 from postcert.crypto import KeyRegistry, Signature
-from postcert.encoding import ByteWriter, encode_artifact
+from postcert.encoding import ByteWriter, encode_artifact, text_block
 from postcert.log import STH, LogEntry, MerkleAuditProof, sth_signing_payload
 from postcert.merkle import MerkleTree
 from postcert.misbehavior import MisbehaviorProofM12, proof_to_text
@@ -240,6 +240,26 @@ def test_verify_proof_m3_roundtrip(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+def test_verify_proof_sct_disclosure_and_non_proof(tmp_path, capsys):
+    dumps = tmp_path / "logs"
+    proofs = tmp_path / "proofs"
+    code, _, err = _run(
+        capsys, "simulate", "--preset", "log-forget", "--seed", "13", "--out", str(tmp_path / "t"),
+        "--dump-logs", str(dumps), "--emit-proofs", str(proofs),
+    )
+    assert code == EXIT_OK and "proof LOG_FORGET: PROVEN" in err
+    code, out, _ = _run(
+        capsys, "verify-proof", "--proof", str(proofs / "log_forget-proven.proof"), "--logs", str(dumps),
+    )
+    assert (code, out) == (EXIT_OK, "PROVEN\n")
+    registry = KeyRegistry.with_signers(["ca1"])
+    status = issue_status(registry, "ca1", CertRef("ca1", 7), StatusValue.good(), 0, 10 * 3600_000)
+    path = tmp_path / "status.proof"
+    path.write_text(text_block("status", [], encode_artifact(status)))
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(path), "--logs", str(dumps))
+    assert (code, out, err) == (EXIT_USAGE, "", "error: not a proof bundle\n")
+
+
 def test_project_growth_command(tmp_path, capsys):
     history = tmp_path / "sizes.txt"
     history.write_text("0\n100\n250\n400\n")
@@ -315,6 +335,29 @@ def test_malformed_scenario_header_is_io_error(tmp_path, capsys, pattern, replac
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "pattern, replacement, message",
+    [
+        (r"(kind=issue .*)client=client1", r"\1client=nobody", "unknown client 'nobody'"),
+        (r"(kind=revoke-request .*)serial=1", r"\1serial=2", "client client1 holds no certificate 2"),
+        (r"(kind=issue .*)serial=1", r"\1serial=abc", "invalid literal for int()"),
+    ],
+    ids=["unknown-client", "unissued-serial", "non-integer-serial"],
+)
+def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replacement, message):
+    from postcert.presets import normal_revocation
+    from postcert.sim import scenario_to_text
+
+    text = scenario_to_text(normal_revocation(seed=21))
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(re.sub(pattern, replacement, text, count=1))
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: invalid-scenario: ") and message in err
 
 
 def test_probe_unreachable_target_is_io_error(tmp_path, capsys):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from postcert import misbehavior
 from postcert.certs import CertRef, PostcertScheme, make_postcertificate
 from postcert.crypto import KeyRegistry, Signature
 from postcert.log import (
@@ -33,9 +34,11 @@ from postcert.misbehavior import (
     TrustedLogSet,
     build_proof,
     earliest_proof_time,
+    proof_time,
     proof_to_text,
     verify_m12,
     verify_m3,
+    verify_proof,
     verify_sct_disclosure,
 )
 from postcert.status import StatusValue, issue_status
@@ -44,6 +47,32 @@ from postcert.timeutil import DAY_MS, HOUR_MS, MINUTE_MS
 MMD = DAY_MS
 SUB_POLICY = MrdPolicy(MrdMode.FROM_SUBMISSION, mrd_ms=48 * HOUR_MS, mmd_ms=MMD)
 PUB_POLICY = MrdPolicy(MrdMode.FROM_PUBLICATION, mrd_ms=24 * HOUR_MS, mmd_ms=MMD)
+
+
+@pytest.fixture(autouse=True)
+def _verify_proof_agrees(monkeypatch):
+    """Every bundle a test here hands to its kind's own verifier also goes
+    through ``verify_proof``, which must give the same verdict."""
+    def m12(proof, policy, trusted, registry, **options):
+        verdict = misbehavior.verify_m12(proof, policy, trusted, registry, **options)
+        if not options:  # verify_proof checks with the default options only
+            assert verify_proof(proof, policy, trusted, registry, {}) == verdict
+        return verdict
+
+    def m3(proof, policy, trusted, registry, readers):
+        verdict = misbehavior.verify_m3(proof, policy, trusted, registry, readers)
+        assert verify_proof(proof, policy, trusted, registry, readers) == verdict
+        return verdict
+
+    def sct_disclosure(proof, mmd_ms, trusted, registry, readers):
+        verdict = misbehavior.verify_sct_disclosure(proof, mmd_ms, trusted, registry, readers)
+        policy = MrdPolicy(MrdMode.FROM_PUBLICATION, mrd_ms=1, mmd_ms=mmd_ms)
+        assert verify_proof(proof, policy, trusted, registry, readers) == verdict
+        return verdict
+
+    monkeypatch.setitem(globals(), "verify_m12", m12)
+    monkeypatch.setitem(globals(), "verify_m3", m3)
+    monkeypatch.setitem(globals(), "verify_sct_disclosure", sct_disclosure)
 
 
 # -- policy invariants
@@ -96,6 +125,28 @@ def test_proof_time_rejects_non_covering_sth():
     sth = _sth(HOUR_MS, treesize=9)  # 9 <= 9: not covering
     with pytest.raises(ValueError):
         earliest_proof_time(Case.M1_MISSING_UPDATE, PUB_POLICY, entry=entry, covering_sth=sth)
+
+
+def test_bundle_proof_times_in_both_modes(registry):
+    entry = _entry(100 * HOUR_MS, number=4)
+    sth = _sth(101 * HOUR_MS, treesize=5)
+    status = issue_status(
+        registry, "ca1", CertRef("ca1", 7), StatusValue.revoked(), 50 * HOUR_MS,
+        10 * HOUR_MS, honest=False,
+    )
+    m12 = MisbehaviorProofM12(entry=entry, sth=sth, status=status, audit=MerkleAuditProof(4, 5, ()))
+    m3 = MisbehaviorProofM3(status=status, sth_set=(sth,))
+    sct = World().sct
+    disclosure = SctDisclosureProof(sct=sct, sth=sth)
+    for policy in (SUB_POLICY, PUB_POLICY):
+        anchor = entry.t_submission if policy.mode is MrdMode.FROM_SUBMISSION else sth.t
+        assert proof_time(m12, policy) == anchor + policy.mrd_ms
+        assert proof_time(m3, policy) == status.t + policy.mmd_ms
+        assert proof_time(disclosure, policy) == sct.timestamp + policy.mmd_ms
+    with pytest.raises(TypeError):
+        proof_time(status, PUB_POLICY)
+    with pytest.raises(TypeError):
+        verify_proof(status, PUB_POLICY, TrustedLogSet.of("log1"), registry, {})
 
 
 # -- end-to-end world helpers

@@ -9,7 +9,19 @@ import pytest
 from postcert.certs import PostcertScheme, TbsCertificate, TrustStore, make_postcertificate, sign_certificate
 from postcert.crypto import KeyRegistry
 from postcert.log import CtLog, LogConfig
-from postcert.misbehavior import MrdMode, MrdPolicy
+from postcert.encoding import decode_artifact
+from postcert.misbehavior import (
+    MisbehaviorProofM12,
+    MisbehaviorProofM3,
+    MrdMode,
+    MrdPolicy,
+    SctDisclosureProof,
+    proof_time,
+    verify_m12,
+    verify_m3,
+    verify_proof,
+    verify_sct_disclosure,
+)
 from postcert.presets import (
     build_preset,
     clock_skew,
@@ -23,13 +35,13 @@ from postcert.presets import (
     single_fault,
 )
 from postcert.sim import (
-    AllLogsRejectedError,
     CaMisbehavior,
+    ProbeConfig,
     ScenarioError,
     ScheduledEvent,
     SimCaConfig,
     Simulation,
-    multi_log_submit,
+    _submission_attempts,
     scenario_from_text,
     scenario_to_text,
     validate_scenario,
@@ -39,6 +51,8 @@ from postcert.timeutil import HOUR_MS, MINUTE_MS
 from postcert.trace import EventKind, observations_from_events, read_trace, trace_to_text
 
 import io
+
+from test_golden import SWEEP_WORLDS
 
 
 def test_fixed_seed_trace_is_byte_identical():
@@ -100,6 +114,25 @@ def test_seeded_fault_detected_exactly(factory, expected):
     assert proven == {expected}
 
 
+@pytest.mark.parametrize("seed,case", sorted(SWEEP_WORLDS, key=lambda k: (k[1] or "", k[0])))
+def test_verify_proof_agrees_with_each_kind_verifier_on_sweep_worlds(seed, case):
+    sim = Simulation(honest_random(seed) if case is None else single_fault(seed, case))
+    records = [e.artifact() for e in sim.run() if e.kind is EventKind.PROOF]
+    assert records or case is None
+    policy, trusted, registry, readers = sim.scenario.policy, sim.trusted, sim.registry, dict(sim.logs)
+    own = {
+        MisbehaviorProofM12: lambda p: verify_m12(p, policy, trusted, registry),
+        MisbehaviorProofM3: lambda p: verify_m3(p, policy, trusted, registry, readers),
+        SctDisclosureProof: lambda p: verify_sct_disclosure(p, policy.mmd_ms, trusted, registry, readers),
+    }
+    for record in records:
+        bundle = decode_artifact(record.bundle)
+        verdict = verify_proof(bundle, policy, trusted, registry, readers)
+        assert verdict == own[type(bundle)](bundle)
+        assert (verdict.proven, verdict.reason or "") == (record.proven, record.reason)
+        assert proof_time(bundle, policy) == record.t_proof
+
+
 def test_m1_scenario_never_updates_status():
     events = Simulation(m1(seed=2)).run()
     revoked = [
@@ -148,44 +181,32 @@ def _world():
     return registry, trust, root, post, logs
 
 
-def test_multi_log_submit_collects_k_scts():
+def _accepted(attempts) -> list:
+    return [sct for _, sct, _ in attempts if sct is not None]
+
+
+def test_submission_attempts_collect_k_scts():
     registry, trust, root, post, logs = _world()
-    scts, failures = multi_log_submit(post, [root], logs, k=3, now=1000)
-    assert len(scts) == 3
-    assert len({s.log_id for s in scts}) == 3
-    assert failures == []
+    attempts = list(_submission_attempts(post, [root], logs, 3, 1000))
+    assert len({s.log_id for s in _accepted(attempts)}) == 3
+    assert [error for _, _, error in attempts] == ["", "", ""]
 
 
-def test_multi_log_submit_proceeds_past_rejections():
+def test_submission_attempts_proceed_past_rejections():
     registry, trust, root, post, logs = _world()
     logs[0].freeze()
-    scts, failures = multi_log_submit(post, [root], logs, k=2, now=1000)
-    assert len(scts) == 2
-    assert failures == [("log1", "log-frozen")]
-    assert {s.log_id for s in scts} == {"log2", "log3"}
+    attempts = list(_submission_attempts(post, [root], logs, 2, 1000))
+    assert [(log_id, error) for log_id, sct, error in attempts if sct is None] == [("log1", "log-frozen")]
+    assert {s.log_id for s in _accepted(attempts)} == {"log2", "log3"}
 
 
-def test_multi_log_submit_all_rejected():
-    registry, trust, root, post, logs = _world()
-    for log in logs:
-        log.freeze()
-    with pytest.raises(AllLogsRejectedError):
-        multi_log_submit(post, [root], logs, k=1, now=1000)
-
-
-def test_multi_log_submit_skips_operator():
+def test_submission_attempts_skip_operator():
     registry, trust, root, post, logs = _world()
     operators = {"log1": "ca1", "log2": "other", "log3": "other"}
-    scts, _ = multi_log_submit(
-        post, [root], logs, k=2, now=1000, skip_operator="ca1", operators=operators
+    attempts = _submission_attempts(
+        post, [root], logs, 2, 1000, skip_operator="ca1", operators=operators
     )
-    assert {s.log_id for s in scts} == {"log2", "log3"}
-
-
-def test_multi_log_submit_k_too_large():
-    registry, trust, root, post, logs = _world()
-    with pytest.raises(ValueError):
-        multi_log_submit(post, [root], logs, k=4, now=0)
+    assert [log_id for log_id, _, _ in attempts] == ["log2", "log3"]
 
 
 # -- CA monitoring
@@ -272,6 +293,26 @@ def test_revocation_every_log_rejects_is_traced_not_raised():
     assert not [e for e in events if e.kind is EventKind.SCT]
 
 
+def test_honest_revoke_direct_every_log_rejects_is_traced_not_raised():
+    """An honest CA whose every submission is rejected holds no evidence, so
+    it makes no update and keeps serving GOOD."""
+    base = normal_revocation(seed=12)
+    freezes = tuple(
+        ScheduledEvent(30 * MINUTE_MS, "freeze-log", {"log": log.log_id}) for log in base.logs
+    )
+    schedule = freezes + tuple(
+        ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1"}) if e.kind == "revoke-request" else e
+        for e in base.schedule
+    )
+    events = Simulation(dataclasses.replace(base, schedule=schedule)).run()
+    submits = [e.artifact() for e in events if e.kind is EventKind.SUBMIT]
+    assert submits and {(s.ok, s.error) for s in submits} == {(False, "log-frozen")}
+    statuses = [e.artifact() for e in events if e.kind is EventKind.STATUS]
+    assert statuses and all(
+        s.value.kind is StatusKind.GOOD for s in statuses if s.cert_ref.serial == 1
+    )
+
+
 def test_drop_entry_produces_sct_without_publication():
     base = log_forget(seed=13)
     events = Simulation(base).run()
@@ -293,6 +334,44 @@ def test_validate_rejects_unknown_event_kind():
     bad = dataclasses.replace(base, schedule=(ScheduledEvent(1, "explode", {}),))
     with pytest.raises(ScenarioError):
         validate_scenario(bad)
+
+
+@pytest.mark.parametrize("event", [
+    ScheduledEvent(HOUR_MS, "issue", {"ca": "ca1", "client": "nobody", "serial": "2"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "nobody", "serial": "1"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "2"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "2"}),
+    ScheduledEvent(HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "abc"}),
+    ScheduledEvent(HOUR_MS, "issue", {"ca": "ca1", "client": "client1"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1", "k": "two"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1", "delivery": "1h"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1", "delivery": str(-2 * HOUR_MS)}),
+    ScheduledEvent(5 * HOUR_MS, "drop-entry", {"log": "log-a", "serial": "x"}),
+])
+def test_validate_rejects_malformed_events(event):
+    base = normal_revocation(seed=1)
+    with pytest.raises(ScenarioError):
+        validate_scenario(dataclasses.replace(base, schedule=base.schedule + (event,)))
+
+
+def test_validate_rejects_unknown_monitored_or_probed_log():
+    base = normal_revocation(seed=1)
+    unknown_monitor = dataclasses.replace(base.cas[0], monitored_logs=("log-a", "nope"))
+    for bad in (dataclasses.replace(base, cas=(unknown_monitor,)),
+                dataclasses.replace(base, probe=ProbeConfig(logs=("nope",)))):
+        with pytest.raises(ScenarioError):
+            validate_scenario(bad)
+
+
+def test_validate_rejects_revocation_before_issue():
+    """A revocation scheduled before (or at the same time as, but listed
+    before) the issue that gives out its serial is rejected."""
+    base = normal_revocation(seed=1)
+    issue = next(e for e in base.schedule if e.kind == "issue")
+    revoke = ScheduledEvent(issue.t, "revoke-request", {"client": "client1", "serial": "1"})
+    with pytest.raises(ScenarioError):
+        validate_scenario(dataclasses.replace(base, schedule=(revoke, issue)))
+    validate_scenario(dataclasses.replace(base, schedule=(issue, revoke)))
 
 
 def test_validate_rejects_nonpositive_horizon():

@@ -1,0 +1,31 @@
+"""Source hygiene: every module-level import in the package is used."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import postcert
+
+MODULES = sorted(p for p in Path(postcert.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Names bound by the module's top-level imports, with their lines."""
+    names: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update((alias.asname or alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
+    assert not unused, f"{path.name}: unused imports (name: line) {unused}"
