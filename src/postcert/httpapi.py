@@ -9,6 +9,19 @@ appending a unique throwaway query parameter to state requests.
 
 Both sides speak HTTP/1.1 keep-alive: a reader sends all its requests over one
 persistent connection, and the server answers each connection in one thread.
+The server reads a request line and header lines itself and acts on three
+headers only: ``Content-Length`` (a request body must have one; chunked
+request bodies get a 501), ``Connection: close`` and ``Expect: 100-continue``.
+An HTTP/1.0 request, a ``Connection: close`` and every error on the request
+head end the connection after the answer. A request line or header line over
+65 536 bytes gets 414 or 431, more than 100 headers 431, a body over 1 MiB
+413, a bad ``Content-Length`` 400, and a method other than GET and POST 501.
+Each answer is one buffered write flushed once, so its status line, headers
+and a small body leave in one send.
+
+The client reads every 200 answer strictly: an answer that is not a JSON
+object, lacks a field, has a field of the wrong type or bad base64 raises
+``LogError("malformed-response")``.
 """
 
 from __future__ import annotations
@@ -18,11 +31,14 @@ import contextlib
 import http.client
 import itertools
 import json
+import re
 import socket
+import socketserver
 import threading
 import time
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Callable
 
 from .certs import CertError, Certificate, Postcertificate, decode_payload
@@ -36,7 +52,8 @@ def _b64(data: bytes) -> str:
 
 
 def _unb64(data: str) -> bytes:
-    return base64.b64decode(data)
+    """Bytes of a base64 string; ``ValueError`` or ``TypeError`` for anything else."""
+    return base64.b64decode(data, validate=True)
 
 
 def default_clock() -> int:
@@ -120,67 +137,158 @@ def _parse_add_chain(body: bytes) -> tuple[Certificate | Postcertificate, list[C
     return leaf, chain
 
 
+# Limits on a request: the line and header limits of the standard library's
+# HTTP server, and a cap on the body.
+_MAX_LINE = 65_536  # bytes in the request line or in one header line
+_MAX_HEADERS = 100
+_MAX_BODY = 1 << 20  # an add-chain body is a few kilobytes
+_HTTP_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_STATUS_LINES = {
+    code: f"HTTP/1.1 {code} {HTTPStatus(code).phrase}\r\n".encode("ascii")
+    for code in (100, 200, 400, 404, 413, 414, 431, 501, 505)
+}
+
+
+class _BadRequest(Exception):
+    """A request the handler answers with ``code`` and then closes."""
+
+    def __init__(self, code: int, error: str) -> None:
+        super().__init__(error)
+        self.code = code
+
+
 def make_handler(log: CtLog, clock: Callable[[], int]):
-    # ThreadingHTTPServer answers each connection in its own thread, and CtLog
-    # is not thread-safe: every log call, and the clock reading it uses, happens
+    # The server answers each connection in its own thread, and CtLog is not
+    # thread-safe: every log call, and the clock reading it uses, happens
     # under this lock, so requests reach the log one at a time and in clock
     # order.
     lock = threading.Lock()
+    date = [0, b""]  # the Date header line of the current second
 
-    class LogRequestHandler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"  # keep-alive; every answer carries Content-Length
-        # The header and body of an answer go out in two writes; with Nagle's
-        # algorithm the second waits for the client's delayed ACK of the first.
+    class LogRequestHandler(socketserver.StreamRequestHandler):
+        """HTTP/1.1 over one connection: each request's head, then its body,
+        then one answer, until the client or an error closes it.
+
+        Of the request headers only Content-Length, Connection and Expect are
+        acted on, and a Transfer-Encoding is refused. Each answer is written
+        to a buffered writer and flushed once, so its head and a small body
+        leave in one send.
+        """
+
         disable_nagle_algorithm = True
+        wbufsize = 1 << 16  # larger bodies bypass the buffer uncopied
 
-        def log_message(self, *args) -> None:  # silence request logging
-            pass
+        def handle(self) -> None:
+            with contextlib.suppress(ConnectionError):
+                keep_alive = True
+                while keep_alive:
+                    keep_alive = self._answer_one()
+                    self.wfile.flush()  # the answer leaves in one send
 
-        def _send(self, code: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:
-            parsed = urllib.parse.urlparse(self.path)
-            query = urllib.parse.parse_qs(parsed.query)
+        def _answer_one(self) -> bool:
+            """Answer the next request; whether the connection stays open."""
             try:
-                with lock:
-                    payload = _read_endpoint(log, parsed.path, query, clock())
-            except (LogError, ValueError, KeyError) as exc:
-                self._send(400, _error_body(exc))
-                return
-            if payload is None:
-                self._send(404, {"error": "unknown endpoint"})
-            else:
-                self._send(200, payload)
-
-        def do_POST(self) -> None:
+                head = self._read_head()
+            except _BadRequest as exc:
+                self._send(exc.code, {"error": str(exc)}, keep_alive=False)
+                return False
+            if head is None:
+                return False  # the client closed, maybe mid-request
+            method, target, keep_alive, length, expect = head
+            if expect:
+                self.wfile.write(_STATUS_LINES[100] + b"\r\n")
+                self.wfile.flush()
             # Read the body before any answer: on a kept-alive connection,
             # unread body bytes would be taken for the next request.
-            length = self.headers.get("Content-Length", "0")
-            if not (length.isascii() and length.isdigit()):
-                self.close_connection = True  # the body's end is unknown
-                self._send(400, {"error": "bad Content-Length"})
-                return
-            body = self.rfile.read(int(length))
-            parsed = urllib.parse.urlparse(self.path)
-            if parsed.path not in ("/ct/v1/add-chain", "/ct/v1/add-pre-chain"):
-                self._send(404, {"error": "unknown endpoint"})
-                return
+            body = self.rfile.read(length)
+            if len(body) < length:
+                return False
+            if target.startswith("//"):
+                target = "/" + target.lstrip("/")  # a path, not a network location
+            try:
+                url = urllib.parse.urlsplit(target)
+            except ValueError:
+                code, payload = 400, {"error": "bad request target"}
+            else:
+                code, payload = self._get(url) if method == "GET" else self._post(url.path, body)
+            self._send(code, payload, keep_alive)
+            return keep_alive
+
+        def _read_head(self) -> tuple[str, str, bool, int, bool] | None:
+            """Method, target, keep-alive, body length and whether to send
+            100 Continue; None if the stream ends first."""
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if not line:
+                return None
+            if len(line) > _MAX_LINE:
+                raise _BadRequest(414, "request line too long")
+            words = line.decode("iso-8859-1").split()
+            if len(words) != 3:
+                raise _BadRequest(400, "bad request line")
+            method, target, version = words
+            version = _HTTP_VERSION.fullmatch(version)
+            if version is None:
+                raise _BadRequest(400, "bad HTTP version")
+            version = int(version[1]), int(version[2])
+            if version >= (2, 0):
+                raise _BadRequest(505, "HTTP version not supported")
+            keep_alive = version >= (1, 1)
+            length = None
+            expect = False
+            for _ in range(_MAX_HEADERS + 1):
+                line = self.rfile.readline(_MAX_LINE + 1)
+                if not line:
+                    return None
+                if len(line) > _MAX_LINE:
+                    raise _BadRequest(431, "header line too long")
+                if line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.partition(b":")
+                name = name.lower()
+                if name == b"content-length":
+                    value = value.strip()
+                    if not (value.isdigit() and length in (None, value)):
+                        raise _BadRequest(400, "bad Content-Length")
+                    length = value
+                elif name == b"connection":
+                    if b"close" in (token.strip() for token in value.lower().split(b",")):
+                        keep_alive = False
+                elif name == b"expect":
+                    expect = version >= (1, 1) and value.strip().lower() == b"100-continue"
+                elif name == b"transfer-encoding":
+                    raise _BadRequest(501, "only Content-Length request bodies are supported")
+            else:
+                raise _BadRequest(431, "too many headers")
+            if method not in ("GET", "POST"):
+                raise _BadRequest(501, f"unsupported method {method!r}")
+            length = int(length or 0)
+            if length > _MAX_BODY:
+                raise _BadRequest(413, "request body too large")
+            return method, target, keep_alive, length, expect
+
+        @staticmethod
+        def _get(url: urllib.parse.SplitResult) -> tuple[int, dict]:
+            query = urllib.parse.parse_qs(url.query)
+            try:
+                with lock:
+                    payload = _read_endpoint(log, url.path, query, clock())
+            except (LogError, ValueError, KeyError) as exc:
+                return 400, _error_body(exc)
+            if payload is None:
+                return 404, {"error": "unknown endpoint"}
+            return 200, payload
+
+        @staticmethod
+        def _post(path: str, body: bytes) -> tuple[int, dict]:
+            if path not in ("/ct/v1/add-chain", "/ct/v1/add-pre-chain"):
+                return 404, {"error": "unknown endpoint"}
             try:
                 leaf, chain = _parse_add_chain(body)
                 with lock:
                     sct = log.submit(leaf, chain, clock())
             except (LogError, CertError, ValueError, KeyError) as exc:
-                self._send(400, _error_body(exc))
-                return
-            self._send(200, {
+                return 400, _error_body(exc)
+            return 200, {
                 "sct_version": 0,
                 "id": _b64(sct.log_id.encode("utf-8")),
                 "timestamp": sct.timestamp,
@@ -188,17 +296,29 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
                 "signature": _b64(sct.signature.value),
                 "signer_id": sct.signature.signer_id,
                 "entry_hash": _b64(sct.entry_hash),
-            })
+            }
+
+        def _send(self, code: int, payload: dict, keep_alive: bool) -> None:
+            body = json.dumps(payload).encode("utf-8")
+            second = int(time.time())
+            if date[0] != second:
+                date[:] = second, f"Date: {formatdate(second, usegmt=True)}\r\n".encode("ascii")
+            self.wfile.write(b"%s%sContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n" % (
+                _STATUS_LINES[code], date[1], len(body), b"" if keep_alive else b"Connection: close\r\n"))
+            self.wfile.write(body)
 
     return LogRequestHandler
 
 
-class _LogServer(ThreadingHTTPServer):
-    """A threading HTTP server that ends its open connections when it closes.
+class _LogServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server that ends its open connections when it closes.
 
     A kept-alive connection holds its handler thread in a wait for the next
     request; without this, a closed server would go on answering there.
     """
+
+    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, *args, **kwargs) -> None:
         self._connections: set[socket.socket] = set()
@@ -224,12 +344,37 @@ class _LogServer(ThreadingHTTPServer):
 
 
 def serve_log(log: CtLog, host: str = "127.0.0.1", port: int = 0,
-              clock: Callable[[], int] = default_clock) -> ThreadingHTTPServer:
+              clock: Callable[[], int] = default_clock) -> socketserver.ThreadingTCPServer:
     """Start a background HTTP server for one log; caller shuts it down."""
     server = _LogServer((host, port), make_handler(log, clock))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
+
+
+ERR_MALFORMED_RESPONSE = "malformed-response"
+
+
+def _typed(value, kind: type):
+    """``value`` if it is exactly a ``kind`` (so no bool for an int), else TypeError."""
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r:.40}")
+    return value
+
+
+def _path(nodes) -> tuple[bytes, ...]:
+    """The hashes of a proof path: a list of base64 strings."""
+    return tuple(_unb64(node) for node in _typed(nodes, list))
+
+
+@contextlib.contextmanager
+def _malformed(endpoint: str):
+    """Turns a failure to read an answer into ``LogError(malformed-response)``:
+    a missing field, a value of the wrong type or bad base64."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LogError(ERR_MALFORMED_RESPONSE, f"{endpoint}: {exc!r}") from exc
 
 
 class HttpLogReader:
@@ -271,15 +416,16 @@ class HttpLogReader:
         except BaseException:
             self._conn.close()  # leave no half-sent request on the connection
             raise
+        try:
+            answer = json.loads(data)
+        except ValueError:
+            answer = None
         if status != 200:
-            try:
-                detail = json.loads(data)
-            except ValueError:
-                detail = None
-            if not isinstance(detail, dict):
-                detail = {}
+            detail = answer if isinstance(answer, dict) else {}
             raise LogError(detail.get("error", f"http-{status}"), detail.get("detail", ""))
-        return json.loads(data)
+        if not isinstance(answer, dict):
+            raise LogError(ERR_MALFORMED_RESPONSE, f"{method} {path}: not a JSON object")
+        return answer
 
     def _get(self, path: str, params: dict | None = None, bust: bool = False) -> dict:
         query = dict(params or {})
@@ -290,36 +436,40 @@ class HttpLogReader:
         return self._request("GET", path)
 
     def _fetch_log_id(self) -> str:
-        return self._get("/ct/v1/get-sth", bust=True)["log_id"]
+        data = self._get("/ct/v1/get-sth", bust=True)
+        with _malformed("get-sth"):
+            return _typed(data["log_id"], str)
 
     def get_sth(self, now: int | None = None) -> STH:
         data = self._get("/ct/v1/get-sth", bust=True)
-        return STH(
-            log_id=data.get("log_id", self.log_id),
-            t=data["timestamp"],
-            treesize=data["tree_size"],
-            root_hash=_unb64(data["sha256_root_hash"]),
-            signature=Signature(data.get("signer_id", self.log_id),
-                                _unb64(data["tree_head_signature"])),
-        )
+        with _malformed("get-sth"):
+            return STH(
+                log_id=_typed(data.get("log_id", self.log_id), str),
+                t=_typed(data["timestamp"], int),
+                treesize=_typed(data["tree_size"], int),
+                root_hash=_unb64(data["sha256_root_hash"]),
+                signature=Signature(_typed(data.get("signer_id", self.log_id), str),
+                                    _unb64(data["tree_head_signature"])),
+            )
 
     def latest_sth(self) -> STH:
         return self.get_sth()
 
     def get_entries(self, start: int, end: int, now: int | None = None) -> list[LogEntry]:
         data = self._get("/ct/v1/get-entries", {"start": start, "end": end})
-        entries = []
-        for item in data["entries"]:
-            extra = item["extra_data"]
-            entries.append(
-                LogEntry(
-                    payload=_unb64(item["leaf_input"]),
-                    t_submission=extra["timestamp"],
-                    log_id=self.log_id,
-                    number=extra["number"],
+        with _malformed("get-entries"):
+            entries = []
+            for item in _typed(data["entries"], list):
+                extra = item["extra_data"]
+                entries.append(
+                    LogEntry(
+                        payload=_unb64(item["leaf_input"]),
+                        t_submission=_typed(extra["timestamp"], int),
+                        log_id=self.log_id,
+                        number=_typed(extra["number"], int),
+                    )
                 )
-            )
-        return entries
+            return entries
 
     def published_size(self, now: int | None = None) -> int:
         from .probe import binary_search_size
@@ -328,22 +478,24 @@ class HttpLogReader:
 
     def consistency_proof(self, first: int, second: int) -> tuple[bytes, ...]:
         data = self._get("/ct/v1/get-sth-consistency", {"first": first, "second": second})
-        return tuple(_unb64(node) for node in data["consistency"])
+        with _malformed("get-sth-consistency"):
+            return _path(data["consistency"])
 
     def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof:
         data = self._get("/ct/v1/get-proof-by-hash",
                          {"hash": _b64(leaf_hash), "tree_size": treesize})
-        return MerkleAuditProof(
-            entry_number=data["leaf_index"],
-            treesize=treesize,
-            path=tuple(_unb64(node) for node in data["audit_path"]),
-        )
+        with _malformed("get-proof-by-hash"):
+            return MerkleAuditProof(
+                entry_number=_typed(data["leaf_index"], int),
+                treesize=treesize,
+                path=_path(data["audit_path"]),
+            )
 
     def audit_proof(self, entry_number: int, treesize: int) -> MerkleAuditProof:
         data = self._get("/ct/v1/get-entry-and-proof",
                          {"leaf_index": entry_number, "tree_size": treesize})
-        return MerkleAuditProof(entry_number, treesize,
-                                tuple(_unb64(node) for node in data["audit_path"]))
+        with _malformed("get-entry-and-proof"):
+            return MerkleAuditProof(entry_number, treesize, _path(data["audit_path"]))
 
     def submit(self, payload: Certificate | Postcertificate, chain: list[Certificate],
                now: int | None = None) -> SCT:
@@ -352,9 +504,11 @@ class HttpLogReader:
             + [_b64(encode_artifact(cert)) for cert in chain],
         }).encode("utf-8")
         data = self._request("POST", "/ct/v1/add-chain", body)
-        return SCT(
-            log_id=_unb64(data["id"]).decode("utf-8"),
-            timestamp=data["timestamp"],
-            entry_hash=_unb64(data["entry_hash"]),
-            signature=Signature(data.get("signer_id", self.log_id), _unb64(data["signature"])),
-        )
+        with _malformed("add-chain"):
+            return SCT(
+                log_id=_unb64(data["id"]).decode("utf-8"),
+                timestamp=_typed(data["timestamp"], int),
+                entry_hash=_unb64(data["entry_hash"]),
+                signature=Signature(_typed(data.get("signer_id", self.log_id), str),
+                                    _unb64(data["signature"])),
+            )

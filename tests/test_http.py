@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from postcert.certs import PostcertScheme, TbsCertificate, make_postcertificate, sign_certificate
 from postcert.crypto import SHA256
@@ -443,3 +444,295 @@ def test_reader_submit_of_a_non_certificate_is_a_log_error(served_log, ca_root, 
     with pytest.raises(LogError):
         reader.submit(log.latest_sth(), [ca_root])
     assert reader.submit(leaf_cert, [ca_root]).log_id == "log1"
+
+
+# Wire-level behaviour of the server, checked on raw sockets: status codes and
+# whether the connection stays open, not the error bodies.
+
+_GET_STH = b"GET /ct/v1/get-sth HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _connect(reader):
+    import socket
+
+    host, port = reader.base_url.removeprefix("http://").split(":")
+    return socket.create_connection((host, int(port)), timeout=10)
+
+
+def _read_answer(stream) -> tuple[int, bytes]:
+    """Status and body of the next answer on ``stream``."""
+    status_line = stream.readline()
+    assert status_line.startswith(b"HTTP/1.1 "), status_line
+    length = 0
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.partition(b":")
+        if name.strip().lower() == b"content-length":
+            length = int(value)
+    return int(status_line.split()[1]), stream.read(length)
+
+
+def _exchange(reader, request: bytes) -> tuple[int, bool]:
+    """Status of the answer to ``request``, and whether the connection then
+    still answers a get-sth."""
+    with _connect(reader) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request)
+        status, _ = _read_answer(stream)
+        try:
+            sock.sendall(_GET_STH)
+            return status, stream.readline().startswith(b"HTTP/1.1 200 ")
+        except (BrokenPipeError, ConnectionResetError):
+            return status, False
+
+
+def _add_chain_body(leaf, root) -> bytes:
+    import json
+
+    return json.dumps({"chain": [_b64_artifact(leaf), _b64_artifact(root)]}).encode()
+
+
+def _get_sth_with(*headers: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    return b"GET /ct/v1/get-sth " + version + b"\r\n" + b"".join(h + b"\r\n" for h in headers) + b"\r\n"
+
+
+@pytest.mark.parametrize("request_head, answer", [
+    pytest.param(b"GET /" + b"a" * 65_536 + b" HTTP/1.1\r\nHost: x\r\n\r\n", (414, False),
+                 id="request-line-over-65536-bytes"),
+    pytest.param(_get_sth_with(b"X-Long: " + b"a" * 65_536), (431, False), id="header-line-over-65536-bytes"),
+    pytest.param(_get_sth_with(*(b"X-Header-%d: v" % i for i in range(99))), (200, True), id="99-headers"),
+    pytest.param(_get_sth_with(*(b"X-Header-%d: v" % i for i in range(101))), (431, False), id="101-headers"),
+    pytest.param(_get_sth_with(version=b"HTTP/1.0"), (200, False), id="http-1.0"),
+    pytest.param(_get_sth_with(b"Connection: close"), (200, False), id="connection-close"),
+    pytest.param(b"DELETE /ct/v1/get-sth HTTP/1.1\r\nHost: x\r\n\r\n", (501, False), id="delete"),
+    pytest.param(b"POST /ct/v1/add-chain HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", (501, False),
+                 id="chunked-body"),
+    pytest.param(b"POST /ct/v1/add-chain HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n", (413, False),
+                 id="body-over-1-MiB"),
+])
+def test_request_head_is_answered_then_kept_or_closed(served_log, request_head, answer):
+    log, reader, clock = served_log
+    assert _exchange(reader, request_head) == answer
+
+
+def test_expect_100_continue_is_answered_before_the_body(served_log, ca_root, leaf_cert):
+    import json
+
+    log, reader, clock = served_log
+    body = _add_chain_body(leaf_cert, ca_root)
+    with _connect(reader) as sock, sock.makefile("rb") as stream:
+        sock.sendall(b"POST /ct/v1/add-chain HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(body))
+        assert stream.readline().startswith(b"HTTP/1.1 100 ")
+        while stream.readline() != b"\r\n":
+            pass
+        sock.sendall(body)
+        status, body = _read_answer(stream)
+    assert status == 200 and json.loads(body)["timestamp"] == clock["now"]
+
+
+def test_pipelined_requests_are_answered_in_order(served_log):
+    import json
+
+    log, reader, clock = served_log
+    with _connect(reader) as sock, sock.makefile("rb") as stream:
+        sock.sendall(_GET_STH + b"GET /ct/v1/no-such-endpoint HTTP/1.1\r\nHost: x\r\n\r\n" + _GET_STH)
+        first, second, third = (_read_answer(stream) for _ in range(3))
+    assert [first[0], second[0], third[0]] == [200, 404, 200]
+    assert json.loads(first[1])["log_id"] == "log1"
+
+
+def test_request_sent_one_byte_at_a_time_is_answered(served_log, ca_root, leaf_cert):
+    import socket
+
+    log, reader, clock = served_log
+    body = _add_chain_body(leaf_cert, ca_root)
+    request = b"POST /ct/v1/add-chain HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n" % len(body)
+    with _connect(reader) as sock, sock.makefile("rb") as stream:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for index in range(len(request + body)):
+            sock.sendall((request + body)[index:index + 1])
+        assert _read_answer(stream)[0] == 200
+        sock.sendall(_GET_STH)
+        assert _read_answer(stream)[0] == 200
+    assert len(log.entries) == 1
+
+
+def test_absolute_form_target_is_answered(served_log):
+    import json
+
+    log, reader, clock = served_log
+    with _connect(reader) as sock, sock.makefile("rb") as stream:
+        sock.sendall(f"GET {reader.base_url}/ct/v1/get-sth?nocache=1 HTTP/1.1\r\n\r\n".encode())
+        status, body = _read_answer(stream)
+    assert status == 200 and json.loads(body)["log_id"] == "log1"
+
+
+_GOOD_STH = {"tree_size": 1, "timestamp": 5, "sha256_root_hash": "A" * 43 + "=",
+             "tree_head_signature": "c2ln", "log_id": "log1", "signer_id": "log1"}
+_MALFORMED_STH = [
+    pytest.param(b"<html>busy</html>", id="not-json"),
+    pytest.param({**_GOOD_STH, "sha256_root_hash": "abc"}, id="bad-base64"),
+    pytest.param({k: v for k, v in _GOOD_STH.items() if k != "timestamp"}, id="missing-field"),
+    pytest.param({**_GOOD_STH, "tree_size": "1"}, id="wrong-type"),
+]
+
+
+@pytest.fixture
+def stub_log():
+    """A server that answers each path with 200 and the body the test sets."""
+    import json
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    answers: dict[str, bytes | dict] = {"/ct/v1/get-sth": _GOOD_STH}
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def log_message(self, *args) -> None:
+            pass
+
+        def do_GET(self) -> None:
+            body = answers[self.path.partition("?")[0]]
+            if isinstance(body, dict):
+                body = json.dumps(body).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}", answers
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.mark.parametrize("sth", _MALFORMED_STH)
+def test_malformed_sth_answer_is_a_log_error(stub_log, sth):
+    url, answers = stub_log
+    reader = HttpLogReader(url, log_id="log1")
+    assert reader.get_sth().treesize == 1
+    answers["/ct/v1/get-sth"] = sth
+    with pytest.raises(LogError) as err:
+        reader.get_sth()
+    assert err.value.code == "malformed-response"
+    reader.close()
+
+
+@pytest.mark.parametrize("path, answer, read", [
+    pytest.param("/ct/v1/get-entries", {"entries": ["AA=="]},
+                 lambda r: r.get_entries(0, 0), id="entry-not-an-object"),
+    pytest.param("/ct/v1/get-entries",
+                 {"entries": [{"leaf_input": "AA==", "extra_data": {"number": 0, "timestamp": True}}]},
+                 lambda r: r.get_entries(0, 0), id="bool-timestamp"),
+    pytest.param("/ct/v1/get-sth-consistency", {"consistency": "AA=="},
+                 lambda r: r.consistency_proof(1, 2), id="path-not-a-list"),
+    pytest.param("/ct/v1/get-proof-by-hash", {"leaf_index": 0, "audit_path": ["A!=="]},
+                 lambda r: r.get_proof_by_hash(b"\0" * 32, 2), id="non-base64-node"),
+    pytest.param("/ct/v1/get-entries", [], lambda r: r.get_entries(0, 0), id="json-list"),
+])
+def test_malformed_read_answer_is_a_log_error(stub_log, path, answer, read):
+    url, answers = stub_log
+    answers[path] = answer
+    reader = HttpLogReader(url)
+    with pytest.raises(LogError) as err:
+        read(reader)
+    assert err.value.code == "malformed-response"
+    reader.close()
+
+
+@pytest.mark.parametrize("sth", _MALFORMED_STH)
+def test_probe_of_a_malformed_answer_exits_3_with_one_line(stub_log, sth, tmp_path, capsys):
+    from postcert.cli import main
+
+    url, answers = stub_log
+    answers["/ct/v1/get-sth"] = sth
+    code = main(["probe", "--target", url, "--out", str(tmp_path / "live.trace"),
+                 "--duration", "1s", "--sth-interval", "100ms"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {url}: malformed-response")
+
+
+def _no_newline(data: bytes) -> bytes:
+    return data.replace(b"\r", b"").replace(b"\n", b"")
+
+
+@st.composite
+def _raw_requests(draw, valid_body: bytes) -> bytes:
+    """A request line, header lines and a body, each drawn from well-formed,
+    malformed and oversize pieces."""
+    line = draw(st.one_of(
+        st.sampled_from([b"GET /ct/v1/get-sth HTTP/1.1", b"GET /ct/v1/get-entries?start=0&end=2 HTTP/1.0",
+                         b"POST /ct/v1/add-chain HTTP/1.1", b"POST /ct/v1/add-chain HTTP/1.0"]),
+        st.tuples(
+            st.sampled_from([b"GET", b"POST", b"DELETE", b"HEAD", b"get", b""]),
+            st.sampled_from([b"/ct/v1/get-sth", b"/ct/v1/add-chain", b"/ct/v1/get-entries?start=x",
+                             b"http://h/ct/v1/get-sth", b"//ct/v1/get-sth", b"http://[::1/ct/v1/get-sth",
+                             b"*", b"/%zz?%00=\xff", b"/" + b"a" * 70_000]),
+            st.sampled_from([b"HTTP/1.1", b"HTTP/1.0", b"HTTP/2.0", b"HTTP/1", b"HTTP/1.x",
+                             b"HTTP/\xb2.1", b"HTTP/1.1 extra", b"", b"FTP/1.1"]),
+        ).map(b" ".join),
+        st.binary(max_size=40).map(_no_newline),
+    ))
+    body = draw(st.one_of(st.just(valid_body), st.binary(max_size=64)))
+    length = st.integers(0, 10**30).map(lambda n: str(n).encode()) | st.sampled_from(
+        [b"", b"-1", b"abc", b" 5 ", b"1e3", b"0x10", b"\xd9\xa3", b"5, 5"])
+    value = st.sampled_from([b"close", b"keep-alive", b"Keep-Alive, close", b"100-continue", b"chunked", b""])
+    header = st.one_of(
+        st.tuples(st.sampled_from([b"Content-Length", b"content-length"]), length),
+        st.tuples(st.sampled_from([b"Connection", b"Expect", b"Transfer-Encoding", b"Host"]),
+                  value | st.binary(max_size=20).map(_no_newline)),
+    ).map(b": ".join)
+    headers = draw(st.lists(header | st.binary(max_size=30).map(_no_newline), max_size=4))
+    if draw(st.booleans()):
+        headers.insert(0, b"Content-Length: %d" % len(body))
+    headers += [b"X-Filler-%d: v" % i for i in range(draw(st.sampled_from([0, 0, 0, 99, 100, 101])))]
+    headers += draw(st.sampled_from([[], [], [], [b"X-Long: " + b"b" * 70_000]]))
+    eol = draw(st.sampled_from([b"\r\n", b"\n"]))
+    return eol.join([line, *headers, b"", body])
+
+
+def test_fuzzed_requests_get_an_answer_or_a_close(registry, trust, ca_root, leaf_cert, capsys):
+    """Every raw request gets an ``HTTP/1.1 <code>`` answer or a close within
+    the reader timeout; afterwards the server still answers, and the log grew
+    only if an add-chain was answered with an SCT."""
+    import contextlib
+    import re
+    import socket
+
+    from hypothesis import HealthCheck, given, settings
+
+    log = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:0"), seed=1)
+    server = serve_log(log, clock=lambda: 1_000_000)
+    address = server.server_address
+    logged = []
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_raw_requests(_add_chain_body(leaf_cert, ca_root)))
+    def attempt(request: bytes) -> None:
+        with socket.create_connection(address, timeout=5) as sock:
+            try:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)  # a server waiting for more sees the end
+            except TimeoutError:
+                raise
+            except OSError:
+                pass  # the server closed before the whole request was sent
+            answer = b""
+            with contextlib.suppress(ConnectionResetError):  # a close too
+                while chunk := sock.recv(65_536):  # TimeoutError fails the example
+                    answer += chunk
+        assert answer == b"" or re.match(rb"HTTP/1\.1 \d{3} ", answer), answer[:80]
+        if b'"sct_version"' in answer:
+            logged.append(request)
+
+    try:
+        attempt()
+        reader = HttpLogReader(f"http://{address[0]}:{address[1]}")
+        assert reader.get_sth().treesize == (1 if logged else 0)
+        reader.close()
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert "Traceback" not in capsys.readouterr().err
