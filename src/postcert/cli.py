@@ -367,8 +367,6 @@ def _observe_live(reader, args: argparse.Namespace) -> list:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    import http.client
-
     from .httpapi import HttpLogReader
     from .trace import write_trace
 
@@ -396,7 +394,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
             events = _observe_live(reader, args)
         finally:
             reader.close()
-    except (OSError, http.client.HTTPException, LogError) as exc:
+    except (OSError, LogError) as exc:
         print(f"error: {args.target}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:

@@ -19,6 +19,22 @@ head end the connection after the answer. A request line or header line over
 Each answer is one buffered write flushed once, so its status line, headers
 and a small body leave in one send.
 
+The client is as lean. A reader opens one socket on first use (with
+TCP_NODELAY, and for an ``https`` URL wrapped in TLS by
+``ssl.create_default_context()`` with the URL's host name) and keeps it for
+every request. Each request is one send: the request line, ``Host``,
+``Accept-Encoding: identity``, ``Content-Type`` and ``Content-Length`` when
+there is a body, then the body. Of an answer it reads the status line and
+acts on ``Content-Length``, ``Transfer-Encoding: chunked`` and
+``Connection`` only: it skips 1xx interim answers, reads an answer without a
+length to EOF, and closes after ``Connection: close`` or an HTTP/1.0 answer.
+A GET that finds a reused connection closed by the server retries once on a
+new one; a POST never resends, since the server may have logged it. A status
+line that is not HTTP, a header line over 65 536 bytes, more than 100
+headers, a bad length or chunk size and a body cut short raise
+``LogError("malformed-response")``, so only ``OSError`` and ``LogError``
+leave a reader.
+
 The client reads every 200 answer strictly: an answer that is not a JSON
 object, lacks a field, has a field of the wrong type or bad base64 raises
 ``LogError("malformed-response")``.
@@ -28,7 +44,6 @@ from __future__ import annotations
 
 import base64
 import contextlib
-import http.client
 import itertools
 import json
 import re
@@ -347,12 +362,15 @@ def serve_log(log: CtLog, host: str = "127.0.0.1", port: int = 0,
               clock: Callable[[], int] = default_clock) -> socketserver.ThreadingTCPServer:
     """Start a background HTTP server for one log; caller shuts it down."""
     server = _LogServer((host, port), make_handler(log, clock))
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # shutdown() waits for the accept loop's next poll; the default poll of
+    # 0.5 s would make every shutdown take that long.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return server
 
 
 ERR_MALFORMED_RESPONSE = "malformed-response"
+ERR_INVALID_URL = "invalid-url"
 
 
 def _typed(value, kind: type):
@@ -377,6 +395,107 @@ def _malformed(endpoint: str):
         raise LogError(ERR_MALFORMED_RESPONSE, f"{endpoint}: {exc!r}") from exc
 
 
+_HEX = re.compile(rb"[0-9A-Fa-f]{1,16}")
+
+
+def _bad_answer(detail: str) -> LogError:
+    return LogError(ERR_MALFORMED_RESPONSE, detail)
+
+
+def _read_line(rfile) -> bytes:
+    """One line of an answer head; LogError for a line over the limit."""
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _bad_answer("header line too long")
+    return line
+
+
+def _read_exactly(rfile, length: int) -> bytes:
+    """``length`` bytes, read at most 1 MiB at a time: a buffered read
+    allocates all it asks for, and a length comes from the server."""
+    parts = []
+    left = length
+    while left:
+        part = rfile.read(min(left, 1 << 20))
+        if not part:
+            raise _bad_answer(f"body cut short at {length - left} of {length} bytes")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(rfile) -> bytes:
+    """A chunked body: sized chunks, a zero-size chunk, then trailer lines."""
+    chunks = []
+    while True:
+        size = _read_line(rfile).partition(b";")[0].strip()
+        if not _HEX.fullmatch(size):
+            raise _bad_answer(f"bad chunk size {size[:40]!r}")
+        size = int(size, 16)
+        if size == 0:
+            break
+        chunks.append(_read_exactly(rfile, size))
+        if _read_line(rfile) not in (b"\r\n", b"\n"):
+            raise _bad_answer("chunk not followed by a line end")
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(rfile)
+        if line in (b"\r\n", b"\n"):
+            return b"".join(chunks)
+        if not line:
+            raise _bad_answer("body cut short in the trailer")
+    raise _bad_answer("too many trailer lines")
+
+
+def _read_answer(rfile) -> tuple[int, bytes, bool]:
+    """Status, body and whether the server keeps the connection open.
+
+    Of the answer head only the status line, Content-Length,
+    Transfer-Encoding: chunked and Connection are acted on; 1xx interim
+    answers are skipped. An answer without a length ends at EOF.
+    """
+    while True:
+        line = _read_line(rfile)
+        if not line:
+            # EOF before an answer: the server closed the connection, which
+            # it may do to an idle kept-alive one at any time.
+            raise ConnectionResetError("server closed the connection before answering")
+        words = line.split(None, 2)
+        if len(words) < 2 or not words[0].startswith(b"HTTP/") or not (
+                len(words[1]) == 3 and words[1].isdigit()):
+            raise _bad_answer(f"bad status line {line[:40]!r}")
+        status = int(words[1])
+        keep_alive = words[0] != b"HTTP/1.0"
+        length = None
+        chunked = False
+        for _ in range(_MAX_HEADERS + 1):
+            line = _read_line(rfile)
+            if line in (b"\r\n", b"\n"):
+                break
+            if not line:
+                raise _bad_answer("answer head cut short")
+            name, _, value = line.partition(b":")
+            name = name.strip().lower()
+            if name == b"content-length":
+                value = value.strip()
+                if len(value) > 18 or not value.isdigit() or length not in (None, int(value)):
+                    raise _bad_answer(f"bad Content-Length {value[:40]!r}")
+                length = int(value)
+            elif name == b"transfer-encoding":
+                chunked = value.strip().lower().endswith(b"chunked")
+            elif name == b"connection":
+                if b"close" in (token.strip() for token in value.lower().split(b",")):
+                    keep_alive = False
+        else:
+            raise _bad_answer("too many headers")
+        if status >= 200:
+            break
+    if chunked:
+        return status, _read_chunked(rfile), keep_alive
+    if length is None:
+        return status, rfile.read(), False
+    return status, _read_exactly(rfile, length), keep_alive
+
+
 class HttpLogReader:
     """Client for the endpoint surface above: a ``LogReader`` over HTTP.
 
@@ -387,26 +506,61 @@ class HttpLogReader:
     def __init__(self, base_url: str, log_id: str | None = None, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        url = urllib.parse.urlsplit(self.base_url)
-        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
-        self._conn = connection(url.netloc, timeout=timeout)
-        self._path_prefix = url.path
+        try:
+            url = urllib.parse.urlsplit(self.base_url)
+            port = url.port
+            host = url.netloc.rpartition("@")[2].encode("idna")
+        except ValueError as exc:  # UnicodeError from the host name too
+            raise LogError(ERR_INVALID_URL, str(exc)) from None
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise LogError(ERR_INVALID_URL, "not an http or https URL with a host")
+        self._https = url.scheme == "https"
+        self._address = (url.hostname, port or (443 if self._https else 80))
+        self._tls = None  # the TLS context of an https reader, made on first connect
+        self._sock: socket.socket | None = None
+        self._rfile = None
+        # Every request line and head: method, prefix + path, then this.
+        self._prefix = url.path.encode("utf-8")
+        self._head = b" HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % host
         self._bust = itertools.count()
         self.log_id = log_id or self._fetch_log_id()
 
     def close(self) -> None:
-        self._conn.close()
+        if self._sock is not None:
+            self._rfile.close()
+            self._sock.close()
+            self._sock = self._rfile = None
 
-    def _request(self, method: str, path: str, body: bytes | None = None) -> dict:
-        """JSON body of a 200 answer; LogError(code, detail) for any other status."""
-        reused = self._conn.sock is not None
+    def _connect(self) -> None:
+        sock = socket.create_connection(self._address, self.timeout)
         try:
-            self._conn.request(method, self._path_prefix + path, body,
-                               {"Content-Type": "application/json"} if body else {})
-            response = self._conn.getresponse()
-            status, data = response.status, response.read()
-        except (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError):
-            self._conn.close()
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._https:
+                if self._tls is None:
+                    import ssl  # only an https reader pays for loading it
+
+                    self._tls = ssl.create_default_context()
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+        except BaseException:
+            sock.close()
+            raise
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
+
+    def _request(self, method: str, path: str, body: bytes = b"") -> dict:
+        """JSON body of a 200 answer; LogError(code, detail) for any other status."""
+        request = b"%s %s%s%s" % (method.encode("ascii"), self._prefix, path.encode("utf-8"), self._head)
+        if body:
+            request += b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body)
+        request += b"\r\n" + body
+        reused = self._sock is not None
+        try:
+            if not reused:
+                self._connect()
+            self._sock.sendall(request)
+            status, data, keep_alive = _read_answer(self._rfile)
+        except (ConnectionResetError, BrokenPipeError):
+            self.close()
             # The server may close an idle connection at any time, so a GET
             # retries once on a fresh one. A POST does not: the server may
             # have logged it, and under REINSERT a resend logs it twice.
@@ -414,8 +568,10 @@ class HttpLogReader:
                 return self._request(method, path)
             raise
         except BaseException:
-            self._conn.close()  # leave no half-sent request on the connection
+            self.close()  # leave no half-read answer on the connection
             raise
+        if not keep_alive:
+            self.close()
         try:
             answer = json.loads(data)
         except ValueError:
@@ -428,11 +584,13 @@ class HttpLogReader:
         return answer
 
     def _get(self, path: str, params: dict | None = None, bust: bool = False) -> dict:
-        query = dict(params or {})
+        """JSON body of a GET; ``params`` values enter the query as they are
+        written, so a string value must come quoted."""
+        query = [f"{name}={value}" for name, value in (params or {}).items()]
         if bust:
-            query["nocache"] = str(next(self._bust))
+            query.append(f"nocache={next(self._bust)}")
         if query:
-            path += "?" + urllib.parse.urlencode(query)
+            path += "?" + "&".join(query)
         return self._request("GET", path)
 
     def _fetch_log_id(self) -> str:
@@ -483,7 +641,7 @@ class HttpLogReader:
 
     def get_proof_by_hash(self, leaf_hash: bytes, treesize: int) -> MerkleAuditProof:
         data = self._get("/ct/v1/get-proof-by-hash",
-                         {"hash": _b64(leaf_hash), "tree_size": treesize})
+                         {"hash": urllib.parse.quote(_b64(leaf_hash), safe=""), "tree_size": treesize})
         with _malformed("get-proof-by-hash"):
             return MerkleAuditProof(
                 entry_number=_typed(data["leaf_index"], int),

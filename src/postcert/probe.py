@@ -19,8 +19,6 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .log import LogEntry
 from .trace import SizeProbe, SthObservation, SubmissionRecord
 
@@ -216,7 +214,7 @@ def clock_offsets(per_log_scts: dict[str, list[tuple[int, int]]]) -> tuple[list[
         samples = per_log_scts[log_id]
         if len(samples) < 3:
             raise AnalysisError("insufficient-data", f"{log_id}: {len(samples)} SCTs < 3")
-        medians[log_id] = float(np.median([ts - ref for ts, ref in samples]))
+        medians[log_id] = _median([ts - ref for ts, ref in samples])
     matrix = [
         [abs(medians[a] - medians[b]) for b in log_ids]
         for a in log_ids
@@ -317,12 +315,39 @@ class PercentileSummary:
         )
 
 
+def _median(values: list[int | float]) -> float:
+    """``numpy.median``: the middle value, or the mean of the two middle values."""
+    ordered = sorted(map(float, values))
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
+def _quantile(ordered: list[float], q: float) -> float:
+    """``numpy.percentile(values, 100 * q)`` of sorted values: linear
+    interpolation at index ``(n - 1) * q``. Like numpy's ``_lerp`` it
+    interpolates from the upper neighbour when the fraction is 0.5 or more,
+    so the results are the same to the bit."""
+    index = (len(ordered) - 1) * q
+    if index >= len(ordered) - 1:
+        return ordered[-1]
+    lower = int(index)
+    below, above = ordered[lower], ordered[lower + 1]
+    fraction = index - lower
+    if fraction >= 0.5:
+        return above - (above - below) * (1 - fraction)
+    return below + (above - below) * fraction
+
+
 def percentile_summary(values: list[int | float]) -> PercentileSummary:
     if not values:
         raise AnalysisError("insufficient-data", "no samples")
-    arr = np.asarray(values, dtype=float)
-    p10, p25, p50, p75, p90 = (float(np.percentile(arr, q)) for q in (10, 25, 50, 75, 90))
-    return PercentileSummary(len(values), p10, p25, p50, p75, p90, float(arr.mean()))
+    ordered = sorted(map(float, values))
+    p10, p25, p50, p75, p90 = (_quantile(ordered, q / 100) for q in (10, 25, 50, 75, 90))
+    # Every caller passes ints (milliseconds), whose sum is exact, so this is
+    # numpy's mean exactly; numpy sums floats pairwise, which can differ.
+    return PercentileSummary(len(values), p10, p25, p50, p75, p90, sum(values) / len(values))
 
 
 def request_processing_stats(records: list[SubmissionRecord]) -> PercentileSummary:

@@ -288,18 +288,18 @@ def test_concurrent_add_chain_and_get_sth_keep_log_consistent(registry, trust, c
 
 @pytest.fixture
 def connects(monkeypatch):
-    """Counts the TCP connections every HTTPConnection opens."""
-    import http.client
+    """Counts the TCP connections every log server accepts from now on."""
+    from postcert.httpapi import _LogServer
 
-    opened = []
-    original = http.client.HTTPConnection.connect
+    accepted = []
+    original = _LogServer.process_request
 
-    def connect(self):
-        opened.append(self)
-        original(self)
+    def process_request(self, request, client_address):
+        accepted.append(client_address)
+        original(self, request, client_address)
 
-    monkeypatch.setattr(http.client.HTTPConnection, "connect", connect)
-    return opened
+    monkeypatch.setattr(_LogServer, "process_request", process_request)
+    return accepted
 
 
 def test_reader_sends_every_request_over_one_connection(served_log, registry, ca_root, connects):
@@ -601,7 +601,7 @@ def stub_log():
             self.wfile.write(body)
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()  # a quick shutdown
     yield f"http://127.0.0.1:{server.server_address[1]}", answers
     server.shutdown()
     server.server_close()
@@ -736,3 +736,243 @@ def test_fuzzed_requests_get_an_answer_or_a_close(registry, trust, ca_root, leaf
         server.shutdown()
         server.server_close()
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Wire-level behaviour of the reader, against stub servers on raw sockets.
+
+def _answer_bytes(body: dict, *headers: bytes, version: bytes = b"HTTP/1.1") -> bytes:
+    """A 200 answer with ``body`` as JSON, after ``headers`` and a Content-Length."""
+    import json
+
+    data = json.dumps(body).encode()
+    head = [version + b" 200 OK", *headers, b"Content-Length: %d" % len(data)]
+    return b"\r\n".join(head) + b"\r\n\r\n" + data
+
+
+def _chunked_bytes(body: dict) -> bytes:
+    """A 200 answer with ``body`` as JSON in two chunks, a chunk extension and a trailer."""
+    import json
+
+    data = json.dumps(body).encode()
+    first, second = data[:10], data[10:]
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x;name=value\r\n%s\r\n" % (len(first), first)
+            + b"%X\r\n%s\r\n" % (len(second), second)
+            + b"0\r\nX-Trailer: t\r\n\r\n")
+
+
+class _RawStub:
+    """An HTTP stub on a raw socket, one connection at a time.
+
+    It answers the n-th request of the run with ``answers[n]``, and the last
+    answer repeats. An answer ``(data, close)`` sends ``data`` as it is and
+    then closes the connection if ``close`` is set; ``(b"", True)`` closes
+    without answering.
+    """
+
+    def __init__(self, answers: list[tuple[bytes, bool]]) -> None:
+        import socket
+        import threading
+
+        self.answers = answers
+        self.requests: list[tuple[int, bytes]] = []  # (connection number, method)
+        self.connections = 0
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self.listener.getsockname()[1]}"
+        threading.Thread(target=self._serve, daemon=True).start()
+
+    def _serve(self) -> None:
+        import contextlib
+
+        while True:
+            try:
+                conn, _ = self.listener.accept()
+            except OSError:
+                return  # closed
+            self.connections += 1
+            with contextlib.suppress(OSError), conn, conn.makefile("rb") as rfile:
+                conn.settimeout(10)
+                while self._answer_one(conn, rfile):
+                    pass
+
+    def _answer_one(self, conn, rfile) -> bool:
+        line = rfile.readline()
+        if not line:
+            return False
+        length = 0
+        while (header := rfile.readline()) not in (b"\r\n", b""):
+            name, _, value = header.partition(b":")
+            if name.lower() == b"content-length":
+                length = int(value)
+        rfile.read(length)
+        self.requests.append((self.connections, line.split(b" ")[0]))
+        data, close = self.answers[min(len(self.requests), len(self.answers)) - 1]
+        conn.sendall(data)
+        return not close
+
+    def close(self) -> None:
+        import contextlib
+        import socket
+
+        with contextlib.suppress(OSError):
+            self.listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self.listener.close()
+
+
+@pytest.fixture
+def raw_stub():
+    """Starts ``_RawStub`` servers and closes them after the test."""
+    stubs = []
+
+    def start(answers: list[tuple[bytes, bool]]) -> _RawStub:
+        stubs.append(_RawStub(answers))
+        return stubs[-1]
+
+    yield start
+    for stub in stubs:
+        stub.close()
+
+
+@pytest.mark.parametrize("answer, connections", [
+    pytest.param((_chunked_bytes(_GOOD_STH), False), 1, id="chunked"),
+    pytest.param((b"HTTP/1.1 100 Continue\r\n\r\n" + _answer_bytes(_GOOD_STH), False), 1, id="100-continue"),
+    pytest.param((_answer_bytes(_GOOD_STH, *[b"X-Filler: v"] * 99), False), 1, id="100-headers"),
+    pytest.param((_answer_bytes(_GOOD_STH, b"Connection: close"), False), 2, id="connection-close"),
+    pytest.param((_answer_bytes(_GOOD_STH, version=b"HTTP/1.0"), False), 2, id="http-1.0"),
+    pytest.param((_answer_bytes(_GOOD_STH).replace(b"Content-Length", b"X-Length"), True), 2,
+                 id="no-length-until-eof"),
+])
+def test_reader_reads_answer_and_keeps_or_reconnects(raw_stub, answer, connections):
+    """The log-id lookup and a get-sth: over one connection, or over two when
+    the first answer ends its connection."""
+    stub = raw_stub([answer])
+    reader = HttpLogReader(stub.url)
+    assert reader.log_id == "log1"
+    assert reader.get_sth().treesize == 1
+    assert stub.connections == connections
+    assert [number for number, _ in stub.requests] == [1, connections]
+    reader.close()
+
+
+def test_get_after_an_idle_close_is_retried_once(raw_stub):
+    stub = raw_stub([(_answer_bytes(_GOOD_STH), True), (_answer_bytes(_GOOD_STH), False)])
+    reader = HttpLogReader(stub.url)
+    assert reader.get_sth().treesize == 1
+    assert stub.requests == [(1, b"GET"), (2, b"GET")]
+    reader.close()
+
+    stub = raw_stub([(_answer_bytes(_GOOD_STH), True), (b"", True)])
+    reader = HttpLogReader(stub.url)
+    with pytest.raises(ConnectionResetError):
+        reader.get_sth()  # the fresh connection closes too: no second retry
+    assert stub.connections == 2
+    reader.close()
+
+
+def test_post_after_an_idle_close_is_not_retried(raw_stub, ca_root, leaf_cert):
+    stub = raw_stub([(_answer_bytes(_GOOD_STH), True)])
+    reader = HttpLogReader(stub.url)
+    with pytest.raises(OSError):
+        reader.submit(leaf_cert, [ca_root])
+    assert stub.connections == 1 and stub.requests == [(1, b"GET")]
+    reader.close()
+
+
+_GARBLED_ANSWERS = [
+    pytest.param(b"HTPT/1.1 200 OK\r\n\r\n", id="garbage-status-line"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65_536 + b"\r\n\r\n", id="header-line-too-long"),
+    pytest.param(_answer_bytes(_GOOD_STH, *[b"X-Filler: v"] * 100), id="101-headers"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: 500\r\n\r\n" + _answer_bytes(_GOOD_STH)[-40:],
+                 id="body-cut-short"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", id="bad-chunk-size"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n", id="huge-length"),
+    pytest.param(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % 10**17, id="lying-length"),
+]
+
+
+@pytest.mark.parametrize("garbled", _GARBLED_ANSWERS)
+def test_garbled_answer_is_a_log_error_and_probe_exits_3(raw_stub, garbled, tmp_path, capsys):
+    from postcert.cli import main
+
+    stub = raw_stub([(garbled, True)])
+    with pytest.raises(LogError) as err:
+        HttpLogReader(stub.url, timeout=5)
+    assert err.value.code == "malformed-response"
+    code = main(["probe", "--target", stub.url, "--out", str(tmp_path / "live.trace"),
+                 "--duration", "1s", "--sth-interval", "100ms"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {stub.url}: malformed-response")
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:99999", "ftp://127.0.0.1:80", "http://[::1", "http://a..b:80"])
+def test_unusable_url_is_a_log_error(url):
+    with pytest.raises(LogError) as err:
+        HttpLogReader(url)
+    assert err.value.code == "invalid-url"
+
+
+def _self_signed(tmp_path):
+    """A certificate for 127.0.0.1 signed by its own key: (certificate file, key file)."""
+    import datetime
+    import ipaddress
+
+    pytest.importorskip("cryptography")
+    from cryptography import x509
+    from cryptography.hazmat.primitives import hashes, serialization
+    from cryptography.hazmat.primitives.asymmetric import ec
+    from cryptography.x509.oid import NameOID
+
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "postcert test log")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (
+        x509.CertificateBuilder()
+        .subject_name(name).issuer_name(name).public_key(key.public_key())
+        .serial_number(x509.random_serial_number())
+        .not_valid_before(now - datetime.timedelta(days=1)).not_valid_after(now + datetime.timedelta(days=1))
+        .add_extension(x509.SubjectAlternativeName([x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]),
+                       critical=False)
+        .add_extension(x509.BasicConstraints(ca=True, path_length=None), critical=True)
+        .add_extension(x509.SubjectKeyIdentifier.from_public_key(key.public_key()), critical=False)
+        .add_extension(x509.AuthorityKeyIdentifier.from_issuer_public_key(key.public_key()), critical=False)
+        .sign(key, hashes.SHA256())
+    )
+    cert_file, key_file = tmp_path / "cert.pem", tmp_path / "key.pem"
+    cert_file.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    key_file.write_bytes(key.private_bytes(serialization.Encoding.PEM, serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    return cert_file, key_file
+
+
+def test_get_sth_over_https(registry, trust, ca_root, leaf_cert, tmp_path, monkeypatch):
+    """The log server behind TLS with a self-signed certificate: trusted
+    through SSL_CERT_FILE the reader reads and writes; untrusted it fails
+    with an OSError."""
+    import ssl
+    import threading
+
+    from postcert.httpapi import _LogServer, make_handler
+
+    cert_file, key_file = _self_signed(tmp_path)
+    log = CtLog("log1", registry, trust, LogConfig(publication_delay="fixed:0"), seed=1)
+    server = _LogServer(("127.0.0.1", 0), make_handler(log, lambda: 1_000_000))
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_file, key_file)
+    server.socket = context.wrap_socket(server.socket, server_side=True)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    url = f"https://127.0.0.1:{server.server_address[1]}"
+    try:
+        with pytest.raises(OSError):
+            HttpLogReader(url)  # the system's trust store does not hold the certificate
+        monkeypatch.setenv("SSL_CERT_FILE", str(cert_file))
+        reader = HttpLogReader(url)
+        assert reader.log_id == "log1"
+        sct = reader.submit(leaf_cert, [ca_root])
+        sth = reader.get_sth()
+        assert sth.treesize == 1 and verify_sth(sth, registry)
+        assert verify_sct(sct, encode_artifact(leaf_cert), registry)
+        reader.close()
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -443,6 +443,36 @@ def test_request_processing_stats():
     assert summary.p10 < summary.p25 < summary.p75 < summary.p90
 
 
+_SAMPLES = st.one_of(
+    # (values, whether their sum is exact): ints and quarter-steps sum exactly,
+    # so the mean is comparable; numpy sums other floats pairwise.
+    st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=400).map(lambda v: (v, True)),
+    st.lists(st.integers(-10**12, 10**12).map(lambda k: k / 4), min_size=1, max_size=400)
+    .map(lambda v: (v, True)),
+    # No -0.0: numpy's partition orders 0.0 and -0.0 as it happens to, so which
+    # zero it picks has no rule to copy. Ints never give -0.0.
+    st.lists(st.floats(-1e12, 1e12).map(lambda x: x + 0.0), min_size=1, max_size=400)
+    .map(lambda v: (v, False)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sample=_SAMPLES)
+def test_median_and_percentiles_match_numpy_bit_for_bit(sample):
+    from postcert.probe import _median, percentile_summary
+
+    np = pytest.importorskip("numpy")
+    values, exact_sum = sample
+    summary = percentile_summary(values)
+    got = [summary.p10, summary.p25, summary.p50, summary.p75, summary.p90, _median(values)]
+    want = [float(np.percentile(np.asarray(values, dtype=float), q)) for q in (10, 25, 50, 75, 90)]
+    want.append(float(np.median(values)))
+    if exact_sum:
+        got.append(summary.mean)
+        want.append(float(np.asarray(values, dtype=float).mean()))
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
 # -- collisions
 
 def test_collision_report_groups_duplicates():

@@ -29,3 +29,19 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in _imported_names(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def test_cli_and_http_import_no_numpy_or_stdlib_http_client():
+    """The command line and the HTTP surface load neither numpy nor the
+    standard library's HTTP client and its email header parser."""
+    import os
+    import subprocess
+    import sys
+
+    unwanted = ("numpy", "http.client", "email.parser")
+    code = ("import sys, postcert.cli, postcert.httpapi; "
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
+    src = str(Path(postcert.__file__).parent.parent)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.split() == []
