@@ -30,7 +30,6 @@ from .encoding import (
     optional,
     seq,
     signing_payload,
-    text_block,
     wire,
 )
 
@@ -199,34 +198,6 @@ def decode_payload(data: bytes) -> Certificate | Postcertificate:
     if not isinstance(obj, (Certificate, Postcertificate)):
         raise CertError("payload is neither certificate nor postcertificate")
     return obj
-
-
-def certificate_to_text(cert: Certificate) -> str:
-    fields = [
-        ("serial", cert.tbs.serial),
-        ("subject", cert.tbs.subject),
-        ("issuer", cert.tbs.issuer),
-        ("not_before", cert.tbs.not_before),
-        ("not_after", cert.tbs.not_after),
-        ("public_key_id", cert.tbs.public_key_id),
-        ("extensions", ",".join(e.oid for e in cert.tbs.extensions) or "-"),
-        ("signer", cert.signature.signer_id),
-    ]
-    return text_block("certificate", fields, encode_artifact(cert))
-
-
-def postcertificate_to_text(post: Postcertificate) -> str:
-    fields = [
-        ("serial", post.tbs.serial),
-        ("subject", post.tbs.subject),
-        ("issuer", post.tbs.issuer),
-        ("scheme", post.scheme.value),
-        ("status", post.status),
-        ("reason", post.revocation_ext.reason_code),
-        ("invalidation_date", post.revocation_ext.invalidation_date),
-        ("signer", post.signature.signer_id),
-    ]
-    return text_block("postcertificate", fields, encode_artifact(post))
 
 
 # Construction ----------------------------------------------------------------

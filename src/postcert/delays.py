@@ -143,9 +143,3 @@ def sct_fast_path(breakdown: DelayBreakdown, sct_delivery_ms: int) -> DelayBreak
     if sct_delivery_ms < 0:
         raise DelayError("handoff delay must be non-negative")
     return replace(breakdown, publication_ms=sct_delivery_ms, mon_discovery_ms=0)
-
-
-def render_violations(violations: list[Violation]) -> str:
-    if not violations:
-        return "no violations\n"
-    return "\n".join(v.render() for v in violations) + "\n"

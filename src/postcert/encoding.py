@@ -34,6 +34,9 @@ bundles.
 
 ``ByteWriter`` and ``ByteReader`` write and read one primitive at a time.
 They are the reference the declared codecs are tested against.
+
+``fields_line`` and ``FieldLine`` write and read one line of ``key=value``
+fields, the text form of trace lines, log snapshots and scenario files.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import dataclasses
 import enum
 import functools
 import struct
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -495,3 +498,52 @@ def text_block_bytes(text: str) -> bytes:
         if line.startswith("bytes:"):
             return bytes.fromhex(line.split(":", 1)[1].strip())
     raise DecodeError("text block has no bytes line")
+
+
+# Field lines: one line of space-separated "key=value" fields.
+
+def fields_line(pairs: Iterable[tuple[str, object]]) -> str:
+    return " ".join(f"{key}={value}" for key, value in pairs)
+
+
+class FieldLine:
+    """The fields of one ``fields_line``, read by key. Every failure is a
+    DecodeError naming the line (``label lineno``) and the field; the name is
+    built only on failure."""
+
+    __slots__ = ("fields", "label", "lineno")
+
+    def __init__(self, text: str, label: str, lineno: int) -> None:
+        self.label = label
+        self.lineno = lineno
+        try:
+            self.fields = dict([item.split("=", 1) for item in text.split()])
+        except ValueError:
+            item = next(item for item in text.split() if "=" not in item)
+            raise self.error(f"malformed field {item!r}") from None
+
+    def error(self, what: str) -> DecodeError:
+        return DecodeError(f"{self.label} {self.lineno}: {what}")
+
+    def get(self, key: str, parse: Callable[[str], object] = str, *default: object):
+        """Field ``key`` through ``parse``, or ``default`` when it is absent."""
+        if key not in self.fields:
+            if default:
+                return default[0]
+            raise self.error(f"missing field {key!r}")
+        try:
+            return parse(self.fields[key])
+        except ValueError as exc:
+            raise self.error(f"{exc} (bad {key} value)") from None
+
+    @staticmethod
+    def read(text: str, keys: Sequence[tuple[str, Callable[[str], object]]], label: str, lineno: int) -> list:
+        """The fields ``keys`` names, in order, each through its parser: the
+        path for a fixed layout read line after line, which builds a
+        FieldLine only to name a failure."""
+        try:
+            fields = dict([item.split("=", 1) for item in text.split()])
+            return [parse(fields[key]) for key, parse in keys]
+        except (KeyError, ValueError):
+            line = FieldLine(text, label, lineno)
+            return [line.get(key, parse) for key, parse in keys]

@@ -19,6 +19,7 @@ out-of-order or lagging tree heads with a configured probability while
 from __future__ import annotations
 
 import enum
+import math
 import random
 from bisect import bisect_left
 from collections.abc import Sequence
@@ -36,7 +37,7 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import BLOB, I64, TEXT, U64, DecodeError, inline, seq, signing_payload, wire
+from .encoding import BLOB, I64, TEXT, U64, FieldLine, inline, seq, signing_payload, wire
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -174,6 +175,8 @@ class DelayModel:
         parts = spec.split(":")
         self.kind = parts[0]
         args = [float(p) for p in parts[1:]]
+        if not all(map(math.isfinite, args)):
+            raise ValueError(f"bad delay spec: {spec!r}")
         if self.kind == "fixed" and len(args) == 1:
             pass
         elif self.kind == "uniform" and len(args) == 2 and args[0] <= args[1]:
@@ -358,41 +361,25 @@ class LogView:
         """Parse ``log_snapshot_text`` output.
 
         Raises DecodeError naming the line for a malformed or missing field,
-        a non-integer value or bad hex.
+        a non-integer value, bad hex or an empty signer.
         """
         log_id = ""
         entries: list[LogEntry] = []
         sths: list[STH] = []
         for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
             kind, _, rest = line.partition(" ")
-            fields = _snapshot_fields(rest, lineno)
-
-            def field(name: str, parse=str):
-                return _snapshot_field(fields, name, parse, lineno)
-
+            if kind not in ("log", "entry", "sth"):
+                continue
             if kind == "log":
-                log_id = field("id")
+                log_id = FieldLine(rest, "snapshot line", lineno).get("id")
             elif kind == "entry":
-                entries.append(
-                    LogEntry(
-                        payload=field("payload", bytes.fromhex),
-                        t_submission=field("t_submission", int),
-                        log_id=log_id,
-                        number=field("number", int),
-                    )
-                )
-            elif kind == "sth":
-                sths.append(
-                    STH(
-                        log_id=log_id,
-                        t=field("t", int),
-                        treesize=field("treesize", int),
-                        root_hash=field("root", bytes.fromhex),
-                        signature=Signature(field("signer"), field("sig", bytes.fromhex)),
-                    )
-                )
+                payload, t_submission, number = FieldLine.read(rest, _ENTRY_FIELDS, "snapshot line", lineno)
+                entries.append(LogEntry(payload, t_submission, log_id, number))
+            else:
+                t, treesize, root, signer, sig = FieldLine.read(rest, _STH_FIELDS, "snapshot line", lineno)
+                if not signer:
+                    raise FieldLine(rest, "snapshot line", lineno).error("empty signer")
+                sths.append(STH(log_id, t, treesize, root, Signature(signer, sig)))
         return LogView(log_id, entries, sths, scheme)
 
     def leaf_number(self, leaf_hash: bytes) -> int | None:
@@ -648,6 +635,10 @@ class CtLog(LogView):
 
 # Snapshots ----------------------------------------------------------------------
 
+_ENTRY_FIELDS = (("payload", bytes.fromhex), ("t_submission", int), ("number", int))
+_STH_FIELDS = (("t", int), ("treesize", int), ("root", bytes.fromhex), ("signer", str), ("sig", bytes.fromhex))
+
+
 def log_snapshot_text(log: LogView) -> str:
     """Serialize published entries and tree-head history to one text blob."""
     lines = [f"log id={log.log_id} scheme={log.scheme.name} size={len(log.entries)}"]
@@ -662,22 +653,3 @@ def log_snapshot_text(log: LogView) -> str:
             f"signer={sth.signature.signer_id} sig={sth.signature.value.hex()}"
         )
     return "\n".join(lines) + "\n"
-
-
-def _snapshot_fields(rest: str, lineno: int) -> dict[str, str]:
-    fields = {}
-    for item in rest.split():
-        key, sep, value = item.partition("=")
-        if not sep:
-            raise DecodeError(f"snapshot line {lineno}: malformed field {item!r}")
-        fields[key] = value
-    return fields
-
-
-def _snapshot_field(fields: dict[str, str], name: str, parse, lineno: int):
-    if name not in fields:
-        raise DecodeError(f"snapshot line {lineno}: missing field {name!r}")
-    try:
-        return parse(fields[name])
-    except ValueError:
-        raise DecodeError(f"snapshot line {lineno}: bad {name} value {fields[name]!r}") from None

@@ -19,15 +19,22 @@ At the horizon the run optionally audits itself: measured delay breakdowns go
 through the bound checker, and a third-party monitor view of the trace is fed
 to the misbehavior proof builders. Violations and proof attempts land in the
 trace alongside the protocol events.
+
+The scenario file format comes from one declaration: each field of a line
+kind is one row, which ``scenario_to_text`` writes and ``scenario_from_text``
+reads.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import math
 import random
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
+from typing import Any
 
 from .certs import (
     CertRef,
@@ -42,8 +49,8 @@ from .certs import (
     sign_certificate,
 )
 from .crypto import KeyRegistry, SHA256
-from .encoding import DecodeError, encode_artifact
-from .log import CtLog, LogConfig, LogError, SCT
+from .encoding import FieldLine, encode_artifact, fields_line
+from .log import CtLog, DuplicatePolicy, LogConfig, LogError, SCT, SthCacheMode, UpdateClass
 from .misbehavior import (
     Case,
     InsufficientEvidenceError,
@@ -57,6 +64,8 @@ from .misbehavior import (
 )
 from .probe import binary_search_size
 from .status import (
+    VALIDITY_MAX_MS,
+    VALIDITY_MIN_MS,
     RevocationStatus,
     StatusValue,
     issue_status,
@@ -162,18 +171,32 @@ def validate_scenario(scenario: Scenario) -> None:
     if scenario.horizon_ms <= 0:
         raise ScenarioError("invalid-scenario: horizon must be positive")
     ids: set[str] = set()
-    for group in (scenario.logs, scenario.cas, scenario.clients):
-        for actor in group:
-            actor_id = getattr(actor, "log_id", None) or getattr(actor, "ca_id", None) or getattr(
-                actor, "client_id"
-            )
-            if actor_id in ids:
-                raise ScenarioError(f"invalid-scenario: duplicate actor id {actor_id}")
-            ids.add(actor_id)
+    actor_ids = [l.log_id for l in scenario.logs] + [c.ca_id for c in scenario.cas]
+    for actor_id in actor_ids + [c.client_id for c in scenario.clients]:
+        if not actor_id or actor_id in ids:
+            raise ScenarioError(f"invalid-scenario: empty or duplicate actor id {actor_id!r}")
+        ids.add(actor_id)
     if not scenario.logs:
         raise ScenarioError("invalid-scenario: at least one log required")
+    for log in scenario.logs:
+        if not (math.isfinite(log.background_per_hour) and log.background_per_hour >= 0):
+            raise ScenarioError(f"invalid-scenario: log {log.log_id}: background must be finite and >= 0")
+    for ca in scenario.cas:
+        if ca.poll_interval_ms <= 0:
+            raise ScenarioError(f"invalid-scenario: ca {ca.ca_id}: poll interval must be positive")
+        if not VALIDITY_MIN_MS <= ca.status_validity_ms <= VALIDITY_MAX_MS:
+            raise ScenarioError(f"invalid-scenario: ca {ca.ca_id}: status validity outside "
+                                f"{VALIDITY_MIN_MS}..{VALIDITY_MAX_MS} ms")
+        if min(ca.update_delay_ms, ca.processing_delay_ms) < 0:
+            raise ScenarioError(f"invalid-scenario: ca {ca.ca_id}: negative update or processing delay")
+    for client in scenario.clients:
+        if client.handoff_delay_ms < 0:
+            raise ScenarioError(f"invalid-scenario: client {client.client_id}: negative handoff delay")
+    probe = scenario.probe
+    if probe and (probe.sth_interval_ms <= 0 or min(probe.size_interval_ms, probe.submit_interval_ms) < 0):
+        raise ScenarioError("invalid-scenario: probe sth interval must be positive, size and submit >= 0")
     log_ids = {l.log_id for l in scenario.logs}
-    for named in [c.monitored_logs for c in scenario.cas] + [scenario.probe.logs if scenario.probe else ()]:
+    for named in [c.monitored_logs for c in scenario.cas] + [probe.logs if probe else ()]:
         if not log_ids.issuperset(named):
             raise ScenarioError(f"invalid-scenario: unknown log in {','.join(named)}")
     client_ids = {c.client_id for c in scenario.clients}
@@ -834,206 +857,159 @@ def run(scenario: Scenario) -> list[TraceEvent]:
     return Simulation(scenario).run()
 
 
-# Scenario file round trip -----------------------------------------------------------
+# Scenario files ---------------------------------------------------------------------
+#
+# A header line, then one line per log, CA, client, probe and event after its
+# kind word. Each field is a row (key, attribute path, converter), with a
+# default where the key may be absent; a converter is a pair (value to text,
+# text to value), and a dotted path fills the nested LogConfig or MrdPolicy.
+# An event line is its t and kind, then its free-form params.
 
-def _fmt_fields(pairs: list[tuple[str, object]]) -> str:
-    return " ".join(f"{k}={v}" for k, v in pairs)
+
+def _enum(cls: type[enum.Enum]) -> tuple:
+    return (lambda value: value.value, cls)
+
+
+_INT = (str, int)
+_FLOAT = (str, float)
+_TEXT = (str, str)
+_FLAG = (lambda value: str(int(value)), lambda text: bool(int(text)))
+_DASHED = (lambda value: value or "-", lambda text: "" if text == "-" else text)
+_IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
+_ZERO_NONE = (lambda value: str(value or 0), lambda text: int(text) or None)
+
+_HEADER_FIELDS = (
+    ("scenario", "name", _TEXT),
+    ("seed", "seed", _INT),
+    ("horizon", "horizon_ms", _INT),
+    ("mrd_mode", "policy.mode", _enum(MrdMode)),
+    ("mrd", "policy.mrd_ms", _INT),
+    ("mmd", "policy.mmd_ms", _INT),
+    ("build_proofs", "build_proofs", _FLAG, True),
+    ("check_bounds", "check_delay_bounds", _FLAG, True),
+)
+_LOG_FIELDS = (
+    ("id", "log_id", _TEXT),
+    ("mmd", "config.mmd_ms", _INT),
+    ("offset", "config.clock_offset_ms", _INT),
+    ("class", "config.update_class", _enum(UpdateClass)),
+    ("interval", "config.update_interval_ms", _ZERO_NONE),
+    ("delay", "config.publication_delay", _TEXT),
+    ("dup", "config.duplicate_policy", _enum(DuplicatePolicy)),
+    ("cache", "config.sth_cache", _enum(SthCacheMode)),
+    ("cache_p", "config.sth_cache_p", _FLOAT),
+    ("self_signed", "config.accept_self_signed", _FLAG),
+    ("frozen", "config.frozen", _FLAG),
+    ("forget", "config.forget", _FLAG),
+    ("background", "background_per_hour", _FLOAT),
+    ("operator", "operator", _DASHED),
+    ("trusted", "trusted", _FLAG),
+)
+_CA_FIELDS = (
+    ("id", "ca_id", _TEXT),
+    ("poll", "poll_interval_ms", _INT),
+    ("validity", "status_validity_ms", _INT),
+    ("update", "update_delay_ms", _INT),
+    ("processing", "processing_delay_ms", _INT),
+    ("offset", "clock_offset_ms", _INT),
+    ("misbehavior", "misbehavior", _enum(CaMisbehavior)),
+    ("monitors", "monitored_logs", _IDS),
+)
+_CLIENT_FIELDS = (
+    ("id", "client_id", _TEXT),
+    ("copies", "submit_copies", _INT),
+    ("handoff", "sct_handoff", _FLAG),
+    ("handoff_delay", "handoff_delay_ms", _INT),
+    ("avoid_issuer", "avoid_issuer_log", _FLAG),
+    ("scheme", "scheme", _enum(PostcertScheme)),
+)
+_PROBE_FIELDS = (
+    ("sth", "sth_interval_ms", _INT),
+    ("size", "size_interval_ms", _INT),
+    ("submit", "submit_interval_ms", _INT),
+    ("submit_limit", "submit_limit", _INT, 0),
+    ("logs", "logs", _IDS),
+)
+_EVENT_FIELDS = (
+    ("t", "t", _INT),
+    ("kind", "kind", _TEXT),
+)
+
+# kind word: (Scenario attribute, class, fields), in file order
+_ACTOR_LINES = {
+    "log": ("logs", SimLogConfig, _LOG_FIELDS),
+    "ca": ("cas", SimCaConfig, _CA_FIELDS),
+    "client": ("clients", SimClientConfig, _CLIENT_FIELDS),
+    "probe": ("probe", ProbeConfig, _PROBE_FIELDS),
+}
+_NESTED = {"config": LogConfig, "policy": MrdPolicy}
+
+
+def _write_fields(rows, obj: object) -> list[tuple[str, str]]:
+    return [(key, write(attrgetter(path)(obj))) for key, path, (write, _), *_ in rows]
+
+
+def _read_fields(cls: Callable[..., Any], rows, fields: FieldLine, **kwargs: Any) -> Any:
+    """A ``cls`` built from ``rows`` and ``kwargs``, each dotted path's owner first."""
+    nested: dict[str, dict[str, Any]] = {}
+    for key, path, (_, parse), *default in rows:
+        owner, _, name = path.rpartition(".")
+        target = nested.setdefault(owner, {}) if owner else kwargs
+        target[name] = fields.get(key, parse, *default)
+    try:
+        for owner, values in nested.items():
+            kwargs[owner] = _NESTED[owner](**values)
+        return cls(**kwargs)
+    except ValueError as exc:  # a value the constructor rejects
+        raise fields.error(str(exc)) from None
 
 
 def scenario_to_text(scenario: Scenario) -> str:
-    lines = [
-        _fmt_fields(
-            [
-                ("scenario", scenario.name),
-                ("seed", scenario.seed),
-                ("horizon", scenario.horizon_ms),
-                ("mrd_mode", scenario.policy.mode.value),
-                ("mrd", scenario.policy.mrd_ms),
-                ("mmd", scenario.policy.mmd_ms),
-                ("build_proofs", int(scenario.build_proofs)),
-                ("check_bounds", int(scenario.check_delay_bounds)),
-            ]
-        )
-    ]
-    for l in scenario.logs:
-        c = l.config
-        lines.append(
-            "log "
-            + _fmt_fields(
-                [
-                    ("id", l.log_id),
-                    ("mmd", c.mmd_ms),
-                    ("offset", c.clock_offset_ms),
-                    ("class", c.update_class.value),
-                    ("interval", c.update_interval_ms or 0),
-                    ("delay", c.publication_delay),
-                    ("dup", c.duplicate_policy.value),
-                    ("cache", c.sth_cache.value),
-                    ("cache_p", c.sth_cache_p),
-                    ("self_signed", int(c.accept_self_signed)),
-                    ("frozen", int(c.frozen)),
-                    ("forget", int(c.forget)),
-                    ("background", l.background_per_hour),
-                    ("operator", l.operator or "-"),
-                    ("trusted", int(l.trusted)),
-                ]
-            )
-        )
-    for ca in scenario.cas:
-        lines.append(
-            "ca "
-            + _fmt_fields(
-                [
-                    ("id", ca.ca_id),
-                    ("poll", ca.poll_interval_ms),
-                    ("validity", ca.status_validity_ms),
-                    ("update", ca.update_delay_ms),
-                    ("processing", ca.processing_delay_ms),
-                    ("offset", ca.clock_offset_ms),
-                    ("misbehavior", ca.misbehavior.value),
-                    ("monitors", ",".join(ca.monitored_logs) or "-"),
-                ]
-            )
-        )
-    for client in scenario.clients:
-        lines.append(
-            "client "
-            + _fmt_fields(
-                [
-                    ("id", client.client_id),
-                    ("copies", client.submit_copies),
-                    ("handoff", int(client.sct_handoff)),
-                    ("handoff_delay", client.handoff_delay_ms),
-                    ("avoid_issuer", int(client.avoid_issuer_log)),
-                    ("scheme", client.scheme.value),
-                ]
-            )
-        )
-    if scenario.probe is not None:
-        p = scenario.probe
-        lines.append(
-            "probe "
-            + _fmt_fields(
-                [
-                    ("sth", p.sth_interval_ms),
-                    ("size", p.size_interval_ms),
-                    ("submit", p.submit_interval_ms),
-                    ("submit_limit", p.submit_limit),
-                    ("logs", ",".join(p.logs) or "-"),
-                ]
-            )
-        )
+    lines = [fields_line(_write_fields(_HEADER_FIELDS, scenario))]
+    for kind, (attr, _, rows) in _ACTOR_LINES.items():
+        actors = getattr(scenario, attr)
+        if not isinstance(actors, tuple):
+            actors = () if actors is None else (actors,)
+        for actor in actors:
+            lines.append(f"{kind} {fields_line(_write_fields(rows, actor))}")
     for event in scenario.schedule:
-        pairs = [("t", event.t), ("kind", event.kind)] + sorted(event.params.items())
-        lines.append("event " + _fmt_fields(pairs))
+        pairs = _write_fields(_EVENT_FIELDS, event) + sorted(event.params.items())
+        lines.append(f"event {fields_line(pairs)}")
     return "\n".join(lines) + "\n"
 
 
 def scenario_from_text(text: str) -> Scenario:
-    """Parse ``scenario_to_text`` output.
-
-    Raises DecodeError naming the line for a malformed or missing field or a
-    bad value, and ScenarioError for an unknown line or a missing header.
-    """
-    from .log import DuplicatePolicy, SthCacheMode, UpdateClass
-
-    header: dict | None = None
-    logs: list[SimLogConfig] = []
-    cas: list[SimCaConfig] = []
-    clients: list[SimClientConfig] = []
-    probe: ProbeConfig | None = None
+    """Parse ``scenario_to_text`` output. A malformed or missing field or a
+    bad value raises DecodeError naming the line; an unknown line or a
+    missing header raises ScenarioError."""
+    header: dict[str, Any] | None = None
+    actors: dict[str, list] = {attr: [] for attr, _, _ in _ACTOR_LINES.values()}
     schedule: list[ScheduledEvent] = []
+    event_keys = {key for key, *_ in _EVENT_FIELDS}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            if line.startswith("scenario="):
-                fields = dict(item.split("=", 1) for item in line.split())
-                header = dict(
-                    name=fields["scenario"],
-                    seed=int(fields["seed"]),
-                    horizon_ms=int(fields["horizon"]),
-                    policy=MrdPolicy(mode=MrdMode(fields["mrd_mode"]), mrd_ms=int(fields["mrd"]),
-                                     mmd_ms=int(fields["mmd"])),
-                    build_proofs=bool(int(fields.get("build_proofs", "1"))),
-                    check_delay_bounds=bool(int(fields.get("check_bounds", "1"))),
-                )
-                continue
-            kind, _, rest = line.partition(" ")
-            fields = dict(item.split("=", 1) for item in rest.split())
-            if kind == "log":
-                interval = int(fields["interval"]) or None
-                logs.append(
-                    SimLogConfig(
-                        log_id=fields["id"],
-                        config=LogConfig(
-                            mmd_ms=int(fields["mmd"]),
-                            clock_offset_ms=int(fields["offset"]),
-                            update_class=UpdateClass(fields["class"]),
-                            update_interval_ms=interval,
-                            publication_delay=fields["delay"],
-                            duplicate_policy=DuplicatePolicy(fields["dup"]),
-                            sth_cache=SthCacheMode(fields["cache"]),
-                            sth_cache_p=float(fields["cache_p"]),
-                            accept_self_signed=bool(int(fields["self_signed"])),
-                            frozen=bool(int(fields["frozen"])),
-                            forget=bool(int(fields["forget"])),
-                        ),
-                        background_per_hour=float(fields["background"]),
-                        operator="" if fields["operator"] == "-" else fields["operator"],
-                        trusted=bool(int(fields["trusted"])),
-                    )
-                )
-            elif kind == "ca":
-                monitors = () if fields["monitors"] == "-" else tuple(fields["monitors"].split(","))
-                cas.append(
-                    SimCaConfig(
-                        ca_id=fields["id"],
-                        poll_interval_ms=int(fields["poll"]),
-                        status_validity_ms=int(fields["validity"]),
-                        update_delay_ms=int(fields["update"]),
-                        processing_delay_ms=int(fields["processing"]),
-                        clock_offset_ms=int(fields["offset"]),
-                        misbehavior=CaMisbehavior(fields["misbehavior"]),
-                        monitored_logs=monitors,
-                    )
-                )
-            elif kind == "client":
-                clients.append(
-                    SimClientConfig(
-                        client_id=fields["id"],
-                        submit_copies=int(fields["copies"]),
-                        sct_handoff=bool(int(fields["handoff"])),
-                        handoff_delay_ms=int(fields["handoff_delay"]),
-                        avoid_issuer_log=bool(int(fields["avoid_issuer"])),
-                        scheme=PostcertScheme(fields["scheme"]),
-                    )
-                )
-            elif kind == "probe":
-                probe = ProbeConfig(
-                    sth_interval_ms=int(fields["sth"]),
-                    size_interval_ms=int(fields["size"]),
-                    submit_interval_ms=int(fields["submit"]),
-                    submit_limit=int(fields.get("submit_limit", "0")),
-                    logs=() if fields["logs"] == "-" else tuple(fields["logs"].split(",")),
-                )
-            elif kind == "event":
-                params = {k: v for k, v in fields.items() if k not in ("t", "kind")}
-                schedule.append(ScheduledEvent(t=int(fields["t"]), kind=fields["kind"], params=params))
-            else:
-                raise ScenarioError(f"invalid-scenario: unknown line {line!r}")
-        except KeyError as exc:
-            raise DecodeError(f"line {lineno}: missing field {exc}") from None
-        except ValueError as exc:
-            raise DecodeError(f"line {lineno}: {exc}") from None
+        kind, _, rest = line.partition(" ")
+        if "=" in kind:  # the header: its first word is already a field
+            kind, rest = "", line
+        elif kind != "event" and kind not in _ACTOR_LINES:
+            raise ScenarioError(f"invalid-scenario: unknown line {line!r}")
+        fields = FieldLine(rest, "line", lineno)
+        if not kind:
+            header = _read_fields(dict, _HEADER_FIELDS, fields)
+        elif kind == "event":
+            params = {key: value for key, value in fields.fields.items() if key not in event_keys}
+            schedule.append(_read_fields(ScheduledEvent, _EVENT_FIELDS, fields, params=params))
+        else:
+            attr, cls, rows = _ACTOR_LINES[kind]
+            actors[attr].append(_read_fields(cls, rows, fields))
     if header is None:
         raise ScenarioError("invalid-scenario: missing scenario header")
+    probes = actors.pop("probe")
     return Scenario(
         **header,
-        logs=tuple(logs),
-        cas=tuple(cas),
-        clients=tuple(clients),
-        probe=probe,
+        **{attr: tuple(values) for attr, values in actors.items()},
+        probe=probes[-1] if probes else None,
         schedule=tuple(schedule),
     )

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .encoding import BLOB, BOOL, I64, TEXT, U64, DecodeError, decode_artifact, nested, optional, wire
+from .encoding import BLOB, BOOL, I64, TEXT, U64, FieldLine, decode_artifact, nested, optional, wire
 from .log import SCT, STH
 from .status import RevocationStatus
 
@@ -137,23 +137,12 @@ def format_event(event: TraceEvent) -> str:
     )
 
 
-def parse_event(line: str) -> TraceEvent:
-    fields: dict[str, str] = {}
-    for item in line.strip().split(" "):
-        key, _, value = item.partition("=")
-        if not _:
-            raise DecodeError(f"malformed trace line: {line!r}")
-        fields[key] = value
-    try:
-        return TraceEvent(
-            t_ref=int(fields["t"]),
-            seq=int(fields["seq"]),
-            actor=fields["actor"],
-            kind=EventKind(fields["kind"]),
-            payload=bytes.fromhex(fields["payload"]),
-        )
-    except (KeyError, ValueError) as exc:
-        raise DecodeError(f"malformed trace line: {line!r}") from exc
+_EVENT_FIELDS = (("t", int), ("seq", int), ("actor", str), ("kind", EventKind), ("payload", bytes.fromhex))
+
+
+def parse_event(line: str, lineno: int = 1) -> TraceEvent:
+    """Parse ``format_event`` output; ``lineno`` names the line in errors."""
+    return TraceEvent(*FieldLine.read(line, _EVENT_FIELDS, "trace line", lineno))
 
 
 def write_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:
@@ -163,9 +152,9 @@ def write_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:
 
 def read_trace(stream: IO[str]) -> list[TraceEvent]:
     events = []
-    for line in stream:
+    for lineno, line in enumerate(stream, 1):
         if line.strip():
-            events.append(parse_event(line))
+            events.append(parse_event(line, lineno))
     return events
 
 

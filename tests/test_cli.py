@@ -360,6 +360,41 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
     assert err.startswith("error: invalid-scenario: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "pattern, replacement",
+    [
+        (r"(ca .*)poll=\d+", r"\1poll=0"),
+        (r"(ca .*)poll=\d+", r"\1poll=-5"),
+        (r"probe sth=\d+", "probe sth=0"),
+        (r"probe sth=\d+", "probe sth=-5"),
+        (r"(probe .*)size=\d+", r"\1size=-1"),
+        (r"(probe .*)submit=\d+", r"\1submit=-1"),
+        (r"background=[\d.]+", "background=nan"),
+        (r"delay=\S+", "delay=exp:nan"),
+        (r"validity=\d+", "validity=0"),
+        (r"handoff=0 handoff_delay=\d+", "handoff=1 handoff_delay=-5"),
+    ],
+    ids=["poll-zero", "poll-negative", "sth-zero", "sth-negative", "size-negative",
+         "submit-negative", "background-nan", "delay-nan", "validity-zero", "handoff-delay-negative"],
+)
+def test_out_of_range_scenario_value_is_io_error(tmp_path, capsys, pattern, replacement):
+    """Values that would hang the run at one instant or fail inside it are
+    rejected before it starts."""
+    from postcert.presets import normal_revocation
+    from postcert.sim import scenario_to_text
+
+    text = scenario_to_text(normal_revocation(seed=21))
+    broken = re.sub(pattern, replacement, text, count=1)
+    assert broken != text
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(broken)
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+
+
 def test_probe_unreachable_target_is_io_error(tmp_path, capsys):
     import socket
 

@@ -16,7 +16,6 @@ from postcert.delays import (
     VIOLATION_PUBLICATION,
     VIOLATION_TOTAL,
     check_bounds,
-    render_violations,
     sct_fast_path,
     total_delay,
 )
@@ -141,10 +140,3 @@ def test_fast_path_never_slower_when_handoff_is_quicker():
 def test_fast_path_requires_postcert_pathway():
     with pytest.raises(DelayError):
         sct_fast_path(DelayBreakdown.current(0, 0, 0), 10)
-
-
-def test_violation_rendering():
-    b = DelayBreakdown.postcert(25 * HOUR_MS, 0, 0)
-    text = render_violations(check_bounds(b, PUB))
-    assert VIOLATION_PUBLICATION in text
-    assert render_violations([]) == "no violations\n"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import io
 import random
 import struct
 
@@ -18,10 +20,8 @@ from postcert.certs import (
     PostcertScheme,
     RevocationExtension,
     TbsCertificate,
-    certificate_to_text,
     encode_tbs,
     postcert_signing_payload,
-    postcertificate_to_text,
 )
 from postcert.crypto import Signature
 from postcert.encoding import (
@@ -30,15 +30,28 @@ from postcert.encoding import (
     ByteReader,
     ByteWriter,
     DecodeError,
+    FieldLine,
     _DECODERS,
     decode_artifact,
     encode_artifact,
+    fields_line,
     inline,
-    text_block_bytes,
     wire,
 )
-from postcert.log import SCT, STH, LogEntry, MerkleAuditProof, sct_signing_payload, sth_signing_payload
+from postcert.log import (
+    SCT,
+    STH,
+    LogEntry,
+    LogView,
+    MerkleAuditProof,
+    log_snapshot_text,
+    sct_signing_payload,
+    sth_signing_payload,
+)
+from postcert.presets import normal_revocation
+from postcert.sim import ScenarioError, Simulation, scenario_from_text, scenario_to_text, validate_scenario
 from postcert.status import RevocationStatus, StatusKind, StatusValue, status_signing_payload
+from postcert.trace import read_trace, trace_to_text
 
 from oracles import artifact_samples, declared
 
@@ -189,17 +202,6 @@ def test_certificate_round_trip_hypothesis(serial, subject, gap, start, value, c
     )
     cert = Certificate(tbs, Signature("ca", b"\x00" * 32))
     assert decode_artifact(encode_artifact(cert)) == cert
-
-
-def test_text_fixtures_carry_exact_bytes(registry, leaf_cert):
-    text = certificate_to_text(leaf_cert)
-    assert decode_artifact(text_block_bytes(text)) == leaf_cert
-    from postcert.certs import make_postcertificate
-
-    post = make_postcertificate(leaf_cert, PostcertScheme.CA_ISSUED, registry)
-    text = postcertificate_to_text(post)
-    assert decode_artifact(text_block_bytes(text)) == post
-    assert "scheme: CA_ISSUED" in text
 
 
 # Every primitive at its bounds ------------------------------------------------
@@ -509,3 +511,113 @@ def test_a_decoded_tbs_caches_the_blob_it_was_read_from(cls, data):
     assert "encoded" in vars(tbs)  # seeded by the decoder, not computed on read
     assert tbs.encoded == encode_tbs(tbs)
     assert encode_artifact(decode_artifact(payload)) == payload
+
+
+# Field lines ------------------------------------------------------------------
+
+
+def test_field_line_round_trips_and_reads_by_key():
+    line = fields_line([("t", 5), ("who", "ca1"), ("hex", "00ff")])
+    assert line == "t=5 who=ca1 hex=00ff"
+    assert FieldLine.read(line, (("hex", bytes.fromhex), ("t", int)), "line", 3) == [b"\x00\xff", 5]
+    fields = FieldLine(line, "line", 3)
+    assert fields.get("who") == "ca1"
+    assert fields.get("t", int) == 5
+    assert fields.get("absent", int, 7) == 7
+
+
+def _read_keys(*keys):
+    return lambda text, label, lineno: FieldLine.read(text, keys, label, lineno)
+
+
+@pytest.mark.parametrize(
+    "text, read, message",
+    [
+        ("t=5 oops", FieldLine, "snapshot line 4: malformed field 'oops'"),
+        ("t=5 oops", _read_keys(("t", int)), "snapshot line 4: malformed field 'oops'"),
+        ("t=5", lambda *line: FieldLine(*line).get("seq", int), "snapshot line 4: missing field 'seq'"),
+        ("t=5", _read_keys(("t", int), ("seq", int)), "snapshot line 4: missing field 'seq'"),
+        ("t=soon", _read_keys(("t", int)), "snapshot line 4: invalid literal for int()"),
+        ("t=soon", lambda *line: FieldLine(*line).get("t", int), "(bad t value)"),
+        ("h=zz", _read_keys(("h", bytes.fromhex)), "(bad h value)"),
+    ],
+    ids=["malformed", "malformed-read", "missing", "missing-read", "bad-int", "bad-int-names-field", "bad-hex"],
+)
+def test_field_line_failures_name_the_line_and_field(text, read, message):
+    with pytest.raises(DecodeError) as failure:
+        read(text, "snapshot line", 4)
+    assert message in str(failure.value)
+
+
+# Malformed scenario, snapshot and trace text: mutations of real files may raise
+# only DecodeError from the parsers (and ScenarioError from scenario checks).
+
+_NASTY = ("", "-", "0", "-1", "-5", "nan", "inf", "-inf", "1e999", "0.5", "abc", "=", "a=b", "zz", ",", "x,,y",
+          "é", "\x00", "9" * 30, "NONE", "BUSY", "issue", "log-a", "client1", "fixed:-1", "exp:nan")
+_TEXT_MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(("value", "key", "drop", "dup", "char", "cut", "line")),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+        st.one_of(st.sampled_from(_NASTY), st.text(max_size=6)),
+    ),
+    min_size=1, max_size=4,
+)
+
+
+def _mutate(text: str, mutations) -> str:
+    lines = text.splitlines()
+    for op, at, where, value in mutations:
+        row = at % len(lines) if lines else 0
+        words = lines[row].split(" ") if lines else [""]
+        word = where % len(words)
+        key, _, _ = words[word].partition("=")
+        if op == "value":
+            words[word] = f"{key}={value}"
+        elif op == "key":
+            words[word] = f"{value}={words[word].partition('=')[2]}"
+        elif op == "drop":
+            del words[word]
+        elif op == "dup":
+            words.insert(word, words[word])
+        elif op == "char":
+            words[word] = words[word][: where % 7] + value + words[word][where % 7 :]
+        elif op == "cut":
+            words[word] = words[word][: where % 5]
+        elif lines:  # "line": drop the line, or repeat it when value is empty
+            lines[row: row + 1] = [lines[row]] * (2 if not value else 0)
+            continue
+        if lines:
+            lines[row] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def _real_files() -> dict[str, str]:
+    scenario = normal_revocation(seed=21)
+    sim = Simulation(scenario)
+    events = sim.run()
+    return {
+        "scenario": scenario_to_text(scenario),
+        "snapshot": log_snapshot_text(sim.logs["log-a"]),
+        "trace": trace_to_text(events[:40]),
+    }
+
+
+def _parse(kind: str, text: str) -> None:
+    if kind == "scenario":
+        validate_scenario(scenario_from_text(text))
+    elif kind == "snapshot":
+        LogView.from_text(text)
+    else:
+        read_trace(io.StringIO(text))
+
+
+@pytest.mark.parametrize("kind", ["scenario", "snapshot", "trace"])
+@settings(max_examples=600, deadline=None)
+@given(mutations=_TEXT_MUTATIONS)
+def test_mutated_text_files_raise_only_decode_or_scenario_errors(kind, mutations):
+    try:
+        _parse(kind, _mutate(_real_files()[kind], mutations))
+    except (DecodeError, ScenarioError):
+        pass

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import pytest
 
@@ -386,6 +387,25 @@ def test_scenario_text_round_trip():
         text = scenario_to_text(scenario)
         parsed = scenario_from_text(text)
         assert parsed == scenario
+
+
+# sha256 over scenario_to_text of every preset at seeds 0-29 (presets in name
+# order), then single_fault M1, M2 and M3 at seeds 0-49, recorded from the
+# hand-written codec the declared one replaced
+SCENARIO_TEXT_DIGEST = "f4d97dd241705c8ff20366800ed9ac2eec2fd9f189247992a71ee1f8262a44ef"
+
+
+def test_scenario_text_is_pinned_and_round_trips():
+    from postcert.presets import PRESETS
+
+    scenarios = [build_preset(name, seed) for name in sorted(PRESETS) for seed in range(30)]
+    scenarios += [single_fault(seed, case) for case in ("M1", "M2", "M3") for seed in range(50)]
+    digest = hashlib.sha256()
+    for scenario in scenarios:
+        text = scenario_to_text(scenario)
+        digest.update(text.encode())
+        assert scenario_from_text(text) == scenario
+    assert digest.hexdigest() == SCENARIO_TEXT_DIGEST
 
 
 def test_scenario_file_runs_identically():

@@ -1,15 +1,19 @@
-"""Source hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+every public function and class has a use outside the tests."""
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import postcert
 
-MODULES = sorted(p for p in Path(postcert.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(postcert.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+REPO = PACKAGE.parent.parent
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -45,3 +49,30 @@ def test_cli_and_http_import_no_numpy_or_stdlib_http_client():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.split() == []
+
+
+def _public_definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_public_definition_is_used_exported_or_documented(path):
+    """A public module-level function or class is named again somewhere in
+    ``src/`` or ``perfbench/``, exported by the package, or named in README;
+    code that only tests call is removed with its tests."""
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((REPO / "perfbench").glob("*.py"))
+    text = "\n".join(source.read_text() for source in sources)
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    readme = (REPO / "README.md").read_text()
+    unused = [
+        name for name in _public_definitions(path)
+        if len(re.findall(rf"\b{name}\b", text)) < 2
+        and name not in exported
+        and not re.search(rf"\b{name}\b", readme)
+    ]
+    assert not unused, f"{path.name}: public but unused outside the tests: {unused}"
