@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from .crypto import KeyRegistry, Signature
 from .encoding import (
@@ -88,6 +87,21 @@ class Extension:
             raise CertError("extension oid must be non-empty")
 
 
+class _EncodedOnFirstRead:
+    """``TbsCertificate.encoded``: canonical bytes, encoded on the first read
+    and kept in the instance dict, where every later read finds them before
+    this descriptor (the instance is frozen). A decoder stores the blob it
+    read there first, so that blob is never encoded again. Unlike
+    ``functools.cached_property`` on Python 3.11, no lock is taken.
+    """
+
+    def __get__(self, tbs: "TbsCertificate | None", owner: type | None = None):
+        if tbs is None:
+            return self
+        blob = tbs.__dict__["encoded"] = encode_tbs(tbs)
+        return blob
+
+
 @wire(
     serial=U64,
     subject=TEXT,
@@ -113,10 +127,7 @@ class TbsCertificate:
         if self.serial < 0:
             raise CertError("serial must be non-negative")
 
-    @cached_property
-    def encoded(self) -> bytes:
-        """Canonical bytes, encoded on first use; the instance is frozen."""
-        return encode_tbs(self)
+    encoded = _EncodedOnFirstRead()
 
 
 @wire(issuer=TEXT, serial=U64)

@@ -52,7 +52,6 @@ import socketserver
 import threading
 import time
 import urllib.parse
-from email.utils import formatdate
 from http import HTTPStatus
 from typing import Callable
 
@@ -60,6 +59,18 @@ from .certs import CertError, Certificate, Postcertificate, decode_payload
 from .crypto import Signature
 from .encoding import decode_artifact, encode_artifact
 from .log import CtLog, LogEntry, LogError, MerkleAuditProof, SCT, STH
+
+
+_WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+
+
+def _http_date(second: int) -> str:
+    """IMF-fixdate (RFC 9110 §5.6.7) of a POSIX second, with the English
+    names the format fixes whatever the locale."""
+    t = time.gmtime(second)
+    return (f"{_WEEKDAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} {t.tm_year:04d} "
+            f"{t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
 
 
 def _b64(data: bytes) -> str:
@@ -317,7 +328,7 @@ def make_handler(log: CtLog, clock: Callable[[], int]):
             body = json.dumps(payload).encode("utf-8")
             second = int(time.time())
             if date[0] != second:
-                date[:] = second, f"Date: {formatdate(second, usegmt=True)}\r\n".encode("ascii")
+                date[:] = second, f"Date: {_http_date(second)}\r\n".encode("ascii")
             self.wfile.write(b"%s%sContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n" % (
                 _STATUS_LINES[code], date[1], len(body), b"" if keep_alive else b"Connection: close\r\n"))
             self.wfile.write(body)

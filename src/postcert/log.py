@@ -14,6 +14,13 @@ tree keeps every level, so a head's bytes are the same whenever it is read.
 ``get_sth`` can also reproduce two real-world response pathologies, returning
 out-of-order or lagging tree heads with a configured probability while
 ``get_entries`` keeps serving everything already merged.
+
+Per merged entry a log keeps only what a reader can ask for: the
+``LogEntry``, its Merkle hashes, its leaf-hash index slot, its merge time
+and the time and size of each fixed head (packed 64-bit integers), and under
+``RETURN_OLD_SCT`` the payload's first submission time. No SCT is kept: a
+duplicate is answered by signing that time again. Pending records leave the
+queue as they merge, and only heads that were read are kept as ``STH``s.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from __future__ import annotations
 import enum
 import math
 import random
+from array import array
 from bisect import bisect_left
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Protocol
@@ -268,7 +277,8 @@ class TreeHeads(Sequence[STH]):
     ``publish`` fixes a head as its (log time, tree size). Reading it, by
     index, slice or iteration, computes the root and signature once and
     caches the ``STH``, so every later read returns that same object.
-    ``len`` and ``sizes`` never sign anything.
+    ``len`` and ``sizes`` never sign anything. An unread head costs two
+    packed 64-bit integers; only read heads are kept as objects.
     """
 
     __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_sths", "_roots")
@@ -277,18 +287,17 @@ class TreeHeads(Sequence[STH]):
         self._log_id = log_id
         self._registry = registry
         self._tree = tree
-        self._times: list[int] = []
-        self._sizes: list[int] = []
-        self._sths: list[STH | None] = []
+        self._times = array("q")
+        self._sizes = array("q")
+        self._sths: dict[int, STH] = {}  # signed heads by index
         self._roots: dict[int, bytes] = {}  # the tree only grows: one root per size
 
     def publish(self, t: int, treesize: int) -> None:
         self._times.append(t)
         self._sizes.append(treesize)
-        self._sths.append(None)
 
     @property
-    def sizes(self) -> list[int]:
+    def sizes(self) -> Sequence[int]:
         """Tree size of every head, non-decreasing; do not modify."""
         return self._sizes
 
@@ -298,7 +307,14 @@ class TreeHeads(Sequence[STH]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self._sizes)))]
-        return self._sths[index] or self._sign(index % len(self._sizes))
+        if index < 0:
+            index += len(self._sizes)
+        sth = self._sths.get(index)
+        if sth is None:
+            if not 0 <= index < len(self._sizes):
+                raise IndexError("tree head index out of range")
+            sth = self._sign(index)
+        return sth
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self._sizes)))
@@ -420,6 +436,8 @@ SnapshotLogReader = LogView
 
 @dataclass(slots=True)
 class _Pending:
+    """A submitted entry waiting to merge; dropped from the queue as it merges."""
+
     ready_at: int
     payload: bytes
     leaf_hash: bytes
@@ -453,10 +471,9 @@ class CtLog(LogView):
         self.trust = trust
         self.config = config or LogConfig()
         self.rng = random.Random(f"{seed}:{log_id}")
-        self._pending: list[_Pending] = []
-        self._pending_head = 0
-        self._merge_t_ref: list[int] = []
-        self._sct_by_payload: dict[bytes, SCT] = {}
+        self._pending: deque[_Pending] = deque()
+        self._merge_t_ref = array("q")
+        self._first_timestamp: dict[bytes, int] = {}  # RETURN_OLD_SCT only
         self._last_merge_t = start_time_ms
         self._last_tick = start_time_ms
         self._now = start_time_ms
@@ -474,6 +491,10 @@ class CtLog(LogView):
     def _publish_sth(self, t_ref: int) -> None:
         self.sth_history.publish(self._log_clock(t_ref), len(self.entries))
 
+    def _sign_sct(self, timestamp: int, entry_hash: bytes) -> SCT:
+        sig = self.registry.sign(self.log_id, sct_signing_payload(self.log_id, timestamp, entry_hash))
+        return SCT(self.log_id, timestamp, entry_hash, sig)
+
     def _merge_one(self, pending: _Pending, t_ref: int) -> None:
         entry = LogEntry(
             payload=pending.payload,
@@ -490,19 +511,16 @@ class CtLog(LogView):
             return
         self._now = now
         periodic = self.config.update_class is UpdateClass.PERIODIC
+        pending = self._pending
         # Without ticks, only a due queue head can change anything; merges
         # never run ahead of ``now``, so the head is due once it is ready.
-        if not periodic and (
-            self._pending_head == len(self._pending)
-            or self._pending[self._pending_head].ready_at > now
-        ):
+        if not periodic and (not pending or pending[0].ready_at > now):
             return
         interval = self.config.update_interval_ms
         while True:
             merge_t: int | None = None
-            if self._pending_head < len(self._pending):
-                head = self._pending[self._pending_head]
-                merge_t = max(head.ready_at, self._last_merge_t)
+            if pending:
+                merge_t = max(pending[0].ready_at, self._last_merge_t)
                 if merge_t > now:
                     merge_t = None
             tick_t: int | None = None
@@ -519,22 +537,14 @@ class CtLog(LogView):
             # Merge every queued entry due at this instant, then publish per class.
             batch_t = merge_t
             merged = 0
-            while self._pending_head < len(self._pending):
-                head = self._pending[self._pending_head]
-                head_t = max(head.ready_at, self._last_merge_t)
-                if head_t != batch_t:
-                    break
-                self._merge_one(head, batch_t)
+            while pending and max(pending[0].ready_at, self._last_merge_t) == batch_t:
+                self._merge_one(pending.popleft(), batch_t)
                 self._last_merge_t = batch_t
-                self._pending_head += 1
                 merged += 1
                 if self.config.update_class is UpdateClass.UNBUSY:
                     self._publish_sth(batch_t)
             if merged and self.config.update_class is UpdateClass.BUSY:
                 self._publish_sth(batch_t)
-            if self._pending_head == len(self._pending):
-                self._pending.clear()
-                self._pending_head = 0
 
     def _publication_delay(self) -> int:
         delay = self._delay_model.sample(self.rng, self._submission_index)
@@ -572,23 +582,24 @@ class CtLog(LogView):
         if not verdict:
             raise LogError(ERR_CHAIN_REJECTED, verdict.reason or "")
         payload_bytes = encode_payload(payload)
-        if self.config.duplicate_policy is DuplicatePolicy.RETURN_OLD_SCT:
-            previous = self._sct_by_payload.get(payload_bytes)
-            if previous is not None:
-                return previous
-        timestamp = self._log_clock(now)
         entry_hash = self.scheme.hash_leaf(payload_bytes)
-        sig = self.registry.sign(
-            self.log_id, sct_signing_payload(self.log_id, timestamp, entry_hash)
-        )
-        sct = SCT(self.log_id, timestamp, entry_hash, sig)
+        dedupe = self.config.duplicate_policy is DuplicatePolicy.RETURN_OLD_SCT
+        if dedupe:
+            # An SCT is a deterministic signature over (log id, timestamp,
+            # entry hash): signing the first timestamp again gives the first SCT.
+            first = self._first_timestamp.get(payload_bytes)
+            if first is not None:
+                return self._sign_sct(first, entry_hash)
+        timestamp = self._log_clock(now)
+        sct = self._sign_sct(timestamp, entry_hash)
         forget = self.config.forget or payload.tbs.serial in self._drop_serials
         if not forget:
             self._pending.append(
                 _Pending(ready_at=now + self._publication_delay(), payload=payload_bytes,
                          leaf_hash=entry_hash, sct_timestamp=timestamp)
             )
-        self._sct_by_payload.setdefault(payload_bytes, sct)
+        if dedupe:
+            self._first_timestamp[payload_bytes] = timestamp
         self._submission_index += 1
         return sct
 

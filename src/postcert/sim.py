@@ -31,8 +31,10 @@ import enum
 import heapq
 import math
 import random
+import weakref
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
+from functools import partial
 from operator import attrgetter
 from typing import Any
 
@@ -167,7 +169,17 @@ class Scenario:
     check_delay_bounds: bool = True
 
 
+# A clock reading of a run is a sum of a few scenario times (a tick time and
+# an interval, a log time and an offset, a status time and its validity), far
+# fewer than 2**7 of them, so with each time bounded by 2**56 every reading
+# fits the signed 64-bit fields and the logs' packed time columns.
+_TIME_LIMIT_MS = 2**56
+
+
 def validate_scenario(scenario: Scenario) -> None:
+    for where, value in _times(scenario):
+        if not -_TIME_LIMIT_MS <= value <= _TIME_LIMIT_MS:
+            raise ScenarioError(f"invalid-scenario: {where} {value} outside -2**56..2**56 ms")
     if scenario.horizon_ms <= 0:
         raise ScenarioError("invalid-scenario: horizon must be positive")
     ids: set[str] = set()
@@ -295,7 +307,7 @@ class _Milestones:
 
 class _CaActor:
     def __init__(self, sim: "Simulation", config: SimCaConfig) -> None:
-        self.sim = sim
+        self.sim = weakref.proxy(sim)  # no cycle: a dropped simulation is freed at once
         self.config = config
         self.ca_id = config.ca_id
         self.issued: dict[int, _IssuedCert] = {}
@@ -469,7 +481,7 @@ class _CaActor:
 
 class _ClientActor:
     def __init__(self, sim: "Simulation", config: SimClientConfig) -> None:
-        self.sim = sim
+        self.sim = weakref.proxy(sim)  # as in _CaActor
         self.config = config
         self.client_id = config.client_id
         self.wallet: dict[int, _IssuedCert] = {}
@@ -555,13 +567,14 @@ class Simulation:
     def loop(self, first: int, tick) -> None:
         """Run ``tick(t)`` at ``first``, then again after each delay it
         returns, until it returns None."""
+        self.schedule(first, partial(self._step, tick))
 
-        def step(now: int) -> None:
-            delay = tick(now)
-            if delay is not None:
-                self.schedule(now + delay, step)
-
-        self.schedule(first, step)
+    def _step(self, tick, now: int) -> None:
+        # A partial, not a closure that names itself: that would be a
+        # reference cycle holding the simulation after its run.
+        delay = tick(now)
+        if delay is not None:
+            self.schedule(now + delay, partial(self._step, tick))
 
     def emit(self, t: int, actor: str, kind: EventKind, artifact: object) -> int:
         self._trace.append((t, actor, kind, artifact))
@@ -837,6 +850,7 @@ class Simulation:
             if t > scenario.horizon_ms:
                 break
             callback(t)
+        self._events.clear()  # never run; their closures would hold the simulation
 
         for log in self.logs.values():
             log.advance(scenario.horizon_ms)
@@ -876,24 +890,27 @@ _TEXT = (str, str)
 _FLAG = (lambda value: str(int(value)), lambda text: bool(int(text)))
 _DASHED = (lambda value: value or "-", lambda text: "" if text == "-" else text)
 _IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
-_ZERO_NONE = (lambda value: str(value or 0), lambda text: int(text) or None)
+# A time in ms: validate_scenario bounds every field read with one of these
+# two, which it tells from _INT by identity.
+_MS = (str, int)
+_MS_ZERO_NONE = (lambda value: str(value or 0), lambda text: int(text) or None)
 
 _HEADER_FIELDS = (
     ("scenario", "name", _TEXT),
     ("seed", "seed", _INT),
-    ("horizon", "horizon_ms", _INT),
+    ("horizon", "horizon_ms", _MS),
     ("mrd_mode", "policy.mode", _enum(MrdMode)),
-    ("mrd", "policy.mrd_ms", _INT),
-    ("mmd", "policy.mmd_ms", _INT),
+    ("mrd", "policy.mrd_ms", _MS),
+    ("mmd", "policy.mmd_ms", _MS),
     ("build_proofs", "build_proofs", _FLAG, True),
     ("check_bounds", "check_delay_bounds", _FLAG, True),
 )
 _LOG_FIELDS = (
     ("id", "log_id", _TEXT),
-    ("mmd", "config.mmd_ms", _INT),
-    ("offset", "config.clock_offset_ms", _INT),
+    ("mmd", "config.mmd_ms", _MS),
+    ("offset", "config.clock_offset_ms", _MS),
     ("class", "config.update_class", _enum(UpdateClass)),
-    ("interval", "config.update_interval_ms", _ZERO_NONE),
+    ("interval", "config.update_interval_ms", _MS_ZERO_NONE),
     ("delay", "config.publication_delay", _TEXT),
     ("dup", "config.duplicate_policy", _enum(DuplicatePolicy)),
     ("cache", "config.sth_cache", _enum(SthCacheMode)),
@@ -907,11 +924,11 @@ _LOG_FIELDS = (
 )
 _CA_FIELDS = (
     ("id", "ca_id", _TEXT),
-    ("poll", "poll_interval_ms", _INT),
-    ("validity", "status_validity_ms", _INT),
-    ("update", "update_delay_ms", _INT),
-    ("processing", "processing_delay_ms", _INT),
-    ("offset", "clock_offset_ms", _INT),
+    ("poll", "poll_interval_ms", _MS),
+    ("validity", "status_validity_ms", _MS),
+    ("update", "update_delay_ms", _MS),
+    ("processing", "processing_delay_ms", _MS),
+    ("offset", "clock_offset_ms", _MS),
     ("misbehavior", "misbehavior", _enum(CaMisbehavior)),
     ("monitors", "monitored_logs", _IDS),
 )
@@ -919,14 +936,14 @@ _CLIENT_FIELDS = (
     ("id", "client_id", _TEXT),
     ("copies", "submit_copies", _INT),
     ("handoff", "sct_handoff", _FLAG),
-    ("handoff_delay", "handoff_delay_ms", _INT),
+    ("handoff_delay", "handoff_delay_ms", _MS),
     ("avoid_issuer", "avoid_issuer_log", _FLAG),
     ("scheme", "scheme", _enum(PostcertScheme)),
 )
 _PROBE_FIELDS = (
-    ("sth", "sth_interval_ms", _INT),
-    ("size", "size_interval_ms", _INT),
-    ("submit", "submit_interval_ms", _INT),
+    ("sth", "sth_interval_ms", _MS),
+    ("size", "size_interval_ms", _MS),
+    ("submit", "submit_interval_ms", _MS),
     ("submit_limit", "submit_limit", _INT, 0),
     ("logs", "logs", _IDS),
 )
@@ -964,14 +981,30 @@ def _read_fields(cls: Callable[..., Any], rows, fields: FieldLine, **kwargs: Any
         raise fields.error(str(exc)) from None
 
 
-def scenario_to_text(scenario: Scenario) -> str:
-    lines = [fields_line(_write_fields(_HEADER_FIELDS, scenario))]
+def _actor_lines(scenario: Scenario) -> Iterator[tuple[str, tuple, Any]]:
+    """(kind word, rows, actor) of each actor line, in file order."""
     for kind, (attr, _, rows) in _ACTOR_LINES.items():
         actors = getattr(scenario, attr)
         if not isinstance(actors, tuple):
             actors = () if actors is None else (actors,)
         for actor in actors:
-            lines.append(f"{kind} {fields_line(_write_fields(rows, actor))}")
+            yield kind, rows, actor
+
+
+def _times(scenario: Scenario) -> Iterator[tuple[str, int]]:
+    """(where, value) of every time field of the header and actor lines."""
+    for kind, rows, obj in [("scenario", _HEADER_FIELDS, scenario), *_actor_lines(scenario)]:
+        key, path, *_ = rows[0]
+        where = f"{kind} {attrgetter(path)(obj)}" if key == "id" else kind
+        for key, path, convert, *_ in rows:
+            if convert is _MS or convert is _MS_ZERO_NONE:
+                yield f"{where}: {key}", attrgetter(path)(obj) or 0
+
+
+def scenario_to_text(scenario: Scenario) -> str:
+    lines = [fields_line(_write_fields(_HEADER_FIELDS, scenario))]
+    for kind, rows, actor in _actor_lines(scenario):
+        lines.append(f"{kind} {fields_line(_write_fields(rows, actor))}")
     for event in scenario.schedule:
         pairs = _write_fields(_EVENT_FIELDS, event) + sorted(event.params.items())
         lines.append(f"event {fields_line(pairs)}")

@@ -32,7 +32,7 @@ class EventKind(enum.Enum):
     SIZE = "SIZE"  # size-probe observations recorded alongside simulator events
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     t_ref: int
     seq: int
@@ -47,7 +47,7 @@ class TraceEvent:
 # Observation record artifacts ---------------------------------------------------
 
 @wire(11, t_request=I64, t_response=I64, sth=nested(STH))
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SthObservation:
     t_request: int
     t_response: int
@@ -68,7 +68,7 @@ class SthObservation:
     final_entry_number=optional(U64),
     error=TEXT,
 )
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubmissionRecord:
     log_id: str
     t_request: int
@@ -88,7 +88,7 @@ class SubmissionRecord:
 
 
 @wire(13, log_id=TEXT, t=I64, size=U64)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SizeProbe:
     log_id: str
     t: int
@@ -100,7 +100,7 @@ class SizeProbe:
 
 
 @wire(14, ca_id=TEXT, log_id=TEXT, entry_number=U64, t=I64, via=TEXT)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryRecord:
     ca_id: str
     log_id: str
@@ -110,7 +110,7 @@ class DiscoveryRecord:
 
 
 @wire(15, context=TEXT, kind=TEXT, limit_ms=U64, actual_ms=U64)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViolationRecord:
     context: str
     kind: str
@@ -119,7 +119,7 @@ class ViolationRecord:
 
 
 @wire(16, case=TEXT, proven=BOOL, reason=TEXT, t_proof=I64, bundle=BLOB)
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProofRecord:
     case: str
     proven: bool

@@ -287,3 +287,22 @@ def test_trust_store_refuses_a_root_that_is_not_self_issued(registry, ca_root, c
     with pytest.raises(CertError, match="not self-issued"):
         trust.add(root)
     assert not trust.contains(root)
+
+
+def test_tbs_is_encoded_once_and_a_decoded_tbs_keeps_its_blob(registry, leaf_cert, monkeypatch):
+    from postcert import certs
+    from postcert.encoding import encode_artifact
+
+    calls = []
+    encode_tbs = certs.encode_tbs
+    monkeypatch.setattr(certs, "encode_tbs", lambda tbs: calls.append(tbs) or encode_tbs(tbs))
+    fresh = dataclasses.replace(leaf_cert.tbs, serial=99)
+    first = fresh.encoded
+    assert fresh.encoded is first and calls == [fresh]
+    assert first == encode_tbs(fresh)
+
+    payload = encode_artifact(leaf_cert)
+    decoded = decode_artifact(payload).tbs
+    calls.clear()
+    assert decoded.encoded == leaf_cert.tbs.encoded and decoded.encoded in payload
+    assert decoded.encoded is decoded.encoded and calls == []

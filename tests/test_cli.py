@@ -373,13 +373,29 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"delay=\S+", "delay=exp:nan"),
         (r"validity=\d+", "validity=0"),
         (r"handoff=0 handoff_delay=\d+", "handoff=1 handoff_delay=-5"),
+        (r"(ca .*)offset=0", r"\1offset=99999999999999999999"),
+        (r"(ca .*)offset=0", r"\1offset=-99999999999999999999"),
+        (r"offset=0", "offset=9223372036854775807"),
+        (r"offset=0", "offset=-9223372036854775808"),
+        (r"horizon=\d+", "horizon=99999999999999999999"),
+        (r"mrd=\d+", "mrd=99999999999999999999"),
+        (r"(log .*)mmd=\d+", r"\1mmd=99999999999999999999"),
+        (r"update=\d+", "update=99999999999999999999"),
+        (r"processing=\d+", "processing=99999999999999999999"),
+        (r"handoff_delay=\d+", "handoff_delay=99999999999999999999"),
+        (r"probe sth=\d+", "probe sth=99999999999999999999"),
+        (r"(probe .*)size=\d+", r"\1size=99999999999999999999"),
     ],
     ids=["poll-zero", "poll-negative", "sth-zero", "sth-negative", "size-negative",
-         "submit-negative", "background-nan", "delay-nan", "validity-zero", "handoff-delay-negative"],
+         "submit-negative", "background-nan", "delay-nan", "validity-zero", "handoff-delay-negative",
+         "ca-offset-huge", "ca-offset-huge-negative", "log-offset-i64-max", "log-offset-i64-min",
+         "horizon-huge", "mrd-huge", "log-mmd-huge", "update-huge",
+         "processing-huge", "handoff-delay-huge", "sth-huge", "size-huge"],
 )
 def test_out_of_range_scenario_value_is_io_error(tmp_path, capsys, pattern, replacement):
-    """Values that would hang the run at one instant or fail inside it are
-    rejected before it starts."""
+    """Values that would hang the run at one instant or fail inside it, and
+    times beyond -2**56..2**56 ms (a clock reading past the signed 64-bit
+    range failed at encode time), are rejected before the run starts."""
     from postcert.presets import normal_revocation
     from postcert.sim import scenario_to_text
 

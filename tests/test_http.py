@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from postcert import httpapi
 from postcert.certs import PostcertScheme, TbsCertificate, make_postcertificate, sign_certificate
 from postcert.crypto import SHA256
 from postcert.encoding import encode_artifact
@@ -397,6 +399,26 @@ def test_malformed_content_length_is_answered_and_closes(served_log, length):
             answer += chunk
     assert answer.startswith(b"HTTP/1.1 400 ")
     assert b"\r\nConnection: close\r\n" in answer and b"bad Content-Length" in answer
+
+
+@settings(max_examples=2_000, deadline=None)
+@given(second=st.one_of(st.integers(0, 253_402_300_799), st.sampled_from(
+    [0, 59, 86_399, 951_782_400, 2_147_483_647, 4_107_542_400, 253_402_300_799])))
+def test_date_header_is_the_imf_fixdate_email_utils_writes(second):
+    from email.utils import formatdate
+
+    assert httpapi._http_date(second) == formatdate(second, usegmt=True)
+
+
+def test_date_header_of_an_answer_is_now(served_log):
+    import time
+    import urllib.request
+    from email.utils import parsedate_to_datetime
+
+    log, reader, clock = served_log
+    with urllib.request.urlopen(f"{reader.base_url}/ct/v1/get-sth", timeout=10) as response:
+        date = response.headers["Date"]
+    assert abs(parsedate_to_datetime(date).timestamp() - time.time()) < 5
 
 
 def _b64_artifact(obj) -> str:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -95,6 +97,61 @@ def test_duplicate_return_old_sct_is_byte_identical(registry, trust, ca_root, le
     second = log.submit(leaf_cert, [ca_root], now=99000)
     assert encode_artifact(first) == encode_artifact(second)
     assert log.published_size(10 * HOUR_MS) == 1
+
+
+@pytest.mark.parametrize("first_fate", ["merged", "pending", "forget", "drop_serial"])
+def test_duplicate_gets_the_first_sct_again(registry, trust, ca_root, leaf_cert, first_fate):
+    log = _make_log(registry, trust, forget=first_fate == "forget")
+    if first_fate == "drop_serial":
+        log.drop_serial(leaf_cert.tbs.serial)
+    first = log.submit(leaf_cert, [ca_root], now=1000)
+    again_at = 1500 if first_fate == "pending" else 99000  # the entry merges at 2000
+    if first_fate == "merged":
+        assert log.published_size(again_at) == 1
+    second = log.submit(leaf_cert, [ca_root], now=again_at)
+    assert second == first and second.timestamp == 1000
+    assert encode_artifact(second) == encode_artifact(first)
+    assert verify_sct(second, encode_artifact(leaf_cert), registry)
+    logged = first_fate in ("merged", "pending")
+    assert log.published_size(10 * HOUR_MS) == int(logged)
+
+
+def test_pending_queue_holds_only_unmerged_entries(registry, trust, ca_root):
+    make = _cert_factory(registry)
+    log = _make_log(registry, trust, publication_delay="fixed:1000")
+    for now in range(30_000):
+        log.submit(make(), [ca_root], now=now)
+    assert len(log.entries) == 29_000
+    assert len(log._pending) == 1_000
+    log.advance(31_000)
+    assert len(log.entries) == 30_000 and not log._pending
+
+
+def test_log_keeps_under_600_bytes_per_entry(registry, trust, ca_root):
+    """5 000 merged entries of 128-byte certificates (161-byte ``bytes``
+    objects), measured with tracemalloc. A log that kept an SCT per payload,
+    a head per entry as objects and its merged pending records kept ~815."""
+    certs = [
+        sign_certificate(registry, "ca1", TbsCertificate(
+            serial=serial, subject=f"host-{serial}.bench-ca.example", issuer="ca1",
+            not_before=0, not_after=10**12, public_key_id=f"host-{serial}"))
+        for serial in range(10_000, 15_000)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = _make_log(registry, trust)
+        for now, cert in enumerate(certs):
+            log.submit(cert, [ca_root], now=now)
+        log.advance(HOUR_MS)
+        gc.collect()
+        used = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(log.entries) == len(certs)
+    assert {len(entry.payload) for entry in log.entries} == {128}
+    assert used / len(certs) <= 600
 
 
 def test_duplicate_reinsert_creates_two_entries(registry, trust, ca_root, leaf_cert):

@@ -62,6 +62,26 @@ def test_fixed_seed_trace_is_byte_identical():
     assert first == second
 
 
+@pytest.mark.parametrize("make", [lambda: normal_revocation(seed=11), lambda: m3(seed=4)],
+                         ids=["normal", "m3"])
+def test_a_finished_simulation_is_freed_with_its_last_reference(make):
+    """No reference cycle keeps a run's logs alive until a full collection."""
+    import gc
+    import weakref
+
+    sim = Simulation(make())
+    events = sim.run()
+    logs = [weakref.ref(log) for log in sim.logs.values()]
+    gone = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert gone() is None and all(log() is None for log in logs)
+    finally:
+        gc.enable()
+    assert events
+
+
 def test_different_seeds_differ():
     first = trace_to_text(Simulation(honest_random(seed=1)).run())
     second = trace_to_text(Simulation(honest_random(seed=2)).run())

@@ -37,12 +37,12 @@ def test_every_module_level_import_is_used(path):
 
 def test_cli_and_http_import_no_numpy_or_stdlib_http_client():
     """The command line and the HTTP surface load neither numpy nor the
-    standard library's HTTP client and its email header parser."""
+    standard library's HTTP client nor any ``email`` module."""
     import os
     import subprocess
     import sys
 
-    unwanted = ("numpy", "http.client", "email.parser")
+    unwanted = ("numpy", "http.client", "email")
     code = ("import sys, postcert.cli, postcert.httpapi; "
             f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
     src = str(Path(postcert.__file__).parent.parent)
