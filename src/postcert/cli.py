@@ -2,7 +2,8 @@
 project-growth, probe.
 
 Exit codes: 0 success, 1 usage error, 2 proof verification rejected,
-3 I/O failure or malformed input.
+3 I/O failure or malformed input. Commands raise; ``main`` alone maps a
+failure to its exit code and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -12,13 +13,14 @@ import sys
 import time
 from pathlib import Path
 
-from .encoding import DecodeError, decode_artifact, text_block_bytes
+from .encoding import DecodeError, decode_artifact, encode_artifact, text_block_bytes
 from .log import LogError, LogReader, SnapshotLogReader, entries_below, log_snapshot_text
 from .misbehavior import MrdMode, MrdPolicy, TrustedLogSet, proof_to_text, verify_proof
 from .crypto import KeyRegistry
 from .presets import PRESETS, build_preset, default_policy
 from .probe import (
     AnalysisError,
+    binary_search_size,
     classify,
     clock_offsets,
     collision_report,
@@ -37,6 +39,7 @@ from .trace import (
     EventKind,
     ObservationSet,
     SthObservation,
+    TraceEvent,
     observations_from_events,
     read_trace,
     trace_to_text,
@@ -48,63 +51,59 @@ EXIT_REJECTED = 2
 EXIT_IO = 3
 
 
+class _Exit(Exception):
+    """``_Exit(code, message)``: a failure whose exit code or message only the
+    command knows."""
+
+
 def _policy_from_args(args: argparse.Namespace) -> MrdPolicy:
     mode = MrdMode.FROM_SUBMISSION if args.mrd_mode == "submission" else MrdMode.FROM_PUBLICATION
     base = default_policy(mode)
-    mrd = parse_duration_ms(args.mrd) if args.mrd else base.mrd_ms
-    mmd = parse_duration_ms(args.mmd) if args.mmd else base.mmd_ms
-    return MrdPolicy(mode, mrd_ms=mrd, mmd_ms=mmd)
+    mrd = base.mrd_ms if args.mrd is None else args.mrd
+    mmd = base.mmd_ms if args.mmd is None else args.mmd
+    try:
+        return MrdPolicy(mode, mrd_ms=mrd, mmd_ms=mmd)
+    except ValueError as exc:
+        raise _Exit(EXIT_USAGE, str(exc)) from None
+
+
+def _write(path: str | None, text: str) -> None:
+    """Write ``text`` to ``path``, or to stdout without one."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario:
-        try:
-            scenario = scenario_from_text(Path(args.scenario).read_text())
-        except (OSError, DecodeError, ScenarioError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        scenario = scenario_from_text(Path(args.scenario).read_text())
     else:
-        policy = _policy_from_args(args)
-        scenario = build_preset(args.preset, args.seed, policy)
-    try:
-        sim = Simulation(scenario)
-        events = sim.run()
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    text = trace_to_text(events)
-    try:
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        if args.dump_logs:
-            dump_dir = Path(args.dump_logs)
-            dump_dir.mkdir(parents=True, exist_ok=True)
-            for log_id, log in sim.logs.items():
-                (dump_dir / f"{log_id}.log").write_text(log_snapshot_text(log))
-        if args.emit_proofs:
-            proof_dir = Path(args.emit_proofs)
-            proof_dir.mkdir(parents=True, exist_ok=True)
-            for event in events:
-                if event.kind is EventKind.PROOF:
-                    record = event.artifact()
-                    name = f"{record.case.lower()}-{'proven' if record.proven else 'rejected'}.proof"
-                    proof = decode_artifact(record.bundle)
-                    (proof_dir / name).write_text(proof_to_text(proof))
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    proven = [e.artifact() for e in events if e.kind is EventKind.PROOF]
-    for record in proven:
+        scenario = build_preset(args.preset, args.seed, _policy_from_args(args))
+    sim = Simulation(scenario)
+    events = sim.run()
+    _write(args.out, trace_to_text(events))
+    if args.dump_logs:
+        dump_dir = Path(args.dump_logs)
+        dump_dir.mkdir(parents=True, exist_ok=True)
+        for log_id, log in sim.logs.items():
+            (dump_dir / f"{log_id}.log").write_text(log_snapshot_text(log))
+    records = [e.artifact() for e in events if e.kind is EventKind.PROOF]
+    if args.emit_proofs:
+        proof_dir = Path(args.emit_proofs)
+        proof_dir.mkdir(parents=True, exist_ok=True)
+        for record in records:
+            name = f"{record.case.lower()}-{'proven' if record.proven else 'rejected'}.proof"
+            (proof_dir / name).write_text(proof_to_text(decode_artifact(record.bundle)))
+    for record in records:
         verdict = "PROVEN" if record.proven else f"REJECTED({record.reason})"
         print(f"proof {record.case}: {verdict} t_proof={record.t_proof}", file=sys.stderr)
     return EXIT_OK
 
 
-def _load_trace(path: str) -> list:
+def _observations(path: str) -> ObservationSet:
     with open(path) as stream:
-        return read_trace(stream)
+        return observations_from_events(read_trace(stream))
 
 
 def render_report(obs: ObservationSet, readers: dict[str, LogReader]) -> str:
@@ -222,7 +221,10 @@ def _read_log_dumps(path: str | None) -> dict[str, LogReader]:
     readers: dict[str, LogReader] = {}
     if not path:
         return readers
-    for file in sorted(Path(path).glob("*.log")):
+    root = Path(path)
+    if not root.is_dir():
+        raise DecodeError(f"{path}: not a directory")
+    for file in sorted(root.glob("*.log")):
         try:
             reader = SnapshotLogReader.from_text(file.read_text())
         except DecodeError as exc:
@@ -232,30 +234,13 @@ def _read_log_dumps(path: str | None) -> dict[str, LogReader]:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        obs = observations_from_events(_load_trace(args.trace))
-        readers = _read_log_dumps(args.logs)
-    except (OSError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    report = render_report(obs, readers)
-    if args.out:
-        try:
-            Path(args.out).write_text(report)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-    else:
-        sys.stdout.write(report)
+    obs = _observations(args.trace)
+    _write(args.out, render_report(obs, _read_log_dumps(args.logs)))
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    try:
-        obs = observations_from_events(_load_trace(args.trace))
-    except (OSError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    obs = _observations(args.trace)
     for log_id in obs.log_ids():
         try:
             log_class = classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, []))
@@ -266,21 +251,15 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_proof(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.proof).read_text()
-        bundle = decode_artifact(text_block_bytes(text))
-        readers = _read_log_dumps(args.logs)
-    except (OSError, DecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    bundle = decode_artifact(text_block_bytes(Path(args.proof).read_text()))
+    readers = _read_log_dumps(args.logs)
     policy = _policy_from_args(args)
     if args.trusted:
         trusted = TrustedLogSet.of(*args.trusted.split(","))
     elif readers:
         trusted = TrustedLogSet.of(*readers.keys())
     else:
-        print("error: --trusted or --logs required", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "--trusted or --logs required")
     # the trusted logs sign the heads and SCTs, the CA signs the status
     signer_ids = trusted.sorted()
     status = getattr(bundle, "status", None)
@@ -289,8 +268,7 @@ def _cmd_verify_proof(args: argparse.Namespace) -> int:
     try:
         verdict = verify_proof(bundle, policy, trusted, KeyRegistry.with_signers(signer_ids), readers)
     except TypeError:
-        print("error: not a proof bundle", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Exit(EXIT_USAGE, "not a proof bundle") from None
     if verdict.proven:
         print("PROVEN")
         return EXIT_OK
@@ -301,109 +279,70 @@ def _cmd_verify_proof(args: argparse.Namespace) -> int:
 def _cmd_project_growth(args: argparse.Namespace) -> int:
     history: list[float] = []
     if args.history:
-        try:
-            lines = Path(args.history).read_text().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        lines = Path(args.history).read_text().splitlines()
         for lineno, line in enumerate(lines, 1):
             try:
                 if line.strip():
                     history.append(float(line.split()[-1]))
             except ValueError as exc:
-                print(f"error: {args.history} line {lineno}: {exc}", file=sys.stderr)
-                return EXIT_IO
+                raise DecodeError(f"{args.history} line {lineno}: {exc}") from None
     elif args.trace:
-        try:
-            obs = observations_from_events(_load_trace(args.trace))
-        except (OSError, DecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
+        obs = _observations(args.trace)
         sths = obs.sths.get(args.log or (obs.log_ids()[0] if obs.log_ids() else ""), [])
         sizes = [o.sth.treesize for o in sorted(sths, key=lambda o: o.t_response)]
         history = [float(max(sizes[: i + 1])) for i in range(len(sizes))]
     if not history:
-        print("error: no history", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        projected = growth_projection(history, args.fraction)
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    for original, scaled in zip(history, projected):
+        raise _Exit(EXIT_USAGE, "no history")
+    for original, scaled in zip(history, growth_projection(history, args.fraction)):
         print(f"{original:.0f} {scaled:.2f}")
     return EXIT_OK
 
 
-def _observe_live(reader, args: argparse.Namespace) -> list:
+def _observe_live(reader, args: argparse.Namespace) -> list[TraceEvent]:
     """Trace events of ``postcert probe`` against a live log for ``--duration``."""
-    from .encoding import encode_artifact as enc
-    from .probe import binary_search_size
-    from .trace import TraceEvent
-
-    duration_ms = parse_duration_ms(args.duration)
-    sth_interval = parse_duration_ms(args.sth_interval)
-    size_interval = parse_duration_ms(args.size_interval) if args.size_interval else 0
     events: list[TraceEvent] = []
     seq = 0
     started = time.monotonic()
-    next_size = started + (size_interval / 1000.0) / 2 if size_interval else None
+    next_size = started + (args.size_interval / 1000.0) / 2 if args.size_interval else None
     last_size = 0  # each size search gallops up from the previous one's result
-    while (time.monotonic() - started) * 1000 < duration_ms:
+    while (time.monotonic() - started) * 1000 < args.duration:
         t_request = int(time.time() * 1000)
         sth = reader.get_sth()
         t_response = int(time.time() * 1000)
         obs = SthObservation(t_request, t_response, sth)
-        events.append(TraceEvent(t_request, seq, "probe", EventKind.STH, enc(obs)))
+        events.append(TraceEvent(t_request, seq, "probe", EventKind.STH, encode_artifact(obs)))
         seq += 1
         if next_size is not None and time.monotonic() >= next_size:
             probe = binary_search_size(reader, int(time.time() * 1000), last_size)
             last_size = probe.size
-            events.append(TraceEvent(probe.t, seq, "probe", EventKind.SIZE, enc(probe)))
+            events.append(TraceEvent(probe.t, seq, "probe", EventKind.SIZE, encode_artifact(probe)))
             seq += 1
-            next_size += size_interval / 1000.0
-        time.sleep(sth_interval / 1000.0)
+            next_size += args.size_interval / 1000.0
+        time.sleep(args.sth_interval / 1000.0)
     return events
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
-    from .httpapi import HttpLogReader
-    from .trace import write_trace
+    if args.target.startswith("http"):
+        from .httpapi import HttpLogReader  # only a live target loads the HTTP module
 
-    if not args.target.startswith("http"):
+        try:
+            reader = HttpLogReader(args.target)
+            try:
+                events = _observe_live(reader, args)
+            finally:
+                reader.close()
+        except (OSError, LogError) as exc:
+            raise _Exit(EXIT_IO, f"{args.target}: {exc}") from None
+        summary = f"recorded {len(events)} observations"
+    else:
         # scenario target: run the named preset (its probe actor records the
         # observations) and write the resulting trace
         name = args.target.removeprefix("scenario:")
-        try:
-            scenario = build_preset(name, args.seed)
-        except KeyError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        events = Simulation(scenario).run()
-        try:
-            with open(args.out, "w") as stream:
-                write_trace(events, stream)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        print(f"recorded {len(events)} events from scenario {name!r}", file=sys.stderr)
-        return EXIT_OK
-    try:
-        reader = HttpLogReader(args.target)
-        try:
-            events = _observe_live(reader, args)
-        finally:
-            reader.close()
-    except (OSError, LogError) as exc:
-        print(f"error: {args.target}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        with open(args.out, "w") as stream:
-            write_trace(events, stream)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    print(f"recorded {len(events)} observations", file=sys.stderr)
+        events = Simulation(build_preset(name, args.seed)).run()
+        summary = f"recorded {len(events)} events from scenario {name!r}"
+    _write(args.out, trace_to_text(events))
+    print(summary, file=sys.stderr)
     return EXIT_OK
 
 
@@ -417,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_policy_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mrd-mode", choices=["submission", "publication"],
                        default="publication")
-        p.add_argument("--mrd", help="revocation deadline, e.g. 8h")
-        p.add_argument("--mmd", help="maximum merge delay, e.g. 24h")
+        p.add_argument("--mrd", type=parse_duration_ms, help="revocation deadline, e.g. 8h")
+        p.add_argument("--mmd", type=parse_duration_ms, help="maximum merge delay, e.g. 24h")
 
     p_sim = sub.add_parser("simulate", help="run a scenario and write its trace")
     p_sim.add_argument("--preset", choices=sorted(PRESETS), default="normal")
@@ -459,9 +398,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="base URL of a log, or scenario:<preset-name>")
     p_pr.add_argument("--out", required=True)
     p_pr.add_argument("--seed", type=int, default=0)
-    p_pr.add_argument("--duration", default="10s")
-    p_pr.add_argument("--sth-interval", default="1s")
-    p_pr.add_argument("--size-interval", default="")
+    p_pr.add_argument("--duration", type=parse_duration_ms, default="10s")
+    p_pr.add_argument("--sth-interval", type=parse_duration_ms, default="1s")
+    p_pr.add_argument("--size-interval", type=parse_duration_ms, default=0,
+                      help="time between size searches (default: none)")
     p_pr.set_defaults(func=_cmd_probe)
 
     return parser
@@ -475,9 +415,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except _Exit as exc:
+        code, message = exc.args
+    except (OSError, DecodeError, ScenarioError, LogError) as exc:
+        code, message = EXIT_IO, str(exc)
+    except (AnalysisError, KeyError) as exc:
+        code, message = EXIT_USAGE, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -496,7 +496,10 @@ def text_block(kind: str, fields: list[tuple[str, object]], payload: bytes) -> s
 def text_block_bytes(text: str) -> bytes:
     for line in text.splitlines():
         if line.startswith("bytes:"):
-            return bytes.fromhex(line.split(":", 1)[1].strip())
+            try:
+                return bytes.fromhex(line.split(":", 1)[1].strip())
+            except ValueError as exc:
+                raise DecodeError(f"bytes line: {exc}") from None
     raise DecodeError("text block has no bytes line")
 
 

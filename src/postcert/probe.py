@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -390,10 +391,12 @@ def growth_projection(history: list[int | float], fraction: float) -> list[float
     With the history starting from the log's birth this is exactly a pointwise
     scaling, so fraction 1.0 doubles the final size.
     """
-    if fraction < 0:
+    if not math.isfinite(fraction) or fraction < 0:
         raise AnalysisError("invalid-fraction", str(fraction))
     previous = None
     for size in history:
+        if not math.isfinite(size):
+            raise AnalysisError("non-finite-history", str(size))
         if previous is not None and size < previous:
             raise AnalysisError("non-monotone-history")
         previous = size

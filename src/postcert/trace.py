@@ -145,11 +145,6 @@ def parse_event(line: str, lineno: int = 1) -> TraceEvent:
     return TraceEvent(*FieldLine.read(line, _EVENT_FIELDS, "trace line", lineno))
 
 
-def write_trace(events: Iterable[TraceEvent], stream: IO[str]) -> None:
-    for event in events:
-        stream.write(format_event(event) + "\n")
-
-
 def read_trace(stream: IO[str]) -> list[TraceEvent]:
     events = []
     for lineno, line in enumerate(stream, 1):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from postcert.certs import CertRef
@@ -13,6 +17,8 @@ from postcert.encoding import ByteWriter, encode_artifact, text_block
 from postcert.log import STH, LogEntry, MerkleAuditProof, sth_signing_payload
 from postcert.merkle import MerkleTree
 from postcert.misbehavior import MisbehaviorProofM12, proof_to_text
+from postcert.presets import build_preset
+from postcert.sim import scenario_to_text
 from postcert.status import StatusValue, issue_status
 from postcert.trace import SizeProbe
 
@@ -161,8 +167,9 @@ _STH = STH("log-a", 5, 0, bytes(32), Signature("log-a", bytes(32)))
         # An SCT-disclosure bundle (tag 10) carrying a tree head where its SCT goes.
         ("bytes: " + _artifact_bytes(10, ("artifact", _STH), ("artifact", _STH)).hex(),
          "expected a nested SCT, got STH"),
+        ("kind: m1\nbytes: 0g12\n", "bytes line: non-hexadecimal number"),
     ],
-    ids=["bad-enum", "wrong-nested-kind"],
+    ids=["bad-enum", "wrong-nested-kind", "bad-hex"],
 )
 def test_verify_proof_invalid_artifact_is_io_error(m1_bundle, tmp_path, capsys, proof_text, message):
     bundle, dumps = m1_bundle
@@ -260,6 +267,22 @@ def test_verify_proof_sct_disclosure_and_non_proof(tmp_path, capsys):
     assert (code, out, err) == (EXIT_USAGE, "", "error: not a proof bundle\n")
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-proof"])
+def test_logs_that_is_not_a_directory_is_io_error(m1_bundle, tmp_path, capsys, command):
+    """A mistyped ``--logs`` path is an I/O error, not an empty set of logs:
+    ``analyze`` would drop its collision section and ``verify-proof`` would
+    judge the bundle without the snapshots."""
+    bundle, _ = m1_bundle
+    trace = bundle.parent.parent / "t.trace"
+    if command == "analyze":
+        argv = ["analyze", "--trace", str(trace)]
+    else:
+        argv = ["verify-proof", "--proof", str(bundle), "--trusted", "log-a,log-b"]
+    for logs in (tmp_path / "no-such-dir", trace):
+        code, out, err = _run(capsys, *argv, "--logs", str(logs))
+        assert (code, out, err) == (EXIT_IO, "", f"error: {logs}: not a directory\n")
+
+
 def test_project_growth_command(tmp_path, capsys):
     history = tmp_path / "sizes.txt"
     history.write_text("0\n100\n250\n400\n")
@@ -270,13 +293,26 @@ def test_project_growth_command(tmp_path, capsys):
     assert lines[-1] == ["400", "480.00"]
 
 
-def test_project_growth_rejects_non_monotone(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "sizes, fraction, message",
+    [
+        ("5\n3\n", "0.2", "non-monotone"),
+        ("0\n100\n", "nan", "invalid-fraction: nan"),
+        ("0\n100\n", "inf", "invalid-fraction: inf"),
+        ("0\nnan\n100\n", "0.2", "non-finite-history: nan"),
+        ("0\n100\ninf\n", "0.2", "non-finite-history: inf"),
+    ],
+    ids=["non-monotone", "fraction-nan", "fraction-inf", "history-nan", "history-inf"],
+)
+def test_project_growth_rejects_non_monotone(tmp_path, capsys, sizes, fraction, message):
     history = tmp_path / "sizes.txt"
-    history.write_text("5\n3\n")
-    code, _, err = _run(capsys, "project-growth", "--fraction", "0.2",
-                        "--history", str(history))
+    history.write_text(sizes)
+    code, out, err = _run(capsys, "project-growth", "--fraction", fraction,
+                          "--history", str(history))
     assert code == EXIT_USAGE
-    assert "non-monotone" in err
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and message in err
 
 
 def test_project_growth_non_numeric_history_is_io_error(tmp_path, capsys):
@@ -292,6 +328,28 @@ def test_project_growth_non_numeric_history_is_io_error(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["simulate", "--preset", "nope"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--preset", "m1", "--mrd", "8x"], "argument --mrd: invalid"),
+        (["verify-proof", "--proof", "p", "--mmd", "1y"], "argument --mmd: invalid"),
+        (["probe", "--target", "scenario:m1", "--out", "t", "--duration", "soon"],
+         "argument --duration: invalid"),
+        (["simulate", "--preset", "m1", "--mrd-mode", "submission", "--mrd", "1h"],
+         "submission-anchored deadline must exceed the mmd"),
+        (["simulate", "--preset", "m1", "--mrd", "0"], "publication-anchored deadline must be positive"),
+        (["simulate", "--preset", "m1", "--mmd", "0"], "mmd must be positive"),
+    ],
+    ids=["bad-mrd", "bad-mmd", "bad-duration", "mrd-below-mmd", "mrd-zero", "mmd-zero"],
+)
+def test_bad_duration_or_policy_flag_is_usage_error(capsys, argv, message):
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    error_lines = [line for line in err.splitlines() if "error: " in line]
+    assert len(error_lines) == 1 and message in error_lines[0]
 
 
 def test_io_error_exit_code(capsys):
@@ -424,3 +482,73 @@ def test_probe_unreachable_target_is_io_error(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith(f"error: http://127.0.0.1:{port}: ")
     assert not out.exists()
+
+
+# Words put in place of one key or value: malformed, non-finite or out of
+# range. Small positive periods and huge rates are left out: a scenario with
+# them is well formed and only slow to run.
+_JUNK = ("", "x", "0", "-1", "1.5", "nan", "inf", "1e309", "-99999999999999999999", "zz", "=")
+
+
+@st.composite
+def _damaged(draw, files: dict[str, str]) -> dict[str, str]:
+    """``files`` with one of them damaged once: a character replaced by a
+    non-digit, a line dropped or doubled, the text cut short, or one word
+    (a key, a value or a number) replaced from ``_JUNK``."""
+    name = draw(st.sampled_from(sorted(files)))
+    text = files[name]
+    lines = text.splitlines(keepends=True)
+    how = draw(st.sampled_from(["char", "cut", "drop-line", "double-line", "value"]))
+    if how == "char":
+        i = draw(st.integers(0, len(text) - 1))
+        text = text[:i] + draw(st.sampled_from("afxz=-: \n")) + text[i + 1:]
+    elif how == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif how in ("drop-line", "double-line"):
+        i = draw(st.integers(0, len(lines) - 1))
+        text = "".join(lines[:i] + lines[i:i + 1] * (how == "double-line") + lines[i + 1:])
+    else:
+        a, b = draw(st.sampled_from([m.span() for m in re.finditer(r"[^\s=:]+", text)]))
+        text = text[:a] + draw(st.sampled_from(_JUNK)) + text[b:]
+    return {**files, name: text}
+
+
+@pytest.mark.parametrize("kind", ["proof", "trace", "snapshot", "history", "scenario"])
+def test_damaged_input_gives_an_exit_code_and_at_most_one_error_line(m1_bundle, tmp_path_factory, kind):
+    """Whatever a damaged proof, trace, snapshot, history or scenario file
+    holds, ``main`` returns 0, 1, 2 or 3, and a 1 or 3 leaves exactly one
+    ``error: `` line on stderr and nothing else."""
+    bundle, dumps = m1_bundle
+    trace = bundle.parent.parent / "t.trace"
+    work = tmp_path_factory.mktemp(kind)
+    files, commands = {
+        "proof": ({"p.proof": bundle.read_text()},
+                  [["verify-proof", "--proof", work / "p.proof", "--logs", dumps]]),
+        "trace": ({"t.trace": trace.read_text()},
+                  [["analyze", "--trace", work / "t.trace", "--logs", dumps],
+                   ["classify", "--trace", work / "t.trace"],
+                   ["project-growth", "--fraction", "0.2", "--trace", work / "t.trace"]]),
+        "snapshot": ({f"logs/{f.name}": f.read_text() for f in dumps.glob("*.log")},
+                     [["verify-proof", "--proof", bundle, "--logs", work / "logs"],
+                      ["analyze", "--trace", trace, "--logs", work / "logs"]]),
+        "history": ({"h.txt": "0\n100\n250\n400\n"},
+                    [["project-growth", "--fraction", "0.2", "--history", work / "h.txt"]]),
+        "scenario": ({"s.txt": scenario_to_text(build_preset("m1", 4))},
+                     [["simulate", "--scenario", work / "s.txt", "--out", work / "out.trace"]]),
+    }[kind]
+    (work / "logs").mkdir()
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_damaged(files))
+    def check(damaged: dict[str, str]) -> None:
+        for name, text in damaged.items():
+            (work / name).write_text(text)
+        for argv in commands:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([str(arg) for arg in argv])
+            assert code in (EXIT_OK, EXIT_USAGE, EXIT_REJECTED, EXIT_IO)
+            if code in (EXIT_USAGE, EXIT_IO):
+                assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
+
+    check()
