@@ -51,7 +51,6 @@ from .misbehavior import (
     MisbehaviorProofM3,
     MrdMode,
     MrdPolicy,
-    ObservationBag,
     SctDisclosureProof,
     TrustedLogSet,
     Verdict,

@@ -34,7 +34,7 @@ from .probe import (
 )
 from .sim import ScenarioError, Simulation, scenario_from_text
 from .status import RevocationStatus
-from .timeutil import parse_duration_ms
+from .timeutil import DurationError, parse_duration_ms
 from .trace import (
     EventKind,
     ObservationSet,
@@ -65,6 +65,15 @@ def _policy_from_args(args: argparse.Namespace) -> MrdPolicy:
         return MrdPolicy(mode, mrd_ms=mrd, mmd_ms=mmd)
     except ValueError as exc:
         raise _Exit(EXIT_USAGE, str(exc)) from None
+
+
+def _duration(text: str) -> int:
+    """``parse_duration_ms`` as an argparse type, so a bad value reads as
+    ``DurationError``'s own message."""
+    try:
+        return parse_duration_ms(text)
+    except DurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -106,6 +115,15 @@ def _observations(path: str) -> ObservationSet:
         return observations_from_events(read_trace(stream))
 
 
+def _class_of(obs: ObservationSet, log_id: str) -> str:
+    """The update-behavior class of ``log_id`` as text, or
+    ``insufficient-data (<code>)`` when the observations cannot decide it."""
+    try:
+        return classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, [])).render()
+    except AnalysisError as exc:
+        return f"insufficient-data ({exc.code})"
+
+
 def render_report(obs: ObservationSet, readers: dict[str, LogReader]) -> str:
     """Aligned per-log metric tables plus machine-readable record lines."""
     lines: list[str] = []
@@ -139,11 +157,7 @@ def render_report(obs: ObservationSet, readers: dict[str, LogReader]) -> str:
     lines.append("")
     lines.append("# update-behavior classes")
     for log_id in obs.log_ids():
-        try:
-            log_class = classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, []))
-            rendered = log_class.render()
-        except AnalysisError as exc:
-            rendered = f"insufficient-data ({exc.code})"
+        rendered = _class_of(obs, log_id)
         rate = sth_update_rate(obs.sths.get(log_id, []))
         lines.append(f"{log_id:<16}{rendered}  sth-updates={rate.render()}")
         records.append(f"metric log={log_id} name=class value={rendered}")
@@ -242,11 +256,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     obs = _observations(args.trace)
     for log_id in obs.log_ids():
-        try:
-            log_class = classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, []))
-            print(f"{log_id} {log_class.render()}")
-        except AnalysisError as exc:
-            print(f"{log_id} insufficient-data ({exc.code})")
+        print(f"{log_id} {_class_of(obs, log_id)}")
     return EXIT_OK
 
 
@@ -356,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_policy_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mrd-mode", choices=["submission", "publication"],
                        default="publication")
-        p.add_argument("--mrd", type=parse_duration_ms, help="revocation deadline, e.g. 8h")
-        p.add_argument("--mmd", type=parse_duration_ms, help="maximum merge delay, e.g. 24h")
+        p.add_argument("--mrd", type=_duration, help="revocation deadline, e.g. 8h")
+        p.add_argument("--mmd", type=_duration, help="maximum merge delay, e.g. 24h")
 
     p_sim = sub.add_parser("simulate", help="run a scenario and write its trace")
     p_sim.add_argument("--preset", choices=sorted(PRESETS), default="normal")
@@ -398,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="base URL of a log, or scenario:<preset-name>")
     p_pr.add_argument("--out", required=True)
     p_pr.add_argument("--seed", type=int, default=0)
-    p_pr.add_argument("--duration", type=parse_duration_ms, default="10s")
-    p_pr.add_argument("--sth-interval", type=parse_duration_ms, default="1s")
-    p_pr.add_argument("--size-interval", type=parse_duration_ms, default=0,
+    p_pr.add_argument("--duration", type=_duration, default="10s")
+    p_pr.add_argument("--sth-interval", type=_duration, default="1s")
+    p_pr.add_argument("--size-interval", type=_duration, default=0,
                       help="time between size searches (default: none)")
     p_pr.set_defaults(func=_cmd_probe)
 

@@ -109,12 +109,6 @@ class KeyRegistry:
     def with_signers(cls, signer_ids: Iterable[str]) -> "KeyRegistry":
         return cls({signer_id: _derive_secret(signer_id) for signer_id in signer_ids})
 
-    def has(self, signer_id: str) -> bool:
-        return signer_id in self._keyed
-
-    def signer_ids(self) -> list[str]:
-        return sorted(self._keyed)
-
     def sign(self, signer_id: str, payload: bytes) -> Signature:
         keyed = self._keyed.get(signer_id)
         if keyed is None:

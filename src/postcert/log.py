@@ -172,9 +172,6 @@ class DelayModel:
     Supported forms (values are durations in milliseconds):
       fixed:X            constant delay
       uniform:LO:HI      uniform
-      exp:MEAN           exponential
-      minmedmax:A:B:C    10% mass at A, 10% at C, log-interpolated in between,
-                         with true median exactly B
       grid:A:B:C:N       deterministic ascending quantile grid over N
                          submissions; realizes min/median/max of A/B/C exactly
     """
@@ -189,10 +186,6 @@ class DelayModel:
         if self.kind == "fixed" and len(args) == 1:
             pass
         elif self.kind == "uniform" and len(args) == 2 and args[0] <= args[1]:
-            pass
-        elif self.kind == "exp" and len(args) == 1:
-            pass
-        elif self.kind == "minmedmax" and len(args) == 3 and args[0] <= args[1] <= args[2]:
             pass
         elif self.kind == "grid" and len(args) == 4 and args[0] <= args[1] <= args[2]:
             pass
@@ -216,16 +209,6 @@ class DelayModel:
             return int(self.args[0])
         if self.kind == "uniform":
             return int(round(rng.uniform(self.args[0], self.args[1])))
-        if self.kind == "exp":
-            return int(round(rng.expovariate(1.0 / max(self.args[0], 1.0))))
-        if self.kind == "minmedmax":
-            lo, med, hi = self.args
-            u = rng.random()
-            if u < 0.1:
-                return int(lo)
-            if u >= 0.9:
-                return int(hi)
-            return int(round(self._quantile(lo, med, hi, (u - 0.1) / 0.8)))
         # grid: ascending quantiles indexed by the submission counter
         lo, med, hi, n = self.args
         count = max(int(n), 1)
@@ -463,7 +446,6 @@ class CtLog(LogView):
         *,
         scheme: HashScheme = SHA256,
         seed: int = 0,
-        start_time_ms: int = 0,
     ) -> None:
         super().__init__(log_id, [], (), scheme)
         self.sth_history = TreeHeads(log_id, registry, self.tree)  # heads over the view's tree
@@ -474,14 +456,14 @@ class CtLog(LogView):
         self._pending: deque[_Pending] = deque()
         self._merge_t_ref = array("q")
         self._first_timestamp: dict[bytes, int] = {}  # RETURN_OLD_SCT only
-        self._last_merge_t = start_time_ms
-        self._last_tick = start_time_ms
-        self._now = start_time_ms
+        self._last_merge_t = 0
+        self._last_tick = 0
+        self._now = 0
         self._delay_model = DelayModel(self.config.publication_delay)
         self._submission_index = 0
         self._drop_serials: set[int] = set()
         self.frozen = self.config.frozen
-        self._publish_sth(start_time_ms)
+        self._publish_sth(0)
 
     # -- internal machinery
 

@@ -18,12 +18,16 @@ exhaustively scans those logs for a counterexample entry.
 
 A separate disclosure proof covers misbehaving logs that return an SCT and
 then never publish the entry within the maximum merge delay.
+
+Proofs are built from a ``trace.ObservationSet``, the same monitor view the
+analysis reads, plus read access to the logs; builders and verifiers read a
+log's entries through one function, ``_served``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
 from .crypto import HashScheme, KeyRegistry, SHA256
@@ -40,6 +44,7 @@ from .log import (
     verify_sth,
 )
 from .status import RevocationStatus, StatusKind, verify_status
+from .trace import ObservationSet
 
 
 class MrdMode(enum.Enum):
@@ -182,6 +187,16 @@ def earliest_proof_time(
 
 # Verifiers ----------------------------------------------------------------------
 
+def _served(readers: dict[str, LogReader], log_id: str, size: int | None = None) -> list[LogEntry] | None:
+    """Entries ``0 .. size - 1`` of ``log_id`` as its reader serves them (fewer
+    if it has fewer; all it has published when ``size`` is None), or None
+    without a reader. Every builder and verifier reads entries through here."""
+    reader = readers.get(log_id)
+    if reader is None:
+        return None
+    return entries_below(reader, reader.published_size() if size is None else size)
+
+
 def _status_is_incorrect(status: RevocationStatus, post: Postcertificate, strict: bool) -> bool:
     """Compare the served status against the postcertificate's request.
 
@@ -274,10 +289,9 @@ def verify_m3(
             return _rejected("sth-too-early", f"{log_id}: {sth.t} < {t_proof}")
     for log_id in trusted.sorted():
         sth = proof.sth_for(log_id)
-        reader = log_readers.get(log_id)
-        if reader is None:
+        entries = _served(log_readers, log_id, sth.treesize)
+        if entries is None:
             return _rejected("entries-unavailable", log_id)
-        entries = entries_below(reader, sth.treesize)
         if len(entries) < sth.treesize:
             return _rejected("entries-unavailable", f"{log_id}: {len(entries)}/{sth.treesize}")
         for entry in entries:
@@ -318,11 +332,8 @@ def verify_sct_disclosure(
         return _rejected("bad-sth-signature")
     if sth.t < sct.timestamp + mmd_ms:
         return _rejected("sth-too-early", f"{sth.t} < {sct.timestamp + mmd_ms}")
-    reader = log_readers.get(sct.log_id)
-    if reader is None:
-        return _rejected("entries-unavailable", sct.log_id)
-    entries = entries_below(reader, sth.treesize)
-    if len(entries) < sth.treesize:
+    entries = _served(log_readers, sct.log_id, sth.treesize)
+    if entries is None or len(entries) < sth.treesize:
         return _rejected("entries-unavailable", sct.log_id)
     for entry in entries:
         if scheme.hash_leaf(entry.payload) == sct.entry_hash:
@@ -361,67 +372,50 @@ def proof_time(proof, policy: MrdPolicy) -> int:
 
 # Proof building from observations ------------------------------------------------
 
-@dataclass
-class ObservationBag:
-    """Everything a third-party monitor has seen plus read access to logs."""
-
-    policy: MrdPolicy
-    trusted: TrustedLogSet
-    registry: KeyRegistry
-    statuses: list[RevocationStatus] = field(default_factory=list)
-    sth_observations: list[STH] = field(default_factory=list)
-    scts: list[SCT] = field(default_factory=list)
-    log_readers: dict[str, LogReader] = field(default_factory=dict)
-    scheme: HashScheme = SHA256
-    _postcert_scan: list[tuple[LogEntry, Postcertificate]] | None = None
-
-
-def _scan_postcerts(obs: ObservationBag) -> list[tuple[LogEntry, Postcertificate]]:
-    if obs._postcert_scan is None:
-        found: list[tuple[LogEntry, Postcertificate]] = []
-        for log_id in obs.trusted.sorted():
-            reader = obs.log_readers.get(log_id)
-            if reader is None:
+def _scan_postcerts(
+    trusted: TrustedLogSet, readers: dict[str, LogReader]
+) -> list[tuple[LogEntry, Postcertificate]]:
+    found: list[tuple[LogEntry, Postcertificate]] = []
+    for log_id in trusted.sorted():
+        for entry in _served(readers, log_id) or ():
+            if not is_postcert_payload(entry.payload):
                 continue
-            for entry in entries_below(reader, reader.published_size()):
-                if not is_postcert_payload(entry.payload):
-                    continue
-                try:
-                    found.append((entry, decode_artifact(entry.payload)))
-                except DecodeError:
-                    continue  # the verifiers reject it as an undecodable-entry
-        obs._postcert_scan = found
-    return obs._postcert_scan
+            try:
+                found.append((entry, decode_artifact(entry.payload)))
+            except DecodeError:
+                continue  # the verifiers reject it as an undecodable-entry
+    return found
 
 
-def _first_head(obs: ObservationBag, log_id: str, accept) -> STH | None:
+def _first_head(obs: ObservationSet, readers: dict[str, LogReader], log_id: str, accept) -> STH | None:
     """First observed tree head of ``log_id`` that ``accept`` takes, in
     observation order, else the log's latest head if ``accept`` takes it."""
-    for sth in obs.sth_observations:
-        if sth.log_id == log_id and accept(sth):
-            return sth
-    reader = obs.log_readers.get(log_id)
+    for observation in obs.sths.get(log_id, ()):
+        if accept(observation.sth):
+            return observation.sth
+    reader = readers.get(log_id)
     latest = reader.latest_sth() if reader is not None else None
     return latest if latest is not None and accept(latest) else None
 
 
 def _pick_m12_evidence(
-    obs: ObservationBag, target: CertRef | None, want_good: bool, strict: bool
+    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader],
+    target: CertRef | None, want_good: bool, strict: bool,
 ) -> MisbehaviorProofM12:
     candidates = [
         (entry, post)
-        for entry, post in _scan_postcerts(obs)
+        for entry, post in _scan_postcerts(trusted, readers)
         if target is None or post.target_ref == target
     ]
     if not candidates:
         raise InsufficientEvidenceError("insufficient-evidence: no logged postcertificate")
     best: tuple[int, MisbehaviorProofM12] | None = None
     for entry, post in candidates:
-        sth = _first_head(obs, entry.log_id, lambda head: head.treesize > entry.number)
+        sth = _first_head(obs, readers, entry.log_id, lambda head: head.treesize > entry.number)
         if sth is None:
             continue
         t_proof = earliest_proof_time(
-            Case.M1_MISSING_UPDATE, obs.policy, entry=entry, covering_sth=sth
+            Case.M1_MISSING_UPDATE, policy, entry=entry, covering_sth=sth
         )
         for status in obs.statuses:
             if status.cert_ref != post.target_ref or status.t < t_proof:
@@ -434,7 +428,7 @@ def _pick_m12_evidence(
                     continue
                 if not _status_is_incorrect(status, post, strict):
                     continue
-            reader = obs.log_readers.get(entry.log_id)
+            reader = readers.get(entry.log_id)
             if reader is None:
                 continue
             audit = reader.audit_proof(entry.number, sth.treesize)
@@ -449,7 +443,10 @@ def _pick_m12_evidence(
     return best[1]
 
 
-def _pick_m3_evidence(obs: ObservationBag, target: CertRef | None) -> MisbehaviorProofM3:
+def _pick_m3_evidence(
+    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader],
+    target: CertRef | None,
+) -> MisbehaviorProofM3:
     nongood = sorted(
         (
             s
@@ -460,58 +457,51 @@ def _pick_m3_evidence(obs: ObservationBag, target: CertRef | None) -> Misbehavio
     )
     if not nongood:
         raise InsufficientEvidenceError("insufficient-evidence: no non-good status observed")
-    last_error = "insufficient-evidence: no tree heads past the proof time"
     for status in nongood:
-        t_proof = status.t + obs.policy.mmd_ms
+        t_proof = status.t + policy.mmd_ms
         sths: list[STH] = []
-        for log_id in obs.trusted.sorted():
-            chosen = _first_head(obs, log_id, lambda head: head.t >= t_proof)
+        for log_id in trusted.sorted():
+            chosen = _first_head(obs, readers, log_id, lambda head: head.t >= t_proof)
             if chosen is None:
                 break
             sths.append(chosen)
-        if len(sths) == len(obs.trusted.log_ids):
+        if len(sths) == len(trusted.log_ids):
             return MisbehaviorProofM3(status=status, sth_set=tuple(sths))
-    raise InsufficientEvidenceError(last_error)
+    raise InsufficientEvidenceError("insufficient-evidence: no tree heads past the proof time")
 
 
-def _pick_sct_disclosure(obs: ObservationBag) -> SctDisclosureProof:
+def _pick_sct_disclosure(
+    obs: ObservationSet, policy: MrdPolicy, readers: dict[str, LogReader]
+) -> SctDisclosureProof:
     for sct in sorted(obs.scts, key=lambda s: (s.timestamp, s.log_id)):
-        reader = obs.log_readers.get(sct.log_id)
-        if reader is None:
+        entries = _served(readers, sct.log_id)
+        if entries is None or any(SHA256.hash_leaf(entry.payload) == sct.entry_hash for entry in entries):
             continue
-        published = any(
-            obs.scheme.hash_leaf(entry.payload) == sct.entry_hash
-            for entry in entries_below(reader, reader.published_size())
-        )
-        if published:
-            continue
-        deadline = sct.timestamp + obs.policy.mmd_ms
-        sth = _first_head(obs, sct.log_id, lambda head: head.t >= deadline)
+        deadline = sct.timestamp + policy.mmd_ms
+        sth = _first_head(obs, readers, sct.log_id, lambda head: head.t >= deadline)
         if sth is not None:
             return SctDisclosureProof(sct=sct, sth=sth)
     raise InsufficientEvidenceError("insufficient-evidence: every promised entry was published")
 
 
 def build_proof(
-    case: Case,
-    obs: ObservationBag,
-    *,
-    target: CertRef | None = None,
-    strict_status: bool = False,
+    case: Case, obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet,
+    readers: dict[str, LogReader], *, target: CertRef | None = None, strict_status: bool = False,
 ):
-    """Assemble the minimal evidence bundle for ``case`` from observations.
+    """Assemble the minimal evidence bundle for ``case`` from a monitor's
+    observations and read access to the logs.
 
     Raises InsufficientEvidenceError when the observations cannot support the
     claim, which is the expected outcome on honest traces.
     """
     if case is Case.M1_MISSING_UPDATE:
-        return _pick_m12_evidence(obs, target, want_good=True, strict=strict_status)
+        return _pick_m12_evidence(obs, policy, trusted, readers, target, True, strict_status)
     if case is Case.M2_INCORRECT_STATUS:
-        return _pick_m12_evidence(obs, target, want_good=False, strict=strict_status)
+        return _pick_m12_evidence(obs, policy, trusted, readers, target, False, strict_status)
     if case is Case.M3_EARLY_STATUS:
-        return _pick_m3_evidence(obs, target)
+        return _pick_m3_evidence(obs, policy, trusted, readers, target)
     if case is Case.LOG_FORGET:
-        return _pick_sct_disclosure(obs)
+        return _pick_sct_disclosure(obs, policy, readers)
     raise ValueError(f"unknown case {case}")
 
 

@@ -58,7 +58,6 @@ from .misbehavior import (
     InsufficientEvidenceError,
     MrdMode,
     MrdPolicy,
-    ObservationBag,
     TrustedLogSet,
     build_proof,
     proof_time,
@@ -83,6 +82,7 @@ from .trace import (
     SubmissionRecord,
     TraceEvent,
     ViolationRecord,
+    observations,
 )
 
 CERT_LIFETIME_MS = 400 * DAY_MS
@@ -795,40 +795,24 @@ class Simulation:
                 )
                 self.emit(horizon, "auditor", EventKind.VIOLATION, record)
 
-    def observation_bag(self) -> ObservationBag:
-        """Third-party monitor view: observed statuses, tree heads and SCTs,
-        plus read access to the final log states."""
+    def _build_proofs(self, horizon: int) -> None:
+        """Build each case's proof from a third-party monitor's view of the
+        trace, with read access to the final log states, and verify it."""
         if self.trusted is None:
             raise ScenarioError("invalid-scenario: no trusted logs")
-        bag = ObservationBag(
-            policy=self.scenario.policy,
-            trusted=self.trusted,
-            registry=self.registry,
-        )
-        for t, actor, kind, artifact in self._trace:
-            if kind is EventKind.STATUS:
-                bag.statuses.append(artifact)
-            elif kind is EventKind.STH:
-                bag.sth_observations.append(artifact.sth)
-            elif kind is EventKind.SUBMIT and getattr(artifact, "sct", None) is not None:
-                bag.scts.append(artifact.sct)
-        bag.log_readers = dict(self.logs)
-        return bag
-
-    def _build_proofs(self, horizon: int) -> None:
-        bag = self.observation_bag()
-        for case in (Case.M1_MISSING_UPDATE, Case.M2_INCORRECT_STATUS, Case.M3_EARLY_STATUS,
-                     Case.LOG_FORGET):
+        obs = observations(artifact for _, _, _, artifact in self._trace)
+        policy = self.scenario.policy
+        for case in Case:
             try:
-                proof = build_proof(case, bag)
+                proof = build_proof(case, obs, policy, self.trusted, self.logs)
             except InsufficientEvidenceError:
                 continue
-            verdict = verify_proof(proof, bag.policy, bag.trusted, self.registry, bag.log_readers)
+            verdict = verify_proof(proof, policy, self.trusted, self.registry, self.logs)
             record = ProofRecord(
                 case=case.value,
                 proven=verdict.proven,
                 reason=verdict.reason or "",
-                t_proof=proof_time(proof, bag.policy),
+                t_proof=proof_time(proof, policy),
                 bundle=encode_artifact(proof),
             )
             self.emit(horizon, "auditor", EventKind.PROOF, record)

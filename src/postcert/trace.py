@@ -161,7 +161,8 @@ def trace_to_text(events: Iterable[TraceEvent]) -> str:
 
 @dataclass
 class ObservationSet:
-    """Trace contents regrouped per log for the analysis pipeline."""
+    """What a third-party monitor saw, regrouped per log: the view both the
+    analysis pipeline and the misbehavior proof builders read."""
 
     sths: dict[str, list[SthObservation]] = field(default_factory=dict)
     submissions: dict[str, list[SubmissionRecord]] = field(default_factory=dict)
@@ -177,10 +178,14 @@ class ObservationSet:
         return sorted(ids)
 
 
-def observations_from_events(events: Iterable[TraceEvent]) -> ObservationSet:
+def observations(artifacts: Iterable[object]) -> ObservationSet:
+    """Group decoded trace artifacts, kept in trace order, into a monitor's view.
+
+    An accepted submission's SCT comes from its ``SubmissionRecord``; the
+    ``SCT`` event that repeats it adds nothing.
+    """
     obs = ObservationSet()
-    for event in events:
-        artifact = event.artifact()
+    for artifact in artifacts:
         if isinstance(artifact, SthObservation):
             obs.sths.setdefault(artifact.sth.log_id, []).append(artifact)
         elif isinstance(artifact, SubmissionRecord):
@@ -197,6 +202,8 @@ def observations_from_events(events: Iterable[TraceEvent]) -> ObservationSet:
             obs.violations.append(artifact)
         elif isinstance(artifact, ProofRecord):
             obs.proofs.append(artifact)
-        elif isinstance(artifact, SCT):
-            obs.scts.append(artifact)
     return obs
+
+
+def observations_from_events(events: Iterable[TraceEvent]) -> ObservationSet:
+    return observations(event.artifact() for event in events)

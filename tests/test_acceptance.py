@@ -37,7 +37,6 @@ from postcert.misbehavior import (
     MisbehaviorProofM3,
     MrdMode,
     MrdPolicy,
-    ObservationBag,
     TrustedLogSet,
     build_proof,
     earliest_proof_time,
@@ -248,26 +247,6 @@ def _truncated_readers(sim: Simulation, cutoff: int) -> dict[str, SnapshotLogRea
     return readers
 
 
-def _truncated_bag(sim: Simulation, events, cutoff: int) -> ObservationBag:
-    bag = ObservationBag(
-        policy=sim.scenario.policy,
-        trusted=sim.trusted,
-        registry=sim.registry,
-    )
-    for event in events:
-        if event.t_ref > cutoff:
-            continue
-        artifact = event.artifact()
-        if event.kind is EventKind.STATUS:
-            bag.statuses.append(artifact)
-        elif event.kind is EventKind.STH:
-            bag.sth_observations.append(artifact.sth)
-        elif event.kind is EventKind.SUBMIT and artifact.sct is not None:
-            bag.scts.append(artifact.sct)
-    bag.log_readers = _truncated_readers(sim, cutoff)
-    return bag
-
-
 def test_acceptance_03_soundness_and_completeness():
     started = time.monotonic()
     honest_runs = 1000
@@ -296,14 +275,16 @@ def test_acceptance_03_soundness_and_completeness():
             # never provable before the earliest proof time
             t_proof = min(p.t_proof for p in proofs if p.proven)
             cutoff = t_proof - 10 * SECOND_MS
-            bag = _truncated_bag(sim, events, cutoff)
+            seen = observations_from_events(e for e in events if e.t_ref <= cutoff)
+            readers = _truncated_readers(sim, cutoff)
+            policy = sim.scenario.policy
             for attempt in (Case.M1_MISSING_UPDATE, Case.M2_INCORRECT_STATUS,
                             Case.M3_EARLY_STATUS):
                 try:
-                    proof = build_proof(attempt, bag)
+                    proof = build_proof(attempt, seen, policy, sim.trusted, readers)
                 except InsufficientEvidenceError:
                     continue
-                verdict = verify_proof(proof, bag.policy, bag.trusted, bag.registry, bag.log_readers)
+                verdict = verify_proof(proof, policy, sim.trusted, sim.registry, readers)
                 assert not verdict.proven, f"{case} seed {seed} provable before t_proof"
             early_checks += 1
 

@@ -333,10 +333,10 @@ def test_usage_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["simulate", "--preset", "m1", "--mrd", "8x"], "argument --mrd: invalid"),
-        (["verify-proof", "--proof", "p", "--mmd", "1y"], "argument --mmd: invalid"),
+        (["simulate", "--preset", "m1", "--mrd", "8x"], "argument --mrd: unparseable duration: '8x'"),
+        (["verify-proof", "--proof", "p", "--mmd", "1y"], "argument --mmd: unparseable duration: '1y'"),
         (["probe", "--target", "scenario:m1", "--out", "t", "--duration", "soon"],
-         "argument --duration: invalid"),
+         "argument --duration: unparseable duration: 'soon'"),
         (["simulate", "--preset", "m1", "--mrd-mode", "submission", "--mrd", "1h"],
          "submission-anchored deadline must exceed the mmd"),
         (["simulate", "--preset", "m1", "--mrd", "0"], "publication-anchored deadline must be positive"),
@@ -429,6 +429,7 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"(probe .*)submit=\d+", r"\1submit=-1"),
         (r"background=[\d.]+", "background=nan"),
         (r"delay=\S+", "delay=exp:nan"),
+        (r"delay=\S+", "delay=exp:1000"),
         (r"validity=\d+", "validity=0"),
         (r"handoff=0 handoff_delay=\d+", "handoff=1 handoff_delay=-5"),
         (r"(ca .*)offset=0", r"\1offset=99999999999999999999"),
@@ -445,7 +446,8 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"(probe .*)size=\d+", r"\1size=99999999999999999999"),
     ],
     ids=["poll-zero", "poll-negative", "sth-zero", "sth-negative", "size-negative",
-         "submit-negative", "background-nan", "delay-nan", "validity-zero", "handoff-delay-negative",
+         "submit-negative", "background-nan", "delay-nan", "delay-exp", "validity-zero",
+         "handoff-delay-negative",
          "ca-offset-huge", "ca-offset-huge-negative", "log-offset-i64-max", "log-offset-i64-min",
          "horizon-huge", "mrd-huge", "log-mmd-huge", "update-huge",
          "processing-huge", "handoff-delay-huge", "sth-huge", "size-huge"],

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 
 import pytest
 
@@ -28,13 +29,14 @@ from postcert.encoding import decode_artifact, encode_artifact
 from postcert.log import (
     SCT,
     STH,
+    LogView,
     MerkleAuditProof,
     SnapshotLogReader,
     log_snapshot_text,
     sct_signing_payload,
     sth_signing_payload,
 )
-from postcert.misbehavior import MisbehaviorProofM3
+from postcert.misbehavior import Case, InsufficientEvidenceError, MisbehaviorProofM3, build_proof
 from postcert.presets import PRESETS, build_preset, honest_random, normal_revocation, pathologies, single_fault
 from postcert.sim import ScheduledEvent, Simulation
 from postcert.status import RevocationStatus, StatusValue, status_signing_payload
@@ -172,6 +174,35 @@ def test_preset_trace_report_and_snapshot_digests(name):
     report = cli.render_report(trace.observations_from_events(events), readers)
     digests = (_sha256(trace.trace_to_text(events)), _sha256(report), _sha256("".join(snapshots)))
     assert digests == PRESET_WORLDS[name]
+
+
+# Proofs from a run's files alone: a third party holding only the trace text
+# and each log's snapshot builds, for every case, the bundle the simulator's
+# auditor recorded, byte for byte, and no bundle for a case it did not record.
+FILE_PROOF_WORLDS = [("preset", name, 3) for name in ("log-forget", "m1", "m2", "m3", "normal")] + [
+    ("sweep", case, seed) for seed, case in sorted(SWEEP_WORLDS, key=lambda k: (k[1] or "", k[0]))
+]
+
+
+@pytest.mark.parametrize("kind,name,seed", FILE_PROOF_WORLDS)
+def test_proofs_from_trace_and_snapshot_files_alone(kind, name, seed):
+    if kind == "preset":
+        scenario = build_preset(name, seed)
+    else:
+        scenario = honest_random(seed) if name is None else single_fault(seed, name)
+    sim = Simulation(scenario)
+    events = sim.run()
+    obs = trace.observations_from_events(trace.read_trace(io.StringIO(trace.trace_to_text(events))))
+    readers = {log_id: LogView.from_text(log_snapshot_text(log)) for log_id, log in sim.logs.items()}
+    recorded = {record.case: record.bundle for record in obs.proofs}
+    built = {}
+    for case in Case:
+        try:
+            proof = build_proof(case, obs, scenario.policy, sim.trusted, readers)
+        except InsufficientEvidenceError:
+            continue
+        built[case.value] = encode_artifact(proof)
+    assert built == recorded
 
 
 # Canonical bytes. ``ARTIFACT_SAMPLES`` is the digest of the concatenated

@@ -29,7 +29,6 @@ from postcert.misbehavior import (
     MisbehaviorProofM3,
     MrdMode,
     MrdPolicy,
-    ObservationBag,
     SctDisclosureProof,
     TrustedLogSet,
     build_proof,
@@ -43,6 +42,7 @@ from postcert.misbehavior import (
 )
 from postcert.status import StatusValue, issue_status
 from postcert.timeutil import DAY_MS, HOUR_MS, MINUTE_MS
+from postcert.trace import ObservationSet, SthObservation, observations
 
 MMD = DAY_MS
 SUB_POLICY = MrdPolicy(MrdMode.FROM_SUBMISSION, mrd_ms=48 * HOUR_MS, mmd_ms=MMD)
@@ -202,15 +202,10 @@ class World:
             self.registry, "ca1", self.ref, value, t, 10 * HOUR_MS, honest=False,
         )
 
-    def bag(self, policy: MrdPolicy, statuses, sths=None) -> ObservationBag:
-        return ObservationBag(
-            policy=policy,
-            trusted=self.trusted,
-            registry=self.registry,
-            statuses=list(statuses),
-            sth_observations=list(sths or []),
-            log_readers=dict(self.logs),
-        )
+    def build(self, case: Case, policy: MrdPolicy, statuses, sths=()):
+        """``build_proof`` for a monitor that saw ``statuses`` and ``sths``."""
+        seen = observations([*statuses, *(SthObservation(sth.t, sth.t, sth) for sth in sths)])
+        return build_proof(case, seen, policy, self.trusted, self.logs)
 
 
 def _m12_proof(world: World, policy: MrdPolicy, status) -> MisbehaviorProofM12:
@@ -438,10 +433,9 @@ def test_undecodable_entry_rejects_instead_of_raising(registry):
 
 def test_malformed_postcert_entry_is_skipped_when_building_a_proof(registry):
     entry, sth = _undecodable_entry(registry, 10 * HOUR_MS, b"\x02garbage")
-    bag = ObservationBag(policy=PUB_POLICY, trusted=TrustedLogSet.of("log1"), registry=registry,
-                         log_readers={"log1": SnapshotLogReader("log1", [entry], [sth])})
+    readers = {"log1": SnapshotLogReader("log1", [entry], [sth])}
     with pytest.raises(InsufficientEvidenceError):
-        build_proof(Case.M1_MISSING_UPDATE, bag)
+        build_proof(Case.M1_MISSING_UPDATE, ObservationSet(), PUB_POLICY, TrustedLogSet.of("log1"), readers)
 
 
 def test_m3_missing_log_coverage_rejects():
@@ -553,11 +547,10 @@ def test_build_proof_fails_on_honest_observations():
     for log in world.logs.values():
         log.sign_tree_head(horizon)
     sths = [log.latest_sth() for log in world.logs.values()]
-    bag = world.bag(PUB_POLICY, [good, revoked], sths)
     for case in (Case.M1_MISSING_UPDATE, Case.M2_INCORRECT_STATUS, Case.LOG_FORGET):
         with pytest.raises(InsufficientEvidenceError):
-            build_proof(case, bag)
-    m3 = build_proof(Case.M3_EARLY_STATUS, bag)
+            world.build(case, PUB_POLICY, [good, revoked], sths)
+    m3 = world.build(Case.M3_EARLY_STATUS, PUB_POLICY, [good, revoked], sths)
     verdict = verify_m3(m3, PUB_POLICY, world.trusted, world.registry, world.logs)
     assert not verdict.proven
 
@@ -570,8 +563,7 @@ def test_build_m1_bundle_accepted_by_verifier():
         Case.M1_MISSING_UPDATE, PUB_POLICY, entry=entry, covering_sth=sth
     )
     stale_good = world.status(StatusValue.good(), t_proof + HOUR_MS)
-    bag = world.bag(PUB_POLICY, [stale_good], [sth])
-    proof = build_proof(Case.M1_MISSING_UPDATE, bag)
+    proof = world.build(Case.M1_MISSING_UPDATE, PUB_POLICY, [stale_good], [sth])
     assert verify_m12(proof, PUB_POLICY, world.trusted, world.registry).proven
 
 
@@ -583,9 +575,8 @@ def test_build_m1_insufficient_before_t_proof():
         Case.M1_MISSING_UPDATE, PUB_POLICY, entry=entry, covering_sth=sth
     )
     early_good = world.status(StatusValue.good(), t_proof - 1)
-    bag = world.bag(PUB_POLICY, [early_good], [sth])
     with pytest.raises(InsufficientEvidenceError):
-        build_proof(Case.M1_MISSING_UPDATE, bag)
+        world.build(Case.M1_MISSING_UPDATE, PUB_POLICY, [early_good], [sth])
 
 
 def test_proof_text_round_trip():
