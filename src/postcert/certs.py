@@ -318,18 +318,23 @@ class TrustStore:
     def __init__(self, roots: list[Certificate] | None = None) -> None:
         # Certificates are frozen dataclasses whose equality covers exactly the
         # fields of their canonical encoding, so a set of them matches a root
-        # by value without encoding it.
+        # by value without encoding it. Hashing one walks its nested fields,
+        # so the ids of the held roots are checked first: a chain usually ends
+        # in the very object the store was given.
         self._roots: set[Certificate] = set()
+        self._held: set[int] = set()  # id() of each root in _roots, which keeps it alive
         for root in roots or []:
             self.add(root)
 
     def add(self, root: Certificate) -> None:
         if root.tbs.issuer != root.tbs.subject or root.signature.signer_id != root.tbs.public_key_id:
             raise CertError(f"trust anchor {root.tbs.subject!r} is not self-issued")
-        self._roots.add(root)
+        if root not in self._roots:
+            self._roots.add(root)
+            self._held.add(id(root))
 
     def contains(self, cert: Certificate) -> bool:
-        return cert in self._roots
+        return id(cert) in self._held or cert in self._roots
 
 
 def _has_critical_unknown_extension(tbs: TbsCertificate) -> bool:

@@ -5,10 +5,13 @@ hashed with a 0x00 domain-separation prefix, interior nodes with 0x01, and the
 empty tree hashes to the digest of the empty string. The hash is pluggable so
 tests can swap in a cheap truncated variant for exhaustive oracles.
 
-Signatures are deterministic HMAC-SHA256 tags over an in-memory key registry:
-each signer id maps to one secret, secrets are fixed at construction time, and
-signing the same payload twice yields identical bytes. This gives verifiable,
-reproducible signatures without real key management.
+Signatures are deterministic HMAC-SHA256 tags (RFC 2104) over an in-memory
+key registry: each signer id maps to one secret, secrets are fixed at
+construction time, and signing the same payload twice yields identical bytes.
+This gives verifiable, reproducible signatures without real key management.
+The registry keeps each signer's two HMAC pad states (the SHA-256 state after
+the key XOR ipad block, and after the key XOR opad block) and computes every
+tag from copies of them; the tags are the bytes ``hmac`` would give.
 """
 
 from __future__ import annotations
@@ -89,6 +92,29 @@ def _derive_secret(signer_id: str) -> bytes:
     return hashlib.sha256(b"postcert-signing-key:" + signer_id.encode("utf-8")).digest()
 
 
+_BLOCK = 64  # the SHA-256 block size in bytes
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def _pad_states(secret: bytes) -> tuple:
+    """The SHA-256 states after absorbing the key XOR ipad and XOR opad blocks."""
+    if len(secret) > _BLOCK:
+        secret = hashlib.sha256(secret).digest()
+    block = secret.ljust(_BLOCK, b"\x00")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
+def _tag(pads: tuple, payload: bytes) -> bytes:
+    """HMAC-SHA256: the outer state over the inner state's digest of ``payload``."""
+    inner_state, outer_state = pads
+    inner = inner_state.copy()
+    inner.update(payload)
+    outer = outer_state.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 class KeyRegistry:
     """Immutable mapping from signer ids to HMAC secrets.
 
@@ -98,29 +124,22 @@ class KeyRegistry:
     """
 
     def __init__(self, secrets: Mapping[str, bytes] | None = None) -> None:
-        # One keyed HMAC state per signer: the key pads are computed here once,
-        # and each sign or verify continues a copy of the state.
-        self._keyed = {
-            signer_id: hmac.new(secret, digestmod="sha256")
-            for signer_id, secret in (secrets or {}).items()
-        }
+        # The two pad states per signer are computed here once; each sign or
+        # verify continues copies of them.
+        self._pads = {signer_id: _pad_states(secret) for signer_id, secret in (secrets or {}).items()}
 
     @classmethod
     def with_signers(cls, signer_ids: Iterable[str]) -> "KeyRegistry":
         return cls({signer_id: _derive_secret(signer_id) for signer_id in signer_ids})
 
     def sign(self, signer_id: str, payload: bytes) -> Signature:
-        keyed = self._keyed.get(signer_id)
-        if keyed is None:
+        pads = self._pads.get(signer_id)
+        if pads is None:
             raise UnknownSignerError(f"unknown signer: {signer_id}")
-        mac = keyed.copy()
-        mac.update(payload)
-        return Signature(signer_id=signer_id, value=mac.digest())
+        return Signature(signer_id=signer_id, value=_tag(pads, payload))
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
-        keyed = self._keyed.get(signature.signer_id)
-        if keyed is None:
+        pads = self._pads.get(signature.signer_id)
+        if pads is None:
             return False
-        mac = keyed.copy()
-        mac.update(payload)
-        return hmac.compare_digest(mac.digest(), signature.value)
+        return hmac.compare_digest(_tag(pads, payload), signature.value)

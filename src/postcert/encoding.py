@@ -36,7 +36,8 @@ bundles.
 They are the reference the declared codecs are tested against.
 
 ``fields_line`` and ``FieldLine`` write and read one line of ``key=value``
-fields, the text form of trace lines, log snapshots and scenario files.
+fields, the text form of trace lines, log snapshots and scenario files; their
+integer fields are read with ``canonical_int``.
 """
 
 from __future__ import annotations
@@ -507,6 +508,15 @@ def text_block_bytes(text: str) -> bytes:
 
 def fields_line(pairs: Iterable[tuple[str, object]]) -> str:
     return " ".join(f"{key}={value}" for key, value in pairs)
+
+
+def canonical_int(text: str) -> int:
+    """An integer field written as ``-?[0-9]+``. ``int`` alone would also
+    read a sign, underscores, spaces and non-ASCII digits, which do not
+    write back as the same text."""
+    if text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit())):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 
 
 class FieldLine:

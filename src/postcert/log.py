@@ -4,6 +4,10 @@ The log validates submission chains, answers an SCT immediately, and merges
 the entry into its Merkle tree after a configurable publication delay that is
 never allowed to exceed the maximum merge delay. Entries merge in submission
 order, so entry numbers are dense and submission timestamps non-decreasing.
+There is one submission path: ``CtLog.add`` does all of it and returns the
+SCT's timestamp and entry hash unsigned, for a caller that reads no SCT (the
+simulator's background traffic); ``CtLog.submit`` is ``add`` plus the signed
+SCT.
 
 Signing cadence is configurable: BUSY logs fix a tree head whenever the
 published set changes, UNBUSY logs fix one tree head per merged entry, and
@@ -46,7 +50,7 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import BLOB, I64, TEXT, U64, FieldLine, inline, seq, signing_payload, wire
+from .encoding import BLOB, I64, TEXT, U64, FieldLine, canonical_int, inline, seq, signing_payload, wire
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -430,11 +434,12 @@ class _Pending:
 class CtLog(LogView):
     """In-memory transparency log bound to one signing key: the writer of a ``LogView``.
 
-    Writes, and the reads that take it, take the current reference-clock
-    time; the log's own clock is the reference plus its configured offset.
-    State advances lazily: such a call first merges every pending entry whose
-    merge time has arrived and fixes the tree heads its update class calls
-    for, with exact timestamps.
+    ``add`` accepts a submission and returns its SCT's fields unsigned;
+    ``submit`` is ``add`` plus the signed ``SCT``. Writes, and the reads that
+    take it, take the current reference-clock time; the log's own clock is
+    the reference plus its configured offset. State advances lazily: such a
+    call first merges every pending entry whose merge time has arrived and
+    fixes the tree heads its update class calls for, with exact timestamps.
     """
 
     def __init__(
@@ -544,12 +549,15 @@ class CtLog(LogView):
     def freeze(self) -> None:
         self.frozen = True
 
-    def submit(
+    def add(
         self,
         payload: Certificate | Postcertificate,
         chain: list[Certificate],
         now: int,
-    ) -> SCT:
+    ) -> tuple[int, bytes]:
+        """Accept a submission and queue its entry; return its SCT's
+        ``(timestamp, entry_hash)`` without signing it. Under
+        ``RETURN_OLD_SCT`` a repeated payload gets its first timestamp."""
         self.advance(now)
         if self.frozen:
             raise LogError(ERR_LOG_FROZEN, self.log_id)
@@ -571,9 +579,8 @@ class CtLog(LogView):
             # entry hash): signing the first timestamp again gives the first SCT.
             first = self._first_timestamp.get(payload_bytes)
             if first is not None:
-                return self._sign_sct(first, entry_hash)
+                return first, entry_hash
         timestamp = self._log_clock(now)
-        sct = self._sign_sct(timestamp, entry_hash)
         forget = self.config.forget or payload.tbs.serial in self._drop_serials
         if not forget:
             self._pending.append(
@@ -583,7 +590,16 @@ class CtLog(LogView):
         if dedupe:
             self._first_timestamp[payload_bytes] = timestamp
         self._submission_index += 1
-        return sct
+        return timestamp, entry_hash
+
+    def submit(
+        self,
+        payload: Certificate | Postcertificate,
+        chain: list[Certificate],
+        now: int,
+    ) -> SCT:
+        """``add``, then the signed SCT for it."""
+        return self._sign_sct(*self.add(payload, chain, now))
 
     def sign_tree_head(self, now: int) -> STH:
         self.advance(now)
@@ -628,8 +644,9 @@ class CtLog(LogView):
 
 # Snapshots ----------------------------------------------------------------------
 
-_ENTRY_FIELDS = (("payload", bytes.fromhex), ("t_submission", int), ("number", int))
-_STH_FIELDS = (("t", int), ("treesize", int), ("root", bytes.fromhex), ("signer", str), ("sig", bytes.fromhex))
+_ENTRY_FIELDS = (("payload", bytes.fromhex), ("t_submission", canonical_int), ("number", canonical_int))
+_STH_FIELDS = (("t", canonical_int), ("treesize", canonical_int), ("root", bytes.fromhex),
+               ("signer", str), ("sig", bytes.fromhex))
 
 
 def log_snapshot_text(log: LogView) -> str:

@@ -51,7 +51,7 @@ from .certs import (
     sign_certificate,
 )
 from .crypto import KeyRegistry, SHA256
-from .encoding import FieldLine, encode_artifact, fields_line
+from .encoding import FieldLine, canonical_int, encode_artifact, fields_line
 from .log import CtLog, DuplicatePolicy, LogConfig, LogError, SCT, SthCacheMode, UpdateClass
 from .misbehavior import (
     Case,
@@ -222,7 +222,7 @@ def validate_scenario(scenario: Scenario) -> None:
         if event.kind not in ("issue", "revoke-request", "revoke-direct", "freeze-log", "drop-entry"):
             raise ScenarioError(f"invalid-scenario: unknown event kind {event.kind!r}")
         try:
-            ints = {name: int(params[name]) for name in ("serial", "k", "delivery") if name in params}
+            ints = {key: canonical_int(params[key]) for key in ("serial", "k", "delivery") if key in params}
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from None
         if any(value < 0 for value in ints.values()):
@@ -640,11 +640,11 @@ class Simulation:
         rng = random.Random(derive_seed(self.scenario.seed, f"bg:{sim_log.log_id}"))
 
         def arrival(now: int) -> int:
-            # untraced filler: a rejection is simply dropped
+            # untraced filler: its SCT is never read, and a rejection is simply dropped
             self._bg_serial += 1
             cert = self._filler_cert("background-ca", "background-key", self._bg_serial, now)
             try:
-                self.logs[sim_log.log_id].submit(cert, [self.background_root], now)
+                self.logs[sim_log.log_id].add(cert, [self.background_root], now)
             except LogError:
                 pass
             return max(1, int(rng.expovariate(rate / HOUR_MS)))
@@ -868,16 +868,16 @@ def _enum(cls: type[enum.Enum]) -> tuple:
     return (lambda value: value.value, cls)
 
 
-_INT = (str, int)
+_INT = (str, canonical_int)
 _FLOAT = (str, float)
 _TEXT = (str, str)
-_FLAG = (lambda value: str(int(value)), lambda text: bool(int(text)))
+_FLAG = (lambda value: str(int(value)), lambda text: bool(canonical_int(text)))
 _DASHED = (lambda value: value or "-", lambda text: "" if text == "-" else text)
 _IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
 # A time in ms: validate_scenario bounds every field read with one of these
 # two, which it tells from _INT by identity.
-_MS = (str, int)
-_MS_ZERO_NONE = (lambda value: str(value or 0), lambda text: int(text) or None)
+_MS = (str, canonical_int)
+_MS_ZERO_NONE = (lambda value: str(value or 0), lambda text: canonical_int(text) or None)
 
 _HEADER_FIELDS = (
     ("scenario", "name", _TEXT),

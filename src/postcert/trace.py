@@ -16,7 +16,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
-from .encoding import BLOB, BOOL, I64, TEXT, U64, FieldLine, decode_artifact, nested, optional, wire
+from .encoding import (
+    BLOB, BOOL, I64, TEXT, U64, FieldLine, canonical_int, decode_artifact, nested, optional, wire,
+)
 from .log import SCT, STH
 from .status import RevocationStatus
 
@@ -137,7 +139,8 @@ def format_event(event: TraceEvent) -> str:
     )
 
 
-_EVENT_FIELDS = (("t", int), ("seq", int), ("actor", str), ("kind", EventKind), ("payload", bytes.fromhex))
+_EVENT_FIELDS = (("t", canonical_int), ("seq", canonical_int), ("actor", str), ("kind", EventKind),
+                 ("payload", bytes.fromhex))
 
 
 def parse_event(line: str, lineno: int = 1) -> TraceEvent:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 
 import pytest
 from hypothesis import given
@@ -32,7 +33,7 @@ from postcert.certs import (
     validate_chain,
 )
 from postcert.crypto import Signature
-from postcert.encoding import decode_artifact
+from postcert.encoding import decode_artifact, encode_artifact
 
 from oracles import artifact_samples
 
@@ -207,17 +208,43 @@ def test_tbs_invariants():
         Extension(oid="", critical=False, value=b"")
 
 
-def test_trust_store_matches_roots_by_value(registry, ca_root):
-    from postcert.encoding import decode_artifact, encode_artifact
+def _other_root(registry, serial: int = 0):
+    return sign_certificate(registry, "ca2", TbsCertificate(
+        serial=serial, subject="ca2", issuer="ca2", not_before=0, not_after=10**12, public_key_id="ca2",
+    ))
 
+
+def test_trust_store_matches_roots_by_value(registry, leaf_cert, ca_root):
     trust = TrustStore([ca_root])
+    assert trust.contains(ca_root)
     fresh = decode_artifact(encode_artifact(ca_root))
     assert fresh == ca_root and fresh is not ca_root
     assert trust.contains(fresh)
+    assert validate_chain(leaf_cert, [fresh], ValidationContext.LOG_CA_ISSUED, registry, trust)
     other_tbs = dataclasses.replace(ca_root.tbs, not_after=ca_root.tbs.not_after + 1)
     assert not trust.contains(dataclasses.replace(ca_root, tbs=other_tbs))
     resigned = sign_certificate(registry, "ca1", other_tbs)
     assert not trust.contains(dataclasses.replace(ca_root, signature=resigned.signature))
+    # the root's own TBS under a signature value one bit off
+    flipped = bytes([ca_root.signature.value[0] ^ 1]) + ca_root.signature.value[1:]
+    assert not trust.contains(dataclasses.replace(ca_root, signature=Signature("ca1", flipped)))
+    # another CA's well-signed root is not trusted, and neither is a chain ending in it
+    other = _other_root(registry)
+    assert not trust.contains(other)
+    other_leaf = sign_certificate(registry, "ca2", dataclasses.replace(leaf_cert.tbs, issuer="ca2"))
+    verdict = validate_chain(other_leaf, [other], ValidationContext.LOG_CA_ISSUED, registry, trust)
+    assert verdict.reason == REJECT_UNTRUSTED_ROOT
+
+
+def test_trust_store_trusts_no_object_by_the_id_of_a_root_it_did_not_keep(registry, ca_root):
+    trust = TrustStore([ca_root])
+    twin = decode_artifact(encode_artifact(ca_root))
+    trust.add(twin)  # equal to a held root, so the store keeps only the first
+    del twin
+    gc.collect()
+    strangers = [_other_root(registry, serial) for serial in range(200)]
+    assert not any(trust.contains(cert) for cert in strangers)
+    assert trust.contains(ca_root)
 
 
 @given(payload=st.deferred(lambda: st.sampled_from(artifact_samples())))

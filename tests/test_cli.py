@@ -471,6 +471,26 @@ def test_out_of_range_scenario_value_is_io_error(tmp_path, capsys, pattern, repl
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("value", ["+1", "1_0", "\u0663"], ids=["plus-sign", "underscore", "arabic-indic-digit"])
+def test_non_canonical_integer_in_scenario_is_io_error(tmp_path, capsys, value):
+    """``int`` would read these as 1, 10 and 3 ms, a log ticking so often
+    that the run would not end; an integer field is ``-?[0-9]+`` only."""
+    import time
+
+    text = scenario_to_text(build_preset("m1", 0))
+    broken = re.sub(r"(log id=log-a .*)interval=\d+", rf"\1interval={value}", text, count=1)
+    assert broken != text
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(broken, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 2: ") and f"{value!r}" in err and "(bad interval value)" in err
+
+
 def test_probe_unreachable_target_is_io_error(tmp_path, capsys):
     import socket
 

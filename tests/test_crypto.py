@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import hmac
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from postcert.crypto import (
     DIGEST_LEN,
@@ -145,8 +148,6 @@ def test_sign_matches_rfc4231_hmac_sha256_vector():
 
 
 def test_sign_matches_hmac_new_for_derived_secrets():
-    import hmac
-
     from postcert.crypto import _derive_secret
 
     registry = KeyRegistry.with_signers(["log1", "ca1"])
@@ -168,10 +169,12 @@ def test_sign_matches_hmac_new_for_derived_secrets():
     (b"k", b"short secret"),
     (b"", b"empty secret"),
     (b"secret", b""),
+    # around the 64-byte block: padded, exact, and hashed first
+    pytest.param(bytes(range(63)), b"one byte short of a block", id="key-63"),
+    pytest.param(bytes(range(64)), b"exactly one block", id="key-64"),
+    pytest.param(bytes(range(65)), b"one byte past a block", id="key-65"),
 ])
 def test_keyed_state_agrees_with_one_shot_hmac(secret, payload):
-    import hmac
-
     registry = KeyRegistry({"s": secret})
     expected = hmac.digest(secret, payload, "sha256")
     sig = registry.sign("s", payload)
@@ -179,6 +182,33 @@ def test_keyed_state_agrees_with_one_shot_hmac(secret, payload):
     assert registry.verify(sig, payload)
     assert registry.sign("s", payload) == sig  # the keyed state is copied, never consumed
     assert not registry.verify(sig, payload + b"x")
+
+
+@settings(max_examples=300)
+@given(secret=st.binary(max_size=200), payload=st.binary(max_size=300))
+def test_pad_state_tags_equal_hmac_for_any_key_and_payload(secret, payload):
+    registry = KeyRegistry({"s": secret})
+    sig = registry.sign("s", payload)
+    assert sig.value == hmac.new(secret, payload, hashlib.sha256).digest()
+    assert registry.verify(sig, payload)
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+@pytest.mark.parametrize("bit", [0, 7, 100, 255])
+def test_verify_rejects_a_one_bit_flip_of_tag_payload_or_signer(bit):
+    # "s" and "r" differ in one bit, and both are known signers
+    registry = KeyRegistry.with_signers(["s", "r"])
+    payload = b"a payload of thirty-two bytes.."
+    sig = registry.sign("s", payload)
+    assert registry.verify(sig, payload)
+    assert not registry.verify(Signature("s", _flip(sig.value, bit)), payload)
+    assert not registry.verify(sig, _flip(payload, bit % (8 * len(payload))))
+    assert not registry.verify(Signature(_flip(b"s", 0).decode(), sig.value), payload)
 
 
 def test_sign_matches_rfc4231_case_6_long_key_vector():

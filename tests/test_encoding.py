@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import io
 import random
+import re
 import struct
 
 import pytest
@@ -32,6 +33,7 @@ from postcert.encoding import (
     DecodeError,
     FieldLine,
     _DECODERS,
+    canonical_int,
     decode_artifact,
     encode_artifact,
     fields_line,
@@ -621,3 +623,31 @@ def test_mutated_text_files_raise_only_decode_or_scenario_errors(kind, mutations
         _parse(kind, _mutate(_real_files()[kind], mutations))
     except (DecodeError, ScenarioError):
         pass
+
+
+@pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-7", -7), ("-0", 0), ("9" * 30, int("9" * 30))])
+def test_canonical_int_reads_optional_minus_and_ascii_digits(text, value):
+    assert canonical_int(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "--1", "0x1", "1e3", "1.0",
+                                  "\u0663", "\u00b2", "-\u0663", "\uff11"])
+def test_canonical_int_refuses_what_int_alone_would_read(text):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        canonical_int(text)
+
+
+@pytest.mark.parametrize("kind, pattern", [
+    ("scenario", r"seed=(\d+)"),
+    ("snapshot", r"t_submission=(\d+)"),
+    ("trace", r"seq=(\d+)"),
+])
+@pytest.mark.parametrize("spelling", ["+{}", "1_{}", "\u0663", "{}\u00b2"],
+                         ids=["plus", "underscore", "arabic-indic", "superscript"])
+def test_integer_fields_accept_only_canonical_digits(kind, pattern, spelling):
+    text = _real_files()[kind]
+    _parse(kind, text)
+    broken = re.sub(pattern, lambda m: m.group(0).replace(m.group(1), spelling.format(m.group(1))), text, count=1)
+    assert broken != text
+    with pytest.raises(DecodeError, match=r"line \d+: invalid literal for int\(\)"):
+        _parse(kind, broken)

@@ -7,6 +7,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from postcert.certs import PostcertScheme, TbsCertificate, make_postcertificate, sign_certificate
 from postcert.crypto import SHA256, HashScheme
@@ -536,6 +538,62 @@ def test_busy_log_signs_only_scts_until_a_head_is_read(registry, trust, ca_root)
     latest = log.latest_sth()
     assert signers == ["log1"] * (len(certs) + 1)
     assert log.sth_history[-1] is latest and len(signers) == len(certs) + 1
+
+
+def test_busy_log_signs_nothing_for_added_entries_until_a_head_is_read(registry, trust, ca_root):
+    make = _cert_factory(registry)
+    certs = [make() for _ in range(40)]
+    signers = []
+    sign = registry.sign
+    registry.sign = lambda signer_id, payload: signers.append(signer_id) or sign(signer_id, payload)
+    log = _make_log(registry, trust, publication_delay="fixed:100")
+    for i, cert in enumerate(certs):
+        log.add(cert, [ca_root], now=i * 1000)
+    log.advance(len(certs) * 1000)
+    assert len(log.entries) == len(certs)
+    assert len(log.sth_history) == len(certs) + 1
+    assert signers == []
+    log.latest_sth()
+    assert signers == ["log1"]
+
+
+# Payload indexes into a small pool, so sequences repeat payloads, each with
+# the time step before it.
+_SUBMISSIONS = st.lists(st.tuples(st.integers(0, 4), st.sampled_from((0, 300, 1000, 4000))),
+                        min_size=1, max_size=20)
+
+
+@pytest.mark.parametrize("forget", [False, True], ids=["keep", "forget"])
+@pytest.mark.parametrize("duplicates", list(DuplicatePolicy), ids=lambda policy: policy.value)
+@pytest.mark.parametrize("update", sorted(_UPDATE_CLASSES))
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the fixtures are read only
+@given(submissions=_SUBMISSIONS)
+def test_add_and_submit_build_the_same_log(registry, trust, ca_root, update, duplicates, forget,
+                                           submissions):
+    """``submit`` is ``add`` plus the signed SCT, so the same payload
+    sequence builds equal logs either way, and a repeat under
+    ``RETURN_OLD_SCT`` gets the first SCT's bytes."""
+    make = _cert_factory(registry)
+    pool = [make() for _ in range(5)]
+    config = dict(_UPDATE_CLASSES[update], duplicate_policy=duplicates, forget=forget,
+                  publication_delay="uniform:0:4000")
+    by_add, by_submit = _make_log(registry, trust, **config), _make_log(registry, trust, **config)
+    first_sct = {}
+    now = 0
+    for index, step in submissions:
+        now += step
+        fields = by_add.add(pool[index], [ca_root], now)
+        sct = by_submit.submit(pool[index], [ca_root], now)
+        assert sct == by_submit._sign_sct(*fields)
+        if duplicates is DuplicatePolicy.RETURN_OLD_SCT and index in first_sct:
+            assert encode_artifact(sct) == encode_artifact(first_sct[index])
+        first_sct.setdefault(index, sct)
+    for log in (by_add, by_submit):
+        log.advance(now + HOUR_MS)
+    assert by_add.entries == by_submit.entries
+    assert list(by_add.sth_history) == list(by_submit.sth_history)
+    assert log_snapshot_text(by_add) == log_snapshot_text(by_submit)
 
 
 def test_each_logged_entry_is_hashed_once(registry, trust, ca_root):
