@@ -511,10 +511,12 @@ def fields_line(pairs: Iterable[tuple[str, object]]) -> str:
 
 
 def canonical_int(text: str) -> int:
-    """An integer field written as ``-?[0-9]+``. ``int`` alone would also
-    read a sign, underscores, spaces and non-ASCII digits, which do not
-    write back as the same text."""
-    if text.isascii() and (text.isdigit() or (text[:1] == "-" and text[1:].isdigit())):
+    """An integer field written as ``str`` writes it: ``0``, or an optional
+    ``-`` and digits without a leading ``0``. ``int`` alone would also read a
+    sign, underscores, spaces, non-ASCII digits, leading zeros and ``-0``,
+    which do not write back as the same text."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit() and (digits[0] != "0" or text == "0"):
         return int(text)
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 

@@ -20,11 +20,14 @@ out-of-order or lagging tree heads with a configured probability while
 ``get_entries`` keeps serving everything already merged.
 
 Per merged entry a log keeps only what a reader can ask for: the
-``LogEntry``, its Merkle hashes, its leaf-hash index slot, its merge time
-and the time and size of each fixed head (packed 64-bit integers), and under
-``RETURN_OLD_SCT`` the payload's first submission time. No SCT is kept: a
-duplicate is answered by signing that time again. Pending records leave the
-queue as they merge, and only heads that were read are kept as ``STH``s.
+``LogEntry``, its leaf hash and a share of the packed upper Merkle levels
+(under 32 bytes), its merge time and the time and size of each fixed head
+(packed 64-bit integers), and under ``RETURN_OLD_SCT`` the payload's first
+submission time. No SCT is kept: a duplicate is answered by signing that
+time again. The leaf-hash index is built on the first lookup and extended
+on later ones, so a log nobody looks up in keeps none. Pending records leave
+the queue as they merge, only heads that were read are kept as ``STH``s,
+and of their roots only the latest.
 """
 
 from __future__ import annotations
@@ -268,7 +271,7 @@ class TreeHeads(Sequence[STH]):
     packed 64-bit integers; only read heads are kept as objects.
     """
 
-    __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_sths", "_roots")
+    __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_sths", "_root")
 
     def __init__(self, log_id: str, registry: KeyRegistry, tree: MerkleTree) -> None:
         self._log_id = log_id
@@ -277,7 +280,10 @@ class TreeHeads(Sequence[STH]):
         self._times = array("q")
         self._sizes = array("q")
         self._sths: dict[int, STH] = {}  # signed heads by index
-        self._roots: dict[int, bytes] = {}  # the tree only grows: one root per size
+        # The latest (size, root) computed. Sizes never decrease, so heads of
+        # one size in a row (PERIODIC ticks with no merge between them)
+        # share it, and any other head is signed, and so rooted, once.
+        self._root: tuple[int, bytes] = (-1, b"")
 
     def publish(self, t: int, treesize: int) -> None:
         self._times.append(t)
@@ -308,9 +314,10 @@ class TreeHeads(Sequence[STH]):
 
     def _sign(self, index: int) -> STH:
         t, size = self._times[index], self._sizes[index]
-        root = self._roots.get(size)
-        if root is None:
-            root = self._roots[size] = self._tree.root(size)
+        root_size, root = self._root
+        if root_size != size:
+            root = self._tree.root(size)
+            self._root = (size, root)
         payload = sth_signing_payload(self._log_id, t, size, root)
         sth = STH(self._log_id, t, size, root, self._registry.sign(self._log_id, payload))
         self._sths[index] = sth
@@ -341,6 +348,8 @@ class LogView:
     """The published state of one log, and every read it answers: the entries,
     their Merkle tree, the first entry number of each leaf hash, and the tree
     heads. ``from_text`` loads a fixed view; ``CtLog`` is the writer of one.
+    The entries and the tree's leaves grow together; the leaf-hash index
+    catches up with them on each ``leaf_number`` call.
     """
 
     def __init__(self, log_id: str, entries: list[LogEntry], sths: Sequence[STH],
@@ -350,14 +359,11 @@ class LogView:
         self.entries: list[LogEntry] = []
         self.tree = MerkleTree(scheme)
         self.sth_history = sths
-        self._number_by_leaf_hash: dict[bytes, int] = {}
+        self._number_by_leaf_hash: dict[bytes, int] = {}  # over entries[:_indexed]
+        self._indexed = 0
         for entry in entries:
-            self._append(entry)
-
-    def _append(self, entry: LogEntry, leaf_hash: bytes | None = None) -> None:
-        self.entries.append(entry)
-        leaf = self.tree.append(entry.payload, leaf_hash)
-        self._number_by_leaf_hash.setdefault(leaf, entry.number)
+            self.entries.append(entry)
+            self.tree.append(entry.payload)
 
     @staticmethod
     def from_text(text: str, scheme: HashScheme = SHA256) -> "LogView":
@@ -387,7 +393,13 @@ class LogView:
 
     def leaf_number(self, leaf_hash: bytes) -> int | None:
         """Number of the first entry whose leaf hash is ``leaf_hash``, if any."""
-        return self._number_by_leaf_hash.get(leaf_hash)
+        index, entries = self._number_by_leaf_hash, self.entries
+        if self._indexed < len(entries):
+            leaf_hash_of = self.tree.leaf_hash
+            for position in range(self._indexed, len(entries)):
+                index.setdefault(leaf_hash_of(position), entries[position].number)
+            self._indexed = len(entries)
+        return index.get(leaf_hash)
 
     def latest_sth(self) -> STH:
         return self.sth_history[-1]
@@ -483,13 +495,13 @@ class CtLog(LogView):
         return SCT(self.log_id, timestamp, entry_hash, sig)
 
     def _merge_one(self, pending: _Pending, t_ref: int) -> None:
-        entry = LogEntry(
+        self.entries.append(LogEntry(
             payload=pending.payload,
             t_submission=pending.sct_timestamp,
             log_id=self.log_id,
             number=len(self.entries),
-        )
-        self._append(entry, pending.leaf_hash)
+        ))
+        self.tree.append(pending.payload, pending.leaf_hash)
         self._merge_t_ref.append(t_ref)
 
     def advance(self, now: int) -> None:

@@ -3,16 +3,18 @@
 Tree shape follows the transparency-log convention: a tree over n leaves
 splits at the largest power of two strictly less than n, leaves are hashed
 with the 0x00 prefix and nodes with 0x01. The store keeps every complete,
-aligned subtree hash in flat per-level lists (the compact-range layout of
-RFC 9162 section 2.1), so a root or proof node is a short fold over stored
-nodes rather than a recursion over leaves. Proof verification uses the
-iterative index-walk algorithms, so generation and verification are
-independent code paths.
+aligned subtree hash, level by level (the compact-range layout of RFC 9162
+section 2.1), so a root or proof node is a short fold over stored nodes
+rather than a recursion over leaves. The leaf level is a list of the hash
+objects ``append`` returns; each level above it is one packed ``bytearray``
+of 32-byte digests, so an upper node costs its 32 bytes and no object. Proof
+verification uses the iterative index-walk algorithms, so generation and
+verification are independent code paths.
 """
 
 from __future__ import annotations
 
-from .crypto import HashScheme, SHA256
+from .crypto import DIGEST_LEN, HashScheme, SHA256
 
 
 def largest_power_of_two_below(n: int) -> int:
@@ -25,37 +27,45 @@ def largest_power_of_two_below(n: int) -> int:
 class MerkleTree:
     """Grow-only leaf store keeping every complete subtree hash per level.
 
-    ``_levels[h][i]`` is the hash of leaves ``[i << h, (i + 1) << h)``, so
-    ``_levels[0]`` holds the leaf hashes. ``append`` hashes each complete
-    node as soon as its right half arrives; storage stays under two hashes
-    per leaf and no subtree is ever hashed twice.
+    ``_leaves[i]`` is the hash of leaf ``i``. For ``h >= 1``, bytes
+    ``[32 * i, 32 * (i + 1))`` of ``_upper[h - 1]`` are the hash of leaves
+    ``[i << h, (i + 1) << h)``. ``append`` hashes each complete node as soon
+    as its right half arrives; the upper levels hold under one node per leaf
+    and no subtree is ever hashed twice.
     """
 
     def __init__(self, scheme: HashScheme = SHA256) -> None:
         self.scheme = scheme
-        self._levels: list[list[bytes]] = [[]]
+        self._leaves: list[bytes] = []
+        self._upper: list[bytearray] = []
 
     @property
     def size(self) -> int:
-        return len(self._levels[0])
+        return len(self._leaves)
 
     def append(self, payload: bytes, leaf_hash: bytes | None = None) -> bytes:
         """Add one leaf and return its hash. A caller that already holds
         ``hash_leaf(payload)`` passes it as ``leaf_hash`` to skip rehashing."""
         leaf = self.scheme.hash_leaf(payload) if leaf_hash is None else leaf_hash
-        levels = self._levels
-        levels[0].append(leaf)
-        node, height = leaf, 0
-        while not len(levels[height]) & 1:  # this node completed a pair
-            node = self.scheme.hash_node(levels[height][-2], node)
-            height += 1
-            if height == len(levels):
-                levels.append([])
-            levels[height].append(node)
+        leaves = self._leaves
+        leaves.append(leaf)
+        count = len(leaves)
+        if count & 1:
+            return leaf
+        # Each trailing zero bit of the new size completes one more node.
+        hash_node = self.scheme.hash_node
+        node = hash_node(leaves[-2], leaf)
+        for level in self._upper:
+            level += node
+            count >>= 1
+            if count & 1:
+                return leaf
+            node = hash_node(level[-2 * DIGEST_LEN : -DIGEST_LEN], node)
+        self._upper.append(bytearray(node))
         return leaf
 
     def leaf_hash(self, index: int) -> bytes:
-        return self._levels[0][index]
+        return self._leaves[index]
 
     def _range_hash(self, lo: int, hi: int) -> bytes:
         """Hash of leaves ``[lo, hi)``.
@@ -65,17 +75,22 @@ class MerkleTree:
         visits. The range is then one stored node per set bit of ``hi - lo``,
         largest first, and its hash is the right-to-left fold over them.
         """
-        nodes: list[bytes] = []
+        leaves, upper = self._leaves, self._upper
+        nodes: list[bytes | bytearray] = []
         start, rest = lo, hi - lo
         while rest:
             height = rest.bit_length() - 1
-            nodes.append(self._levels[height][start >> height])
+            if height:
+                at = (start >> height) * DIGEST_LEN
+                nodes.append(upper[height - 1][at : at + DIGEST_LEN])
+            else:
+                nodes.append(leaves[start])
             start += 1 << height
             rest -= 1 << height
         value = nodes.pop()
         while nodes:
             value = self.scheme.hash_node(nodes.pop(), value)
-        return value
+        return bytes(value)
 
     def root(self, treesize: int | None = None) -> bytes:
         n = self.size if treesize is None else treesize

@@ -175,6 +175,32 @@ class Scenario:
 # fits the signed 64-bit fields and the logs' packed time columns.
 _TIME_LIMIT_MS = 2**56
 
+# The most events a scenario may ask for, as ``_event_bound`` counts them.
+# The largest preset, ``pathologies`` at its default 10 000 probes, asks for
+# 120 012 (three logs of 1 200 background arrivals an hour over 27.8 hours,
+# and 10 001 tree-head and 10 001 size ticks); the ceiling leaves a margin of
+# about eight times that. At the 25-45 us an event of that preset takes on a
+# 2-core x86 host, a run at the ceiling ends in under a minute.
+EVENT_BUDGET = 1_000_000
+
+
+def _event_bound(scenario: Scenario) -> float:
+    """Events a run of a valid ``scenario`` schedules, in closed form: the
+    horizon over the period of each periodic actor (CA polls, each issued
+    certificate's status refresh, PERIODIC log ticks and probe ticks), plus
+    each log's background rate times the horizon, plus the schedule."""
+    horizon = scenario.horizon_ms
+    periods = [ca.poll_interval_ms for ca in scenario.cas]
+    periods += [log.config.update_interval_ms for log in scenario.logs
+                if log.config.update_class is UpdateClass.PERIODIC]
+    refresh = {ca.ca_id: status_update_deadline(ca.status_validity_ms) for ca in scenario.cas}
+    periods += [refresh[event.params["ca"]] for event in scenario.schedule if event.kind == "issue"]
+    probe = scenario.probe
+    if probe:
+        periods += [p for p in (probe.sth_interval_ms, probe.size_interval_ms, probe.submit_interval_ms) if p]
+    background = sum(log.background_per_hour for log in scenario.logs) * horizon / HOUR_MS
+    return sum(horizon / period for period in periods) + background + len(scenario.schedule)
+
 
 def validate_scenario(scenario: Scenario) -> None:
     for where, value in _times(scenario):
@@ -247,6 +273,9 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioError(f"{where}: client {client} holds no certificate {serial}")
         elif event.kind == "revoke-direct" and not any(serial in g for g in given.values()):
             raise ScenarioError(f"{where}: no issuer for serial {serial}")
+    bound = _event_bound(scenario)
+    if bound > EVENT_BUDGET:
+        raise ScenarioError(f"invalid-scenario: about {bound:.3g} events, over the budget of {EVENT_BUDGET}")
 
 
 def derive_seed(seed: int, label: str) -> str:
@@ -847,6 +876,9 @@ class Simulation:
         events = []
         for seq, (t, actor, kind, artifact) in enumerate(self._trace):
             events.append(TraceEvent(t, seq, actor, kind, encode_artifact(artifact)))
+        # Every record is encoded in ``events``; nothing reads the buffer again.
+        self._trace.clear()
+        self._submission_events.clear()
         return events
 
 
@@ -871,7 +903,15 @@ def _enum(cls: type[enum.Enum]) -> tuple:
 _INT = (str, canonical_int)
 _FLOAT = (str, float)
 _TEXT = (str, str)
-_FLAG = (lambda value: str(int(value)), lambda text: bool(canonical_int(text)))
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):  # any other integer would write back as 1
+        raise ValueError(f"invalid flag {text!r}, not 0 or 1")
+    return text == "1"
+
+
+_FLAG = (lambda value: str(int(value)), _flag)
 _DASHED = (lambda value: value or "-", lambda text: "" if text == "-" else text)
 _IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
 # A time in ms: validate_scenario bounds every field read with one of these

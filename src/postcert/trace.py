@@ -13,6 +13,7 @@ usable for both simulator traces and probe recordings.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -139,7 +140,8 @@ def format_event(event: TraceEvent) -> str:
     )
 
 
-_EVENT_FIELDS = (("t", canonical_int), ("seq", canonical_int), ("actor", str), ("kind", EventKind),
+# A trace names a few actors many times: equal actor texts share one string.
+_EVENT_FIELDS = (("t", canonical_int), ("seq", canonical_int), ("actor", sys.intern), ("kind", EventKind),
                  ("payload", bytes.fromhex))
 
 

@@ -491,6 +491,25 @@ def test_non_canonical_integer_in_scenario_is_io_error(tmp_path, capsys, value):
     assert err.startswith("error: line 2: ") and f"{value!r}" in err and "(bad interval value)" in err
 
 
+def test_scenario_over_the_event_budget_is_io_error(tmp_path, capsys):
+    """A log ticking every millisecond over ``m1``'s 49 hours asks for 1.8e8
+    events; the run is refused before it starts."""
+    import time
+
+    text = scenario_to_text(build_preset("m1", 0))
+    broken = re.sub(r"(log id=log-a .*)interval=\d+", r"\1interval=1", text, count=1)
+    assert broken != text
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(broken, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: invalid-scenario: ") and "over the budget" in err
+
+
 def test_probe_unreachable_target_is_io_error(tmp_path, capsys):
     import socket
 

@@ -50,7 +50,7 @@ from postcert.log import (
     sct_signing_payload,
     sth_signing_payload,
 )
-from postcert.presets import normal_revocation
+from postcert.presets import build_preset, normal_revocation
 from postcert.sim import ScenarioError, Simulation, scenario_from_text, scenario_to_text, validate_scenario
 from postcert.status import RevocationStatus, StatusKind, StatusValue, status_signing_payload
 from postcert.trace import read_trace, trace_to_text
@@ -625,13 +625,13 @@ def test_mutated_text_files_raise_only_decode_or_scenario_errors(kind, mutations
         pass
 
 
-@pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-7", -7), ("-0", 0), ("9" * 30, int("9" * 30))])
+@pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-7", -7), ("9" * 30, int("9" * 30))])
 def test_canonical_int_reads_optional_minus_and_ascii_digits(text, value):
     assert canonical_int(text) == value
 
 
 @pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "--1", "0x1", "1e3", "1.0",
-                                  "\u0663", "\u00b2", "-\u0663", "\uff11"])
+                                  "\u0663", "\u00b2", "-\u0663", "\uff11", "-0", "007", "-01"])
 def test_canonical_int_refuses_what_int_alone_would_read(text):
     with pytest.raises(ValueError, match="invalid literal for int"):
         canonical_int(text)
@@ -651,3 +651,27 @@ def test_integer_fields_accept_only_canonical_digits(kind, pattern, spelling):
     assert broken != text
     with pytest.raises(DecodeError, match=r"line \d+: invalid literal for int\(\)"):
         _parse(kind, broken)
+
+
+# Every ``key=value`` field of a scenario file whose value is an integer.
+_INTEGER_FIELD = re.compile(r"(?<=[ \n])\w+=(-?[0-9]+)(?=[ \n])")
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.integers(0, 2**16), spelling=st.one_of(
+    st.from_regex(r"\A-?[0-9]{1,12}\Z"), st.sampled_from(["0", "1", "-0", "00", "007", "-01", "2"])))
+def test_scenario_with_an_integer_edit_reads_back_byte_for_byte(field, spelling):
+    """One integer field of the ``m1`` scenario file respelled: a spelling
+    that ``str`` would not write is refused, and a scenario that loads and
+    validates writes back the edited text byte for byte."""
+    text = scenario_to_text(build_preset("m1", 4))
+    matches = list(_INTEGER_FIELD.finditer(text))
+    at = matches[field % len(matches)]
+    edited = text[: at.start(1)] + spelling + text[at.end(1):]
+    try:
+        scenario = scenario_from_text(edited)
+        validate_scenario(scenario)
+    except (DecodeError, ScenarioError):
+        return
+    assert spelling == str(int(spelling))
+    assert scenario_to_text(scenario) == edited

@@ -129,10 +129,12 @@ def test_pending_queue_holds_only_unmerged_entries(registry, trust, ca_root):
     assert len(log.entries) == 30_000 and not log._pending
 
 
-def test_log_keeps_under_600_bytes_per_entry(registry, trust, ca_root):
+def test_log_keeps_under_500_bytes_per_entry(registry, trust, ca_root):
     """5 000 merged entries of 128-byte certificates (161-byte ``bytes``
     objects), measured with tracemalloc. A log that kept an SCT per payload,
-    a head per entry as objects and its merged pending records kept ~815."""
+    a head per entry as objects and its merged pending records kept ~815; one
+    that kept its upper Merkle levels as objects, a leaf index nobody looked
+    up in and a root per head size kept ~525."""
     certs = [
         sign_certificate(registry, "ca1", TbsCertificate(
             serial=serial, subject=f"host-{serial}.bench-ca.example", issuer="ca1",
@@ -153,7 +155,7 @@ def test_log_keeps_under_600_bytes_per_entry(registry, trust, ca_root):
         tracemalloc.stop()
     assert len(log.entries) == len(certs)
     assert {len(entry.payload) for entry in log.entries} == {128}
-    assert used / len(certs) <= 600
+    assert used / len(certs) <= 500
 
 
 def test_duplicate_reinsert_creates_two_entries(registry, trust, ca_root, leaf_cert):
@@ -641,3 +643,59 @@ def test_out_of_order_get_sth_draws_like_a_choice_over_older_heads(registry, tru
         assert log.rng.getstate() == shadow.getstate()
         older += got is not history[-1]
     assert older > 50
+
+
+def _eager_index(log) -> dict[bytes, int]:
+    """The first number of each leaf hash, from the entries alone."""
+    index: dict[bytes, int] = {}
+    for entry in log.entries:
+        index.setdefault(log.scheme.hash_leaf(entry.payload), entry.number)
+    return index
+
+
+@pytest.mark.parametrize("duplicates", list(DuplicatePolicy), ids=lambda policy: policy.value)
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the fixtures are read only
+@given(steps=st.lists(st.tuples(st.integers(0, 4), st.sampled_from((0, 300, 1000, 4000)), st.booleans()),
+                      min_size=1, max_size=25))
+def test_leaf_index_built_on_lookup_equals_an_eager_index(registry, trust, ca_root, duplicates, steps):
+    """Lookups between merges answer as an index filled at every merge
+    would: a repeated payload under ``REINSERT`` gives its first number, an
+    unmerged one none. A log nobody looked up in keeps no index."""
+    make = _cert_factory(registry)
+    pool = [make() for _ in range(5)]
+    leaves = [SHA256.hash_leaf(encode_artifact(cert)) for cert in pool]
+    log = _make_log(registry, trust, duplicate_policy=duplicates, publication_delay="uniform:0:4000")
+    now = 0
+    for index, step, look_up in steps:
+        now += step
+        log.submit(pool[index], [ca_root], now)
+        log.advance(now)
+        if look_up:
+            eager = _eager_index(log)
+            assert [log.leaf_number(leaf) for leaf in leaves] == [eager.get(leaf) for leaf in leaves]
+    if not any(look_up for _, _, look_up in steps):
+        assert not log._number_by_leaf_hash
+    log.advance(now + HOUR_MS)
+    eager = _eager_index(log)
+    assert [log.leaf_number(leaf) for leaf in leaves] == [eager.get(leaf) for leaf in leaves]
+    view = SnapshotLogReader.from_text(log_snapshot_text(log))
+    assert [view.leaf_number(leaf) for leaf in leaves] == [eager.get(leaf) for leaf in leaves]
+    assert log.leaf_number(b"\x00" * 32) is view.leaf_number(b"\x00" * 32) is None
+
+
+def test_reinserted_payload_keeps_its_first_number_across_lookups(registry, trust, ca_root, leaf_cert):
+    log = _make_log(registry, trust, duplicate_policy=DuplicatePolicy.REINSERT, publication_delay="fixed:0")
+    other = _cert_factory(registry)()
+    leaf = SHA256.hash_leaf(encode_artifact(leaf_cert))
+    assert log.leaf_number(leaf) is None
+    log.submit(other, [ca_root], now=1)
+    log.submit(leaf_cert, [ca_root], now=2)
+    log.advance(2)
+    assert log.leaf_number(leaf) == 1
+    for now in (3, 4):
+        log.submit(leaf_cert, [ca_root], now=now)
+        log.advance(now)
+        assert log.leaf_number(leaf) == 1
+    assert len(log.entries) == 4
+    assert log.get_proof_by_hash(leaf, 4) == log.audit_proof(1, 4)

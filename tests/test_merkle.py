@@ -166,19 +166,48 @@ def test_consistency_empty_prefix():
     assert not verify_consistency(0, 9, tree.root(1), tree.root(9), ())
 
 
-def test_interleaved_appends_match_oracle_at_every_size():
-    """Appends between queries: every root, audit path and consistency path
-    of the growing tree matches the oracle at each size up to 130."""
-    payloads = _payloads(130, seed=112)
-    oracle = BruteForceTree(payloads)
-    tree = MerkleTree()
+# Sizes around each power of two up to 4 097, where a new upper level starts
+# or a level's packed node count turns odd.
+_EDGE_SIZES = sorted({size for k in range(1, 13) for size in ((1 << k) - 1, 1 << k, (1 << k) + 1)})
+
+
+def _check_growing_tree(scheme, every_size_up_to: int) -> None:
+    """Appends between queries under ``scheme``: every root, audit path and
+    consistency path matches the oracle at each size up to ``every_size_up_to``;
+    at each size of ``_EDGE_SIZES`` above it, the root, every earlier root of
+    an edge size, and the paths of the edge and sampled indexes do."""
+    payloads = _payloads(_EDGE_SIZES[-1], seed=112)
+    oracle = BruteForceTree(payloads, scheme)
+    tree = MerkleTree(scheme)
+    rng = random.Random(113)
     for n in range(1, len(payloads) + 1):
         tree.append(payloads[n - 1])
         assert tree.size == n
+        if n <= every_size_up_to:
+            indexes, firsts = range(n), range(n + 1)
+        elif n in _EDGE_SIZES:
+            edges = [size for size in _EDGE_SIZES if size <= n]
+            indexes = {0, n - 1, *(size - 1 for size in edges), *rng.sample(range(n), 20)}
+            firsts = {0, n, *edges, *rng.sample(range(n), 20)}
+            for size in edges:
+                assert tree.root(size) == oracle.root(size)
+        else:
+            continue
         assert tree.root() == oracle.root(n)
-        for index in range(n):
+        assert isinstance(tree.root(), bytes)
+        for index in indexes:
             assert tree.audit_path(index, n) == oracle.audit_path(index, n)
-        for first in range(n + 1):
+        for first in firsts:
             assert tree.consistency_path(first, n) == oracle.consistency_path(first, n)
         earlier = n // 3
         assert tree.root(earlier) == oracle.root(earlier)
+
+
+def test_interleaved_appends_match_oracle_at_every_size():
+    _check_growing_tree(SHA256, every_size_up_to=130)
+
+
+def test_interleaved_appends_match_oracle_under_a_truncated_hash():
+    """Two-byte digests collide often, which a store that looked nodes up by
+    value, not by position, would get wrong."""
+    _check_growing_tree(TruncatedHashScheme(2), every_size_up_to=130)

@@ -24,6 +24,7 @@ from postcert.misbehavior import (
     verify_sct_disclosure,
 )
 from postcert.presets import (
+    PRESETS,
     build_preset,
     clock_skew,
     collisions,
@@ -33,15 +34,18 @@ from postcert.presets import (
     m2,
     m3,
     normal_revocation,
+    pathologies,
     single_fault,
 )
 from postcert.sim import (
+    EVENT_BUDGET,
     CaMisbehavior,
     ProbeConfig,
     ScenarioError,
     ScheduledEvent,
     SimCaConfig,
     Simulation,
+    _event_bound,
     _submission_attempts,
     scenario_from_text,
     scenario_to_text,
@@ -80,6 +84,22 @@ def test_a_finished_simulation_is_freed_with_its_last_reference(make):
     finally:
         gc.enable()
     assert events
+
+
+def test_a_finished_simulation_holds_no_artifact_buffer():
+    """Every record is encoded into the returned events; the run keeps none."""
+    sim = Simulation(m3(seed=4))
+    events = sim.run()
+    assert any(e.kind is EventKind.PROOF for e in events)
+    assert not sim._trace and not sim._submission_events
+
+
+def test_read_trace_shares_equal_actor_strings():
+    text = trace_to_text(Simulation(normal_revocation(seed=4)).run())
+    parsed = read_trace(io.StringIO(text))
+    actors = {e.actor for e in parsed}
+    assert {"probe", "ca1", "client1"} <= actors
+    assert len({id(e.actor) for e in parsed}) == len(actors)
 
 
 def test_different_seeds_differ():
@@ -470,3 +490,27 @@ def test_delay_breakdown_finds_the_first_logged_postcert_of_its_serial():
             assert breakdown.mon_discovery_ms == m.t_discovery - log.merge_time_ref(first)
             checked += 1
     assert checked >= 4
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_event_budget_admits_every_preset_and_bounds_its_events(name):
+    """Each preset, ``pathologies`` at its default 10 000 probes included,
+    fits the budget at seeds of every test range and of the benchmark; a
+    short run schedules no more events than the bound, Poisson noise aside."""
+    for seed in (0, 7, 999, 10_000, 50_199, 1_000_000, 1_009_999):
+        assert _event_bound(build_preset(name, seed)) <= EVENT_BUDGET / 5
+    scenario = pathologies(3, probes=300) if name == "pathologies" else build_preset(name, 3)
+    sim = Simulation(scenario)
+    sim.run()
+    assert sim._heap_seq <= 1.05 * _event_bound(scenario)
+
+
+@pytest.mark.parametrize("change", [
+    dict(horizon_ms=10**12),
+    dict(probe=ProbeConfig(sth_interval_ms=1)),
+    dict(cas=(SimCaConfig("ca1", poll_interval_ms=100),)),
+], ids=["horizon", "probe-sth", "ca-poll"])
+def test_event_budget_refuses_unbounded_work(change):
+    scenario = dataclasses.replace(m1(seed=0), **change)
+    with pytest.raises(ScenarioError, match="over the budget"):
+        validate_scenario(scenario)
