@@ -14,7 +14,7 @@ import time
 from pathlib import Path
 
 from .encoding import DecodeError, decode_artifact, encode_artifact, text_block_bytes
-from .log import LogError, LogReader, SnapshotLogReader, entries_below, log_snapshot_text
+from .log import LogError, LogReader, LogView, entries_below, log_snapshot_text
 from .misbehavior import MrdMode, MrdPolicy, TrustedLogSet, proof_to_text, verify_proof
 from .crypto import KeyRegistry
 from .presets import PRESETS, build_preset, default_policy
@@ -240,7 +240,7 @@ def _read_log_dumps(path: str | None) -> dict[str, LogReader]:
         raise DecodeError(f"{path}: not a directory")
     for file in sorted(root.glob("*.log")):
         try:
-            reader = SnapshotLogReader.from_text(file.read_text())
+            reader = LogView.from_text(file.read_text())
         except DecodeError as exc:
             raise DecodeError(f"{file}: {exc}") from None
         readers[reader.log_id] = reader

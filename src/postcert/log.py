@@ -326,8 +326,9 @@ class TreeHeads(Sequence[STH]):
 
 class LogReader(Protocol):
     """The read side of one log (RFC 6962 §4), for annotations only: ``LogView``
-    (so ``CtLog`` and ``SnapshotLogReader``) and ``httpapi.HttpLogReader``
-    implement it. A live log advances to a given ``now`` first; a view ignores it.
+    (so ``CtLog`` and a snapshot loaded by ``LogView.from_text``) and
+    ``httpapi.HttpLogReader`` implement it. A live log advances to a given
+    ``now`` first; a view ignores it.
     """
 
     log_id: str
@@ -427,10 +428,6 @@ class LogView:
         if not 0 <= first <= second <= len(self.entries):
             raise LogError("size-out-of-range", f"{first}/{second}")
         return self.tree.consistency_path(first, second)
-
-
-# A view loaded from a ``log_snapshot_text`` blob.
-SnapshotLogReader = LogView
 
 
 @dataclass(slots=True)

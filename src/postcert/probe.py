@@ -64,8 +64,7 @@ def binary_search_size(reader, now: int | None = None, at_least: int = 0) -> Siz
 
     def has_entry(index: int) -> bool:
         try:
-            return bool(reader.get_entries(index, index, now) if now is not None
-                        else reader.get_entries(index, index))
+            return bool(reader.get_entries(index, index, now))
         except Exception as exc:  # reader transport failure
             raise AnalysisError("reader-unavailable", str(exc))
 

@@ -15,6 +15,13 @@ ends at the first event past the horizon. Every traced submission, a
 client's, a CA's or the probe's, walks the candidate logs through
 ``_submission_attempts``, so a rejection becomes an error code in one place.
 
+Each issued certificate is one ``_Cert`` record in ``Simulation.certs``,
+keyed by serial: its certificate, postcertificate and chain, the status
+value, evidence and latest SCT time its CA keeps, and the times of its
+revocation request, submission, discovery and update that the delay audit
+reads. ``validate_scenario`` refuses a serial issued twice, by any CA, so a
+serial names one certificate.
+
 At the horizon the run optionally audits itself: measured delay breakdowns go
 through the bound checker, and a third-party monitor view of the trace is fed
 to the misbehavior proof builders. Violations and proof attempts land in the
@@ -67,7 +74,6 @@ from .probe import binary_search_size
 from .status import (
     VALIDITY_MAX_MS,
     VALIDITY_MIN_MS,
-    RevocationStatus,
     StatusValue,
     issue_status,
     status_update_deadline,
@@ -238,8 +244,8 @@ def validate_scenario(scenario: Scenario) -> None:
         if not log_ids.issuperset(named):
             raise ScenarioError(f"invalid-scenario: unknown log in {','.join(named)}")
     client_ids = {c.client_id for c in scenario.clients}
-    given: dict[str, set[int]] = {c.ca_id: set() for c in scenario.cas}  # serials issued so far
-    held: set[tuple[str, int]] = set()  # (client, serial) issued so far
+    ca_ids = {c.ca_id for c in scenario.cas}
+    holders: dict[int, str] = {}  # serial -> client, for the serials issued so far
     # in run order: by time, ties in schedule order
     for event in sorted(scenario.schedule, key=lambda e: e.t):
         params, where = event.params, f"invalid-scenario: {event.kind} at t={event.t}"
@@ -262,16 +268,15 @@ def validate_scenario(scenario: Scenario) -> None:
         if event.kind in ("freeze-log", "drop-entry") and params.get("log") not in log_ids:
             raise ScenarioError(f"{where}: unknown log {params.get('log')!r}")
         if event.kind == "issue":
-            ca = params.get("ca")
-            if ca not in given:
-                raise ScenarioError(f"{where}: unknown ca {ca!r}")
-            if serial in given[ca]:
-                raise ScenarioError(f"{where}: duplicate serial {serial} for {ca}")
-            given[ca].add(serial)
-            held.add((client, serial))
-        elif event.kind == "revoke-request" and (client, serial) not in held:
+            if params.get("ca") not in ca_ids:
+                raise ScenarioError(f"{where}: unknown ca {params.get('ca')!r}")
+            # a serial names one certificate: the simulator keys its record by it
+            if serial in holders:
+                raise ScenarioError(f"{where}: serial {serial} already issued")
+            holders[serial] = client
+        elif event.kind == "revoke-request" and holders.get(serial) != client:
             raise ScenarioError(f"{where}: client {client} holds no certificate {serial}")
-        elif event.kind == "revoke-direct" and not any(serial in g for g in given.values()):
+        elif event.kind == "revoke-direct" and serial not in holders:
             raise ScenarioError(f"{where}: no issuer for serial {serial}")
     bound = _event_bound(scenario)
     if bound > EVENT_BUDGET:
@@ -311,18 +316,25 @@ def _submission_attempts(
         yield log.log_id, sct, ""
 
 
+def _holder_key(client: str, serial: int) -> str:
+    """Key id of the holder of certificate ``serial`` issued to ``client``."""
+    return f"{client}/{serial}"
+
+
 @dataclass
-class _IssuedCert:
+class _Cert:
+    """One issued certificate: what its CA issued, the status the CA keeps
+    for it and the times of its revocation that the delay audit reads."""
+
     serial: int
+    ca_id: str
     cert: Certificate
     postcert: Postcertificate
     chain: list[Certificate]
-
-
-@dataclass
-class _Milestones:
-    serial: int
-    ca_id: str
+    value: StatusValue = field(default_factory=StatusValue.good)
+    evidence: object = None  # the first SCT or log entry the CA acted on
+    latest_sct_ts: int = 0  # the latest SCT timestamp the CA has seen
+    handled: bool = False  # the CA has acted on a revocation
     pathway: str = "POSTCERT"
     t_request: int | None = None
     t_receive: int | None = None
@@ -339,11 +351,6 @@ class _CaActor:
         self.sim = weakref.proxy(sim)  # no cycle: a dropped simulation is freed at once
         self.config = config
         self.ca_id = config.ca_id
-        self.issued: dict[int, _IssuedCert] = {}
-        self.current_value: dict[int, StatusValue] = {}
-        self.evidence: dict[int, object] = {}
-        self.known_sct_ts: dict[int, int] = {}
-        self.handled: set[int] = set()
         self.cursors: dict[str, int] = {}
         self.refresh_ms = status_update_deadline(config.status_validity_ms)
         self.root_cert = _root_cert(sim.registry, self.ca_id)
@@ -358,47 +365,39 @@ class _CaActor:
 
     # -- certificate lifecycle
 
-    def issue(self, client: "_ClientActor", serial: int, now: int) -> None:
-        leaf_key = f"{client.client_id}/{serial}"
+    def issue(self, client: SimClientConfig, serial: int, now: int) -> None:
         tbs = TbsCertificate(
             serial=serial,
             subject=f"{client.client_id}.example",
             issuer=self.ca_id,
             not_before=now,
             not_after=now + CERT_LIFETIME_MS,
-            public_key_id=leaf_key,
+            public_key_id=_holder_key(client.client_id, serial),
         )
         cert = sign_certificate(self.sim.registry, self.ca_id, tbs)
-        scheme = client.config.scheme
-        postcert = make_postcertificate(cert, scheme, self.sim.registry)
-        chain = [self.root_cert] if scheme is PostcertScheme.CA_ISSUED else [cert, self.root_cert]
-        issued = _IssuedCert(serial, cert, postcert, chain)
-        self.issued[serial] = issued
-        self.current_value[serial] = StatusValue.good()
-        client.wallet[serial] = issued
-        self._emit_status(serial, now)
-        self.sim.loop(now + self.refresh_ms, lambda t: self._refresh(serial, t))
+        postcert = make_postcertificate(cert, client.scheme, self.sim.registry)
+        chain = [self.root_cert] if client.scheme is PostcertScheme.CA_ISSUED else [cert, self.root_cert]
+        record = self.sim.certs[serial] = _Cert(serial, self.ca_id, cert, postcert, chain)
+        self._emit_status(record, now)
+        self.sim.loop(now + self.refresh_ms, lambda t: self._refresh(record, t))
 
-    def _refresh(self, serial: int, now: int) -> int:
-        self._emit_status(serial, now)
+    def _refresh(self, cert: _Cert, now: int) -> int:
+        self._emit_status(cert, now)
         return self.refresh_ms
 
-    def _emit_status(self, serial: int, now: int, *, t_override: int | None = None) -> RevocationStatus:
-        value = self.current_value[serial]
-        ref = CertRef(self.ca_id, serial)
+    def _emit_status(self, cert: _Cert, now: int, *, t_override: int | None = None) -> None:
         honest = self.config.misbehavior is not CaMisbehavior.M3_EARLY_REVOKE
         status = issue_status(
             self.sim.registry,
             self.ca_id,
-            ref,
-            value,
+            CertRef(self.ca_id, cert.serial),
+            cert.value,
             t_override if t_override is not None else self.clock(now),
             self.config.status_validity_ms,
-            evidence=self.evidence.get(serial),
+            evidence=cert.evidence,
             honest=honest,
         )
         self.sim.emit(now, self.ca_id, EventKind.STATUS, status)
-        return status
 
     # -- monitoring
 
@@ -418,125 +417,83 @@ class _CaActor:
                 payload = entry.decoded()
                 if payload.tbs.issuer != self.ca_id:
                     continue
-                serial = payload.tbs.serial
-                if serial not in self.issued:
+                cert = self.sim.certs.get(payload.tbs.serial)
+                if cert is None or cert.ca_id != self.ca_id:
                     continue
                 record = DiscoveryRecord(self.ca_id, log_id, entry.number, now, via="poll")
                 self.sim.emit(now, self.ca_id, EventKind.DISCOVERY, record)
-                self._on_revocation_evidence(serial, entry, log_id, now)
+                cert.latest_sct_ts = max(cert.latest_sct_ts, entry.t_submission)
+                if cert.evidence is None:
+                    cert.evidence = entry
+                if cert.t_discovery is None:
+                    cert.t_discovery = now
+                    cert.discovery_log = log_id
+                self._maybe_schedule_update(cert, now)
             self.cursors[log_id] = size
         return self.config.poll_interval_ms
 
-    def on_sct_handoff(self, serial: int, scts: list[SCT], now: int) -> None:
+    def on_sct_handoff(self, cert: _Cert, scts: list[SCT], now: int) -> None:
         record = DiscoveryRecord(self.ca_id, scts[0].log_id, 0, now, via="sct-handoff")
         self.sim.emit(now, self.ca_id, EventKind.DISCOVERY, record)
-        milestones = self.sim.milestones.get(serial)
-        if milestones is not None and milestones.t_handoff is None:
-            milestones.t_handoff = now
-        self._on_scts(serial, scts, now)
+        if cert.t_handoff is None:
+            cert.t_handoff = now
+        self._on_scts(cert, scts, now)
 
-    def _on_scts(self, serial: int, scts: list[SCT], now: int) -> None:
-        """Take SCTs for ``serial`` as revocation evidence; without any there
+    def _on_scts(self, cert: _Cert, scts: list[SCT], now: int) -> None:
+        """Take SCTs for ``cert`` as revocation evidence; without any there
         is no evidence and no update."""
         if not scts:
             return
-        for sct in scts:
-            self.known_sct_ts[serial] = max(self.known_sct_ts.get(serial, 0), sct.timestamp)
-        self.evidence.setdefault(serial, scts[0])
-        self._maybe_schedule_update(serial, now)
+        cert.latest_sct_ts = max(cert.latest_sct_ts, *(sct.timestamp for sct in scts))
+        if cert.evidence is None:
+            cert.evidence = scts[0]
+        self._maybe_schedule_update(cert, now)
 
-    def _on_revocation_evidence(self, serial: int, entry, log_id: str, now: int) -> None:
-        self.known_sct_ts[serial] = max(self.known_sct_ts.get(serial, 0), entry.t_submission)
-        self.evidence.setdefault(serial, entry)
-        milestones = self.sim.milestones.get(serial)
-        if milestones is not None and milestones.t_discovery is None:
-            milestones.t_discovery = now
-            milestones.discovery_log = log_id
-        self._maybe_schedule_update(serial, now)
-
-    def _maybe_schedule_update(self, serial: int, now: int) -> None:
-        if serial in self.handled:
+    def _maybe_schedule_update(self, cert: _Cert, now: int) -> None:
+        if cert.handled:
             return
-        self.handled.add(serial)
+        cert.handled = True
         if self.config.misbehavior is CaMisbehavior.M1_SKIP_UPDATE:
             return  # keeps re-issuing GOOD on the refresh cycle
         wrong = self.config.misbehavior is CaMisbehavior.M2_WRONG_STATUS
         self.sim.schedule(
             now + self.config.update_delay_ms,
-            lambda t: self._apply_update(serial, t, wrong=wrong),
+            lambda t: self._apply_update(cert, t, wrong=wrong),
         )
 
-    def _apply_update(self, serial: int, now: int, *, wrong: bool) -> None:
-        issued = self.issued[serial]
+    def _apply_update(self, cert: _Cert, now: int, *, wrong: bool) -> None:
         if wrong:
-            value = StatusValue.unknown()
+            cert.value = StatusValue.unknown()
         else:
-            ext = issued.postcert.revocation_ext
-            value = StatusValue.revoked(ext.reason_code, ext.invalidation_date)
-        self.current_value[serial] = value
+            ext = cert.postcert.revocation_ext
+            cert.value = StatusValue.revoked(ext.reason_code, ext.invalidation_date)
         # Revoked statuses must be timestamped after the earliest SCT issued
         # for the postcertificate, whatever the clock skew.
-        t_status = max(self.clock(now), self.known_sct_ts.get(serial, 0) + 1)
-        self._emit_status(serial, now, t_override=t_status)
-        milestones = self.sim.milestones.get(serial)
-        if milestones is not None and milestones.t_update is None:
-            milestones.t_update = now
+        t_status = max(self.clock(now), cert.latest_sct_ts + 1)
+        self._emit_status(cert, now, t_override=t_status)
+        if cert.t_update is None:
+            cert.t_update = now
 
     # -- direct (current-pathway) revocation requests
 
-    def on_direct_request(self, serial: int, now: int) -> None:
-        milestones = self.sim.milestones.setdefault(serial, _Milestones(serial, self.ca_id))
-        milestones.pathway = "CURRENT"
-        milestones.t_receive = now
-        self.sim.schedule(now + self.config.processing_delay_ms, lambda t: self._process_direct(serial, t))
+    def on_direct_request(self, cert: _Cert, now: int) -> None:
+        cert.pathway = "CURRENT"
+        cert.t_receive = now
+        self.sim.schedule(now + self.config.processing_delay_ms, lambda t: self._process_direct(cert, t))
 
-    def _process_direct(self, serial: int, now: int) -> None:
-        issued = self.issued[serial]
-        milestones = self.sim.milestones[serial]
-        milestones.t_processed = now
+    def _process_direct(self, cert: _Cert, now: int) -> None:
+        cert.t_processed = now
         if self.config.misbehavior is CaMisbehavior.M3_EARLY_REVOKE:
             # Skips the mandatory postcertificate submission entirely.
-            if serial not in self.handled:
-                self.handled.add(serial)
-                ext = issued.postcert.revocation_ext
-                self.current_value[serial] = StatusValue.revoked(ext.reason_code)
-                self._emit_status(serial, now)
-                if milestones.t_update is None:
-                    milestones.t_update = now
+            if not cert.handled:
+                cert.handled = True
+                cert.value = StatusValue.revoked(cert.postcert.revocation_ext.reason_code)
+                self._emit_status(cert, now)
+                if cert.t_update is None:
+                    cert.t_update = now
             return
         # Honest flow: submit the postcertificate first, then update.
-        self._on_scts(serial, self.sim.submit_postcert(self.ca_id, issued, 2, now, milestones), now)
-
-
-class _ClientActor:
-    def __init__(self, sim: "Simulation", config: SimClientConfig) -> None:
-        self.sim = weakref.proxy(sim)  # as in _CaActor
-        self.config = config
-        self.client_id = config.client_id
-        self.wallet: dict[int, _IssuedCert] = {}
-
-    def revoke_via_logs(self, serial: int, now: int, k: int | None = None) -> None:
-        issued = self.wallet[serial]
-        milestones = self.sim.milestones.setdefault(
-            serial, _Milestones(serial, issued.cert.tbs.issuer)
-        )
-        milestones.t_request = now
-        copies = k if k is not None else self.config.submit_copies
-        skip = issued.cert.tbs.issuer if self.config.avoid_issuer_log else None
-        scts = self.sim.submit_postcert(
-            actor=self.client_id,
-            issued=issued,
-            k=copies,
-            now=now,
-            milestones=milestones,
-            skip_operator=skip,
-        )
-        if self.config.sct_handoff and scts:
-            ca = self.sim.cas[issued.cert.tbs.issuer]
-            self.sim.schedule(
-                now + self.config.handoff_delay_ms,
-                lambda t: ca.on_sct_handoff(serial, scts, t),
-            )
+        self._on_scts(cert, self.sim.submit_postcert(self.ca_id, cert, 2, now), now)
 
 
 class Simulation:
@@ -550,10 +507,10 @@ class Simulation:
         )
         for event in scenario.schedule:
             if event.kind == "issue":
-                signers.append(f"{event.params['client']}/{int(event.params['serial'])}")
+                signers.append(_holder_key(event.params["client"], int(event.params["serial"])))
         self.registry = KeyRegistry.with_signers(signers)
         self.trust = TrustStore()
-        self.milestones: dict[int, _Milestones] = {}
+        self.certs: dict[int, _Cert] = {}  # by serial, which names one certificate
         self._events: list[tuple[int, int, object]] = []
         self._heap_seq = 0
         self._trace: list[tuple[int, str, EventKind, object]] = []
@@ -571,9 +528,7 @@ class Simulation:
             actor = _CaActor(self, ca_config)
             self.cas[ca_config.ca_id] = actor
             self.trust.add(actor.root_cert)
-        self.clients: dict[str, _ClientActor] = {
-            c.client_id: _ClientActor(self, c) for c in scenario.clients
-        }
+        self.clients = {c.client_id: c for c in scenario.clients}
         self.logs: dict[str, CtLog] = {}
         for sim_log in scenario.logs:
             self.logs[sim_log.log_id] = CtLog(
@@ -629,25 +584,29 @@ class Simulation:
                 scts.append(sct)
         return scts
 
-    def submit_postcert(
-        self,
-        actor: str,
-        issued: _IssuedCert,
-        k: int,
-        now: int,
-        milestones: _Milestones,
-        skip_operator: str | None = None,
-    ) -> list[SCT]:
-        """Submit to ``k`` logs, or to every candidate log if there are fewer.
+    def submit_postcert(self, actor: str, cert: _Cert, k: int, now: int,
+                        skip_operator: str | None = None) -> list[SCT]:
+        """Submit ``cert``'s postcertificate to ``k`` logs, or to every
+        candidate log if there are fewer.
 
         Every attempt is traced; when every log rejects, no SCT is returned.
         """
-        scts = self._submit(
-            actor, issued.postcert, issued.chain, list(self.logs.values()), k, now, skip_operator
-        )
-        if scts and milestones.t_first_submit is None:
-            milestones.t_first_submit = now
+        scts = self._submit(actor, cert.postcert, cert.chain, list(self.logs.values()), k, now, skip_operator)
+        if scts and cert.t_first_submit is None:
+            cert.t_first_submit = now
         return scts
+
+    def revoke_via_logs(self, client: SimClientConfig, serial: int, now: int, k: int | None) -> None:
+        """The holder ``client`` asks for ``serial``'s revocation by logging
+        its postcertificate, and hands the SCTs to the CA if it is set to."""
+        cert = self.certs[serial]
+        cert.t_request = now
+        copies = k if k is not None else client.submit_copies
+        skip = cert.ca_id if client.avoid_issuer_log else None
+        scts = self.submit_postcert(client.client_id, cert, copies, now, skip)
+        if client.sct_handoff and scts:
+            ca = self.cas[cert.ca_id]
+            self.schedule(now + client.handoff_delay_ms, lambda t: ca.on_sct_handoff(cert, scts, t))
 
     def _filler_cert(self, issuer: str, key_id: str, serial: int, now: int) -> Certificate:
         tbs = TbsCertificate(
@@ -741,20 +700,15 @@ class Simulation:
     def _dispatch(self, event: ScheduledEvent, now: int) -> None:
         params = event.params
         if event.kind == "issue":
-            ca = self.cas[params["ca"]]
-            client = self.clients[params["client"]]
-            ca.issue(client, int(params["serial"]), now)
+            self.cas[params["ca"]].issue(self.clients[params["client"]], int(params["serial"]), now)
         elif event.kind == "revoke-request":
-            client = self.clients[params["client"]]
             k = int(params["k"]) if "k" in params else None
-            client.revoke_via_logs(int(params["serial"]), now, k)
+            self.revoke_via_logs(self.clients[params["client"]], int(params["serial"]), now, k)
         elif event.kind == "revoke-direct":
-            serial = int(params["serial"])
-            delivery = int(params.get("delivery", "0"))
-            issuer = next(ca for ca in self.cas.values() if serial in ca.issued)
-            milestones = self.milestones.setdefault(serial, _Milestones(serial, issuer.ca_id))
-            milestones.t_request = now
-            self.schedule(now + delivery, lambda t: issuer.on_direct_request(serial, t))
+            cert = self.certs[int(params["serial"])]
+            cert.t_request = now
+            issuer = self.cas[cert.ca_id]
+            self.schedule(now + int(params.get("delivery", "0")), lambda t: issuer.on_direct_request(cert, t))
         elif event.kind == "freeze-log":
             self.logs[params["log"]].freeze()
         elif event.kind == "drop-entry":
@@ -769,50 +723,47 @@ class Simulation:
             if number is not None:
                 self._trace[index] = (t, actor, kind, replace(record, final_entry_number=number))
 
-    def _breakdown_for(self, m: _Milestones) -> DelayBreakdown | None:
-        if m.t_update is None:
+    def _breakdown_for(self, c: _Cert) -> DelayBreakdown | None:
+        if c.t_update is None:
             return None
-        if m.pathway == "CURRENT":
-            if m.t_request is None or m.t_receive is None or m.t_processed is None:
+        if c.pathway == "CURRENT":
+            if c.t_request is None or c.t_receive is None or c.t_processed is None:
                 return None
             return DelayBreakdown.current(
-                delivery=m.t_receive - m.t_request,
-                processing=m.t_processed - m.t_receive,
-                update=m.t_update - m.t_processed,
+                delivery=c.t_receive - c.t_request,
+                processing=c.t_processed - c.t_receive,
+                update=c.t_update - c.t_processed,
             )
-        if m.t_first_submit is None:
+        if c.t_first_submit is None:
             return None
-        if m.t_handoff is not None and (m.t_discovery is None or m.t_handoff <= m.t_discovery):
+        if c.t_handoff is not None and (c.t_discovery is None or c.t_handoff <= c.t_discovery):
             # Out-of-band SCT handoff: the handoff plays the publication role.
             return DelayBreakdown.postcert(
-                publication=m.t_handoff - m.t_first_submit,
+                publication=c.t_handoff - c.t_first_submit,
                 discovery=0,
-                update=m.t_update - m.t_handoff,
+                update=c.t_update - c.t_handoff,
             )
-        if m.t_discovery is None or m.discovery_log is None:
+        if c.t_discovery is None or c.discovery_log is None:
             return None
         # The only postcertificate ever submitted for a serial is the one its
         # CA made at issuance, so that one's leaf hash finds the first entry
         # with the serial and issuer.
-        postcert = self.cas[m.ca_id].issued[m.serial].postcert
-        log = self.logs[m.discovery_log]
-        entry_number = log.leaf_number(log.scheme.hash_leaf(encode_payload(postcert)))
+        log = self.logs[c.discovery_log]
+        entry_number = log.leaf_number(log.scheme.hash_leaf(encode_payload(c.postcert)))
         if entry_number is None:
             return None
         t_publish = log.merge_time_ref(entry_number)
         return DelayBreakdown.postcert(
-            publication=t_publish - m.t_first_submit,
-            discovery=m.t_discovery - t_publish,
-            update=m.t_update - m.t_discovery,
+            publication=t_publish - c.t_first_submit,
+            discovery=c.t_discovery - t_publish,
+            update=c.t_update - c.t_discovery,
         )
 
     def _check_bounds(self, horizon: int) -> None:
-        for serial in sorted(self.milestones):
-            m = self.milestones[serial]
-            ca = self.cas.get(m.ca_id)
-            if ca is not None and ca.config.misbehavior is not CaMisbehavior.NONE:
+        for serial, cert in sorted(self.certs.items()):
+            if self.cas[cert.ca_id].config.misbehavior is not CaMisbehavior.NONE:
                 continue
-            breakdown = self._breakdown_for(m)
+            breakdown = self._breakdown_for(cert)
             if breakdown is None:
                 continue
             for violation in check_bounds(breakdown, self.scenario.policy):

@@ -24,9 +24,9 @@ from postcert.delays import DelayBreakdown, check_bounds
 from postcert.encoding import encode_artifact
 from postcert.log import (
     LogEntry,
+    LogView,
     MerkleAuditProof,
     STH,
-    SnapshotLogReader,
     sth_signing_payload,
 )
 from postcert.merkle import MerkleTree, root_from_audit_path, verify_consistency
@@ -190,8 +190,8 @@ def test_acceptance_02_table1_conformance():
                     expected = status.t + policy.mmd_ms  # hand-evaluated formula
                     assert earliest_proof_time(case, policy, status=status) == expected
                     readers = {
-                        "log1": SnapshotLogReader("log1", [], []),
-                        "log2": SnapshotLogReader("log2", [], []),
+                        "log1": LogView("log1", [], []),
+                        "log2": LogView("log2", [], []),
                     }
                     def m3_at(t: int):
                         sths = tuple(
@@ -235,7 +235,7 @@ def test_acceptance_02_table1_conformance():
 
 # -- 3. Misbehavior soundness / completeness ------------------------------------------
 
-def _truncated_readers(sim: Simulation, cutoff: int) -> dict[str, SnapshotLogReader]:
+def _truncated_readers(sim: Simulation, cutoff: int) -> dict[str, LogView]:
     readers = {}
     for log_id, log in sim.logs.items():
         entries = [
@@ -243,7 +243,7 @@ def _truncated_readers(sim: Simulation, cutoff: int) -> dict[str, SnapshotLogRea
             if log.merge_time_ref(number) <= cutoff
         ]
         sths = [sth for sth in log.sth_history if sth.t <= cutoff]
-        readers[log_id] = SnapshotLogReader(log_id, entries, sths)
+        readers[log_id] = LogView(log_id, entries, sths)
     return readers
 
 

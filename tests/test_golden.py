@@ -31,7 +31,6 @@ from postcert.log import (
     STH,
     LogView,
     MerkleAuditProof,
-    SnapshotLogReader,
     log_snapshot_text,
     sct_signing_payload,
     sth_signing_payload,
@@ -170,7 +169,7 @@ def test_preset_trace_report_and_snapshot_digests(name):
     snapshots = [log_snapshot_text(sim.logs[log_id]) for log_id in sorted(sim.logs)]
     readers = {}
     if name == "collisions":
-        readers = {r.log_id: r for r in map(SnapshotLogReader.from_text, snapshots)}
+        readers = {r.log_id: r for r in map(LogView.from_text, snapshots)}
     report = cli.render_report(trace.observations_from_events(events), readers)
     digests = (_sha256(trace.trace_to_text(events)), _sha256(report), _sha256("".join(snapshots)))
     assert digests == PRESET_WORLDS[name]

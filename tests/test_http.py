@@ -16,7 +16,7 @@ from postcert.log import (
     DuplicatePolicy,
     LogConfig,
     LogError,
-    SnapshotLogReader,
+    LogView,
     log_snapshot_text,
     verify_audit_proof,
     verify_consistency_sths,
@@ -154,7 +154,7 @@ def test_log_snapshot_and_http_readers_answer_alike(registry, trust, ca_root):
     sizes = sorted({sth.treesize for sth in log.sth_history})
     assert sizes == list(range(9)) and len(log.entries) == 8
 
-    snapshot = SnapshotLogReader.from_text(log_snapshot_text(log))
+    snapshot = LogView.from_text(log_snapshot_text(log))
     server = serve_log(log, clock=lambda: now)
     host, port = server.server_address
     reader = HttpLogReader(f"http://{host}:{port}")

@@ -20,7 +20,7 @@ from postcert.log import (
     ERR_LOG_FROZEN,
     LogConfig,
     LogError,
-    SnapshotLogReader,
+    LogView,
     SthCacheMode,
     UpdateClass,
     log_snapshot_text,
@@ -434,7 +434,7 @@ def test_snapshot_round_trip_serves_same_proofs(registry, trust, ca_root):
         log.submit(make(), [ca_root], now=i + 1)
     log.advance(100)
     final = log.sign_tree_head(101)
-    reader = SnapshotLogReader.from_text(log_snapshot_text(log))
+    reader = LogView.from_text(log_snapshot_text(log))
     assert reader.log_id == "log1"
     assert reader.published_size() == 9
     assert reader.latest_sth() == final
@@ -679,7 +679,7 @@ def test_leaf_index_built_on_lookup_equals_an_eager_index(registry, trust, ca_ro
     log.advance(now + HOUR_MS)
     eager = _eager_index(log)
     assert [log.leaf_number(leaf) for leaf in leaves] == [eager.get(leaf) for leaf in leaves]
-    view = SnapshotLogReader.from_text(log_snapshot_text(log))
+    view = LogView.from_text(log_snapshot_text(log))
     assert [view.leaf_number(leaf) for leaf in leaves] == [eager.get(leaf) for leaf in leaves]
     assert log.leaf_number(b"\x00" * 32) is view.leaf_number(b"\x00" * 32) is None
 

@@ -14,9 +14,9 @@ from postcert.log import (
     CtLog,
     LogConfig,
     LogEntry,
+    LogView,
     MerkleAuditProof,
     STH,
-    SnapshotLogReader,
     UpdateClass,
     sct_signing_payload,
     sth_signing_payload,
@@ -426,14 +426,14 @@ def test_undecodable_entry_rejects_instead_of_raising(registry):
     m12 = MisbehaviorProofM12(entry, sth, status, MerkleAuditProof(0, 1, ()))
     verdict = verify_m12(m12, PUB_POLICY, trusted, registry)
     assert (verdict.reason, verdict.detail) == ("undecodable-entry", "log1#0: truncated input")
-    readers = {"log1": SnapshotLogReader("log1", [entry], [sth])}
+    readers = {"log1": LogView("log1", [entry], [sth])}
     verdict = verify_m3(MisbehaviorProofM3(status, (sth,)), PUB_POLICY, trusted, registry, readers)
     assert (verdict.reason, verdict.detail) == ("undecodable-entry", "log1#0: truncated input")
 
 
 def test_malformed_postcert_entry_is_skipped_when_building_a_proof(registry):
     entry, sth = _undecodable_entry(registry, 10 * HOUR_MS, b"\x02garbage")
-    readers = {"log1": SnapshotLogReader("log1", [entry], [sth])}
+    readers = {"log1": LogView("log1", [entry], [sth])}
     with pytest.raises(InsufficientEvidenceError):
         build_proof(Case.M1_MISSING_UPDATE, ObservationSet(), PUB_POLICY, TrustedLogSet.of("log1"), readers)
 

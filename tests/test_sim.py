@@ -44,6 +44,7 @@ from postcert.sim import (
     ScenarioError,
     ScheduledEvent,
     SimCaConfig,
+    SimClientConfig,
     Simulation,
     _event_bound,
     _submission_attempts,
@@ -415,6 +416,50 @@ def test_validate_rejects_revocation_before_issue():
     validate_scenario(dataclasses.replace(base, schedule=(issue, revoke)))
 
 
+def _two_ca_scenario(second_serial: str):
+    """``normal`` plus a CA ``ca2`` that issues ``second_serial`` to
+    ``client2`` at 2 h, which client2 asks to revoke through the logs at 6 h."""
+    base = normal_revocation(seed=1)
+    issue = {"ca": "ca2", "client": "client2", "serial": second_serial}
+    return dataclasses.replace(
+        base,
+        cas=base.cas + (SimCaConfig("ca2"),),
+        clients=base.clients + (SimClientConfig("client2"),),
+        schedule=base.schedule + (
+            ScheduledEvent(2 * HOUR_MS, "issue", issue),
+            ScheduledEvent(6 * HOUR_MS, "revoke-request", {"client": "client2", "serial": second_serial}),
+        ),
+    )
+
+
+def test_validate_rejects_a_serial_issued_by_two_cas():
+    """A serial names one certificate: a second issue of it, even by another
+    CA to another client, is refused rather than run with one shared record."""
+    with pytest.raises(ScenarioError, match="serial 1 already issued"):
+        validate_scenario(_two_ca_scenario("1"))
+
+
+def test_simulate_refuses_a_serial_issued_by_two_cas(tmp_path, capsys):
+    from postcert import cli
+
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(scenario_to_text(_two_ca_scenario("1")))
+    assert cli.main(["simulate", "--scenario", str(scenario_file)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: invalid-scenario: ")
+
+
+def test_each_ca_certificate_gets_its_own_delay_breakdown():
+    sim = Simulation(_two_ca_scenario("2"))
+    sim.run()
+    assert [(c.serial, c.ca_id) for c in sim.certs.values()] == [(1, "ca1"), (2, "ca2")]
+    assert [c.t_request for c in sim.certs.values()] == [5 * HOUR_MS, 6 * HOUR_MS]
+    for cert in sim.certs.values():
+        assert cert.t_first_submit == cert.t_request
+        assert sim._breakdown_for(cert) is not None
+
+
 def test_validate_rejects_nonpositive_horizon():
     base = normal_revocation(seed=1)
     with pytest.raises(ScenarioError):
@@ -474,7 +519,7 @@ def test_delay_breakdown_finds_the_first_logged_postcert_of_its_serial():
     for seed in range(12):
         sim = Simulation(honest_random(seed))
         sim.run()
-        for m in sim.milestones.values():
+        for m in sim.certs.values():
             if m.pathway != "POSTCERT" or m.t_update is None or m.t_discovery is None:
                 continue
             if m.t_handoff is not None and m.t_handoff <= m.t_discovery:
