@@ -217,20 +217,16 @@ def sign_certificate(registry: KeyRegistry, issuer_key_id: str, tbs: TbsCertific
     return Certificate(tbs=tbs, signature=registry.sign(issuer_key_id, tbs.encoded))
 
 
-def make_precertificate(
-    cert: Certificate,
-    registry: KeyRegistry,
-    issuer_key_id: str | None = None,
-) -> Certificate:
-    """Copy of ``cert`` with the critical poison extension added and re-signed.
+def make_precertificate(cert: Certificate, registry: KeyRegistry) -> Certificate:
+    """Copy of ``cert`` with the critical poison extension added, re-signed
+    by its issuer.
 
     The result shares its TBS data with the original except for the poison
     extension, which renders it invalid in browser context.
     """
-    key_id = issuer_key_id or cert.signature.signer_id
     poison = Extension(oid=POISON_OID, critical=True, value=b"")
     tbs = replace(cert.tbs, extensions=cert.tbs.extensions + (poison,))
-    return sign_certificate(registry, key_id, tbs)
+    return sign_certificate(registry, cert.signature.signer_id, tbs)
 
 
 def make_postcertificate(
@@ -240,25 +236,17 @@ def make_postcertificate(
     *,
     reason: str = "unspecified",
     invalidation_date: int | None = None,
-    signing_key_id: str | None = None,
 ) -> Postcertificate:
     """Build a postcertificate for ``cert`` under the given scheme.
 
-    CA_ISSUED must be signed with the issuer's key; SELF_SIGNED with the key
-    named by the target certificate itself. The issuer field stays unchanged
-    in both schemes.
+    The scheme names the key: CA_ISSUED is signed with the issuer's key,
+    SELF_SIGNED with the key named by the target certificate itself. The
+    issuer field stays unchanged in both schemes.
     """
     if invalidation_date is not None and invalidation_date < cert.tbs.not_before:
         raise CertError("invalidation_date precedes certificate not_before")
     revocation_ext = RevocationExtension(reason_code=reason, invalidation_date=invalidation_date)
-    if scheme is PostcertScheme.CA_ISSUED:
-        key_id = signing_key_id or cert.signature.signer_id
-        if key_id != cert.signature.signer_id:
-            raise CertError("CA-issued postcertificate requires the issuer's key")
-    else:
-        key_id = signing_key_id or cert.tbs.public_key_id
-        if key_id != cert.tbs.public_key_id:
-            raise CertError("self-signed postcertificate requires the certificate's own key")
+    key_id = cert.signature.signer_id if scheme is PostcertScheme.CA_ISSUED else cert.tbs.public_key_id
     ext_bytes = encode_revocation_ext(revocation_ext)
     tbs = replace(
         cert.tbs,

@@ -57,7 +57,7 @@ from typing import Callable
 
 from .certs import CertError, Certificate, Postcertificate, decode_payload
 from .crypto import Signature
-from .encoding import decode_artifact, encode_artifact
+from .encoding import canonical_int, decode_artifact, encode_artifact
 from .log import CtLog, LogEntry, LogError, MerkleAuditProof, SCT, STH
 
 
@@ -112,17 +112,17 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
             "signer_id": sth.signature.signer_id,
         }
     if path == "/ct/v1/get-entries":
-        start = int(query["start"][0])
-        end = int(query["end"][0])
+        start = canonical_int(query["start"][0])
+        end = canonical_int(query["end"][0])
         return {"entries": [_entry_json(e) for e in log.get_entries(start, end, now)]}
     if path == "/ct/v1/get-sth-consistency":
-        first = int(query["first"][0])
-        second = int(query["second"][0])
+        first = canonical_int(query["first"][0])
+        second = canonical_int(query["second"][0])
         log.advance(now)
         return {"consistency": [_b64(node) for node in log.consistency_proof(first, second)]}
     if path == "/ct/v1/get-proof-by-hash":
         leaf_hash = _unb64(query["hash"][0])
-        tree_size = int(query["tree_size"][0])
+        tree_size = canonical_int(query["tree_size"][0])
         log.advance(now)
         proof = log.get_proof_by_hash(leaf_hash, tree_size)
         return {
@@ -130,8 +130,8 @@ def _read_endpoint(log: CtLog, path: str, query: dict, now: int) -> dict | None:
             "audit_path": [_b64(node) for node in proof.path],
         }
     if path == "/ct/v1/get-entry-and-proof":
-        index = int(query["leaf_index"][0])
-        tree_size = int(query["tree_size"][0])
+        index = canonical_int(query["leaf_index"][0])
+        tree_size = canonical_int(query["tree_size"][0])
         log.advance(now)
         proof = log.audit_proof(index, tree_size)
         return {

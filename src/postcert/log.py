@@ -138,8 +138,8 @@ def verify_sct_signature(sct: SCT, registry: KeyRegistry) -> bool:
     return registry.verify(sct.signature, sct_signing_payload(sct.log_id, sct.timestamp, sct.entry_hash))
 
 
-def verify_sct(sct: SCT, payload: bytes, registry: KeyRegistry, scheme: HashScheme = SHA256) -> bool:
-    return sct.entry_hash == scheme.hash_leaf(payload) and verify_sct_signature(sct, registry)
+def verify_sct(sct: SCT, payload: bytes, registry: KeyRegistry) -> bool:
+    return sct.entry_hash == SHA256.hash_leaf(payload) and verify_sct_signature(sct, registry)
 
 
 def verify_sth(sth: STH, registry: KeyRegistry) -> bool:
@@ -150,25 +150,17 @@ def verify_sth(sth: STH, registry: KeyRegistry) -> bool:
     )
 
 
-def verify_audit_proof(
-    payload: bytes, proof: MerkleAuditProof, sth: STH, scheme: HashScheme = SHA256
-) -> bool:
+def verify_audit_proof(payload: bytes, proof: MerkleAuditProof, sth: STH) -> bool:
     if proof.treesize != sth.treesize:
         return False
-    root = root_from_audit_path(
-        scheme.hash_leaf(payload), proof.entry_number, proof.treesize, proof.path, scheme
-    )
+    root = root_from_audit_path(SHA256.hash_leaf(payload), proof.entry_number, proof.treesize, proof.path)
     return root is not None and root == sth.root_hash
 
 
-def verify_consistency_sths(
-    sth_a: STH, sth_b: STH, path: tuple[bytes, ...], scheme: HashScheme = SHA256
-) -> bool:
+def verify_consistency_sths(sth_a: STH, sth_b: STH, path: tuple[bytes, ...]) -> bool:
     if sth_a.log_id != sth_b.log_id:
         return False
-    return verify_consistency(
-        sth_a.treesize, sth_b.treesize, sth_a.root_hash, sth_b.root_hash, path, scheme
-    )
+    return verify_consistency(sth_a.treesize, sth_b.treesize, sth_a.root_hash, sth_b.root_hash, path)
 
 
 # Publication delay models -----------------------------------------------------
@@ -367,11 +359,12 @@ class LogView:
             self.tree.append(entry.payload)
 
     @staticmethod
-    def from_text(text: str, scheme: HashScheme = SHA256) -> "LogView":
-        """Parse ``log_snapshot_text`` output.
+    def from_text(text: str) -> "LogView":
+        """Parse ``log_snapshot_text`` output of a SHA-256 log.
 
         Raises DecodeError naming the line for a malformed or missing field,
-        a non-integer value, bad hex or an empty signer.
+        a non-integer value, bad hex, an empty signer or a declared hash
+        other than ``sha256``.
         """
         log_id = ""
         entries: list[LogEntry] = []
@@ -381,7 +374,10 @@ class LogView:
             if kind not in ("log", "entry", "sth"):
                 continue
             if kind == "log":
-                log_id = FieldLine(rest, "snapshot line", lineno).get("id")
+                fields = FieldLine(rest, "snapshot line", lineno)
+                log_id = fields.get("id")
+                if (scheme := fields.get("scheme")) != SHA256.name:
+                    raise fields.error(f"unsupported scheme {scheme!r}")
             elif kind == "entry":
                 payload, t_submission, number = FieldLine.read(rest, _ENTRY_FIELDS, "snapshot line", lineno)
                 entries.append(LogEntry(payload, t_submission, log_id, number))
@@ -390,7 +386,7 @@ class LogView:
                 if not signer:
                     raise FieldLine(rest, "snapshot line", lineno).error("empty signer")
                 sths.append(STH(log_id, t, treesize, root, Signature(signer, sig)))
-        return LogView(log_id, entries, sths, scheme)
+        return LogView(log_id, entries, sths)
 
     def leaf_number(self, leaf_hash: bytes) -> int | None:
         """Number of the first entry whose leaf hash is ``leaf_hash``, if any."""

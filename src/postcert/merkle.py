@@ -138,15 +138,15 @@ class MerkleTree:
         return self._subproof(m - k, lo + k, hi, False) + [self._range_hash(lo, lo + k)]
 
 
-def root_from_audit_path(
-    leaf_hash: bytes,
-    index: int,
-    treesize: int,
-    path: tuple[bytes, ...],
-    scheme: HashScheme = SHA256,
-) -> bytes | None:
-    """Reconstruct the root implied by an audit path, or None if malformed."""
-    if index >= treesize or treesize < 1:
+def _digests(*hashes: bytes) -> bool:
+    return all(len(value) == DIGEST_LEN for value in hashes)
+
+
+def root_from_audit_path(leaf_hash: bytes, index: int, treesize: int, path: tuple[bytes, ...]) -> bytes | None:
+    """Reconstruct the SHA-256 root implied by an audit path, or None if
+    malformed: out-of-range index, wrong path length or a hash that is not a
+    32-byte digest."""
+    if index >= treesize or treesize < 1 or not _digests(leaf_hash, *path):
         return None
     fn, sn = index, treesize - 1
     value = leaf_hash
@@ -154,7 +154,7 @@ def root_from_audit_path(
         if sn == 0:
             return None
         if fn & 1 or fn == sn:
-            value = scheme.hash_node(node, value)
+            value = SHA256.hash_node(node, value)
             if not fn & 1:
                 while True:
                     fn >>= 1
@@ -162,7 +162,7 @@ def root_from_audit_path(
                     if fn & 1 or fn == 0:
                         break
         else:
-            value = scheme.hash_node(value, node)
+            value = SHA256.hash_node(value, node)
         fn >>= 1
         sn >>= 1
     if sn != 0:
@@ -171,21 +171,17 @@ def root_from_audit_path(
 
 
 def verify_consistency(
-    first: int,
-    second: int,
-    first_root: bytes,
-    second_root: bytes,
-    path: tuple[bytes, ...],
-    scheme: HashScheme = SHA256,
+    first: int, second: int, first_root: bytes, second_root: bytes, path: tuple[bytes, ...]
 ) -> bool:
-    """Check that the tree of size ``second`` extends the tree of size
-    ``first`` whose root was ``first_root``."""
-    if first > second:
+    """Check that the SHA-256 tree of size ``second`` extends the tree of
+    size ``first`` whose root was ``first_root``; False for a root or path
+    node that is not a 32-byte digest."""
+    if first > second or not _digests(first_root, second_root, *path):
         return False
     if first == second:
         return not path and first_root == second_root
     if first == 0:
-        return not path and first_root == scheme.empty_root()
+        return not path and first_root == SHA256.empty_root()
     hashes = list(path)
     if first & (first - 1) == 0:
         hashes.insert(0, first_root)
@@ -200,8 +196,8 @@ def verify_consistency(
         if sn == 0:
             return False
         if fn & 1 or fn == sn:
-            fr = scheme.hash_node(node, fr)
-            sr = scheme.hash_node(node, sr)
+            fr = SHA256.hash_node(node, fr)
+            sr = SHA256.hash_node(node, sr)
             if not fn & 1:
                 while True:
                     fn >>= 1
@@ -209,7 +205,7 @@ def verify_consistency(
                     if fn & 1 or fn == 0:
                         break
         else:
-            sr = scheme.hash_node(sr, node)
+            sr = SHA256.hash_node(sr, node)
         fn >>= 1
         sn >>= 1
     return fr == first_root and sr == second_root and sn == 0

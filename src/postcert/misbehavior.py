@@ -4,8 +4,8 @@ Three CA misbehavior cases are covered:
 
   M1  missing status update: the CA still vouches GOOD after the revocation
       deadline for a logged postcertificate has passed;
-  M2  incorrect status update: the CA serves some other wrong status after
-      the deadline;
+  M2  incorrect status update: the CA serves a status of neither class GOOD
+      nor the requested REVOKED after the deadline;
   M3  early non-good status: the CA serves a non-good status although no
       trusted log holds a postcertificate submitted before it.
 
@@ -29,8 +29,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .certs import CertRef, Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
-from .crypto import HashScheme, KeyRegistry, SHA256
+from .certs import Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
+from .crypto import KeyRegistry, SHA256
 from .encoding import DecodeError, decode_artifact, encode_artifact, nested, seq, text_block, wire
 from .log import (
     LogEntry,
@@ -197,22 +197,12 @@ def _served(readers: dict[str, LogReader], log_id: str, size: int | None = None)
     return entries_below(reader, reader.published_size() if size is None else size)
 
 
-def _status_is_incorrect(status: RevocationStatus, post: Postcertificate, strict: bool) -> bool:
-    """Compare the served status against the postcertificate's request.
-
-    Default compares only the status class (the request asks for REVOKED);
-    strict mode additionally treats a REVOKED answer with the wrong reason
-    code as incorrect.
-    """
+def _status_is_incorrect(status: RevocationStatus, post: Postcertificate) -> bool:
+    """Compare the served status against the postcertificate's request by
+    status class only: the request asks for REVOKED, whatever the reason."""
     if post.status != REQUESTED_STATUS_REVOKED:
         raise ValueError(f"unexpected requested status {post.status!r}")
-    if status.value.kind is not StatusKind.REVOKED:
-        return True
-    if strict:
-        requested_reason = post.revocation_ext.reason_code
-        if (status.value.reason or "unspecified") != requested_reason:
-            return True
-    return False
+    return status.value.kind is not StatusKind.REVOKED
 
 
 def verify_m12(
@@ -220,9 +210,6 @@ def verify_m12(
     policy: MrdPolicy,
     trusted: TrustedLogSet,
     registry: KeyRegistry,
-    *,
-    scheme: HashScheme = SHA256,
-    strict_status: bool = False,
 ) -> Verdict:
     """Check an M1/M2 evidence bundle; the verdict carries the first failure."""
     sth = proof.sth
@@ -235,9 +222,7 @@ def verify_m12(
         return _rejected("log-mismatch", f"{entry.log_id} != {sth.log_id}")
     if entry.number >= sth.treesize:
         return _rejected("entry-not-covered", f"{entry.number} >= {sth.treesize}")
-    if proof.audit.entry_number != entry.number or not verify_audit_proof(
-        entry.payload, proof.audit, sth, scheme
-    ):
+    if proof.audit.entry_number != entry.number or not verify_audit_proof(entry.payload, proof.audit, sth):
         return _rejected("bad-audit-proof")
     try:
         payload = decode_artifact(entry.payload)
@@ -249,7 +234,7 @@ def verify_m12(
         return _rejected("bad-status-signature")
     if proof.status.cert_ref != payload.target_ref:
         return _rejected("certificate-mismatch")
-    if not _status_is_incorrect(proof.status, payload, strict_status):
+    if not _status_is_incorrect(proof.status, payload):
         return _rejected("status-not-incorrect")
     t_proof = earliest_proof_time(
         Case.M1_MISSING_UPDATE, policy, entry=entry, covering_sth=sth
@@ -312,8 +297,6 @@ def verify_sct_disclosure(
     trusted: TrustedLogSet,
     registry: KeyRegistry,
     log_readers: dict[str, LogReader],
-    *,
-    scheme: HashScheme = SHA256,
 ) -> Verdict:
     """Check that a log promised inclusion and broke the promise.
 
@@ -336,7 +319,7 @@ def verify_sct_disclosure(
     if entries is None or len(entries) < sth.treesize:
         return _rejected("entries-unavailable", sct.log_id)
     for entry in entries:
-        if scheme.hash_leaf(entry.payload) == sct.entry_hash:
+        if SHA256.hash_leaf(entry.payload) == sct.entry_hash:
             return _rejected("entry-published", f"#{entry.number}")
     return PROVEN
 
@@ -399,14 +382,9 @@ def _first_head(obs: ObservationSet, readers: dict[str, LogReader], log_id: str,
 
 
 def _pick_m12_evidence(
-    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader],
-    target: CertRef | None, want_good: bool, strict: bool,
+    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader], want_good: bool
 ) -> MisbehaviorProofM12:
-    candidates = [
-        (entry, post)
-        for entry, post in _scan_postcerts(trusted, readers)
-        if target is None or post.target_ref == target
-    ]
+    candidates = _scan_postcerts(trusted, readers)
     if not candidates:
         raise InsufficientEvidenceError("insufficient-evidence: no logged postcertificate")
     best: tuple[int, MisbehaviorProofM12] | None = None
@@ -423,11 +401,8 @@ def _pick_m12_evidence(
             if want_good:
                 if status.value.kind is not StatusKind.GOOD:
                     continue
-            else:
-                if status.value.kind is StatusKind.GOOD:
-                    continue
-                if not _status_is_incorrect(status, post, strict):
-                    continue
+            elif status.value.kind is StatusKind.GOOD or not _status_is_incorrect(status, post):
+                continue
             reader = readers.get(entry.log_id)
             if reader is None:
                 continue
@@ -444,17 +419,9 @@ def _pick_m12_evidence(
 
 
 def _pick_m3_evidence(
-    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader],
-    target: CertRef | None,
+    obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader]
 ) -> MisbehaviorProofM3:
-    nongood = sorted(
-        (
-            s
-            for s in obs.statuses
-            if s.value.kind is not StatusKind.GOOD and (target is None or s.cert_ref == target)
-        ),
-        key=lambda s: s.t,
-    )
+    nongood = sorted((s for s in obs.statuses if s.value.kind is not StatusKind.GOOD), key=lambda s: s.t)
     if not nongood:
         raise InsufficientEvidenceError("insufficient-evidence: no non-good status observed")
     for status in nongood:
@@ -485,8 +452,7 @@ def _pick_sct_disclosure(
 
 
 def build_proof(
-    case: Case, obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet,
-    readers: dict[str, LogReader], *, target: CertRef | None = None, strict_status: bool = False,
+    case: Case, obs: ObservationSet, policy: MrdPolicy, trusted: TrustedLogSet, readers: dict[str, LogReader]
 ):
     """Assemble the minimal evidence bundle for ``case`` from a monitor's
     observations and read access to the logs.
@@ -495,11 +461,11 @@ def build_proof(
     claim, which is the expected outcome on honest traces.
     """
     if case is Case.M1_MISSING_UPDATE:
-        return _pick_m12_evidence(obs, policy, trusted, readers, target, True, strict_status)
+        return _pick_m12_evidence(obs, policy, trusted, readers, True)
     if case is Case.M2_INCORRECT_STATUS:
-        return _pick_m12_evidence(obs, policy, trusted, readers, target, False, strict_status)
+        return _pick_m12_evidence(obs, policy, trusted, readers, False)
     if case is Case.M3_EARLY_STATUS:
-        return _pick_m3_evidence(obs, policy, trusted, readers, target)
+        return _pick_m3_evidence(obs, policy, trusted, readers)
     if case is Case.LOG_FORGET:
         return _pick_sct_disclosure(obs, policy, readers)
     raise ValueError(f"unknown case {case}")

@@ -24,6 +24,11 @@ from .log import LogEntry
 from .trace import SizeProbe, SthObservation, SubmissionRecord
 
 
+MIN_UPDATES = 30  # distinct tree heads after the first that classify needs
+MAJORITY = 0.9  # share that decides each class rule and the update-rate saturation
+PERIODIC_TOLERANCE = 0.05  # a gap within 5 % of a multiple of the base counts as periodic
+
+
 class AnalysisError(Exception):
     def __init__(self, code: str, detail: str = "") -> None:
         super().__init__(f"{code}{': ' + detail if detail else ''}")
@@ -145,7 +150,7 @@ def _busy_fraction(sths: list[SthObservation], submissions: list[SubmissionRecor
     return hits / covered
 
 
-def _detect_periodic(gaps: list[int], tolerance: float) -> int | None:
+def _detect_periodic(gaps: list[int]) -> int | None:
     if not gaps:
         return None
     rounded = Counter(max(1000, round(g / 1000) * 1000) for g in gaps)
@@ -157,43 +162,35 @@ def _detect_periodic(gaps: list[int], tolerance: float) -> int | None:
     explained = 0
     for gap in gaps:
         multiple = max(1, round(gap / base))
-        if abs(gap - multiple * base) <= tolerance * multiple * base:
+        if abs(gap - multiple * base) <= PERIODIC_TOLERANCE * multiple * base:
             explained += 1
-    if explained / len(gaps) >= 0.9:
+    if explained / len(gaps) >= MAJORITY:
         return base
     return None
 
 
-def classify(
-    sths: list[SthObservation],
-    submissions: list[SubmissionRecord],
-    *,
-    min_updates: int = 30,
-    busy_threshold: float = 0.9,
-    unbusy_threshold: float = 0.9,
-    periodic_tolerance: float = 0.05,
-) -> LogClass:
+def classify(sths: list[SthObservation], submissions: list[SubmissionRecord]) -> LogClass:
     """Classify one log's update behavior from observed tree heads.
 
-    Rules apply in order: BUSY when more than 90% of successful submissions
-    are followed by an updated tree head at the next observation; UNBUSY when
-    at least 90% of updates grow the tree by exactly one; PERIODIC when one
-    base interval's integer multiples explain at least 90% of the gaps within
-    tolerance; OTHER otherwise.
+    Needs at least 30 updates. Rules apply in order: BUSY when more than 90%
+    of successful submissions are followed by an updated tree head at the
+    next observation; UNBUSY when at least 90% of updates grow the tree by
+    exactly one; PERIODIC when one base interval's integer multiples explain
+    at least 90% of the gaps within 5%; OTHER otherwise.
     """
     distinct = _distinct_sths(sths)
-    if len(distinct) - 1 < min_updates:
-        raise AnalysisError("insufficient-data", f"{len(distinct) - 1} updates < {min_updates}")
-    if _busy_fraction(sths, submissions) > busy_threshold:
+    if len(distinct) - 1 < MIN_UPDATES:
+        raise AnalysisError("insufficient-data", f"{len(distinct) - 1} updates < {MIN_UPDATES}")
+    if _busy_fraction(sths, submissions) > MAJORITY:
         return LogClass(ClassKind.BUSY)
     increments = [
         cur.sth.treesize - prev.sth.treesize for prev, cur in zip(distinct, distinct[1:])
     ]
     plus_one = sum(1 for inc in increments if inc == 1)
-    if increments and plus_one / len(increments) >= unbusy_threshold:
+    if increments and plus_one / len(increments) >= MAJORITY:
         return LogClass(ClassKind.UNBUSY)
     gaps = [cur.sth.t - prev.sth.t for prev, cur in zip(distinct, distinct[1:]) if cur.sth.t > prev.sth.t]
-    base = _detect_periodic(gaps, periodic_tolerance)
+    base = _detect_periodic(gaps)
     if base is not None:
         return LogClass(ClassKind.PERIODIC, base)
     return LogClass(ClassKind.OTHER)
@@ -281,7 +278,9 @@ class UpdateRate:
         return f"{prefix}{self.updates_per_hour:.1f}/h"
 
 
-def sth_update_rate(sths: list[SthObservation], *, saturation: float = 0.9) -> UpdateRate:
+def sth_update_rate(sths: list[SthObservation]) -> UpdateRate:
+    """Tree-head updates per hour of observation, saturated when at least
+    90% of successive observations saw a new head."""
     distinct = _distinct_sths(sths)
     ordered = sorted(sths, key=lambda o: o.t_response)
     if len(ordered) < 2 or len(distinct) < 2:
@@ -294,7 +293,7 @@ def sth_update_rate(sths: list[SthObservation], *, saturation: float = 0.9) -> U
     for prev, cur in zip(ordered, ordered[1:]):
         if (cur.sth.t, cur.sth.treesize) != (prev.sth.t, prev.sth.treesize):
             changed_pairs += 1
-    saturated = changed_pairs / (len(ordered) - 1) >= saturation
+    saturated = changed_pairs / (len(ordered) - 1) >= MAJORITY
     return UpdateRate(updates * 3_600_000.0 / span_ms, saturated)
 
 

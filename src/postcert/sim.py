@@ -246,6 +246,7 @@ def validate_scenario(scenario: Scenario) -> None:
     client_ids = {c.client_id for c in scenario.clients}
     ca_ids = {c.ca_id for c in scenario.cas}
     holders: dict[int, str] = {}  # serial -> client, for the serials issued so far
+    revocations: dict[int, str] = {}  # serial -> kind of its revocation requests so far
     # in run order: by time, ties in schedule order
     for event in sorted(scenario.schedule, key=lambda e: e.t):
         params, where = event.params, f"invalid-scenario: {event.kind} at t={event.t}"
@@ -278,6 +279,12 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioError(f"{where}: client {client} holds no certificate {serial}")
         elif event.kind == "revoke-direct" and serial not in holders:
             raise ScenarioError(f"{where}: no issuer for serial {serial}")
+        if event.kind in ("revoke-request", "revoke-direct"):
+            # a direct revocation and any other request would both set the
+            # certificate's revocation times; requests through the logs may repeat
+            if serial in revocations and "revoke-direct" in (revocations[serial], event.kind):
+                raise ScenarioError(f"{where}: serial {serial} already has a revocation request")
+            revocations[serial] = event.kind
     bound = _event_bound(scenario)
     if bound > EVENT_BUDGET:
         raise ScenarioError(f"invalid-scenario: about {bound:.3g} events, over the budget of {EVENT_BUDGET}")

@@ -81,17 +81,6 @@ def test_self_signed_postcertificate_signed_by_leaf_key(registry, leaf_cert):
     assert post.tbs.issuer == leaf_cert.tbs.issuer  # issuer field unchanged
 
 
-def test_postcertificate_key_mismatch_rejected(registry, leaf_cert):
-    with pytest.raises(CertError):
-        make_postcertificate(
-            leaf_cert, PostcertScheme.CA_ISSUED, registry, signing_key_id="leaf-key-1"
-        )
-    with pytest.raises(CertError):
-        make_postcertificate(
-            leaf_cert, PostcertScheme.SELF_SIGNED, registry, signing_key_id="ca1"
-        )
-
-
 def test_invalidation_date_before_not_before_rejected(registry, leaf_cert):
     with pytest.raises(CertError):
         make_postcertificate(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import re
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from postcert.certs import CertRef
 from postcert.crypto import KeyRegistry, Signature
-from postcert.encoding import ByteWriter, encode_artifact, text_block
+from postcert.encoding import ByteWriter, decode_artifact, encode_artifact, text_block, text_block_bytes
 from postcert.log import STH, LogEntry, MerkleAuditProof, sth_signing_payload
 from postcert.merkle import MerkleTree
 from postcert.misbehavior import MisbehaviorProofM12, proof_to_text
@@ -146,6 +147,49 @@ def test_verify_proof_malformed_snapshot_is_io_error(
     assert err.count("\n") == 1
     assert err.startswith("error: ") and "log-a.log: snapshot line " in err
     assert message in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify-proof"])
+@pytest.mark.parametrize(
+    "replacement, message",
+    [("", "missing field 'scheme'"), (" scheme=sha256/32", "unsupported scheme 'sha256/32'")],
+    ids=["missing", "other-hash"],
+)
+def test_snapshot_declaring_no_or_another_hash_is_io_error(
+    m1_bundle, tmp_path, capsys, command, replacement, message
+):
+    """Roots are SHA-256 roots, so a snapshot of any other declared hash is
+    refused at load time instead of never matching."""
+    bundle, dumps = m1_bundle
+    broken = tmp_path / "logs"
+    broken.mkdir()
+    for snapshot in dumps.glob("*.log"):
+        text = snapshot.read_text()
+        if snapshot.name == "log-a.log":
+            assert text.startswith("log id=log-a scheme=sha256 ")
+            text = text.replace(" scheme=sha256", replacement, 1)
+        (broken / snapshot.name).write_text(text)
+    if command == "analyze":
+        argv = ["analyze", "--trace", str(bundle.parent.parent / "t.trace"), "--logs", str(broken)]
+    else:
+        argv = ["verify-proof", "--proof", str(bundle), "--logs", str(broken)]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and "log-a.log: snapshot line 1: " in err and message in err
+
+
+def test_verify_proof_with_a_short_audit_path_node_is_rejected(m1_bundle, tmp_path, capsys):
+    """A 5-byte node in the audit path is a verdict, not a traceback."""
+    bundle, dumps = m1_bundle
+    proof = decode_artifact(text_block_bytes(bundle.read_text()))
+    assert proof.audit.path
+    audit = dataclasses.replace(proof.audit, path=(bytes(5),) + proof.audit.path[1:])
+    broken = tmp_path / "short.proof"
+    broken.write_text(proof_to_text(dataclasses.replace(proof, audit=audit)))
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(broken), "--logs", str(dumps))
+    assert (code, out, err) == (EXIT_REJECTED, "REJECTED(bad-audit-proof)\n", "")
 
 
 def _artifact_bytes(tag: int, *fields) -> bytes:
@@ -489,6 +533,35 @@ def test_non_canonical_integer_in_scenario_is_io_error(tmp_path, capsys, value):
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("error: line 2: ") and f"{value!r}" in err and "(bad interval value)" in err
+
+
+_REQUEST_AT_5H = "event t=18000000 kind=revoke-request client=client1 serial=1\n"
+_DIRECT_AT_5H = "event t=18000000 kind=revoke-direct serial=1\n"
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (_REQUEST_AT_5H, _REQUEST_AT_5H + "event t=21600000 kind=revoke-direct serial=1\n"),
+        (_REQUEST_AT_5H, _DIRECT_AT_5H + "event t=21600000 kind=revoke-request client=client1 serial=1\n"),
+        (_REQUEST_AT_5H, _DIRECT_AT_5H + "event t=21600000 kind=revoke-direct serial=1\n"),
+    ],
+    ids=["direct-after-logs", "logs-after-direct", "two-directs"],
+)
+def test_a_direct_revocation_beside_another_request_is_io_error(tmp_path, capsys, old, new):
+    """A direct revocation and any other revocation request of one serial
+    would both set its revocation times; the run is refused before it starts.
+    Requests through the logs alone may repeat (``collisions`` sends three)."""
+    text = scenario_to_text(build_preset("normal", 1))
+    assert text.count(old) == 1
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(text.replace(old, new))
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: invalid-scenario: ")
+    assert "at t=21600000: serial 1 already has a revocation request" in err
 
 
 def test_scenario_over_the_event_budget_is_io_error(tmp_path, capsys):

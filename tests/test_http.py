@@ -385,6 +385,37 @@ def test_plain_urllib_request_is_answered(served_log):
         assert json.loads(response.read())["log_id"] == "log1"
 
 
+@pytest.mark.parametrize("query", [
+    "get-entries?start=%D9%A3&end=3",
+    "get-entries?start=+0&end=1_0",
+    "get-entries?start=00&end=0",
+    "get-sth-consistency?first=1&second=01",
+    "get-proof-by-hash?hash={leaf}&tree_size=%2B1",
+    "get-entry-and-proof?leaf_index=-0&tree_size=1%20",
+], ids=["arabic-digit", "sign-and-underscore", "leading-zero", "consistency", "proof-by-hash",
+        "entry-and-proof"])
+def test_non_canonical_query_integer_is_a_400(served_log, ca_root, leaf_cert, query):
+    """Query integers are read as ``str`` writes them, like every file the
+    package reads; ``int`` alone would take each of these."""
+    import base64
+    import json
+    import urllib.error
+    import urllib.parse
+    import urllib.request
+
+    log, reader, clock = served_log
+    reader.submit(leaf_cert, [ca_root])
+    clock["now"] += 1000
+    with urllib.request.urlopen(f"{reader.base_url}/ct/v1/get-entries?start=0&end=0", timeout=10) as response:
+        assert len(json.loads(response.read())["entries"]) == 1
+    leaf_hash = base64.b64encode(SHA256.hash_leaf(encode_artifact(leaf_cert))).decode("ascii")
+    leaf = urllib.parse.quote(leaf_hash, safe="")
+    with pytest.raises(urllib.error.HTTPError) as answer:
+        urllib.request.urlopen(f"{reader.base_url}/ct/v1/{query.format(leaf=leaf)}", timeout=10)
+    assert answer.value.code == 400
+    assert json.loads(answer.value.read())["error"]
+
+
 @pytest.mark.parametrize("length", ["abc", "-1"])
 def test_malformed_content_length_is_answered_and_closes(served_log, length):
     import socket

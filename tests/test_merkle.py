@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from postcert.crypto import SHA256, TruncatedHashScheme
+from postcert.crypto import DIGEST_LEN, SHA256, TruncatedHashScheme
 from postcert.merkle import MerkleTree, root_from_audit_path, verify_consistency
 
 from oracles import BruteForceTree
@@ -164,6 +166,27 @@ def test_consistency_empty_prefix():
     assert tree.consistency_path(0, 9) == ()
     assert verify_consistency(0, 9, SHA256.empty_root(), tree.root(9), ())
     assert not verify_consistency(0, 9, tree.root(1), tree.root(9), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 40), data=st.data())
+def test_a_hash_of_another_length_is_a_verdict_not_an_error(size, data):
+    """A leaf hash, root or path node that is not a 32-byte digest makes
+    ``root_from_audit_path`` return None and ``verify_consistency`` False;
+    neither raises."""
+    payloads = _payloads(size, seed=114)
+    tree = _tree(payloads)
+    bad = data.draw(st.binary(max_size=2 * DIGEST_LEN).filter(lambda value: len(value) != DIGEST_LEN))
+
+    index = data.draw(st.integers(0, size - 1))
+    hashes = [SHA256.hash_leaf(payloads[index]), *tree.audit_path(index, size)]
+    hashes[data.draw(st.integers(0, len(hashes) - 1))] = bad
+    assert root_from_audit_path(hashes[0], index, size, tuple(hashes[1:])) is None
+
+    first = data.draw(st.integers(0, size))
+    hashes = [tree.root(first), tree.root(size), *tree.consistency_path(first, size)]
+    hashes[data.draw(st.integers(0, len(hashes) - 1))] = bad
+    assert verify_consistency(first, size, hashes[0], hashes[1], tuple(hashes[2:])) is False
 
 
 # Sizes around each power of two up to 4 097, where a new upper level starts

@@ -300,14 +300,14 @@ def test_m12_rejects_correct_revoked_status():
     assert verdict.reason == "status-not-incorrect"
 
 
-def test_m12_strict_mode_flags_wrong_reason():
+def test_m12_revoked_with_another_reason_is_not_incorrect():
+    """M2 compares the status class only: REVOKED answers the request,
+    whatever its reason code."""
     world = World()
     status = world.status(StatusValue.revoked("superseded"), 10 * DAY_MS)
     proof = _m12_proof(world, PUB_POLICY, status)
-    default = verify_m12(proof, PUB_POLICY, world.trusted, world.registry)
-    strict = verify_m12(proof, PUB_POLICY, world.trusted, world.registry, strict_status=True)
-    assert default.reason == "status-not-incorrect"
-    assert strict.proven
+    verdict = verify_m12(proof, PUB_POLICY, world.trusted, world.registry)
+    assert verdict.reason == "status-not-incorrect"
 
 
 def test_m12_unknown_status_counts_as_incorrect():
