@@ -27,7 +27,7 @@ from .certs import (
     make_precertificate,
     validate_chain,
 )
-from .crypto import HashScheme, KeyRegistry, SHA256, Signature, TruncatedHashScheme
+from .crypto import HashScheme, KeyRegistry, SHA256, Signature
 from .delays import DelayBreakdown, Pathway, Violation, check_bounds, sct_fast_path, total_delay
 from .log import (
     CtLog,

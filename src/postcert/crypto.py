@@ -2,8 +2,9 @@
 
 The Merkle hashing follows the usual transparency-log convention: leaves are
 hashed with a 0x00 domain-separation prefix, interior nodes with 0x01, and the
-empty tree hashes to the digest of the empty string. The hash is pluggable so
-tests can swap in a cheap truncated variant for exhaustive oracles.
+empty tree hashes to the digest of the empty string. ``HashScheme`` is a
+class so that tests can subclass it, for instance to count or truncate
+digests.
 
 Signatures are deterministic HMAC-SHA256 tags (RFC 2104) over an in-memory
 key registry: each signer id maps to one secret, secrets are fixed at
@@ -55,23 +56,6 @@ class HashScheme:
 
     def empty_root(self) -> bytes:
         return self._digest(b"")
-
-
-class TruncatedHashScheme(HashScheme):
-    """SHA-256 truncated to a few bytes and zero-padded back to 32.
-
-    Only for brute-force test oracles where hashing dominates runtime;
-    the digest length is preserved so all interfaces stay unchanged.
-    """
-
-    def __init__(self, width: int = 4) -> None:
-        if not 1 <= width <= DIGEST_LEN:
-            raise ValueError("width out of range")
-        self._width = width
-        self.name = f"sha256/{width * 8}"
-
-    def _digest(self, data: bytes) -> bytes:
-        return hashlib.sha256(data).digest()[: self._width].ljust(DIGEST_LEN, b"\x00")
 
 
 SHA256 = HashScheme()

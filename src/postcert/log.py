@@ -13,21 +13,22 @@ Signing cadence is configurable: BUSY logs fix a tree head whenever the
 published set changes, UNBUSY logs fix one tree head per merged entry, and
 PERIODIC logs fix one on a fixed interval whether or not anything changed.
 Fixing a head records its log time and tree size; its root and signature are
-computed when the head is first read. Signatures are deterministic and the
-tree keeps every level, so a head's bytes are the same whenever it is read.
+computed when the head is read. Signatures are deterministic and the tree
+keeps every level, so a head read again has equal bytes, though it need not
+be the same object.
 ``get_sth`` can also reproduce two real-world response pathologies, returning
 out-of-order or lagging tree heads with a configured probability while
 ``get_entries`` keeps serving everything already merged.
 
 Per merged entry a log keeps only what a reader can ask for: the
-``LogEntry``, its leaf hash and a share of the packed upper Merkle levels
-(under 32 bytes), its merge time and the time and size of each fixed head
-(packed 64-bit integers), and under ``RETURN_OLD_SCT`` the payload's first
-submission time. No SCT is kept: a duplicate is answered by signing that
-time again. The leaf-hash index is built on the first lookup and extended
-on later ones, so a log nobody looks up in keeps none. Pending records leave
-the queue as they merge, only heads that were read are kept as ``STH``s,
-and of their roots only the latest.
+``LogEntry``, its leaf hash (32 packed bytes) and a share of the packed
+upper Merkle levels (under 32 bytes), its merge time and the time and size
+of each fixed head (packed 64-bit integers), and under ``RETURN_OLD_SCT``
+the payload's first submission time. No SCT is kept: a duplicate is
+answered by signing that time again. The leaf-hash index is built on the
+first lookup and extended on later ones, so a log nobody looks up in keeps
+none. Pending records leave the queue as they merge, and of the heads only
+the newest one read is kept as an ``STH``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ from .certs import (
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .encoding import BLOB, I64, TEXT, U64, FieldLine, canonical_int, inline, seq, signing_payload, wire
+from .encoding import (
+    BLOB, I64, TEXT, U64, DecodeError, FieldLine, canonical_int, inline, seq, signing_payload, wire,
+)
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
 
@@ -254,16 +257,17 @@ class LogConfig:
 
 
 class TreeHeads(Sequence[STH]):
-    """A log's tree heads in publication order, each signed on first read.
+    """A log's tree heads in publication order, each signed when read.
 
     ``publish`` fixes a head as its (log time, tree size). Reading it, by
-    index, slice or iteration, computes the root and signature once and
-    caches the ``STH``, so every later read returns that same object.
-    ``len`` and ``sizes`` never sign anything. An unread head costs two
-    packed 64-bit integers; only read heads are kept as objects.
+    index, slice or iteration, computes its root and signature. Both are
+    deterministic, so a head read again has the same bytes, though not always
+    the same object: only the newest head signed so far is kept, and a read
+    of any other head signs it again. ``len`` and ``sizes`` never sign
+    anything. A head costs two packed 64-bit integers.
     """
 
-    __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_sths", "_root")
+    __slots__ = ("_log_id", "_registry", "_tree", "_times", "_sizes", "_newest")
 
     def __init__(self, log_id: str, registry: KeyRegistry, tree: MerkleTree) -> None:
         self._log_id = log_id
@@ -271,11 +275,10 @@ class TreeHeads(Sequence[STH]):
         self._tree = tree
         self._times = array("q")
         self._sizes = array("q")
-        self._sths: dict[int, STH] = {}  # signed heads by index
-        # The latest (size, root) computed. Sizes never decrease, so heads of
-        # one size in a row (PERIODIC ticks with no merge between them)
-        # share it, and any other head is signed, and so rooted, once.
-        self._root: tuple[int, bytes] = (-1, b"")
+        # (index, head) of the newest head signed. Sizes never decrease, so
+        # heads of one size in a row (PERIODIC ticks with no merge between
+        # them) share its root.
+        self._newest: tuple[int, STH | None] = (-1, None)
 
     def publish(self, t: int, treesize: int) -> None:
         self._times.append(t)
@@ -294,26 +297,21 @@ class TreeHeads(Sequence[STH]):
             return [self[i] for i in range(*index.indices(len(self._sizes)))]
         if index < 0:
             index += len(self._sizes)
-        sth = self._sths.get(index)
-        if sth is None:
-            if not 0 <= index < len(self._sizes):
-                raise IndexError("tree head index out of range")
-            sth = self._sign(index)
+        if not 0 <= index < len(self._sizes):
+            raise IndexError("tree head index out of range")
+        newest_index, newest = self._newest
+        if index == newest_index:
+            return newest
+        t, size = self._times[index], self._sizes[index]
+        root = newest.root_hash if newest is not None and newest.treesize == size else self._tree.root(size)
+        payload = sth_signing_payload(self._log_id, t, size, root)
+        sth = STH(self._log_id, t, size, root, self._registry.sign(self._log_id, payload))
+        if index > newest_index:
+            self._newest = (index, sth)
         return sth
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self._sizes)))
-
-    def _sign(self, index: int) -> STH:
-        t, size = self._times[index], self._sizes[index]
-        root_size, root = self._root
-        if root_size != size:
-            root = self._tree.root(size)
-            self._root = (size, root)
-        payload = sth_signing_payload(self._log_id, t, size, root)
-        sth = STH(self._log_id, t, size, root, self._registry.sign(self._log_id, payload))
-        self._sths[index] = sth
-        return sth
 
 
 class LogReader(Protocol):
@@ -363,29 +361,44 @@ class LogView:
         """Parse ``log_snapshot_text`` output of a SHA-256 log.
 
         Raises DecodeError naming the line for a malformed or missing field,
-        a non-integer value, bad hex, an empty signer or a declared hash
-        other than ``sha256``.
+        a non-integer value, bad hex, an empty signer, a declared hash other
+        than ``sha256``, a line of unknown kind, an ``entry`` or ``sth`` line
+        before the one ``log`` line, a second ``log`` line, an entry number
+        that is not the entry's position, or a ``size`` that is not the
+        number of entries.
         """
-        log_id = ""
+        header: FieldLine | None = None
         entries: list[LogEntry] = []
         sths: list[STH] = []
         for lineno, line in enumerate(text.splitlines(), 1):
             kind, _, rest = line.partition(" ")
-            if kind not in ("log", "entry", "sth"):
-                continue
             if kind == "log":
-                fields = FieldLine(rest, "snapshot line", lineno)
-                log_id = fields.get("id")
-                if (scheme := fields.get("scheme")) != SHA256.name:
-                    raise fields.error(f"unsupported scheme {scheme!r}")
+                if header is not None:
+                    raise DecodeError(f"snapshot line {lineno}: second log line")
+                header = FieldLine(rest, "snapshot line", lineno)
+                log_id = header.get("id")
+                if (scheme := header.get("scheme")) != SHA256.name:
+                    raise header.error(f"unsupported scheme {scheme!r}")
+                size = header.get("size", canonical_int)
+            elif kind not in ("entry", "sth"):
+                raise DecodeError(f"snapshot line {lineno}: unknown line kind {kind!r}")
+            elif header is None:
+                raise DecodeError(f"snapshot line {lineno}: {kind} line before the log line")
             elif kind == "entry":
                 payload, t_submission, number = FieldLine.read(rest, _ENTRY_FIELDS, "snapshot line", lineno)
+                if number != len(entries):
+                    raise DecodeError(
+                        f"snapshot line {lineno}: entry number {number} at position {len(entries)}")
                 entries.append(LogEntry(payload, t_submission, log_id, number))
             else:
                 t, treesize, root, signer, sig = FieldLine.read(rest, _STH_FIELDS, "snapshot line", lineno)
                 if not signer:
                     raise FieldLine(rest, "snapshot line", lineno).error("empty signer")
                 sths.append(STH(log_id, t, treesize, root, Signature(signer, sig)))
+        if header is None:
+            raise DecodeError("snapshot has no log line")
+        if size != len(entries):
+            raise header.error(f"size={size} but {len(entries)} entries")
         return LogView(log_id, entries, sths)
 
     def leaf_number(self, leaf_hash: bytes) -> int | None:

@@ -5,11 +5,10 @@ splits at the largest power of two strictly less than n, leaves are hashed
 with the 0x00 prefix and nodes with 0x01. The store keeps every complete,
 aligned subtree hash, level by level (the compact-range layout of RFC 9162
 section 2.1), so a root or proof node is a short fold over stored nodes
-rather than a recursion over leaves. The leaf level is a list of the hash
-objects ``append`` returns; each level above it is one packed ``bytearray``
-of 32-byte digests, so an upper node costs its 32 bytes and no object. Proof
-verification uses the iterative index-walk algorithms, so generation and
-verification are independent code paths.
+rather than a recursion over leaves. Every level, the leaves included, is one
+packed ``bytearray`` of 32-byte digests, so a stored node costs its 32 bytes
+and no object. Proof verification uses the iterative index-walk algorithms,
+so generation and verification are independent code paths.
 """
 
 from __future__ import annotations
@@ -27,45 +26,45 @@ def largest_power_of_two_below(n: int) -> int:
 class MerkleTree:
     """Grow-only leaf store keeping every complete subtree hash per level.
 
-    ``_leaves[i]`` is the hash of leaf ``i``. For ``h >= 1``, bytes
-    ``[32 * i, 32 * (i + 1))`` of ``_upper[h - 1]`` are the hash of leaves
-    ``[i << h, (i + 1) << h)``. ``append`` hashes each complete node as soon
-    as its right half arrives; the upper levels hold under one node per leaf
-    and no subtree is ever hashed twice.
+    Bytes ``[32 * i, 32 * (i + 1))`` of ``_levels[h]`` are the hash of leaves
+    ``[i << h, (i + 1) << h)``; level 0 holds the leaf hashes. ``append``
+    hashes each complete node as soon as its right half arrives; the levels
+    above the leaves hold under one node per leaf and no subtree is ever
+    hashed twice.
     """
 
     def __init__(self, scheme: HashScheme = SHA256) -> None:
         self.scheme = scheme
-        self._leaves: list[bytes] = []
-        self._upper: list[bytearray] = []
+        self._levels: list[bytearray] = [bytearray()]
 
     @property
     def size(self) -> int:
-        return len(self._leaves)
+        return len(self._levels[0]) // DIGEST_LEN
 
     def append(self, payload: bytes, leaf_hash: bytes | None = None) -> bytes:
         """Add one leaf and return its hash. A caller that already holds
         ``hash_leaf(payload)`` passes it as ``leaf_hash`` to skip rehashing."""
         leaf = self.scheme.hash_leaf(payload) if leaf_hash is None else leaf_hash
-        leaves = self._leaves
-        leaves.append(leaf)
-        count = len(leaves)
-        if count & 1:
-            return leaf
-        # Each trailing zero bit of the new size completes one more node.
         hash_node = self.scheme.hash_node
-        node = hash_node(leaves[-2], leaf)
-        for level in self._upper:
+        node = leaf
+        # Each level the new node leaves with an even count completes one
+        # more node above it.
+        for level in self._levels:
             level += node
-            count >>= 1
-            if count & 1:
+            if len(level) // DIGEST_LEN & 1:
                 return leaf
             node = hash_node(level[-2 * DIGEST_LEN : -DIGEST_LEN], node)
-        self._upper.append(bytearray(node))
+        self._levels.append(bytearray(node))
         return leaf
 
+    def _node(self, height: int, index: int) -> bytearray:
+        at = index * DIGEST_LEN
+        return self._levels[height][at : at + DIGEST_LEN]
+
     def leaf_hash(self, index: int) -> bytes:
-        return self._leaves[index]
+        if not 0 <= index < self.size:
+            raise IndexError("leaf index out of range")
+        return bytes(self._node(0, index))
 
     def _range_hash(self, lo: int, hi: int) -> bytes:
         """Hash of leaves ``[lo, hi)``.
@@ -75,16 +74,11 @@ class MerkleTree:
         visits. The range is then one stored node per set bit of ``hi - lo``,
         largest first, and its hash is the right-to-left fold over them.
         """
-        leaves, upper = self._leaves, self._upper
         nodes: list[bytes | bytearray] = []
         start, rest = lo, hi - lo
         while rest:
             height = rest.bit_length() - 1
-            if height:
-                at = (start >> height) * DIGEST_LEN
-                nodes.append(upper[height - 1][at : at + DIGEST_LEN])
-            else:
-                nodes.append(leaves[start])
+            nodes.append(self._node(height, start >> height))
             start += 1 << height
             rest -= 1 << height
         value = nodes.pop()

@@ -4,7 +4,8 @@ Everything here recomputes results from first principles (naive recursive
 splits over raw payloads, direct hashlib calls) and never reuses the
 production tree machinery, so a bug cannot cancel itself out. The one
 exception, ``EagerSthLog``, merges entries as ``CtLog`` does but computes and
-signs each tree head's brute-force root at publication. ``artifact_samples``
+signs each tree head's brute-force root at publication. ``TruncatedHashScheme``
+is a short-digest hash for oracles that want collisions. ``artifact_samples``
 supplies real encodings of every artifact kind, and ``declared`` a hypothesis
 strategy of any declared type, built from its wire declaration.
 """
@@ -18,7 +19,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from postcert.certs import REASON_CODES, Extension, RevocationExtension
-from postcert.crypto import HashScheme, SHA256, Signature
+from postcert.crypto import DIGEST_LEN, HashScheme, SHA256, Signature
 from postcert.encoding import DECLARED, Kind
 from postcert.log import STH, CtLog, sth_signing_payload
 
@@ -33,6 +34,23 @@ def split_point(n: int) -> int:
     while k * 2 < n:
         k *= 2
     return k
+
+
+class TruncatedHashScheme(HashScheme):
+    """SHA-256 truncated to a few bytes and zero-padded back to 32.
+
+    For brute-force oracles that want frequent collisions or cheap hashing;
+    the digest length is preserved so all interfaces stay unchanged.
+    """
+
+    def __init__(self, width: int = 4) -> None:
+        if not 1 <= width <= DIGEST_LEN:
+            raise ValueError("width out of range")
+        self._width = width
+        self.name = f"sha256/{width * 8}"
+
+    def _digest(self, data: bytes) -> bytes:
+        return hashlib.sha256(data).digest()[: self._width].ljust(DIGEST_LEN, b"\x00")
 
 
 class BruteForceTree:

@@ -180,6 +180,43 @@ def test_snapshot_declaring_no_or_another_hash_is_io_error(
     assert err.startswith("error: ") and "log-a.log: snapshot line 1: " in err and message in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "verify-proof"])
+@pytest.mark.parametrize(
+    "line_pattern, replacement, message",
+    [
+        (r"^log .*\n", "", "snapshot line 1: entry line before the log line"),
+        (r"^(log .*\n)", r"\1\1", "snapshot line 2: second log line"),
+        (r"^(log .*\n)", r"\1note x=1\n", "snapshot line 2: unknown line kind 'note'"),
+        (r"^entry number=1 ", "entry number=2 ", "snapshot line 3: entry number 2 at position 1"),
+        (r"^(log .* size=)\d+", r"\g<1>1", "snapshot line 1: size=1 but "),
+    ],
+    ids=["no-log-line", "second-log-line", "unknown-kind", "misnumbered-entry", "wrong-size"],
+)
+def test_snapshot_that_would_load_wrong_is_io_error(
+    m1_bundle, tmp_path, capsys, command, line_pattern, replacement, message
+):
+    """A snapshot whose every line parses, but which ``log_snapshot_text``
+    would not write, is refused instead of loading as some other log."""
+    bundle, dumps = m1_bundle
+    broken = tmp_path / "logs"
+    broken.mkdir()
+    for snapshot in dumps.glob("*.log"):
+        text = snapshot.read_text()
+        if snapshot.name == "log-a.log":
+            text, edits = re.subn(line_pattern, replacement, text, count=1, flags=re.M)
+            assert edits == 1
+        (broken / snapshot.name).write_text(text)
+    if command == "analyze":
+        argv = ["analyze", "--trace", str(bundle.parent.parent / "t.trace"), "--logs", str(broken)]
+    else:
+        argv = ["verify-proof", "--proof", str(bundle), "--logs", str(broken)]
+    code, out, err = _run(capsys, *argv)
+    assert code == EXIT_IO
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and f"log-a.log: {message}" in err
+
+
 def test_verify_proof_with_a_short_audit_path_node_is_rejected(m1_bundle, tmp_path, capsys):
     """A 5-byte node in the audit path is a verdict, not a traceback."""
     bundle, dumps = m1_bundle

@@ -15,9 +15,10 @@ from postcert.crypto import (
     KeyRegistry,
     SHA256,
     Signature,
-    TruncatedHashScheme,
     UnknownSignerError,
 )
+
+from oracles import TruncatedHashScheme
 
 
 def test_leaf_hash_of_empty_is_sha256_of_single_zero_byte():

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postcert.crypto import DIGEST_LEN, SHA256, TruncatedHashScheme
+from postcert.crypto import DIGEST_LEN, SHA256
 from postcert.merkle import MerkleTree, root_from_audit_path, verify_consistency
 
-from oracles import BruteForceTree
+from oracles import BruteForceTree, TruncatedHashScheme
 
 
 def _payloads(n: int, seed: int = 100) -> list[bytes]:
@@ -135,21 +135,24 @@ def test_audit_proof_rejects_bit_flips():
             assert root_from_audit_path(leaf, index, size, tuple(broken)) != good
 
 
-def test_audit_proof_soundness_exhaustive_truncated_hash():
-    """No proof verifies for a payload at a different index (trees <= 64)."""
-    scheme = TruncatedHashScheme(4)
+def test_audit_proof_soundness_exhaustive():
+    """Every proof verifies for its own payload at its own index, and for no
+    other payload at that index nor its payload at another index (trees <= 64)."""
     payloads = _payloads(64, seed=109)
-    tree = _tree(payloads, scheme)
-    oracle = BruteForceTree(payloads, scheme)
+    assert len(set(payloads)) == len(payloads)
+    leaves = [SHA256.hash_leaf(payload) for payload in payloads]
+    tree = _tree(payloads)
+    oracle = BruteForceTree(payloads)
     for size in range(1, 65):
         root = oracle.root(size)
         for index in range(size):
             path = tree.audit_path(index, size)
-            for wrong_index in range(size):
-                if wrong_index == index:
+            assert root_from_audit_path(leaves[index], index, size, path) == root
+            for other in range(size):
+                if other == index:
                     continue
-                leaf = scheme.hash_leaf(payloads[wrong_index])
-                assert root_from_audit_path(leaf, index, size, path) != root
+                assert root_from_audit_path(leaves[other], index, size, path) != root
+                assert root_from_audit_path(leaves[index], other, size, path) != root
 
 
 def test_wrong_treesize_does_not_verify():
@@ -195,17 +198,20 @@ _EDGE_SIZES = sorted({size for k in range(1, 13) for size in ((1 << k) - 1, 1 <<
 
 
 def _check_growing_tree(scheme, every_size_up_to: int) -> None:
-    """Appends between queries under ``scheme``: every root, audit path and
-    consistency path matches the oracle at each size up to ``every_size_up_to``;
-    at each size of ``_EDGE_SIZES`` above it, the root, every earlier root of
-    an edge size, and the paths of the edge and sampled indexes do."""
+    """Appends between queries under ``scheme``: at every size the newest
+    leaf hash matches; every root, leaf hash, audit path and consistency path
+    matches the oracle at each size up to ``every_size_up_to``; at each size
+    of ``_EDGE_SIZES`` above it, the root, every earlier root of an edge size,
+    and the leaf hashes and paths of the edge and sampled indexes do."""
     payloads = _payloads(_EDGE_SIZES[-1], seed=112)
+    leaves = [scheme.hash_leaf(payload) for payload in payloads]
     oracle = BruteForceTree(payloads, scheme)
     tree = MerkleTree(scheme)
     rng = random.Random(113)
     for n in range(1, len(payloads) + 1):
-        tree.append(payloads[n - 1])
+        assert tree.append(payloads[n - 1]) == leaves[n - 1]
         assert tree.size == n
+        assert tree.leaf_hash(n - 1) == leaves[n - 1]
         if n <= every_size_up_to:
             indexes, firsts = range(n), range(n + 1)
         elif n in _EDGE_SIZES:
@@ -219,7 +225,11 @@ def _check_growing_tree(scheme, every_size_up_to: int) -> None:
         assert tree.root() == oracle.root(n)
         assert isinstance(tree.root(), bytes)
         for index in indexes:
+            assert tree.leaf_hash(index) == leaves[index]
+            assert isinstance(tree.leaf_hash(index), bytes)
             assert tree.audit_path(index, n) == oracle.audit_path(index, n)
+        with pytest.raises(IndexError):
+            tree.leaf_hash(n)
         for first in firsts:
             assert tree.consistency_path(first, n) == oracle.consistency_path(first, n)
         earlier = n // 3
