@@ -24,11 +24,10 @@ from .certs import (
     ValidationContext,
     corresponds,
     make_postcertificate,
-    make_precertificate,
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
-from .delays import DelayBreakdown, Pathway, Violation, check_bounds, sct_fast_path, total_delay
+from .delays import DelayBreakdown, Pathway, Violation, check_bounds
 from .log import (
     CtLog,
     DuplicatePolicy,
@@ -80,7 +79,6 @@ from .status import (
     RevocationStatus,
     StatusKind,
     StatusValue,
-    contradiction_set,
     issue_status,
     status_update_deadline,
     verify_status,

@@ -1,12 +1,12 @@
-"""Certificate, precertificate and postcertificate model with chain validation.
+"""Certificate and postcertificate model with log-side chain validation.
 
-A precertificate is an ordinary certificate carrying the critical poison
-extension; browsers must reject it, logs accept it. A postcertificate is a
-copy of a target certificate carrying a critical revocation extension, and its
-submission to a log constitutes a revocation request. Two signing schemes
-exist: CA-issued (signed by the issuer, accepted by unmodified logs) and
-self-signed (signed with the target certificate's own key, accepted only by
-logs that validate the extended chain leading with the target certificate).
+A postcertificate is a copy of a target certificate carrying a critical
+revocation extension, and its submission to a log constitutes a revocation
+request. Two signing schemes exist: CA-issued (signed by the issuer, accepted
+by unmodified logs) and self-signed (signed with the target certificate's own
+key, accepted only by logs that validate the extended chain leading with the
+target certificate). ``validate_chain`` checks a submission as a log of either
+kind does.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ class PostcertScheme(enum.Enum):
 
 
 class ValidationContext(enum.Enum):
-    BROWSER = "BROWSER"
     LOG_CA_ISSUED = "LOG_CA_ISSUED"
     LOG_SELF_SIGNED = "LOG_SELF_SIGNED"
 
 
 # Reject reasons reported by validate_chain.
-REJECT_CRITICAL_EXTENSION = "critical-extension"
 REJECT_BAD_SIGNATURE = "bad-signature"
 REJECT_UNTRUSTED_ROOT = "untrusted-root"
 REJECT_MISSING_TARGET = "missing-target-in-chain"
@@ -217,18 +215,6 @@ def sign_certificate(registry: KeyRegistry, issuer_key_id: str, tbs: TbsCertific
     return Certificate(tbs=tbs, signature=registry.sign(issuer_key_id, tbs.encoded))
 
 
-def make_precertificate(cert: Certificate, registry: KeyRegistry) -> Certificate:
-    """Copy of ``cert`` with the critical poison extension added, re-signed
-    by its issuer.
-
-    The result shares its TBS data with the original except for the poison
-    extension, which renders it invalid in browser context.
-    """
-    poison = Extension(oid=POISON_OID, critical=True, value=b"")
-    tbs = replace(cert.tbs, extensions=cert.tbs.extensions + (poison,))
-    return sign_certificate(registry, cert.signature.signer_id, tbs)
-
-
 def make_postcertificate(
     cert: Certificate,
     scheme: PostcertScheme,
@@ -270,7 +256,7 @@ def corresponds(a: Certificate | Postcertificate, b: Certificate | Postcertifica
     """True when both describe the same certificate body.
 
     Poison, revocation and embedded-SCT extensions are ignored, so a
-    postcertificate (or precertificate) corresponds to its target.
+    postcertificate corresponds to its target.
     """
     ta = replace(a.tbs, extensions=_strip_extensions(a.tbs.extensions))
     tb = replace(b.tbs, extensions=_strip_extensions(b.tbs.extensions))
@@ -325,10 +311,6 @@ class TrustStore:
         return id(cert) in self._held or cert in self._roots
 
 
-def _has_critical_unknown_extension(tbs: TbsCertificate) -> bool:
-    return any(e.critical and e.oid in (POISON_OID, REVOCATION_OID) for e in tbs.extensions)
-
-
 def _verify_cert_signature(cert: Certificate, issuer: Certificate, registry: KeyRegistry) -> bool:
     if cert.tbs.issuer != issuer.tbs.subject:
         return False
@@ -358,23 +340,15 @@ def validate_chain(
     registry: KeyRegistry,
     trust: TrustStore,
 ) -> ChainVerdict:
-    """Validate a submission in one of the three contexts.
+    """Validate a submission in one of the two log contexts.
 
-    BROWSER rejects anything carrying a critical poison or revocation
-    extension. LOG_CA_ISSUED accepts exactly what a standard log accepts:
+    LOG_CA_ISSUED accepts exactly what a standard log accepts:
     the leaf signed by chain[0], chaining to a trusted root. LOG_SELF_SIGNED
     additionally requires chain[0] to be the target certificate and the leaf
     to be signed with that certificate's key.
     """
     if not chain:
         return _reject(REJECT_EMPTY_CHAIN)
-
-    if context is ValidationContext.BROWSER:
-        if isinstance(leaf, Postcertificate) or _has_critical_unknown_extension(leaf.tbs):
-            return _reject(REJECT_CRITICAL_EXTENSION)
-        if not _verify_cert_signature(leaf, chain[0], registry):
-            return _reject(REJECT_BAD_SIGNATURE)
-        return _validate_issuer_chain(chain, registry, trust)
 
     if context is ValidationContext.LOG_CA_ISSUED:
         if isinstance(leaf, Postcertificate):

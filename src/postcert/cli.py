@@ -261,7 +261,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_proof(args: argparse.Namespace) -> int:
-    bundle = decode_artifact(text_block_bytes(Path(args.proof).read_text()))
+    text = Path(args.proof).read_text()
+    bundle = decode_artifact(text_block_bytes(text))
+    try:
+        shown = proof_to_text(bundle)
+    except TypeError:
+        raise _Exit(EXIT_USAGE, "not a proof bundle") from None
+    if text != shown:  # the header lines a reader sees must be those of the verified bytes
+        raise DecodeError(f"{args.proof}: header lines disagree with the bytes line")
     readers = _read_log_dumps(args.logs)
     policy = _policy_from_args(args)
     if args.trusted:
@@ -275,10 +282,7 @@ def _cmd_verify_proof(args: argparse.Namespace) -> int:
     status = getattr(bundle, "status", None)
     if isinstance(status, RevocationStatus):
         signer_ids.append(status.signature.signer_id)
-    try:
-        verdict = verify_proof(bundle, policy, trusted, KeyRegistry.with_signers(signer_ids), readers)
-    except TypeError:
-        raise _Exit(EXIT_USAGE, "not a proof bundle") from None
+    verdict = verify_proof(bundle, policy, trusted, KeyRegistry.with_signers(signer_ids), readers)
     if verdict.proven:
         print("PROVEN")
         return EXIT_OK

@@ -37,7 +37,8 @@ They are the reference the declared codecs are tested against.
 
 ``fields_line`` and ``FieldLine`` write and read one line of ``key=value``
 fields, the text form of trace lines, log snapshots and scenario files; their
-integer fields are read with ``canonical_int``.
+integer fields are read with ``canonical_int``. A key appears once in a line,
+and a line of fixed layout has only the keys it reads.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import dataclasses
 import enum
 import functools
 import struct
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -522,23 +523,33 @@ def canonical_int(text: str) -> int:
 
 
 class FieldLine:
-    """The fields of one ``fields_line``, read by key. Every failure is a
-    DecodeError naming the line (``label lineno``) and the field; the name is
-    built only on failure."""
+    """The fields of one ``fields_line``, read by key; a key appears once.
+    Every failure is a DecodeError naming the line (``label lineno``) and the
+    field; the name is built only on failure."""
 
     __slots__ = ("fields", "label", "lineno")
 
     def __init__(self, text: str, label: str, lineno: int) -> None:
         self.label = label
         self.lineno = lineno
-        try:
-            self.fields = dict([item.split("=", 1) for item in text.split()])
-        except ValueError:
-            item = next(item for item in text.split() if "=" not in item)
-            raise self.error(f"malformed field {item!r}") from None
+        self.fields: dict[str, str] = {}
+        for item in text.split():
+            key, sep, value = item.partition("=")
+            if not sep:
+                raise self.error(f"malformed field {item!r}")
+            if key in self.fields:
+                raise self.error(f"repeated field {key!r}")
+            self.fields[key] = value
 
     def error(self, what: str) -> DecodeError:
         return DecodeError(f"{self.label} {self.lineno}: {what}")
+
+    def only(self, keys: Collection[str]) -> None:
+        """Refuse a field whose key is not in ``keys``: a fixed layout
+        writes back only the keys it reads."""
+        for key in self.fields:
+            if key not in keys:
+                raise self.error(f"unknown field {key!r}")
 
     def get(self, key: str, parse: Callable[[str], object] = str, *default: object):
         """Field ``key`` through ``parse``, or ``default`` when it is absent."""
@@ -553,12 +564,17 @@ class FieldLine:
 
     @staticmethod
     def read(text: str, keys: Sequence[tuple[str, Callable[[str], object]]], label: str, lineno: int) -> list:
-        """The fields ``keys`` names, in order, each through its parser: the
-        path for a fixed layout read line after line, which builds a
-        FieldLine only to name a failure."""
-        try:
-            fields = dict([item.split("=", 1) for item in text.split()])
-            return [parse(fields[key]) for key, parse in keys]
-        except (KeyError, ValueError):
-            line = FieldLine(text, label, lineno)
-            return [line.get(key, parse) for key, parse in keys]
+        """The fields ``keys`` names, in order, each through its parser, from
+        a line with exactly those keys: the path for a fixed layout read line
+        after line, which builds a FieldLine only to name a failure. As many
+        items as keys, each key found, means no key is repeated or unknown."""
+        items = text.split()
+        if len(items) == len(keys):
+            try:
+                fields = dict([item.split("=", 1) for item in items])
+                return [parse(fields[key]) for key, parse in keys]
+            except (KeyError, ValueError):
+                pass
+        line = FieldLine(text, label, lineno)
+        line.only([key for key, _ in keys])
+        return [line.get(key, parse) for key, parse in keys]

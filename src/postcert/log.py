@@ -360,12 +360,12 @@ class LogView:
     def from_text(text: str) -> "LogView":
         """Parse ``log_snapshot_text`` output of a SHA-256 log.
 
-        Raises DecodeError naming the line for a malformed or missing field,
-        a non-integer value, bad hex, an empty signer, a declared hash other
-        than ``sha256``, a line of unknown kind, an ``entry`` or ``sth`` line
-        before the one ``log`` line, a second ``log`` line, an entry number
-        that is not the entry's position, or a ``size`` that is not the
-        number of entries.
+        Raises DecodeError naming the line for a malformed, missing,
+        repeated or unknown field, a non-integer value, bad hex, an empty
+        signer, a declared hash other than ``sha256``, a line of unknown
+        kind, an ``entry`` or ``sth`` line before the one ``log`` line, a
+        second ``log`` line, an entry number that is not the entry's
+        position, or a ``size`` that is not the number of entries.
         """
         header: FieldLine | None = None
         entries: list[LogEntry] = []
@@ -376,6 +376,7 @@ class LogView:
                 if header is not None:
                     raise DecodeError(f"snapshot line {lineno}: second log line")
                 header = FieldLine(rest, "snapshot line", lineno)
+                header.only(("id", "scheme", "size"))
                 log_id = header.get("id")
                 if (scheme := header.get("scheme")) != SHA256.name:
                     raise header.error(f"unsupported scheme {scheme!r}")

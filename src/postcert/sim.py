@@ -858,8 +858,15 @@ def _enum(cls: type[enum.Enum]) -> tuple:
     return (lambda value: value.value, cls)
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if repr(value) != text:  # "6", "6.00", "1e1" or a full-width digit would write back as other text
+        raise ValueError(f"non-canonical float {text!r}, not as repr writes it")
+    return value
+
+
 _INT = (str, canonical_int)
-_FLOAT = (str, float)
+_FLOAT = (repr, _float)
 _TEXT = (str, str)
 
 
@@ -994,9 +1001,10 @@ def scenario_to_text(scenario: Scenario) -> str:
 
 
 def scenario_from_text(text: str) -> Scenario:
-    """Parse ``scenario_to_text`` output. A malformed or missing field or a
-    bad value raises DecodeError naming the line; an unknown line or a
-    missing header raises ScenarioError."""
+    """Parse ``scenario_to_text`` output. A malformed, missing or repeated
+    field, a key that is not the line's own (event params aside), a bad
+    value, or a second header or probe line raises DecodeError naming the
+    line; an unknown line or a missing header raises ScenarioError."""
     header: dict[str, Any] | None = None
     actors: dict[str, list] = {attr: [] for attr, _, _ in _ACTOR_LINES.values()}
     schedule: list[ScheduledEvent] = []
@@ -1011,20 +1019,27 @@ def scenario_from_text(text: str) -> Scenario:
         elif kind != "event" and kind not in _ACTOR_LINES:
             raise ScenarioError(f"invalid-scenario: unknown line {line!r}")
         fields = FieldLine(rest, "line", lineno)
-        if not kind:
-            header = _read_fields(dict, _HEADER_FIELDS, fields)
-        elif kind == "event":
+        if kind == "event":
             params = {key: value for key, value in fields.fields.items() if key not in event_keys}
             schedule.append(_read_fields(ScheduledEvent, _EVENT_FIELDS, fields, params=params))
-        else:
-            attr, cls, rows = _ACTOR_LINES[kind]
-            actors[attr].append(_read_fields(cls, rows, fields))
+            continue
+        if not kind:
+            if header is not None:
+                raise fields.error("second header line")
+            fields.only([key for key, *_ in _HEADER_FIELDS])
+            header = _read_fields(dict, _HEADER_FIELDS, fields)
+            continue
+        attr, cls, rows = _ACTOR_LINES[kind]
+        if kind == "probe" and actors[attr]:
+            raise fields.error("second probe line")
+        fields.only([key for key, *_ in rows])
+        actors[attr].append(_read_fields(cls, rows, fields))
     if header is None:
         raise ScenarioError("invalid-scenario: missing scenario header")
     probes = actors.pop("probe")
     return Scenario(
         **header,
         **{attr: tuple(values) for attr, values in actors.items()},
-        probe=probes[-1] if probes else None,
+        probe=probes[0] if probes else None,
         schedule=tuple(schedule),
     )

@@ -1,10 +1,11 @@
 """Signed revocation statuses with the CA/Browser-forum validity rules.
 
 Statuses are short-lived signed assertions (GOOD / REVOKED / UNKNOWN) with a
-validity window of 8 hours to 10 days. An honest CA only issues a non-good
-status after it holds evidence that the corresponding postcertificate reached
-a log, and an updated status must be republished before the deadline derived
-from the validity period.
+validity window of 8 hours to 10 days. ``issue_status`` signs one, and an
+honest CA only issues a non-good status after it holds evidence that the
+corresponding postcertificate reached a log; ``verify_status`` checks its
+signature; ``status_update_deadline`` gives how soon an updated status must
+be republished, derived from the validity period.
 """
 
 from __future__ import annotations
@@ -72,10 +73,6 @@ class RevocationStatus:
     validity_ms: int
     signature: Signature
 
-    def covers(self, at: int) -> bool:
-        """Validity windows are half-open: [t, t + validity)."""
-        return self.t <= at < self.t + self.validity_ms
-
 
 status_signing_payload = signing_payload(RevocationStatus)
 
@@ -129,20 +126,3 @@ def status_update_deadline(validity_ms: int) -> int:
     if validity_ms < _SHORT_VALIDITY_MS:
         return validity_ms // 2
     return min(validity_ms - VALIDITY_MIN_MS, _UPDATE_CAP_MS)
-
-
-def contradiction_set(statuses: list[RevocationStatus], at: int) -> list[tuple[int, int]]:
-    """Index pairs of simultaneously-valid statuses whose kinds disagree.
-
-    Overlapping windows with differing kinds are reported, never adjudicated;
-    which assertion wins is a policy question outside this toolkit.
-    """
-    covering = [(i, s) for i, s in enumerate(statuses) if s.covers(at)]
-    conflicts: list[tuple[int, int]] = []
-    for a in range(len(covering)):
-        for b in range(a + 1, len(covering)):
-            i, si = covering[a]
-            j, sj = covering[b]
-            if si.cert_ref == sj.cert_ref and si.value.kind is not sj.value.kind:
-                conflicts.append((i, j))
-    return conflicts

@@ -36,8 +36,6 @@ def parse_duration_ms(text: str) -> int:
 
     A bare integer is taken as milliseconds.
     """
-    if isinstance(text, (int, float)):
-        return int(text)
     stripped = text.strip()
     if stripped.isdigit():
         return int(stripped)
@@ -46,13 +44,3 @@ def parse_duration_ms(text: str) -> int:
         raise DurationError(f"unparseable duration: {text!r}")
     value, unit = match.groups()
     return int(round(float(value) * _UNITS[unit]))
-
-
-def format_duration_ms(ms: int) -> str:
-    """Render a millisecond duration with the largest exact unit."""
-    if ms == 0:
-        return "0ms"
-    for unit, factor in (("d", DAY_MS), ("h", HOUR_MS), ("m", MINUTE_MS), ("s", SECOND_MS)):
-        if ms % factor == 0:
-            return f"{ms // factor}{unit}"
-    return f"{ms}ms"

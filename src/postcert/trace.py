@@ -174,7 +174,6 @@ class ObservationSet:
     sizes: dict[str, list[SizeProbe]] = field(default_factory=dict)
     statuses: list[RevocationStatus] = field(default_factory=list)
     scts: list[SCT] = field(default_factory=list)
-    discoveries: list[DiscoveryRecord] = field(default_factory=list)
     violations: list[ViolationRecord] = field(default_factory=list)
     proofs: list[ProofRecord] = field(default_factory=list)
 
@@ -201,8 +200,6 @@ def observations(artifacts: Iterable[object]) -> ObservationSet:
             obs.sizes.setdefault(artifact.log_id, []).append(artifact)
         elif isinstance(artifact, RevocationStatus):
             obs.statuses.append(artifact)
-        elif isinstance(artifact, DiscoveryRecord):
-            obs.discoveries.append(artifact)
         elif isinstance(artifact, ViolationRecord):
             obs.violations.append(artifact)
         elif isinstance(artifact, ProofRecord):

@@ -1,4 +1,4 @@
-"""Certificate model: pre/postcertificate construction and chain validation."""
+"""Certificate model: postcertificate construction and chain validation."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from postcert.certs import (
     Postcertificate,
     PostcertScheme,
     REJECT_BAD_SIGNATURE,
-    REJECT_CRITICAL_EXTENSION,
     REJECT_MISSING_TARGET,
     REJECT_UNTRUSTED_ROOT,
     REVOCATION_OID,
@@ -28,7 +27,6 @@ from postcert.certs import (
     corresponds,
     is_postcert_payload,
     make_postcertificate,
-    make_precertificate,
     sign_certificate,
     validate_chain,
 )
@@ -38,29 +36,14 @@ from postcert.encoding import decode_artifact, encode_artifact
 from oracles import artifact_samples
 
 
-def test_precertificate_differs_only_by_poison_extension(registry, leaf_cert):
-    pre = make_precertificate(leaf_cert, registry)
-    assert pre.tbs.extensions[-1].oid == POISON_OID
-    assert pre.tbs.extensions[-1].critical
-    stripped = dataclasses.replace(pre.tbs, extensions=pre.tbs.extensions[:-1])
-    assert stripped == leaf_cert.tbs
-
-
-def test_precertificate_rejected_in_browser(registry, leaf_cert, ca_root, trust):
-    pre = make_precertificate(leaf_cert, registry)
-    verdict = validate_chain(pre, [ca_root], ValidationContext.BROWSER, registry, trust)
-    assert not verdict
-    assert verdict.reason == REJECT_CRITICAL_EXTENSION
-
-
 def test_precertificate_corresponds_to_original(registry, leaf_cert):
-    pre = make_precertificate(leaf_cert, registry)
+    """A copy carrying the critical poison extension, re-signed by the
+    issuer, describes the same certificate body."""
+    poison = Extension(oid=POISON_OID, critical=True, value=b"")
+    tbs = dataclasses.replace(leaf_cert.tbs, extensions=leaf_cert.tbs.extensions + (poison,))
+    pre = sign_certificate(registry, "ca1", tbs)
     assert corresponds(pre, leaf_cert)
-
-
-def test_plain_certificate_accepted_in_browser(registry, leaf_cert, ca_root, trust):
-    verdict = validate_chain(leaf_cert, [ca_root], ValidationContext.BROWSER, registry, trust)
-    assert verdict
+    assert corresponds(make_postcertificate(leaf_cert, PostcertScheme.CA_ISSUED, registry), pre)
 
 
 def test_ca_issued_postcertificate_construction(registry, leaf_cert):
@@ -121,13 +104,6 @@ def test_log_accepts_ca_issued_post_with_normal_chain(registry, leaf_cert, ca_ro
     post = make_postcertificate(leaf_cert, PostcertScheme.CA_ISSUED, registry)
     verdict = validate_chain(post, [ca_root], ValidationContext.LOG_CA_ISSUED, registry, trust)
     assert verdict
-
-
-def test_browser_rejects_any_postcertificate(registry, leaf_cert, ca_root, trust):
-    for scheme in PostcertScheme:
-        post = make_postcertificate(leaf_cert, scheme, registry)
-        verdict = validate_chain(post, [ca_root], ValidationContext.BROWSER, registry, trust)
-        assert verdict.reason == REJECT_CRITICAL_EXTENSION
 
 
 def test_self_signed_requires_target_in_chain(registry, leaf_cert, ca_root, trust):

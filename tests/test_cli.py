@@ -217,6 +217,97 @@ def test_snapshot_that_would_load_wrong_is_io_error(
     assert err.startswith("error: ") and f"log-a.log: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "file, line_pattern, replacement, message",
+    [
+        ("trace", r"^(t=\d+ seq=0 .*)$", r"\1 extra=1", "trace line 1: unknown field 'extra'"),
+        ("trace", r"^(t=\d+ seq=0 .*)$", r"\1 seq=5", "trace line 1: repeated field 'seq'"),
+        ("snapshot", r"^log ", "log bogus=1 ", "snapshot line 1: unknown field 'bogus'"),
+        ("snapshot", r"^(log .*)$", r"\1 size=311", "snapshot line 1: repeated field 'size'"),
+        ("snapshot", r"^(entry number=0 .*)$", r"\1 note=x", "snapshot line 2: unknown field 'note'"),
+        ("snapshot", r"^(sth t=0 .*)$", r"\1 t=0", "repeated field 't'"),
+        ("scenario", r"^log ", "log bogus=1 ", "line 2: unknown field 'bogus'"),
+        ("scenario", r"^(scenario=.*)$", r"\1 seed=5", "line 1: repeated field 'seed'"),
+        ("scenario", r"^(probe .*)$", r"\1\n\1", "second probe line"),
+        ("scenario", r"^(event .*kind=issue.*)$", r"\1 serial=2", "repeated field 'serial'"),
+    ],
+    ids=["trace-extra", "trace-repeated", "snapshot-log-extra", "snapshot-log-repeated", "snapshot-entry-extra",
+         "snapshot-sth-repeated", "scenario-log-extra", "scenario-header-repeated", "scenario-second-probe",
+         "scenario-event-repeated"],
+)
+def test_a_repeated_key_or_one_the_line_does_not_read_is_io_error(
+    m1_bundle, tmp_path, capsys, file, line_pattern, replacement, message
+):
+    """Each would load and write back as other text: a key appears once, a
+    line of fixed layout has only the keys it reads, and a second probe line
+    does not silently replace the first. Event params stay free-form."""
+    bundle, dumps = m1_bundle
+    trace = bundle.parent.parent / "t.trace"
+    logs = tmp_path / "logs"
+    logs.mkdir()
+    for snapshot in dumps.glob("*.log"):
+        (logs / snapshot.name).write_text(snapshot.read_text())
+    target = {"trace": tmp_path / "t.trace", "snapshot": logs / "log-a.log", "scenario": tmp_path / "s.txt"}[file]
+    text = {"trace": trace.read_text(), "snapshot": (dumps / "log-a.log").read_text(),
+            "scenario": scenario_to_text(build_preset("m1", 4))}[file]
+    text, edits = re.subn(line_pattern, replacement, text, count=1, flags=re.M)
+    assert edits == 1
+    target.write_text(text)
+    argv = {
+        "trace": ["analyze", "--trace", str(target), "--logs", str(dumps)],
+        "snapshot": ["verify-proof", "--proof", str(bundle), "--logs", str(logs)],
+        "scenario": ["simulate", "--scenario", str(target), "--out", str(tmp_path / "out.trace")],
+    }[file]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (EXIT_IO, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("background", "6"), ("background", "\uff16.0"), ("background", "6.00"), ("background", "1e1"),
+    ("background", "+6.0"), ("cache_p", "0"), ("cache_p", "0.00"), ("cache_p", "5e-2"),
+])
+def test_non_canonical_float_in_scenario_is_io_error(tmp_path, capsys, field, value):
+    """A float field is written as ``repr`` writes it; ``float`` alone would
+    read each of these and write back ``6.0``, ``10.0``, ``0.0`` or ``0.05``."""
+    text = scenario_to_text(build_preset("m1", 4))
+    broken, edits = re.subn(rf"(log id=log-a .*){field}=[0-9.]+", rf"\g<1>{field}={value}", text, count=1)
+    assert edits == 1
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(broken, encoding="utf-8")
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file), "--out", str(tmp_path / "t.trace"))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: line 2: ") and f"{value!r}" in err and f"(bad {field} value)" in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (r"^entry_t_submission: \d+$", "entry_t_submission: 10800000"),
+        (r"^status_kind: GOOD$", "status_kind: REVOKED"),
+        (r"^kind: misbehavior-m12$", "kind: misbehavior-m3"),
+        (r"^(sth_t: .*)$", r"\1\nnote: checked"),
+        (r"^sth_treesize: .*\n", ""),
+    ],
+    ids=["edited-time", "edited-kind-of-status", "edited-kind", "added-line", "dropped-line"],
+)
+def test_proof_whose_header_disagrees_with_its_bytes_is_io_error(m1_bundle, tmp_path, capsys, old, new):
+    """The header lines a reader sees must be those of the verified bytes:
+    the file must be ``proof_to_text`` of the bundle its ``bytes:`` line
+    holds. The bundle itself is unchanged, so it would verify."""
+    bundle, dumps = m1_bundle
+    text, edits = re.subn(old, new, bundle.read_text(), count=1, flags=re.M)
+    assert edits == 1
+    broken = tmp_path / "edited.proof"
+    broken.write_text(text)
+    assert text_block_bytes(text) == text_block_bytes(bundle.read_text())
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(broken), "--logs", str(dumps))
+    assert (code, out) == (EXIT_IO, "")
+    assert err == f"error: {broken}: header lines disagree with the bytes line\n"
+
+
 def test_verify_proof_with_a_short_audit_path_node_is_rejected(m1_bundle, tmp_path, capsys):
     """A 5-byte node in the audit path is a verdict, not a traceback."""
     bundle, dumps = m1_bundle

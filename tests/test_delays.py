@@ -1,8 +1,6 @@
-"""Delay accounting: totals, pathway bounds, fast path, mutation behavior."""
+"""Delay accounting: pathway bounds and mutation behavior."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
@@ -10,14 +8,11 @@ from postcert.delays import (
     CURRENT_PROCESSING_LIMIT_MS,
     DelayBreakdown,
     DelayError,
-    Pathway,
     VIOLATION_DISCOVERY_UPDATE,
     VIOLATION_PROCESSING_UPDATE,
     VIOLATION_PUBLICATION,
     VIOLATION_TOTAL,
     check_bounds,
-    sct_fast_path,
-    total_delay,
 )
 from postcert.misbehavior import MrdMode, MrdPolicy
 from postcert.timeutil import DAY_MS, HOUR_MS, MINUTE_MS
@@ -25,43 +20,15 @@ from postcert.timeutil import DAY_MS, HOUR_MS, MINUTE_MS
 PUB = MrdPolicy(MrdMode.FROM_PUBLICATION, mrd_ms=8 * HOUR_MS, mmd_ms=DAY_MS)
 SUB = MrdPolicy(MrdMode.FROM_SUBMISSION, mrd_ms=48 * HOUR_MS, mmd_ms=DAY_MS)
 
-PUBLICATION_6_4_MIN = int(6.4 * MINUTE_MS)
-
-
-def test_current_total():
-    b = DelayBreakdown.current(DAY_MS, 2 * DAY_MS, DAY_MS)
-    assert total_delay(b) == 4 * DAY_MS
-
-
-def test_postcert_total_with_measured_publication_delay():
-    b = DelayBreakdown.postcert(PUBLICATION_6_4_MIN, 30 * MINUTE_MS, 4 * HOUR_MS)
-    assert total_delay(b) == PUBLICATION_6_4_MIN + 30 * MINUTE_MS + 4 * HOUR_MS
-
-
-def test_zero_total():
-    assert total_delay(DelayBreakdown.postcert(0, 0, 0)) == 0
-
-
-def test_missing_component_raises():
-    b = DelayBreakdown(Pathway.POSTCERT, publication_ms=1, status_update_ms=1)
-    with pytest.raises(DelayError):
-        total_delay(b)
-
 
 def test_negative_component_rejected():
-    with pytest.raises(DelayError):
-        DelayBreakdown.postcert(-1, 0, 0)
-
-
-def test_total_monotone_in_each_component():
-    rng = random.Random(3)
-    for _ in range(200):
-        parts = [rng.randrange(0, DAY_MS) for _ in range(3)]
-        base = total_delay(DelayBreakdown.postcert(*parts))
-        index = rng.randrange(3)
-        bumped = list(parts)
-        bumped[index] += rng.randrange(1, HOUR_MS)
-        assert total_delay(DelayBreakdown.postcert(*bumped)) > base
+    for make in (DelayBreakdown.current, DelayBreakdown.postcert):
+        assert make(0, 0, 0).components == (0, 0, 0)
+        for index in range(3):
+            parts = [MINUTE_MS] * 3
+            parts[index] = -1
+            with pytest.raises(DelayError):
+                make(*parts)
 
 
 def test_current_boundary_is_inclusive():
@@ -108,35 +75,3 @@ def test_mutation_produces_exactly_one_violation_each():
         parts = [2 * HOUR_MS, HOUR_MS, 2 * HOUR_MS]
         parts[index] += SUB.mrd_ms
         assert len(check_bounds(DelayBreakdown.postcert(*parts), SUB)) == 1
-
-
-def test_fast_path_replaces_publication_and_discovery():
-    slow = DelayBreakdown.postcert(PUBLICATION_6_4_MIN, 30 * MINUTE_MS, 4 * HOUR_MS)
-    fast = sct_fast_path(slow, MINUTE_MS)
-    assert fast.publication_ms == MINUTE_MS
-    assert fast.mon_discovery_ms == 0
-    assert fast.status_update_ms == 4 * HOUR_MS
-    assert total_delay(fast) == MINUTE_MS + 4 * HOUR_MS
-
-
-def test_fast_path_zero_handoff_reduces_to_update_alone():
-    slow = DelayBreakdown.postcert(HOUR_MS, HOUR_MS, 3 * HOUR_MS)
-    fast = sct_fast_path(slow, 0)
-    assert total_delay(fast) == 3 * HOUR_MS
-
-
-def test_fast_path_never_slower_when_handoff_is_quicker():
-    rng = random.Random(9)
-    for _ in range(300):
-        publication = rng.randrange(0, DAY_MS)
-        discovery = rng.randrange(0, 4 * HOUR_MS)
-        update = rng.randrange(0, 4 * DAY_MS)
-        slow = DelayBreakdown.postcert(publication, discovery, update)
-        handoff = rng.randrange(0, publication + discovery + 1)
-        fast = sct_fast_path(slow, handoff)
-        assert total_delay(fast) <= total_delay(slow)
-
-
-def test_fast_path_requires_postcert_pathway():
-    with pytest.raises(DelayError):
-        sct_fast_path(DelayBreakdown.current(0, 0, 0), 10)

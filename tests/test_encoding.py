@@ -521,7 +521,8 @@ def test_a_decoded_tbs_caches_the_blob_it_was_read_from(cls, data):
 def test_field_line_round_trips_and_reads_by_key():
     line = fields_line([("t", 5), ("who", "ca1"), ("hex", "00ff")])
     assert line == "t=5 who=ca1 hex=00ff"
-    assert FieldLine.read(line, (("hex", bytes.fromhex), ("t", int)), "line", 3) == [b"\x00\xff", 5]
+    keys = (("hex", bytes.fromhex), ("t", int), ("who", str))
+    assert FieldLine.read(line, keys, "line", 3) == [b"\x00\xff", 5, "ca1"]
     fields = FieldLine(line, "line", 3)
     assert fields.get("who") == "ca1"
     assert fields.get("t", int) == 5
@@ -542,8 +543,14 @@ def _read_keys(*keys):
         ("t=soon", _read_keys(("t", int)), "snapshot line 4: invalid literal for int()"),
         ("t=soon", lambda *line: FieldLine(*line).get("t", int), "(bad t value)"),
         ("h=zz", _read_keys(("h", bytes.fromhex)), "(bad h value)"),
+        ("t=5 seq=1 t=5", FieldLine, "snapshot line 4: repeated field 't'"),
+        ("t=5 seq=1 t=6", _read_keys(("t", int), ("seq", int)), "snapshot line 4: repeated field 't'"),
+        ("t=5 t=5", _read_keys(("t", int), ("seq", int)), "snapshot line 4: repeated field 't'"),
+        ("t=5 seq=1", _read_keys(("t", int)), "snapshot line 4: unknown field 'seq'"),
+        ("seq=1 who=x", _read_keys(("t", int), ("seq", int)), "snapshot line 4: unknown field 'who'"),
     ],
-    ids=["malformed", "malformed-read", "missing", "missing-read", "bad-int", "bad-int-names-field", "bad-hex"],
+    ids=["malformed", "malformed-read", "missing", "missing-read", "bad-int", "bad-int-names-field", "bad-hex",
+         "repeated", "repeated-read", "repeated-read-same-count", "unknown-read", "unknown-read-same-count"],
 )
 def test_field_line_failures_name_the_line_and_field(text, read, message):
     with pytest.raises(DecodeError) as failure:
@@ -674,4 +681,33 @@ def test_scenario_with_an_integer_edit_reads_back_byte_for_byte(field, spelling)
     except (DecodeError, ScenarioError):
         return
     assert spelling == str(int(spelling))
+    assert scenario_to_text(scenario) == edited
+
+
+# Every float field of a scenario file: a log's ``cache_p`` and ``background``.
+_FLOAT_FIELD = re.compile(r"(?<= )(?:cache_p|background)=([^ \n]+)")
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.integers(0, 2**16), spelling=st.one_of(
+    st.floats().map(repr),
+    st.from_regex(r"\A[-+]?[0-9]{0,3}(\.[0-9]{0,3})?(e[-+]?[0-9]{1,3})?\Z"),
+    st.sampled_from(["6", "\uff16.0", "6.00", "1e1", "-0.0", "0.0", "0.5", "1.0", "nan", "inf", "1e400", "1_0.0"])))
+@example(field=0, spelling="0")
+@example(field=1, spelling="6")
+@example(field=1, spelling="1e1")
+def test_scenario_with_a_float_edit_reads_back_byte_for_byte(field, spelling):
+    """One float field of the ``m1`` scenario file respelled: a spelling that
+    ``repr`` would not write is refused, and a scenario that loads and
+    validates writes back the edited text byte for byte."""
+    text = scenario_to_text(build_preset("m1", 4))
+    matches = list(_FLOAT_FIELD.finditer(text))
+    at = matches[field % len(matches)]
+    edited = text[: at.start(1)] + spelling + text[at.end(1):]
+    try:
+        scenario = scenario_from_text(edited)
+        validate_scenario(scenario)
+    except (DecodeError, ScenarioError):
+        return
+    assert spelling == repr(float(spelling))
     assert scenario_to_text(scenario) == edited

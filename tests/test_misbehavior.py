@@ -16,6 +16,7 @@ from postcert.log import (
     LogEntry,
     LogView,
     MerkleAuditProof,
+    SCT,
     STH,
     UpdateClass,
     sct_signing_payload,
@@ -251,6 +252,18 @@ def test_m12_rejects_untrusted_log():
     assert verify_m12(proof, PUB_POLICY, narrow, world.registry).reason == "untrusted-log"
 
 
+def test_m12_rejects_an_entry_of_another_log():
+    """log1's entry relabelled as log2's, under log1's head: its bytes still
+    have an audit path there, but the head is not its log's."""
+    for policy in (SUB_POLICY, PUB_POLICY):
+        world = World()
+        proof = _m12_proof(world, policy, world.status(StatusValue.good(), 10 * DAY_MS))
+        assert verify_m12(proof, policy, world.trusted, world.registry).proven
+        moved = dataclasses.replace(proof, entry=dataclasses.replace(proof.entry, log_id="log2"))
+        verdict = verify_m12(moved, policy, world.trusted, world.registry)
+        assert (verdict.reason, verdict.detail) == ("log-mismatch", "log2 != log1")
+
+
 def test_m12_rejects_bad_sth_signature():
     world = World()
     status = world.status(StatusValue.good(), 10 * DAY_MS)
@@ -394,18 +407,40 @@ def test_m3_counterexample_entry_rejects():
     assert verdict.reason == "counterexample-entry"
 
 
+def _m3_proof(world: World, status) -> MisbehaviorProofM3:
+    """``status`` with both logs' heads signed an hour past its proof time."""
+    t = status.t + MMD + HOUR_MS
+    return MisbehaviorProofM3(status=status, sth_set=tuple(log.sign_tree_head(t) for log in world.logs.values()))
+
+
 def test_m3_boundary_is_strict_before():
-    """An entry submitted exactly at the status time is not a counterexample."""
+    """An entry submitted exactly at the status time is not a counterexample;
+    one submitted 1 ms before it is."""
+    for after_submission, expected in ((0, None), (1, "counterexample-entry")):
+        world = World()
+        assert world.entry().t_submission == world.sct.timestamp
+        proof = _m3_proof(world, world.status(StatusValue.revoked(), world.sct.timestamp + after_submission))
+        verdict = verify_m3(proof, PUB_POLICY, world.trusted, world.registry, world.logs)
+        assert verdict.reason == expected
+
+
+def test_m3_rejects_a_reader_that_serves_fewer_entries_than_the_head():
+    """A scan that stops short of the head's size cannot rule out a
+    counterexample, so it proves nothing: log1's true head over a reader
+    that serves none of its one entry."""
     world = World()
-    status = world.status(StatusValue.revoked(), world.sct.timestamp)
-    t_proof = status.t + MMD
-    world.advance(t_proof + HOUR_MS)
-    for log in world.logs.values():
-        log.sign_tree_head(t_proof + HOUR_MS)
-    sths = tuple(log.latest_sth() for log in world.logs.values())
-    proof = MisbehaviorProofM3(status=status, sth_set=sths)
-    verdict = verify_m3(proof, PUB_POLICY, world.trusted, world.registry, world.logs)
-    assert verdict.proven
+    proof = _m3_proof(world, world.status(StatusValue.revoked(), world.sct.timestamp + HOUR_MS))
+    head = proof.sth_for("log1")
+    assert head.treesize == 1
+    for entries in ([], world.logs["log1"].entries):
+        readers = {**world.logs, "log1": LogView("log1", list(entries), [head])}
+        verdict = verify_m3(proof, PUB_POLICY, world.trusted, world.registry, readers)
+        if entries:
+            assert verdict.reason == "counterexample-entry"
+        else:
+            assert (verdict.reason, verdict.detail) == ("entries-unavailable", "log1: 0/1")
+    verdict = verify_m3(proof, PUB_POLICY, world.trusted, world.registry, {"log2": world.logs["log2"]})
+    assert (verdict.reason, verdict.detail) == ("entries-unavailable", "log1")
 
 
 def _undecodable_entry(registry, t: int, payload: bytes = b"\x01garbage") -> tuple[LogEntry, STH]:
@@ -489,6 +524,16 @@ def test_m3_rejects_good_status():
 
 # -- SCT disclosure (log misbehavior)
 
+def _disclosure_log(*, forget: bool = True) -> tuple[KeyRegistry, CtLog, SCT]:
+    """log1 after it returned an SCT for World's postcertificate at 10 h;
+    with ``forget`` it never publishes the entry."""
+    world = World()
+    config = LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=HOUR_MS,
+                       publication_delay="fixed:1000", forget=forget)
+    log = CtLog("log1", world.registry, world.trust, config, seed=3)
+    return world.registry, log, log.submit(world.post, [world.root], now=world.submit_at)
+
+
 def test_sct_disclosure_proven_when_entry_never_published():
     registry = KeyRegistry.with_signers(["ca1", "log1", "leaf"])
     from postcert.certs import TbsCertificate, TrustStore, sign_certificate
@@ -533,6 +578,43 @@ def test_sct_disclosure_proven_when_entry_never_published():
             SctDisclosureProof(forged, sth), MMD, TrustedLogSet.of("log1"), registry, {"log1": log}
         )
         assert verdict.reason == "bad-sct-signature"
+
+
+def test_sct_disclosure_head_must_be_one_merge_delay_after_the_sct():
+    registry, log, sct = _disclosure_log()
+    trusted, readers = TrustedLogSet.of("log1"), {"log1": log}
+    deadline = sct.timestamp + MMD
+    early = SctDisclosureProof(sct, log.sign_tree_head(deadline - 1))
+    at = SctDisclosureProof(sct, log.sign_tree_head(deadline))
+    verdict = verify_sct_disclosure(early, MMD, trusted, registry, readers)
+    assert (verdict.reason, verdict.detail) == ("sth-too-early", f"{deadline - 1} < {deadline}")
+    assert verify_sct_disclosure(at, MMD, trusted, registry, readers).proven
+
+
+def test_sct_disclosure_rejects_a_head_of_another_log():
+    """log1's SCT beside log2's empty head, signed late enough: log2 never
+    promised the entry, so its head shows nothing about log1."""
+    registry, log, sct = _disclosure_log()
+    other = CtLog("log2", registry, log.trust, log.config, seed=4)
+    head = other.sign_tree_head(sct.timestamp + MMD)
+    trusted, readers = TrustedLogSet.of("log1", "log2"), {"log1": log, "log2": other}
+    verdict = verify_sct_disclosure(SctDisclosureProof(sct, head), MMD, trusted, registry, readers)
+    assert verdict.reason == "log-mismatch"
+    own = log.sign_tree_head(sct.timestamp + MMD)
+    assert verify_sct_disclosure(SctDisclosureProof(sct, own), MMD, trusted, registry, readers).proven
+
+
+def test_sct_disclosure_rejects_a_reader_that_serves_fewer_entries_than_the_head():
+    """The honest log did publish the promised entry; a reader that serves
+    fewer entries than the head's size, or none, proves no broken promise."""
+    registry, log, sct = _disclosure_log(forget=False)
+    head = log.sign_tree_head(sct.timestamp + MMD)
+    assert head.treesize == 1
+    proof, trusted = SctDisclosureProof(sct, head), TrustedLogSet.of("log1")
+    assert verify_sct_disclosure(proof, MMD, trusted, registry, {"log1": log}).reason == "entry-published"
+    for readers in ({"log1": LogView("log1", [], [head])}, {}):
+        verdict = verify_sct_disclosure(proof, MMD, trusted, registry, readers)
+        assert (verdict.reason, verdict.detail) == ("entries-unavailable", "log1")
 
 
 # -- builders

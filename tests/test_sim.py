@@ -54,7 +54,7 @@ from postcert.sim import (
 )
 from postcert.status import StatusKind
 from postcert.timeutil import HOUR_MS, MINUTE_MS
-from postcert.trace import EventKind, observations_from_events, read_trace, trace_to_text
+from postcert.trace import EventKind, read_trace, trace_to_text
 
 import io
 
@@ -257,9 +257,9 @@ def test_monitor_discovery_within_poll_interval():
     scenario = normal_revocation(seed=8)
     sim = Simulation(scenario)
     events = sim.run()
-    obs = observations_from_events(events)
-    assert obs.discoveries
-    first = obs.discoveries[0]
+    discoveries = [e.artifact() for e in events if e.kind is EventKind.DISCOVERY]
+    assert discoveries
+    first = discoveries[0]
     log = sim.logs[first.log_id]
     publish_t = None
     for number, entry in enumerate(log.entries):
@@ -291,10 +291,13 @@ def test_sct_handoff_updates_before_publication():
     )
     client = dataclasses.replace(base.clients[0], sct_handoff=True, handoff_delay_ms=MINUTE_MS)
     scenario = dataclasses.replace(base, logs=slow_logs, clients=(client,))
-    events = Simulation(scenario).run()
-    obs = observations_from_events(events)
-    handoffs = [d for d in obs.discoveries if d.via == "sct-handoff"]
-    assert handoffs
+    sim = Simulation(scenario)
+    events = sim.run()
+    discoveries = [e.artifact() for e in events if e.kind is EventKind.DISCOVERY]
+    assert [d for d in discoveries if d.via == "sct-handoff"]
+    # the SCT fast path: the handoff is the publication leg, and no monitor discovery
+    c = next(c for c in sim.certs.values() if c.t_handoff is not None)
+    assert sim._breakdown_for(c).components == (c.t_handoff - c.t_first_submit, 0, c.t_update - c.t_handoff)
     revoked = [
         e for e in events
         if e.kind is EventKind.STATUS and e.artifact().value.kind is StatusKind.REVOKED
@@ -531,8 +534,11 @@ def test_delay_breakdown_finds_the_first_logged_postcert_of_its_serial():
                 and (post.tbs.serial, post.tbs.issuer) == (m.serial, m.ca_id)
             )
             breakdown = sim._breakdown_for(m)
-            assert breakdown.publication_ms == log.merge_time_ref(first) - m.t_first_submit
-            assert breakdown.mon_discovery_ms == m.t_discovery - log.merge_time_ref(first)
+            assert breakdown.components == (
+                log.merge_time_ref(first) - m.t_first_submit,
+                m.t_discovery - log.merge_time_ref(first),
+                m.t_update - m.t_discovery,
+            )
             checked += 1
     assert checked >= 4
 

@@ -1,4 +1,4 @@
-"""Status issuance rules, the update deadline formula, and contradictions."""
+"""Status issuance rules and the update deadline formula."""
 
 from __future__ import annotations
 
@@ -10,13 +10,11 @@ from postcert.certs import CertRef, PostcertScheme, make_postcertificate
 from postcert.encoding import encode_artifact
 from postcert.log import SCT, LogEntry
 from postcert.status import (
-    RevocationStatus,
     StatusError,
     StatusKind,
     StatusValue,
     VALIDITY_MAX_MS,
     VALIDITY_MIN_MS,
-    contradiction_set,
     issue_status,
     status_update_deadline,
     verify_status,
@@ -121,43 +119,3 @@ def test_deadline_bounded_by_window(validity):
 def test_deadline_monotone_non_decreasing(validity, bump):
     higher = min(validity + bump, VALIDITY_MAX_MS)
     assert status_update_deadline(validity) <= status_update_deadline(higher)
-
-
-def _status(registry, kind: StatusValue, t: int, validity: int) -> RevocationStatus:
-    return issue_status(registry, "ca1", REF, kind, t, validity, honest=False)
-
-
-def test_contradiction_set_overlapping_disagreement(registry):
-    good = _status(registry, StatusValue.good(), 0, 10 * HOUR_MS)
-    revoked = _status(registry, StatusValue.revoked(), 4 * HOUR_MS, 10 * HOUR_MS)
-    conflicts = contradiction_set([good, revoked], at=5 * HOUR_MS)
-    assert conflicts == [(0, 1)]
-
-
-def test_contradiction_set_identical_statuses_empty(registry):
-    a = _status(registry, StatusValue.good(), 0, 10 * HOUR_MS)
-    b = _status(registry, StatusValue.good(), HOUR_MS, 10 * HOUR_MS)
-    assert contradiction_set([a, b], at=2 * HOUR_MS) == []
-
-
-def test_contradiction_set_non_overlapping_empty(registry):
-    good = _status(registry, StatusValue.good(), 0, 8 * HOUR_MS)
-    revoked = _status(registry, StatusValue.revoked(), 9 * HOUR_MS, 8 * HOUR_MS)
-    assert contradiction_set([good, revoked], at=9 * HOUR_MS + 1) == []
-
-
-def test_contradiction_requires_same_certificate(registry):
-    good = _status(registry, StatusValue.good(), 0, 10 * HOUR_MS)
-    other = issue_status(
-        registry, "ca1", CertRef("ca1", 8), StatusValue.revoked(), 0, 10 * HOUR_MS,
-        honest=False,
-    )
-    assert contradiction_set([good, other], at=HOUR_MS) == []
-
-
-def test_window_is_half_open(registry):
-    status = _status(registry, StatusValue.good(), 1000, 8 * HOUR_MS)
-    assert status.covers(1000)
-    assert status.covers(1000 + 8 * HOUR_MS - 1)
-    assert not status.covers(1000 + 8 * HOUR_MS)
-    assert not status.covers(999)

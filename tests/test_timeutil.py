@@ -8,7 +8,6 @@ from postcert.timeutil import (
     HOUR_MS,
     MINUTE_MS,
     SECOND_MS,
-    format_duration_ms,
     parse_duration_ms,
 )
 
@@ -34,15 +33,3 @@ def test_parse_duration_rejects_garbage():
     for bad in ("", "h", "10 parsecs", "-5s"):
         with pytest.raises(DurationError):
             parse_duration_ms(bad)
-
-
-def test_format_duration_picks_largest_exact_unit():
-    assert format_duration_ms(0) == "0ms"
-    assert format_duration_ms(24 * HOUR_MS) == "1d"
-    assert format_duration_ms(90 * MINUTE_MS) == "90m"
-    assert format_duration_ms(1500) == "1500ms"
-
-
-def test_round_trip():
-    for ms in (1, 999, SECOND_MS, 90 * SECOND_MS, 8 * HOUR_MS, 10 * DAY_MS):
-        assert parse_duration_ms(format_duration_ms(ms)) == ms
