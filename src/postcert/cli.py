@@ -4,6 +4,14 @@ project-growth, probe.
 Exit codes: 0 success, 1 usage error, 2 proof verification rejected,
 3 I/O failure or malformed input. Commands raise; ``main`` alone maps a
 failure to its exit code and one ``error:`` line.
+
+At module level this file loads only the encoding, the log and the time
+units, which also hold every exception ``main`` maps. Each function imports
+the rest of what it runs when it runs, so a command loads only its own
+subsystem: ``simulate`` the simulator and presets, ``analyze``,
+``classify`` and ``project-growth`` the trace reader and the analyses,
+``verify-proof`` the proof verifiers and status rules, and ``probe`` the
+HTTP client or the simulator.
 """
 
 from __future__ import annotations
@@ -12,38 +20,16 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .encoding import DecodeError, decode_artifact, encode_artifact, text_block_bytes
-from .log import LogError, LogReader, LogView, entries_below, log_snapshot_text
-from .misbehavior import MrdMode, MrdPolicy, TrustedLogSet, proof_to_text, verify_proof
-from .crypto import KeyRegistry
-from .presets import PRESETS, build_preset, default_policy
-from .probe import (
-    AnalysisError,
-    binary_search_size,
-    classify,
-    clock_offsets,
-    collision_report,
-    growth_projection,
-    lagging_fraction,
-    out_of_order_fraction,
-    percentile_summary,
-    request_processing_stats,
-    sth_update_rate,
-    submission_to_publication,
-)
-from .sim import ScenarioError, Simulation, scenario_from_text
-from .status import RevocationStatus
+from .encoding import DecodeError, ScenarioError, decode_artifact, encode_artifact, text_block_bytes
+from .log import AnalysisError, LogError, LogReader, LogView, entries_below, log_snapshot_text
 from .timeutil import DurationError, parse_duration_ms
-from .trace import (
-    EventKind,
-    ObservationSet,
-    SthObservation,
-    TraceEvent,
-    observations_from_events,
-    read_trace,
-    trace_to_text,
-)
+
+if TYPE_CHECKING:
+    from .misbehavior import MrdPolicy
+    from .sim import Scenario
+    from .trace import ObservationSet, TraceEvent
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +43,8 @@ class _Exit(Exception):
 
 
 def _policy_from_args(args: argparse.Namespace) -> MrdPolicy:
+    from .misbehavior import MrdMode, MrdPolicy, default_policy
+
     mode = MrdMode.FROM_SUBMISSION if args.mrd_mode == "submission" else MrdMode.FROM_PUBLICATION
     base = default_policy(mode)
     mrd = base.mrd_ms if args.mrd is None else args.mrd
@@ -84,11 +72,25 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _preset(name: str, seed: int, policy: MrdPolicy | None = None) -> Scenario:
+    """The scenario of preset ``name``; an unknown name is a usage error."""
+    from .presets import build_preset
+
+    try:
+        return build_preset(name, seed, policy)
+    except KeyError as exc:
+        raise _Exit(EXIT_USAGE, exc.args[0]) from None
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .misbehavior import proof_to_text
+    from .sim import Simulation, scenario_from_text
+    from .trace import EventKind, trace_to_text
+
     if args.scenario:
         scenario = scenario_from_text(Path(args.scenario).read_text())
     else:
-        scenario = build_preset(args.preset, args.seed, _policy_from_args(args))
+        scenario = _preset(args.preset, args.seed, _policy_from_args(args))
     sim = Simulation(scenario)
     events = sim.run()
     _write(args.out, trace_to_text(events))
@@ -111,6 +113,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _observations(path: str) -> ObservationSet:
+    from .trace import observations_from_events, read_trace
+
     with open(path) as stream:
         return observations_from_events(read_trace(stream))
 
@@ -118,6 +122,8 @@ def _observations(path: str) -> ObservationSet:
 def _class_of(obs: ObservationSet, log_id: str) -> str:
     """The update-behavior class of ``log_id`` as text, or
     ``insufficient-data (<code>)`` when the observations cannot decide it."""
+    from .probe import classify
+
     try:
         return classify(obs.sths.get(log_id, []), obs.submissions.get(log_id, [])).render()
     except AnalysisError as exc:
@@ -126,6 +132,17 @@ def _class_of(obs: ObservationSet, log_id: str) -> str:
 
 def render_report(obs: ObservationSet, readers: dict[str, LogReader]) -> str:
     """Aligned per-log metric tables plus machine-readable record lines."""
+    from .probe import (
+        clock_offsets,
+        collision_report,
+        lagging_fraction,
+        out_of_order_fraction,
+        percentile_summary,
+        request_processing_stats,
+        sth_update_rate,
+        submission_to_publication,
+    )
+
     lines: list[str] = []
     records: list[str] = []
     header = (
@@ -261,6 +278,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_proof(args: argparse.Namespace) -> int:
+    from .crypto import KeyRegistry
+    from .misbehavior import TrustedLogSet, proof_to_text, verify_proof
+    from .status import RevocationStatus
+
     text = Path(args.proof).read_text()
     bundle = decode_artifact(text_block_bytes(text))
     try:
@@ -291,6 +312,8 @@ def _cmd_verify_proof(args: argparse.Namespace) -> int:
 
 
 def _cmd_project_growth(args: argparse.Namespace) -> int:
+    from .probe import growth_projection
+
     history: list[float] = []
     if args.history:
         lines = Path(args.history).read_text().splitlines()
@@ -314,6 +337,9 @@ def _cmd_project_growth(args: argparse.Namespace) -> int:
 
 def _observe_live(reader, args: argparse.Namespace) -> list[TraceEvent]:
     """Trace events of ``postcert probe`` against a live log for ``--duration``."""
+    from .probe import binary_search_size
+    from .trace import EventKind, SthObservation, TraceEvent
+
     events: list[TraceEvent] = []
     seq = 0
     started = time.monotonic()
@@ -337,8 +363,10 @@ def _observe_live(reader, args: argparse.Namespace) -> list[TraceEvent]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    from .trace import trace_to_text
+
     if args.target.startswith("http"):
-        from .httpapi import HttpLogReader  # only a live target loads the HTTP module
+        from .httpapi import HttpLogReader
 
         try:
             reader = HttpLogReader(args.target)
@@ -352,8 +380,10 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     else:
         # scenario target: run the named preset (its probe actor records the
         # observations) and write the resulting trace
+        from .sim import Simulation
+
         name = args.target.removeprefix("scenario:")
-        events = Simulation(build_preset(name, args.seed)).run()
+        events = Simulation(_preset(name, args.seed)).run()
         summary = f"recorded {len(events)} events from scenario {name!r}"
     _write(args.out, trace_to_text(events))
     print(summary, file=sys.stderr)
@@ -374,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mmd", type=_duration, help="maximum merge delay, e.g. 24h")
 
     p_sim = sub.add_parser("simulate", help="run a scenario and write its trace")
-    p_sim.add_argument("--preset", choices=sorted(PRESETS), default="normal")
+    p_sim.add_argument("--preset", default="normal", help="preset name (README lists them)")
     p_sim.add_argument("--scenario", help="scenario file (overrides --preset)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", help="trace output path (default stdout)")
@@ -433,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         code, message = exc.args
     except (OSError, DecodeError, ScenarioError, LogError) as exc:
         code, message = EXIT_IO, str(exc)
-    except (AnalysisError, KeyError) as exc:
+    except AnalysisError as exc:
         code, message = EXIT_USAGE, str(exc)
     print(f"error: {message}", file=sys.stderr)
     return code

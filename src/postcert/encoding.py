@@ -38,7 +38,8 @@ They are the reference the declared codecs are tested against.
 ``fields_line`` and ``FieldLine`` write and read one line of ``key=value``
 fields, the text form of trace lines, log snapshots and scenario files; their
 integer fields are read with ``canonical_int``. A key appears once in a line,
-and a line of fixed layout has only the keys it reads.
+and a line of fixed layout has only the keys it reads, in the order it writes
+them.
 """
 
 from __future__ import annotations
@@ -47,13 +48,18 @@ import dataclasses
 import enum
 import functools
 import struct
-from typing import Callable, Collection, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
 
 class DecodeError(ValueError):
     pass
+
+
+class ScenarioError(Exception):
+    """A scenario the simulator refuses (an unknown line, no header, a value
+    out of range); ``postcert.sim`` raises it."""
 
 
 _U32 = struct.Struct(">I")
@@ -544,12 +550,15 @@ class FieldLine:
     def error(self, what: str) -> DecodeError:
         return DecodeError(f"{self.label} {self.lineno}: {what}")
 
-    def only(self, keys: Collection[str]) -> None:
-        """Refuse a field whose key is not in ``keys``: a fixed layout
-        writes back only the keys it reads."""
+    def only(self, keys: Sequence[str]) -> None:
+        """Refuse a field whose key is not in ``keys``, or keys in another
+        order than theirs: a fixed layout writes back only the keys it
+        reads, in its own order."""
         for key in self.fields:
             if key not in keys:
                 raise self.error(f"unknown field {key!r}")
+        if list(self.fields) != [key for key in keys if key in self.fields]:
+            raise self.error(f"fields out of order, expected {' '.join(keys)}")
 
     def get(self, key: str, parse: Callable[[str], object] = str, *default: object):
         """Field ``key`` through ``parse``, or ``default`` when it is absent."""
@@ -564,16 +573,22 @@ class FieldLine:
 
     @staticmethod
     def read(text: str, keys: Sequence[tuple[str, Callable[[str], object]]], label: str, lineno: int) -> list:
-        """The fields ``keys`` names, in order, each through its parser, from
-        a line with exactly those keys: the path for a fixed layout read line
-        after line, which builds a FieldLine only to name a failure. As many
-        items as keys, each key found, means no key is repeated or unknown."""
+        """The fields ``keys`` names, each through its parser, from a line
+        with exactly those keys in that order: the path for a fixed layout
+        read line after line, which builds a FieldLine only to name a
+        failure."""
         items = text.split()
         if len(items) == len(keys):
             try:
-                fields = dict([item.split("=", 1) for item in items])
-                return [parse(fields[key]) for key, parse in keys]
-            except (KeyError, ValueError):
+                values = []
+                for item, (key, parse) in zip(items, keys):
+                    name, value = item.split("=", 1)
+                    if name != key:
+                        break
+                    values.append(parse(value))
+                else:
+                    return values
+            except ValueError:
                 pass
         line = FieldLine(text, label, lineno)
         line.only([key for key, _ in keys])

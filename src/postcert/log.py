@@ -70,6 +70,15 @@ class LogError(Exception):
         self.detail = detail
 
 
+class AnalysisError(Exception):
+    """Observations that cannot decide a metric; ``code`` is a stable
+    machine label. ``postcert.probe`` raises it."""
+
+    def __init__(self, code: str, detail: str = "") -> None:
+        super().__init__(f"{code}{': ' + detail if detail else ''}")
+        self.code = code
+
+
 ERR_CHAIN_REJECTED = "chain-rejected"
 ERR_LOG_FROZEN = "log-frozen"
 
@@ -361,11 +370,12 @@ class LogView:
         """Parse ``log_snapshot_text`` output of a SHA-256 log.
 
         Raises DecodeError naming the line for a malformed, missing,
-        repeated or unknown field, a non-integer value, bad hex, an empty
-        signer, a declared hash other than ``sha256``, a line of unknown
-        kind, an ``entry`` or ``sth`` line before the one ``log`` line, a
-        second ``log`` line, an entry number that is not the entry's
-        position, or a ``size`` that is not the number of entries.
+        repeated or unknown field, fields in another order than written, a
+        non-integer value, bad hex, an empty signer, a declared hash other
+        than ``sha256``, a line of unknown kind, an ``entry`` or ``sth``
+        line before the one ``log`` line, a second ``log`` line, an entry
+        number that is not the entry's position, or a ``size`` that is not
+        the number of entries.
         """
         header: FieldLine | None = None
         entries: list[LogEntry] = []
@@ -386,7 +396,7 @@ class LogView:
             elif header is None:
                 raise DecodeError(f"snapshot line {lineno}: {kind} line before the log line")
             elif kind == "entry":
-                payload, t_submission, number = FieldLine.read(rest, _ENTRY_FIELDS, "snapshot line", lineno)
+                number, t_submission, payload = FieldLine.read(rest, _ENTRY_FIELDS, "snapshot line", lineno)
                 if number != len(entries):
                     raise DecodeError(
                         f"snapshot line {lineno}: entry number {number} at position {len(entries)}")
@@ -663,7 +673,7 @@ class CtLog(LogView):
 
 # Snapshots ----------------------------------------------------------------------
 
-_ENTRY_FIELDS = (("payload", bytes.fromhex), ("t_submission", canonical_int), ("number", canonical_int))
+_ENTRY_FIELDS = (("number", canonical_int), ("t_submission", canonical_int), ("payload", bytes.fromhex))
 _STH_FIELDS = (("t", canonical_int), ("treesize", canonical_int), ("root", bytes.fromhex),
                ("signer", str), ("sig", bytes.fromhex))
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .certs import Postcertificate, REQUESTED_STATUS_REVOKED, is_postcert_payload
 from .crypto import KeyRegistry, SHA256
@@ -44,7 +45,10 @@ from .log import (
     verify_sth,
 )
 from .status import RevocationStatus, StatusKind, verify_status
-from .trace import ObservationSet
+from .timeutil import DAY_MS, HOUR_MS
+
+if TYPE_CHECKING:  # a verifier reads no trace, so verify-proof does not load one
+    from .trace import ObservationSet
 
 
 class MrdMode(enum.Enum):
@@ -67,6 +71,15 @@ class MrdPolicy:
             raise ValueError("submission-anchored deadline must exceed the mmd")
         if self.mode is MrdMode.FROM_PUBLICATION and self.mrd_ms <= 0:
             raise ValueError("publication-anchored deadline must be positive")
+
+
+def default_policy(mode: MrdMode = MrdMode.FROM_PUBLICATION) -> MrdPolicy:
+    """The presets' policy, and the command line's without policy flags: a
+    one-day merge delay, and a deadline of 8 h after publication or 32 h
+    after submission."""
+    if mode is MrdMode.FROM_PUBLICATION:
+        return MrdPolicy(mode, mrd_ms=8 * HOUR_MS, mmd_ms=DAY_MS)
+    return MrdPolicy(mode, mrd_ms=32 * HOUR_MS, mmd_ms=DAY_MS)
 
 
 class Case(enum.Enum):

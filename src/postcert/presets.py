@@ -11,7 +11,7 @@ import random
 from dataclasses import replace
 
 from .log import DuplicatePolicy, LogConfig, SthCacheMode, UpdateClass
-from .misbehavior import MrdMode, MrdPolicy
+from .misbehavior import MrdMode, MrdPolicy, default_policy
 from .sim import (
     CaMisbehavior,
     ProbeConfig,
@@ -22,15 +22,6 @@ from .sim import (
     SimLogConfig,
 )
 from .timeutil import DAY_MS, HOUR_MS, MINUTE_MS, SECOND_MS
-
-DEFAULT_MMD = DAY_MS
-
-
-def default_policy(mode: MrdMode = MrdMode.FROM_PUBLICATION) -> MrdPolicy:
-    if mode is MrdMode.FROM_PUBLICATION:
-        return MrdPolicy(mode, mrd_ms=8 * HOUR_MS, mmd_ms=DEFAULT_MMD)
-    return MrdPolicy(mode, mrd_ms=32 * HOUR_MS, mmd_ms=DEFAULT_MMD)
-
 
 def _fast_log(log_id: str, **kwargs) -> SimLogConfig:
     config = LogConfig(

@@ -20,19 +20,13 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
-from .log import LogEntry
+from .log import AnalysisError, LogEntry
 from .trace import SizeProbe, SthObservation, SubmissionRecord
 
 
 MIN_UPDATES = 30  # distinct tree heads after the first that classify needs
 MAJORITY = 0.9  # share that decides each class rule and the update-rate saturation
 PERIODIC_TOLERANCE = 0.05  # a gap within 5 % of a multiple of the base counts as periodic
-
-
-class AnalysisError(Exception):
-    def __init__(self, code: str, detail: str = "") -> None:
-        super().__init__(f"{code}{': ' + detail if detail else ''}")
-        self.code = code
 
 
 class ClassKind(enum.Enum):

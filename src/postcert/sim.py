@@ -58,7 +58,7 @@ from .certs import (
     sign_certificate,
 )
 from .crypto import KeyRegistry, SHA256
-from .encoding import FieldLine, canonical_int, encode_artifact, fields_line
+from .encoding import FieldLine, ScenarioError, canonical_int, encode_artifact, fields_line
 from .log import CtLog, DuplicatePolicy, LogConfig, LogError, SCT, SthCacheMode, UpdateClass
 from .misbehavior import (
     Case,
@@ -93,10 +93,6 @@ from .trace import (
 
 CERT_LIFETIME_MS = 400 * DAY_MS
 _BACKGROUND_SERIAL_BASE = 1_000_000
-
-
-class ScenarioError(Exception):
-    pass
 
 
 def _root_cert(registry: KeyRegistry, name: str) -> Certificate:
@@ -1002,13 +998,15 @@ def scenario_to_text(scenario: Scenario) -> str:
 
 def scenario_from_text(text: str) -> Scenario:
     """Parse ``scenario_to_text`` output. A malformed, missing or repeated
-    field, a key that is not the line's own (event params aside), a bad
-    value, or a second header or probe line raises DecodeError naming the
-    line; an unknown line or a missing header raises ScenarioError."""
+    field, a key that is not the line's own (event params aside), keys in
+    another order than ``scenario_to_text`` writes (an event's params
+    sorted, after ``t`` and ``kind``), a bad value, or a second header or
+    probe line raises DecodeError naming the line; an unknown line or a
+    missing header raises ScenarioError."""
     header: dict[str, Any] | None = None
     actors: dict[str, list] = {attr: [] for attr, _, _ in _ACTOR_LINES.values()}
     schedule: list[ScheduledEvent] = []
-    event_keys = {key for key, *_ in _EVENT_FIELDS}
+    event_keys = [key for key, *_ in _EVENT_FIELDS]
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -1021,6 +1019,7 @@ def scenario_from_text(text: str) -> Scenario:
         fields = FieldLine(rest, "line", lineno)
         if kind == "event":
             params = {key: value for key, value in fields.fields.items() if key not in event_keys}
+            fields.only(event_keys + sorted(params))
             schedule.append(_read_fields(ScheduledEvent, _EVENT_FIELDS, fields, params=params))
             continue
         if not kind:

@@ -5,12 +5,17 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import io
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import postcert
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from postcert.certs import CertRef
 from postcert.crypto import KeyRegistry, Signature
@@ -230,17 +235,28 @@ def test_snapshot_that_would_load_wrong_is_io_error(
         ("scenario", r"^(scenario=.*)$", r"\1 seed=5", "line 1: repeated field 'seed'"),
         ("scenario", r"^(probe .*)$", r"\1\n\1", "second probe line"),
         ("scenario", r"^(event .*kind=issue.*)$", r"\1 serial=2", "repeated field 'serial'"),
+        ("trace", r"^(t=\d+) (seq=\d+)", r"\2 \1", "trace line 1: fields out of order, expected t seq actor"),
+        ("snapshot", r"^log (id=\S+) (scheme=\S+)", r"log \2 \1", "snapshot line 1: fields out of order"),
+        ("snapshot", r"^entry (number=0) (t_submission=\d+)", r"entry \2 \1", "snapshot line 2: fields out of order"),
+        ("snapshot", r"^sth (t=\d+) (treesize=\d+)", r"sth \2 \1", "fields out of order, expected t treesize"),
+        ("scenario", r"^(scenario=\S+) (seed=\d+)", r"\2 \1", "line 1: fields out of order"),
+        ("scenario", r"^log (id=\S+) (mmd=\d+)", r"log \2 \1", "line 2: fields out of order"),
+        ("scenario", r"^event (t=\d+) (kind=\S+)", r"event \2 \1", "fields out of order, expected t kind"),
+        ("scenario", r"^(event .*kind=issue) (ca=\S+) (client=\S+)", r"\1 \3 \2",
+         "fields out of order, expected t kind ca client serial"),
     ],
     ids=["trace-extra", "trace-repeated", "snapshot-log-extra", "snapshot-log-repeated", "snapshot-entry-extra",
          "snapshot-sth-repeated", "scenario-log-extra", "scenario-header-repeated", "scenario-second-probe",
-         "scenario-event-repeated"],
+         "scenario-event-repeated", "trace-order", "snapshot-log-order", "snapshot-entry-order", "snapshot-sth-order",
+         "scenario-header-order", "scenario-log-order", "scenario-event-order", "scenario-event-params-unsorted"],
 )
 def test_a_repeated_key_or_one_the_line_does_not_read_is_io_error(
     m1_bundle, tmp_path, capsys, file, line_pattern, replacement, message
 ):
     """Each would load and write back as other text: a key appears once, a
-    line of fixed layout has only the keys it reads, and a second probe line
-    does not silently replace the first. Event params stay free-form."""
+    line of fixed layout has only the keys it reads, in the order it writes
+    them, and a second probe line does not silently replace the first. Event
+    params stay free-form, sorted after ``t`` and ``kind``."""
     bundle, dumps = m1_bundle
     trace = bundle.parent.parent / "t.trace"
     logs = tmp_path / "logs"
@@ -500,6 +516,16 @@ def test_project_growth_non_numeric_history_is_io_error(tmp_path, capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["simulate", "--preset", "nope"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--preset", "nope"], ["probe", "--target", "scenario:nope"]],
+                         ids=["simulate", "probe"])
+def test_an_unknown_preset_is_one_usage_error_line(tmp_path, capsys, argv):
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path / "t.trace"))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: unknown preset 'nope'; choose from ['classes', ")
+    assert err.count("\n") == 1 and '"' not in err
+    assert not (tmp_path / "t.trace").exists()
 
 
 @pytest.mark.parametrize(
@@ -794,3 +820,48 @@ def test_damaged_input_gives_an_exit_code_and_at_most_one_error_line(m1_bundle, 
                 assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: "), argv
 
     check()
+
+
+# What ``import postcert.cli`` loads, and what each command adds when it runs.
+_CLI_MODULES = {"postcert", "postcert.cli", "postcert.encoding", "postcert.crypto", "postcert.certs",
+                "postcert.merkle", "postcert.timeutil", "postcert.log"}
+_TRACE_MODULES = {"postcert.trace", "postcert.status"}
+_FRESH_COMMANDS = [
+    (["simulate", "--preset", "m1", "--seed", "4", "--out", "t.trace", "--dump-logs", "logs",
+      "--emit-proofs", "proofs"],
+     _TRACE_MODULES | {"postcert.sim", "postcert.presets", "postcert.misbehavior", "postcert.probe",
+                       "postcert.delays"}),
+    (["analyze", "--trace", "t.trace", "--logs", "logs", "--out", "report.txt"],
+     _TRACE_MODULES | {"postcert.probe"}),
+    (["classify", "--trace", "t.trace"], _TRACE_MODULES | {"postcert.probe"}),
+    (["verify-proof", "--proof", "proofs/m1-proven.proof", "--logs", "logs"],
+     {"postcert.status", "postcert.misbehavior"}),
+    (["project-growth", "--fraction", "0.2", "--trace", "t.trace"], _TRACE_MODULES | {"postcert.probe"}),
+]
+
+
+def test_each_command_in_a_fresh_interpreter_loads_only_its_own_modules(tmp_path, monkeypatch, capsys):
+    """``python -m postcert <command>`` in a new process writes the bytes and
+    exits with the code of ``main`` in this one, and loads the command line's
+    modules plus its own subsystem's, nothing else: the artifacts a command
+    reads are decoded by the modules it loads."""
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(postcert.__file__).parent.parent)}
+    monkeypatch.chdir(here)
+    for argv, own in _FRESH_COMMANDS:
+        code, out, err = _run(capsys, *argv)
+        result = subprocess.run([sys.executable, "-X", "importtime", "-m", "postcert", *argv],
+                                cwd=fresh, env=env, capture_output=True, text=True)
+        lines = result.stderr.splitlines(keepends=True)
+        loaded = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+        stderr = "".join(line for line in lines if not line.startswith("import time:"))
+        assert code == EXIT_OK, argv
+        assert (result.returncode, result.stdout, stderr) == (code, out, err)
+        assert {name for name in loaded if name.startswith("postcert")} == _CLI_MODULES | own, argv[0]
+    written = sorted(path.relative_to(here) for path in here.rglob("*") if path.is_file())
+    assert written == sorted(path.relative_to(fresh) for path in fresh.rglob("*") if path.is_file())
+    assert len(written) > 4
+    for path in written:
+        assert (fresh / path).read_bytes() == (here / path).read_bytes(), path

@@ -521,12 +521,14 @@ def test_a_decoded_tbs_caches_the_blob_it_was_read_from(cls, data):
 def test_field_line_round_trips_and_reads_by_key():
     line = fields_line([("t", 5), ("who", "ca1"), ("hex", "00ff")])
     assert line == "t=5 who=ca1 hex=00ff"
-    keys = (("hex", bytes.fromhex), ("t", int), ("who", str))
-    assert FieldLine.read(line, keys, "line", 3) == [b"\x00\xff", 5, "ca1"]
+    keys = (("t", int), ("who", str), ("hex", bytes.fromhex))
+    assert FieldLine.read(line, keys, "line", 3) == [5, "ca1", b"\x00\xff"]
     fields = FieldLine(line, "line", 3)
     assert fields.get("who") == "ca1"
     assert fields.get("t", int) == 5
     assert fields.get("absent", int, 7) == 7
+    fields.only([key for key, _ in keys])
+    FieldLine("t=5 hex=00ff", "line", 3).only(["t", "who", "hex"])  # an absent key breaks no order
 
 
 def _read_keys(*keys):
@@ -548,9 +550,12 @@ def _read_keys(*keys):
         ("t=5 t=5", _read_keys(("t", int), ("seq", int)), "snapshot line 4: repeated field 't'"),
         ("t=5 seq=1", _read_keys(("t", int)), "snapshot line 4: unknown field 'seq'"),
         ("seq=1 who=x", _read_keys(("t", int), ("seq", int)), "snapshot line 4: unknown field 'who'"),
+        ("seq=1 t=5", _read_keys(("t", int), ("seq", int)), "snapshot line 4: fields out of order, expected t seq"),
+        ("seq=1 t=5", lambda *line: FieldLine(*line).only(("t", "seq")), "snapshot line 4: fields out of order"),
     ],
     ids=["malformed", "malformed-read", "missing", "missing-read", "bad-int", "bad-int-names-field", "bad-hex",
-         "repeated", "repeated-read", "repeated-read-same-count", "unknown-read", "unknown-read-same-count"],
+         "repeated", "repeated-read", "repeated-read-same-count", "unknown-read", "unknown-read-same-count",
+         "out-of-order-read", "out-of-order-only"],
 )
 def test_field_line_failures_name_the_line_and_field(text, read, message):
     with pytest.raises(DecodeError) as failure:
@@ -630,6 +635,23 @@ def test_mutated_text_files_raise_only_decode_or_scenario_errors(kind, mutations
         _parse(kind, _mutate(_real_files()[kind], mutations))
     except (DecodeError, ScenarioError):
         pass
+
+
+@pytest.mark.parametrize("kind", ["scenario", "snapshot", "trace"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_line_with_two_fields_swapped_is_refused(kind, data):
+    """Two fields of one line trade places: the line would load and write
+    back as other text, so the file is refused, naming that line."""
+    lines = _real_files()[kind].splitlines(keepends=True)
+    lineno = data.draw(st.integers(1, len(lines)), label="line")
+    words = lines[lineno - 1].split()
+    first = 0 if "=" in words[0] else 1  # a kind word stays in front
+    i, j = data.draw(st.lists(st.integers(first, len(words) - 1), min_size=2, max_size=2, unique=True))
+    words[i], words[j] = words[j], words[i]
+    lines[lineno - 1] = " ".join(words) + "\n"
+    with pytest.raises(DecodeError, match=rf"line {lineno}: fields out of order"):
+        _parse(kind, "".join(lines))
 
 
 @pytest.mark.parametrize("text, value", [("0", 0), ("42", 42), ("-7", -7), ("9" * 30, int("9" * 30))])

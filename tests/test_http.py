@@ -636,7 +636,7 @@ def stub_log():
     import threading
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-    answers: dict[str, bytes | dict] = {"/ct/v1/get-sth": _GOOD_STH}
+    answers: dict[str, object] = {"/ct/v1/get-sth": _GOOD_STH}  # bytes as sent, anything else as JSON
 
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
@@ -646,7 +646,7 @@ def stub_log():
 
         def do_GET(self) -> None:
             body = answers[self.path.partition("?")[0]]
-            if isinstance(body, dict):
+            if not isinstance(body, bytes):
                 body = json.dumps(body).encode()
             self.send_response(200)
             self.send_header("Content-Length", str(len(body)))

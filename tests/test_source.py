@@ -37,18 +37,26 @@ def test_every_module_level_import_is_used(path):
 
 def test_cli_and_http_import_no_numpy_or_stdlib_http_client():
     """The command line and the HTTP surface load neither numpy nor the
-    standard library's HTTP client nor any ``email`` module."""
+    standard library's HTTP client nor any ``email`` module, and of the
+    package only the log, what it is built on, and themselves: the package
+    root imports nothing, and the commands import their subsystems when
+    they run."""
     import os
     import subprocess
     import sys
 
     unwanted = ("numpy", "http.client", "email")
     code = ("import sys, postcert.cli, postcert.httpapi; "
-            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules))")
+            f"print(' '.join(m for m in {unwanted!r} if m in sys.modules)); "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('postcert'))))")
     src = str(Path(postcert.__file__).parent.parent)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                             env={**os.environ, "PYTHONPATH": src})
-    assert result.stdout.split() == []
+    stdlib, package = result.stdout.split("\n")[:2]
+    assert stdlib.split() == []
+    assert package.split() == ["postcert"] + [
+        f"postcert.{name}" for name in ("certs", "cli", "crypto", "encoding", "httpapi", "log", "merkle", "timeutil")
+    ]
 
 
 def _public_definitions(path: Path) -> list[str]:
