@@ -11,7 +11,7 @@ the rest of what it runs when it runs, so a command loads only its own
 subsystem: ``simulate`` the simulator and presets, ``analyze``,
 ``classify`` and ``project-growth`` the trace reader and the analyses,
 ``verify-proof`` the proof verifiers and status rules, and ``probe`` the
-HTTP client or the simulator.
+HTTP client.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .timeutil import DurationError, parse_duration_ms
 
 if TYPE_CHECKING:
     from .misbehavior import MrdPolicy
-    from .sim import Scenario
     from .trace import ObservationSet, TraceEvent
 
 EXIT_OK = 0
@@ -72,16 +71,6 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _preset(name: str, seed: int, policy: MrdPolicy | None = None) -> Scenario:
-    """The scenario of preset ``name``; an unknown name is a usage error."""
-    from .presets import build_preset
-
-    try:
-        return build_preset(name, seed, policy)
-    except KeyError as exc:
-        raise _Exit(EXIT_USAGE, exc.args[0]) from None
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .misbehavior import proof_to_text
     from .sim import Simulation, scenario_from_text
@@ -90,7 +79,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.scenario:
         scenario = scenario_from_text(Path(args.scenario).read_text())
     else:
-        scenario = _preset(args.preset, args.seed, _policy_from_args(args))
+        from .presets import PRESETS, build_preset
+
+        if args.preset not in PRESETS:  # a usage error; a KeyError from inside a preset is a bug
+            raise _Exit(EXIT_USAGE, f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+        scenario = build_preset(args.preset, args.seed, _policy_from_args(args))
     sim = Simulation(scenario)
     events = sim.run()
     _write(args.out, trace_to_text(events))
@@ -363,30 +356,19 @@ def _observe_live(reader, args: argparse.Namespace) -> list[TraceEvent]:
 
 
 def _cmd_probe(args: argparse.Namespace) -> int:
+    from .httpapi import HttpLogReader
     from .trace import trace_to_text
 
-    if args.target.startswith("http"):
-        from .httpapi import HttpLogReader
-
+    try:
+        reader = HttpLogReader(args.target)
         try:
-            reader = HttpLogReader(args.target)
-            try:
-                events = _observe_live(reader, args)
-            finally:
-                reader.close()
-        except (OSError, LogError) as exc:
-            raise _Exit(EXIT_IO, f"{args.target}: {exc}") from None
-        summary = f"recorded {len(events)} observations"
-    else:
-        # scenario target: run the named preset (its probe actor records the
-        # observations) and write the resulting trace
-        from .sim import Simulation
-
-        name = args.target.removeprefix("scenario:")
-        events = Simulation(_preset(name, args.seed)).run()
-        summary = f"recorded {len(events)} events from scenario {name!r}"
+            events = _observe_live(reader, args)
+        finally:
+            reader.close()
+    except (OSError, LogError) as exc:
+        raise _Exit(EXIT_IO, f"{args.target}: {exc}") from None
     _write(args.out, trace_to_text(events))
-    print(summary, file=sys.stderr)
+    print(f"recorded {len(events)} observations", file=sys.stderr)
     return EXIT_OK
 
 
@@ -438,10 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gr.set_defaults(func=_cmd_project_growth)
 
     p_pr = sub.add_parser("probe", help="record observations from a live endpoint")
-    p_pr.add_argument("--target", required=True,
-                      help="base URL of a log, or scenario:<preset-name>")
+    p_pr.add_argument("--target", required=True, help="base URL of a log")
     p_pr.add_argument("--out", required=True)
-    p_pr.add_argument("--seed", type=int, default=0)
     p_pr.add_argument("--duration", type=_duration, default="10s")
     p_pr.add_argument("--sth-interval", type=_duration, default="1s")
     p_pr.add_argument("--size-interval", type=_duration, default=0,

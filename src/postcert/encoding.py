@@ -32,9 +32,6 @@ tag no other type uses; ``encode_artifact``/``decode_artifact`` then carry
 it, behind its one-byte tag, in log entries, trace records and proof
 bundles.
 
-``ByteWriter`` and ``ByteReader`` write and read one primitive at a time.
-They are the reference the declared codecs are tested against.
-
 ``fields_line`` and ``FieldLine`` write and read one line of ``key=value``
 fields, the text form of trace lines, log snapshots and scenario files; their
 integer fields are read with ``canonical_int``. A key appears once in a line,
@@ -60,118 +57,6 @@ class DecodeError(ValueError):
 class ScenarioError(Exception):
     """A scenario the simulator refuses (an unknown line, no header, a value
     out of range); ``postcert.sim`` raises it."""
-
-
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_I64 = struct.Struct(">q")
-_BYTES = [bytes([value]) for value in range(256)]
-
-
-class ByteWriter:
-    """Collects the encoded fields as parts joined once by ``getvalue``."""
-
-    __slots__ = ("_parts",)
-
-    def __init__(self) -> None:
-        self._parts: list[bytes] = []
-
-    def u8(self, value: int) -> None:
-        if not 0 <= value <= 0xFF:
-            raise ValueError("u8 out of range")
-        self._parts.append(_BYTES[value])
-
-    def u32(self, value: int) -> None:
-        self._parts.append(_U32.pack(value))
-
-    def u64(self, value: int) -> None:
-        self._parts.append(_U64.pack(value))
-
-    def i64(self, value: int) -> None:
-        self._parts.append(_I64.pack(value))
-
-    def boolean(self, value: bool) -> None:
-        self._parts.append(b"\x01" if value else b"\x00")
-
-    def blob(self, value: bytes) -> None:
-        self._parts.extend((_U32.pack(len(value)), bytes(value)))
-
-    def text(self, value: str) -> None:
-        data = value.encode("utf-8")
-        self._parts.extend((_U32.pack(len(data)), data))
-
-    def artifact(self, obj: object) -> None:
-        """A nested artifact, as a blob of its tagged encoding."""
-        self.blob(encode_artifact(obj))
-
-    def optional_u64(self, value: int | None) -> None:
-        if value is None:
-            self._parts.append(b"\x00")
-        else:
-            self._parts.extend((b"\x01", _U64.pack(value)))
-
-    def optional_i64(self, value: int | None) -> None:
-        if value is None:
-            self._parts.append(b"\x00")
-        else:
-            self._parts.extend((b"\x01", _I64.pack(value)))
-
-    def getvalue(self) -> bytes:
-        return b"".join(self._parts)
-
-
-class ByteReader:
-    __slots__ = ("_data", "_pos")
-
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._pos = 0
-
-    def _skip(self, n: int) -> int:
-        """Start offset of the next ``n`` bytes, which the reader moves past."""
-        pos = self._pos
-        if pos + n > len(self._data):
-            raise DecodeError("truncated input")
-        self._pos = pos + n
-        return pos
-
-    def _take(self, n: int) -> bytes:
-        pos = self._skip(n)
-        return self._data[pos : pos + n]
-
-    def u8(self) -> int:
-        return self._data[self._skip(1)]
-
-    def u32(self) -> int:
-        return _U32.unpack_from(self._data, self._skip(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack_from(self._data, self._skip(8))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack_from(self._data, self._skip(8))[0]
-
-    def boolean(self) -> bool:
-        return _boolean(self.u8())
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def text(self) -> str:
-        try:
-            return self.blob().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DecodeError("invalid utf-8") from exc
-
-    def optional_u64(self) -> int | None:
-        return self.u64() if self.boolean() else None
-
-    def optional_i64(self) -> int | None:
-        return self.i64() if self.boolean() else None
-
-    def expect_eof(self) -> None:
-        if self._pos != len(self._data):
-            raise DecodeError("trailing bytes")
 
 
 # Declarations -------------------------------------------------------------------

@@ -520,7 +520,8 @@ class HttpLogReader:
         try:
             url = urllib.parse.urlsplit(self.base_url)
             port = url.port
-            host = url.netloc.rpartition("@")[2].encode("idna")
+            netloc = url.netloc.rpartition("@")[2]
+            host = netloc.encode("idna")
         except ValueError as exc:  # UnicodeError from the host name too
             raise LogError(ERR_INVALID_URL, str(exc)) from None
         if url.scheme not in ("http", "https") or not url.hostname:
@@ -534,7 +535,8 @@ class HttpLogReader:
         self._prefix = url.path.encode("utf-8")
         self._head = b" HTTP/1.1\r\nHost: %s\r\nAccept-Encoding: identity\r\n" % host
         self._bust = itertools.count()
-        self.log_id = log_id or self._fetch_log_id()
+        # RFC 6962's get-sth answer names no log; the URL then names it
+        self.log_id = log_id or self._fetch_log_id(netloc + url.path)
 
     def close(self) -> None:
         if self._sock is not None:
@@ -604,10 +606,10 @@ class HttpLogReader:
             path += "?" + "&".join(query)
         return self._request("GET", path)
 
-    def _fetch_log_id(self) -> str:
+    def _fetch_log_id(self, default: str) -> str:
         data = self._get("/ct/v1/get-sth", bust=True)
         with _malformed("get-sth"):
-            return _typed(data["log_id"], str)
+            return _typed(data.get("log_id", default), str)
 
     def get_sth(self, now: int | None = None) -> STH:
         data = self._get("/ct/v1/get-sth", bust=True)

@@ -249,7 +249,6 @@ class LogConfig:
     sth_cache: SthCacheMode = SthCacheMode.NONE
     sth_cache_p: float = 0.0
     accept_self_signed: bool = False
-    frozen: bool = False
     forget: bool = False
 
     def __post_init__(self) -> None:
@@ -496,7 +495,7 @@ class CtLog(LogView):
         self._delay_model = DelayModel(self.config.publication_delay)
         self._submission_index = 0
         self._drop_serials: set[int] = set()
-        self.frozen = self.config.frozen
+        self.frozen = False
         self._publish_sth(0)
 
     # -- internal machinery

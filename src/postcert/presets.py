@@ -173,7 +173,6 @@ def classes(seed: int) -> Scenario:
         probe=ProbeConfig(sth_interval_ms=probe_interval, submit_interval_ms=15 * MINUTE_MS),
         schedule=(),
         build_proofs=False,
-        check_delay_bounds=False,
     )
 
 
@@ -208,7 +207,6 @@ def delay_percentiles(seed: int) -> Scenario:
                           submit_limit=REFERENCE_DELAY_SUBMISSIONS, logs=("log-a",)),
         schedule=(),
         build_proofs=False,
-        check_delay_bounds=False,
     )
 
 
@@ -270,7 +268,6 @@ def pathologies(seed: int, *, probes: int = 10_000) -> Scenario:
         probe=ProbeConfig(sth_interval_ms=interval, size_interval_ms=interval),
         schedule=(),
         build_proofs=False,
-        check_delay_bounds=False,
     )
 
 
@@ -304,7 +301,6 @@ def collisions(seed: int) -> Scenario:
         probe=ProbeConfig(sth_interval_ms=MINUTE_MS),
         schedule=tuple(schedule),
         build_proofs=False,
-        check_delay_bounds=False,
     )
 
 
@@ -416,9 +412,7 @@ PRESETS = {
 
 
 def build_preset(name: str, seed: int, policy: MrdPolicy | None = None) -> Scenario:
-    factory = PRESETS.get(name)
-    if factory is None:
-        raise KeyError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    factory = PRESETS[name]
     if name in ("normal", "m1", "m2", "m3", "log-forget"):
         return factory(seed, policy)
     return factory(seed)

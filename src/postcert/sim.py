@@ -22,10 +22,11 @@ revocation request, submission, discovery and update that the delay audit
 reads. ``validate_scenario`` refuses a serial issued twice, by any CA, so a
 serial names one certificate.
 
-At the horizon the run optionally audits itself: measured delay breakdowns go
-through the bound checker, and a third-party monitor view of the trace is fed
-to the misbehavior proof builders. Violations and proof attempts land in the
-trace alongside the protocol events.
+At the horizon the run audits itself: measured delay breakdowns go through
+the bound checker and, unless the scenario turns proofs off, a third-party
+monitor view of the trace is fed to the misbehavior proof builders.
+Violations and proof attempts land in the trace alongside the protocol
+events.
 
 The scenario file format comes from one declaration: each field of a line
 kind is one row, which ``scenario_to_text`` writes and ``scenario_from_text``
@@ -114,8 +115,6 @@ class SimLogConfig:
     log_id: str
     config: LogConfig = field(default_factory=LogConfig)
     background_per_hour: float = 0.0
-    operator: str = ""
-    trusted: bool = True
 
 
 @dataclass(frozen=True)
@@ -127,7 +126,6 @@ class SimCaConfig:
     processing_delay_ms: int = 1 * HOUR_MS
     clock_offset_ms: int = 0
     misbehavior: CaMisbehavior = CaMisbehavior.NONE
-    monitored_logs: tuple[str, ...] = ()  # empty means all scenario logs
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,6 @@ class SimClientConfig:
     submit_copies: int = 2
     sct_handoff: bool = False
     handoff_delay_ms: int = MINUTE_MS
-    avoid_issuer_log: bool = False
     scheme: PostcertScheme = PostcertScheme.CA_ISSUED
 
 
@@ -168,7 +165,6 @@ class Scenario:
     probe: ProbeConfig | None = None
     schedule: tuple[ScheduledEvent, ...] = ()
     build_proofs: bool = True
-    check_delay_bounds: bool = True
 
 
 # A clock reading of a run is a sum of a few scenario times (a tick time and
@@ -236,9 +232,8 @@ def validate_scenario(scenario: Scenario) -> None:
     if probe and (probe.sth_interval_ms <= 0 or min(probe.size_interval_ms, probe.submit_interval_ms) < 0):
         raise ScenarioError("invalid-scenario: probe sth interval must be positive, size and submit >= 0")
     log_ids = {l.log_id for l in scenario.logs}
-    for named in [c.monitored_logs for c in scenario.cas] + [probe.logs if probe else ()]:
-        if not log_ids.issuperset(named):
-            raise ScenarioError(f"invalid-scenario: unknown log in {','.join(named)}")
+    if probe and not log_ids.issuperset(probe.logs):
+        raise ScenarioError(f"invalid-scenario: unknown log in {','.join(probe.logs)}")
     client_ids = {c.client_id for c in scenario.clients}
     ca_ids = {c.ca_id for c in scenario.cas}
     holders: dict[int, str] = {}  # serial -> client, for the serials issued so far
@@ -296,20 +291,15 @@ def _submission_attempts(
     logs: list[CtLog],
     k: int,
     now: int,
-    *,
-    skip_operator: str | None = None,
-    operators: dict[str, str] | None = None,
 ) -> Iterator[tuple[str, SCT | None, str]]:
-    """Submit ``payload`` to the logs in order, skipping those operated by
-    ``skip_operator``, until ``k`` accept or the logs run out. Yields each
-    attempt as (log id, SCT, "") or (log id, None, error code).
+    """Submit ``payload`` to the logs in order until ``k`` accept or the
+    logs run out. Yields each attempt as (log id, SCT, "") or (log id, None,
+    error code).
     """
     accepted = 0
     for log in logs:
         if accepted >= k:
             break
-        if skip_operator and operators and operators.get(log.log_id) == skip_operator:
-            continue
         try:
             sct = log.submit(payload, chain, now)
         except LogError as exc:
@@ -361,11 +351,6 @@ class _CaActor:
     def clock(self, t_ref: int) -> int:
         return t_ref + self.config.clock_offset_ms
 
-    def monitored(self) -> list[str]:
-        if self.config.monitored_logs:
-            return list(self.config.monitored_logs)
-        return [l.log_id for l in self.sim.scenario.logs]
-
     # -- certificate lifecycle
 
     def issue(self, client: SimClientConfig, serial: int, now: int) -> None:
@@ -405,11 +390,9 @@ class _CaActor:
     # -- monitoring
 
     def monitor_tick(self, now: int) -> int:
-        """Fetch new entries from every monitored log and react to
-        postcertificates for certificates this CA issued; returns the delay
-        to the next poll."""
-        for log_id in self.monitored():
-            log = self.sim.logs[log_id]
+        """Fetch new entries from every log and react to postcertificates
+        for certificates this CA issued; returns the delay to the next poll."""
+        for log_id, log in self.sim.logs.items():
             cursor = self.cursors.get(log_id, 0)
             size = log.published_size(now)
             if size <= cursor:
@@ -541,9 +524,7 @@ class Simulation:
                 sim_log.config,
                 seed=scenario.seed,
             )
-        self.operators = {l.log_id: l.operator for l in scenario.logs if l.operator}
-        trusted_ids = [l.log_id for l in scenario.logs if l.trusted]
-        self.trusted = TrustedLogSet.of(*trusted_ids) if trusted_ids else None
+        self.trusted = TrustedLogSet.of(*self.logs)
 
     # -- plumbing
 
@@ -570,15 +551,13 @@ class Simulation:
     # -- submissions
 
     def _submit(self, actor: str, payload: Certificate | Postcertificate, chain: list[Certificate],
-                logs: list[CtLog], k: int, now: int, skip_operator: str | None = None) -> list[SCT]:
+                logs: list[CtLog], k: int, now: int) -> list[SCT]:
         """Submit ``payload`` through ``_submission_attempts`` and trace every
         attempt; an accepted one also gets its SCT event and is resolved to
         its entry number after the run. Returns the SCTs in log order."""
         payload_hash = SHA256.hash_leaf(encode_artifact(payload))
         scts: list[SCT] = []
-        for log_id, sct, error in _submission_attempts(
-            payload, chain, logs, k, now, skip_operator=skip_operator, operators=self.operators
-        ):
+        for log_id, sct, error in _submission_attempts(payload, chain, logs, k, now):
             record = SubmissionRecord(log_id, now, now, payload_hash, sct, error=error)
             index = self.emit(now, actor, EventKind.SUBMIT, record)
             if sct is not None:
@@ -587,14 +566,13 @@ class Simulation:
                 scts.append(sct)
         return scts
 
-    def submit_postcert(self, actor: str, cert: _Cert, k: int, now: int,
-                        skip_operator: str | None = None) -> list[SCT]:
+    def submit_postcert(self, actor: str, cert: _Cert, k: int, now: int) -> list[SCT]:
         """Submit ``cert``'s postcertificate to ``k`` logs, or to every
         candidate log if there are fewer.
 
         Every attempt is traced; when every log rejects, no SCT is returned.
         """
-        scts = self._submit(actor, cert.postcert, cert.chain, list(self.logs.values()), k, now, skip_operator)
+        scts = self._submit(actor, cert.postcert, cert.chain, list(self.logs.values()), k, now)
         if scts and cert.t_first_submit is None:
             cert.t_first_submit = now
         return scts
@@ -605,8 +583,7 @@ class Simulation:
         cert = self.certs[serial]
         cert.t_request = now
         copies = k if k is not None else client.submit_copies
-        skip = cert.ca_id if client.avoid_issuer_log else None
-        scts = self.submit_postcert(client.client_id, cert, copies, now, skip)
+        scts = self.submit_postcert(client.client_id, cert, copies, now)
         if client.sct_handoff and scts:
             ca = self.cas[cert.ca_id]
             self.schedule(now + client.handoff_delay_ms, lambda t: ca.on_sct_handoff(cert, scts, t))
@@ -781,8 +758,6 @@ class Simulation:
     def _build_proofs(self, horizon: int) -> None:
         """Build each case's proof from a third-party monitor's view of the
         trace, with read access to the final log states, and verify it."""
-        if self.trusted is None:
-            raise ScenarioError("invalid-scenario: no trusted logs")
         obs = observations(artifact for _, _, _, artifact in self._trace)
         policy = self.scenario.policy
         for case in Case:
@@ -822,8 +797,7 @@ class Simulation:
         for log in self.logs.values():
             log.advance(scenario.horizon_ms)
         self._resolve_submissions()
-        if scenario.check_delay_bounds:
-            self._check_bounds(scenario.horizon_ms)
+        self._check_bounds(scenario.horizon_ms)
         if scenario.build_proofs:
             self._build_proofs(scenario.horizon_ms)
 
@@ -873,7 +847,6 @@ def _flag(text: str) -> bool:
 
 
 _FLAG = (lambda value: str(int(value)), _flag)
-_DASHED = (lambda value: value or "-", lambda text: "" if text == "-" else text)
 _IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
 # A time in ms: validate_scenario bounds every field read with one of these
 # two, which it tells from _INT by identity.
@@ -888,7 +861,6 @@ _HEADER_FIELDS = (
     ("mrd", "policy.mrd_ms", _MS),
     ("mmd", "policy.mmd_ms", _MS),
     ("build_proofs", "build_proofs", _FLAG, True),
-    ("check_bounds", "check_delay_bounds", _FLAG, True),
 )
 _LOG_FIELDS = (
     ("id", "log_id", _TEXT),
@@ -901,11 +873,8 @@ _LOG_FIELDS = (
     ("cache", "config.sth_cache", _enum(SthCacheMode)),
     ("cache_p", "config.sth_cache_p", _FLOAT),
     ("self_signed", "config.accept_self_signed", _FLAG),
-    ("frozen", "config.frozen", _FLAG),
     ("forget", "config.forget", _FLAG),
     ("background", "background_per_hour", _FLOAT),
-    ("operator", "operator", _DASHED),
-    ("trusted", "trusted", _FLAG),
 )
 _CA_FIELDS = (
     ("id", "ca_id", _TEXT),
@@ -915,14 +884,12 @@ _CA_FIELDS = (
     ("processing", "processing_delay_ms", _MS),
     ("offset", "clock_offset_ms", _MS),
     ("misbehavior", "misbehavior", _enum(CaMisbehavior)),
-    ("monitors", "monitored_logs", _IDS),
 )
 _CLIENT_FIELDS = (
     ("id", "client_id", _TEXT),
     ("copies", "submit_copies", _INT),
     ("handoff", "sct_handoff", _FLAG),
     ("handoff_delay", "handoff_delay_ms", _MS),
-    ("avoid_issuer", "avoid_issuer_log", _FLAG),
     ("scheme", "scheme", _enum(PostcertScheme)),
 )
 _PROBE_FIELDS = (

@@ -8,19 +8,22 @@ signs each tree head's brute-force root at publication. ``TruncatedHashScheme``
 is a short-digest hash for oracles that want collisions. ``artifact_samples``
 supplies real encodings of every artifact kind, and ``declared`` a hypothesis
 strategy of any declared type, built from its wire declaration.
+``ByteWriter`` and ``ByteReader`` write and read the wire format one
+primitive at a time: the reference the declared codecs are tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import struct
 
 from hypothesis import assume
 from hypothesis import strategies as st
 
 from postcert.certs import REASON_CODES, Extension, RevocationExtension
 from postcert.crypto import DIGEST_LEN, HashScheme, SHA256, Signature
-from postcert.encoding import DECLARED, Kind
+from postcert.encoding import DECLARED, DecodeError, Kind, encode_artifact
 from postcert.log import STH, CtLog, sth_signing_payload
 
 
@@ -34,6 +37,122 @@ def split_point(n: int) -> int:
     while k * 2 < n:
         k *= 2
     return k
+
+
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+_I64 = struct.Struct(">q")
+
+
+class ByteWriter:
+    """Writes one primitive at a time, as parts joined once by ``getvalue``."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self) -> None:
+        self._parts: list[bytes] = []
+
+    def u8(self, value: int) -> None:
+        if not 0 <= value <= 0xFF:
+            raise ValueError("u8 out of range")
+        self._parts.append(bytes([value]))
+
+    def u32(self, value: int) -> None:
+        self._parts.append(_U32.pack(value))
+
+    def u64(self, value: int) -> None:
+        self._parts.append(_U64.pack(value))
+
+    def i64(self, value: int) -> None:
+        self._parts.append(_I64.pack(value))
+
+    def boolean(self, value: bool) -> None:
+        self._parts.append(b"\x01" if value else b"\x00")
+
+    def blob(self, value: bytes) -> None:
+        self._parts.extend((_U32.pack(len(value)), bytes(value)))
+
+    def text(self, value: str) -> None:
+        data = value.encode("utf-8")
+        self._parts.extend((_U32.pack(len(data)), data))
+
+    def artifact(self, obj: object) -> None:
+        """A nested artifact, as a blob of its tagged encoding."""
+        self.blob(encode_artifact(obj))
+
+    def optional_u64(self, value: int | None) -> None:
+        if value is None:
+            self._parts.append(b"\x00")
+        else:
+            self._parts.extend((b"\x01", _U64.pack(value)))
+
+    def optional_i64(self, value: int | None) -> None:
+        if value is None:
+            self._parts.append(b"\x00")
+        else:
+            self._parts.extend((b"\x01", _I64.pack(value)))
+
+    def getvalue(self) -> bytes:
+        return b"".join(self._parts)
+
+
+class ByteReader:
+    """Reads one primitive at a time; DecodeError on a short or bad input."""
+
+    __slots__ = ("_data", "_pos")
+
+    def __init__(self, data: bytes) -> None:
+        self._data = data
+        self._pos = 0
+
+    def _skip(self, n: int) -> int:
+        """Start offset of the next ``n`` bytes, which the reader moves past."""
+        pos = self._pos
+        if pos + n > len(self._data):
+            raise DecodeError("truncated input")
+        self._pos = pos + n
+        return pos
+
+    def _take(self, n: int) -> bytes:
+        pos = self._skip(n)
+        return self._data[pos : pos + n]
+
+    def u8(self) -> int:
+        return self._data[self._skip(1)]
+
+    def u32(self) -> int:
+        return _U32.unpack_from(self._data, self._skip(4))[0]
+
+    def u64(self) -> int:
+        return _U64.unpack_from(self._data, self._skip(8))[0]
+
+    def i64(self) -> int:
+        return _I64.unpack_from(self._data, self._skip(8))[0]
+
+    def boolean(self) -> bool:
+        flag = self.u8()
+        if flag > 1:
+            raise DecodeError("invalid boolean")
+        return flag == 1
+
+    def blob(self) -> bytes:
+        return self._take(self.u32())
+
+    def text(self) -> str:
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DecodeError("invalid utf-8") from exc
+
+    def optional_u64(self) -> int | None:
+        return self.u64() if self.boolean() else None
+
+    def optional_i64(self) -> int | None:
+        return self.i64() if self.boolean() else None
+
+    def expect_eof(self) -> None:
+        if self._pos != len(self._data):
+            raise DecodeError("trailing bytes")
 
 
 class TruncatedHashScheme(HashScheme):

@@ -19,7 +19,7 @@ import postcert
 from postcert.cli import EXIT_IO, EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
 from postcert.certs import CertRef
 from postcert.crypto import KeyRegistry, Signature
-from postcert.encoding import ByteWriter, decode_artifact, encode_artifact, text_block, text_block_bytes
+from postcert.encoding import decode_artifact, encode_artifact, text_block, text_block_bytes
 from postcert.log import STH, LogEntry, MerkleAuditProof, sth_signing_payload
 from postcert.merkle import MerkleTree
 from postcert.misbehavior import MisbehaviorProofM12, proof_to_text
@@ -27,6 +27,8 @@ from postcert.presets import build_preset
 from postcert.sim import scenario_to_text
 from postcert.status import StatusValue, issue_status
 from postcert.trace import SizeProbe
+
+from oracles import ByteWriter
 
 
 def _run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -518,8 +520,7 @@ def test_usage_error_exit_code(capsys):
     assert main(["simulate", "--preset", "nope"]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--preset", "nope"], ["probe", "--target", "scenario:nope"]],
-                         ids=["simulate", "probe"])
+@pytest.mark.parametrize("argv", [["simulate", "--preset", "nope"]], ids=["simulate"])
 def test_an_unknown_preset_is_one_usage_error_line(tmp_path, capsys, argv):
     code, out, err = _run(capsys, *argv, "--out", str(tmp_path / "t.trace"))
     assert (code, out) == (EXIT_USAGE, "")
@@ -528,12 +529,30 @@ def test_an_unknown_preset_is_one_usage_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "t.trace").exists()
 
 
+def test_a_key_error_inside_a_preset_is_not_an_unknown_preset(monkeypatch):
+    from postcert.presets import PRESETS
+
+    def broken(seed, policy=None):
+        raise KeyError("lookup bug")
+
+    monkeypatch.setitem(PRESETS, "normal", broken)
+    with pytest.raises(KeyError, match="lookup bug"):
+        main(["simulate", "--preset", "normal"])
+
+
+def test_probe_takes_only_a_url(tmp_path, capsys):
+    code, out, err = _run(capsys, "probe", "--target", "scenario:m1", "--out", str(tmp_path / "t.trace"))
+    assert (code, out) == (EXIT_IO, "")
+    assert err.startswith("error: scenario:m1: invalid-url") and err.count("\n") == 1
+    assert not (tmp_path / "t.trace").exists()
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (["simulate", "--preset", "m1", "--mrd", "8x"], "argument --mrd: unparseable duration: '8x'"),
         (["verify-proof", "--proof", "p", "--mmd", "1y"], "argument --mmd: unparseable duration: '1y'"),
-        (["probe", "--target", "scenario:m1", "--out", "t", "--duration", "soon"],
+        (["probe", "--target", "http://127.0.0.1:1", "--out", "t", "--duration", "soon"],
          "argument --duration: unparseable duration: 'soon'"),
         (["simulate", "--preset", "m1", "--mrd-mode", "submission", "--mrd", "1h"],
          "submission-anchored deadline must exceed the mmd"),

@@ -28,8 +28,6 @@ from postcert.crypto import Signature
 from postcert.encoding import (
     DECLARED,
     U32,
-    ByteReader,
-    ByteWriter,
     DecodeError,
     FieldLine,
     _DECODERS,
@@ -55,7 +53,7 @@ from postcert.sim import ScenarioError, Simulation, scenario_from_text, scenario
 from postcert.status import RevocationStatus, StatusKind, StatusValue, status_signing_payload
 from postcert.trace import read_trace, trace_to_text
 
-from oracles import artifact_samples, declared
+from oracles import ByteReader, ByteWriter, artifact_samples, declared
 
 
 def test_primitive_round_trip():

@@ -707,6 +707,27 @@ def test_probe_of_a_malformed_answer_exits_3_with_one_line(stub_log, sth, tmp_pa
     assert err.count("\n") == 1 and err.startswith(f"error: {url}: malformed-response")
 
 
+def test_probe_reads_an_rfc_6962_tree_head_that_names_no_log(stub_log, tmp_path, capsys):
+    """An RFC 6962 section 4.3 get-sth answer carries no log id; the log is
+    then named by the URL's host, port and path."""
+    from postcert.cli import main
+    from postcert.trace import observations_from_events, read_trace
+
+    url, answers = stub_log
+    answers["/ct/ct/v1/get-sth"] = {key: _GOOD_STH[key] for key in
+                                    ("tree_size", "timestamp", "sha256_root_hash", "tree_head_signature")}
+    out = tmp_path / "live.trace"
+    code = main(["probe", "--target", f"{url}/ct/", "--out", str(out),
+                 "--duration", "300ms", "--sth-interval", "100ms"])
+    assert code == 0
+    capsys.readouterr()
+    with open(out) as stream:
+        sths = observations_from_events(read_trace(stream)).sths
+    log_id = url.removeprefix("http://") + "/ct"
+    assert list(sths) == [log_id] and sths[log_id]
+    assert {o.sth.signature.signer_id for o in sths[log_id]} == {log_id}
+
+
 def _no_newline(data: bytes) -> bytes:
     return data.replace(b"\r", b"").replace(b"\n", b"")
 

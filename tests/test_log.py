@@ -80,7 +80,8 @@ def test_chain_rejected(registry, trust, leaf_cert):
 
 
 def test_frozen_log_rejects(registry, trust, ca_root, leaf_cert):
-    log = _make_log(registry, trust, frozen=True)
+    log = _make_log(registry, trust)
+    log.freeze()
     with pytest.raises(LogError) as err:
         log.submit(leaf_cert, [ca_root], now=0)
     assert err.value.code == ERR_LOG_FROZEN

@@ -242,15 +242,6 @@ def test_submission_attempts_proceed_past_rejections():
     assert {s.log_id for s in _accepted(attempts)} == {"log2", "log3"}
 
 
-def test_submission_attempts_skip_operator():
-    registry, trust, root, post, logs = _world()
-    operators = {"log1": "ca1", "log2": "other", "log3": "other"}
-    attempts = _submission_attempts(
-        post, [root], logs, 2, 1000, skip_operator="ca1", operators=operators
-    )
-    assert [log_id for log_id, _, _ in attempts] == ["log2", "log3"]
-
-
 # -- CA monitoring
 
 def test_monitor_discovery_within_poll_interval():
@@ -323,6 +314,32 @@ def test_frozen_log_event_and_fallback():
         if e.kind is EventKind.STATUS and e.artifact().value.kind is StatusKind.REVOKED
     ]
     assert revoked
+
+
+@pytest.mark.parametrize("accept", [True, False], ids=["self-signed-logs", "standard-logs"])
+def test_self_signed_postcertificate_is_logged_only_where_accepted(accept):
+    """A holder's self-signed postcertificate (the second scheme) revokes
+    through logs that accept it; standard logs reject its chain, so the CA
+    sees no request and no proof holds."""
+    base = normal_revocation(seed=5)
+    logs = tuple(dataclasses.replace(log, config=dataclasses.replace(log.config, accept_self_signed=accept))
+                 for log in base.logs)
+    clients = (dataclasses.replace(base.clients[0], scheme=PostcertScheme.SELF_SIGNED),)
+    scenario = dataclasses.replace(base, logs=logs, clients=clients)
+    events = Simulation(scenario).run()
+    submits = [e.artifact() for e in events if e.kind is EventKind.SUBMIT]
+    statuses = [e.artifact().value.kind for e in events if e.kind is EventKind.STATUS]
+    proofs = [e.artifact() for e in events if e.kind is EventKind.PROOF]
+    if accept:
+        assert [(s.log_id, s.ok) for s in submits] == [("log-a", True), ("log-b", True)]
+        assert statuses[-1] is StatusKind.REVOKED
+    else:
+        assert [(s.log_id, s.error) for s in submits] == [
+            ("log-a", "chain-rejected"), ("log-b", "chain-rejected"), ("log-c", "chain-rejected")]
+        assert set(statuses) == {StatusKind.GOOD}
+        assert not any(p.proven for p in proofs)
+    parsed = scenario_from_text(scenario_to_text(scenario))
+    assert trace_to_text(Simulation(parsed).run()) == trace_to_text(events)
 
 
 def test_revocation_every_log_rejects_is_traced_not_raised():
@@ -401,11 +418,8 @@ def test_validate_rejects_malformed_events(event):
 
 def test_validate_rejects_unknown_monitored_or_probed_log():
     base = normal_revocation(seed=1)
-    unknown_monitor = dataclasses.replace(base.cas[0], monitored_logs=("log-a", "nope"))
-    for bad in (dataclasses.replace(base, cas=(unknown_monitor,)),
-                dataclasses.replace(base, probe=ProbeConfig(logs=("nope",)))):
-        with pytest.raises(ScenarioError):
-            validate_scenario(bad)
+    with pytest.raises(ScenarioError):
+        validate_scenario(dataclasses.replace(base, probe=ProbeConfig(logs=("nope",))))
 
 
 def test_validate_rejects_revocation_before_issue():
@@ -478,9 +492,10 @@ def test_scenario_text_round_trip():
 
 
 # sha256 over scenario_to_text of every preset at seeds 0-29 (presets in name
-# order), then single_fault M1, M2 and M3 at seeds 0-49, recorded from the
-# hand-written codec the declared one replaced
-SCENARIO_TEXT_DIGEST = "f4d97dd241705c8ff20366800ed9ac2eec2fd9f189247992a71ee1f8262a44ef"
+# order), then single_fault M1, M2 and M3 at seeds 0-49: the texts the
+# hand-written codec wrote, less the fields operator, trusted, frozen,
+# monitors, avoid_issuer and check_bounds, which no world set
+SCENARIO_TEXT_DIGEST = "3fe5d34cb42b7856bf042e99a9abb72a062c6d82906ebe5d552e997d4d9bc386"
 
 
 def test_scenario_text_is_pinned_and_round_trips():
