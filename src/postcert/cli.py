@@ -42,6 +42,7 @@ class _Exit(Exception):
 
 
 def _policy_from_args(args: argparse.Namespace) -> MrdPolicy:
+    """The deadline policy the flags give; without ``--mrd-mode``, publication-anchored."""
     from .misbehavior import MrdMode, MrdPolicy, default_policy
 
     mode = MrdMode.FROM_SUBMISSION if args.mrd_mode == "submission" else MrdMode.FROM_PUBLICATION
@@ -83,7 +84,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         if args.preset not in PRESETS:  # a usage error; a KeyError from inside a preset is a bug
             raise _Exit(EXIT_USAGE, f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
-        scenario = build_preset(args.preset, args.seed, _policy_from_args(args))
+        # without a policy flag a preset keeps its own policy
+        flagged = any(value is not None for value in (args.mrd_mode, args.mrd, args.mmd))
+        scenario = build_preset(args.preset, args.seed, _policy_from_args(args) if flagged else None)
     sim = Simulation(scenario)
     events = sim.run()
     _write(args.out, trace_to_text(events))
@@ -381,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_policy_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mrd-mode", choices=["submission", "publication"],
-                       default="publication")
+                       help="deadline anchor (default: publication)")
         p.add_argument("--mrd", type=_duration, help="revocation deadline, e.g. 8h")
         p.add_argument("--mmd", type=_duration, help="maximum merge delay, e.g. 24h")
 

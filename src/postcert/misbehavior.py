@@ -210,14 +210,6 @@ def _served(readers: dict[str, LogReader], log_id: str, size: int | None = None)
     return entries_below(reader, reader.published_size() if size is None else size)
 
 
-def _status_is_incorrect(status: RevocationStatus, post: Postcertificate) -> bool:
-    """Compare the served status against the postcertificate's request by
-    status class only: the request asks for REVOKED, whatever the reason."""
-    if post.status != REQUESTED_STATUS_REVOKED:
-        raise ValueError(f"unexpected requested status {post.status!r}")
-    return status.value.kind is not StatusKind.REVOKED
-
-
 def verify_m12(
     proof: MisbehaviorProofM12,
     policy: MrdPolicy,
@@ -243,11 +235,14 @@ def verify_m12(
         return _rejected("undecodable-entry", f"{entry.log_id}#{entry.number}: {exc}")
     if not isinstance(payload, Postcertificate):
         return _rejected("not-a-postcertificate")
+    if payload.status != REQUESTED_STATUS_REVOKED:
+        return _rejected("not-a-revocation-request", payload.status)
     if not verify_status(proof.status, registry):
         return _rejected("bad-status-signature")
     if proof.status.cert_ref != payload.target_ref:
         return _rejected("certificate-mismatch")
-    if not _status_is_incorrect(proof.status, payload):
+    # the request asks for REVOKED, whatever the reason: compare by status class only
+    if proof.status.value.kind is StatusKind.REVOKED:
         return _rejected("status-not-incorrect")
     t_proof = earliest_proof_time(
         Case.M1_MISSING_UPDATE, policy, entry=entry, covering_sth=sth
@@ -371,15 +366,19 @@ def proof_time(proof, policy: MrdPolicy) -> int:
 def _scan_postcerts(
     trusted: TrustedLogSet, readers: dict[str, LogReader]
 ) -> list[tuple[LogEntry, Postcertificate]]:
+    """The trusted logs' postcertificates that request a revocation; any
+    other request is no M1/M2 evidence, and ``verify_m12`` rejects it."""
     found: list[tuple[LogEntry, Postcertificate]] = []
     for log_id in trusted.sorted():
         for entry in _served(readers, log_id) or ():
             if not is_postcert_payload(entry.payload):
                 continue
             try:
-                found.append((entry, decode_artifact(entry.payload)))
+                post = decode_artifact(entry.payload)
             except DecodeError:
                 continue  # the verifiers reject it as an undecodable-entry
+            if post.status == REQUESTED_STATUS_REVOKED:
+                found.append((entry, post))
     return found
 
 
@@ -414,7 +413,7 @@ def _pick_m12_evidence(
             if want_good:
                 if status.value.kind is not StatusKind.GOOD:
                     continue
-            elif status.value.kind is StatusKind.GOOD or not _status_is_incorrect(status, post):
+            elif status.value.kind in (StatusKind.GOOD, StatusKind.REVOKED):
                 continue
             reader = readers.get(entry.log_id)
             if reader is None:

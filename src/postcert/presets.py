@@ -1,8 +1,14 @@
 """Named scenario presets runnable from the command line.
 
-Each preset is a function of the seed (and optionally the deadline policy) so
+Each preset is a function of the seed and an optional deadline policy, so
 the same name always describes the same world, while reruns with different
-seeds redraw the random choices.
+seeds redraw the random choices. Without a policy a preset keeps its own:
+``default_policy()``, or for ``honest-random`` the one its seed draws.
+
+Most presets follow one certificate: ``ca1`` issues it to ``client1`` at
+1 h, and its holder then revokes it, through the logs or (``m3``) straight
+at the CA. ``_one_certificate`` builds those worlds from what sets them
+apart: their logs, revocation events, horizon and a few actor settings.
 """
 
 from __future__ import annotations
@@ -21,59 +27,69 @@ from .sim import (
     SimClientConfig,
     SimLogConfig,
 )
+from .status import status_update_deadline
 from .timeutil import DAY_MS, HOUR_MS, MINUTE_MS, SECOND_MS
 
-def _fast_log(log_id: str, **kwargs) -> SimLogConfig:
+_CA = SimCaConfig("ca1")
+_ISSUE = ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"})
+
+
+def _revoke(t: int = 5 * HOUR_MS, **params: str) -> ScheduledEvent:
+    """``client1`` asks at ``t`` for its certificate's revocation through the logs."""
+    return ScheduledEvent(t, "revoke-request", {"client": "client1", "serial": "1", **params})
+
+
+def _fast_log(log_id: str, publication_delay: str = f"uniform:{30 * SECOND_MS}:{2 * MINUTE_MS}",
+              **kwargs) -> SimLogConfig:
     config = LogConfig(
         update_class=UpdateClass.PERIODIC,
         update_interval_ms=10 * MINUTE_MS,
-        publication_delay=f"uniform:{30 * SECOND_MS}:{2 * MINUTE_MS}",
+        publication_delay=publication_delay,
         **kwargs,
     )
     return SimLogConfig(log_id, config, background_per_hour=6.0)
 
 
-def normal_revocation(seed: int, policy: MrdPolicy | None = None) -> Scenario:
-    """Issue one certificate and revoke it through two logs; everyone honest."""
-    policy = policy or default_policy()
-    return Scenario(
-        name="normal",
-        seed=seed,
-        horizon_ms=40 * HOUR_MS if policy.mode is MrdMode.FROM_SUBMISSION else 18 * HOUR_MS,
-        policy=policy,
-        logs=(_fast_log("log-a"), _fast_log("log-b"), _fast_log("log-c")),
-        cas=(SimCaConfig("ca1", poll_interval_ms=10 * MINUTE_MS, update_delay_ms=30 * MINUTE_MS),),
-        clients=(SimClientConfig("client1", submit_copies=2),),
-        probe=ProbeConfig(sth_interval_ms=MINUTE_MS),
-        schedule=(
-            ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-            ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1"}),
-        ),
-    )
-
-
-def _misbehavior_scenario(name: str, seed: int, flag: CaMisbehavior,
-                          policy: MrdPolicy | None = None) -> Scenario:
-    policy = policy or default_policy()
-    horizon = 5 * HOUR_MS + policy.mmd_ms + policy.mrd_ms + 12 * HOUR_MS
-    schedule: list[ScheduledEvent] = [
-        ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-    ]
-    if flag is CaMisbehavior.M3_EARLY_REVOKE:
-        schedule.append(ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1"}))
-    else:
-        schedule.append(ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1"}))
+def _one_certificate(name: str, seed: int, policy: MrdPolicy | None, horizon_ms: int,
+                     logs: list[SimLogConfig], revocations: list[ScheduledEvent], *,
+                     copies: int = 2, ca: SimCaConfig = _CA,
+                     probe: ProbeConfig = ProbeConfig(sth_interval_ms=MINUTE_MS),
+                     build_proofs: bool = True) -> Scenario:
+    """The world of ``_ISSUE`` followed by ``revocations``, with ``ca`` as
+    the issuer and ``client1`` submitting ``copies`` postcertificates."""
     return Scenario(
         name=name,
         seed=seed,
-        horizon_ms=horizon,
-        policy=policy,
-        logs=(_fast_log("log-a"), _fast_log("log-b")),
-        cas=(SimCaConfig("ca1", poll_interval_ms=10 * MINUTE_MS, update_delay_ms=30 * MINUTE_MS,
-                         misbehavior=flag),),
-        clients=(SimClientConfig("client1", submit_copies=2),),
-        probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS),
-        schedule=tuple(schedule),
+        horizon_ms=horizon_ms,
+        policy=policy or default_policy(),
+        logs=tuple(logs),
+        cas=(ca,),
+        clients=(SimClientConfig("client1", submit_copies=copies),),
+        probe=probe,
+        schedule=(_ISSUE, *revocations),
+        build_proofs=build_proofs,
+    )
+
+
+def normal_revocation(seed: int, policy: MrdPolicy | None = None) -> Scenario:
+    """Issue one certificate and revoke it through two logs; everyone honest."""
+    policy = policy or default_policy()
+    horizon = 40 * HOUR_MS if policy.mode is MrdMode.FROM_SUBMISSION else 18 * HOUR_MS
+    logs = [_fast_log("log-a"), _fast_log("log-b"), _fast_log("log-c")]
+    return _one_certificate("normal", seed, policy, horizon, logs, [_revoke()])
+
+
+def _misbehavior_scenario(name: str, seed: int, flag: CaMisbehavior,
+                          policy: MrdPolicy | None) -> Scenario:
+    """Two honest logs and a CA that misbehaves as ``flag``; under M3 the
+    revocation request goes straight to the CA, past the logs."""
+    policy = policy or default_policy()
+    direct = flag is CaMisbehavior.M3_EARLY_REVOKE
+    revoke = ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1"}) if direct else _revoke()
+    return _one_certificate(
+        name, seed, policy, 5 * HOUR_MS + policy.mmd_ms + policy.mrd_ms + 12 * HOUR_MS,
+        [_fast_log("log-a"), _fast_log("log-b")], [revoke],
+        ca=replace(_CA, misbehavior=flag), probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS),
     )
 
 
@@ -93,33 +109,17 @@ def log_forget(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """One log returns SCTs but never publishes; revocation still succeeds
     through the remaining logs and the broken promise becomes provable."""
     policy = policy or default_policy()
-    forget_config = LogConfig(
-        update_class=UpdateClass.PERIODIC,
-        update_interval_ms=10 * MINUTE_MS,
-        publication_delay=f"fixed:{MINUTE_MS}",
-        forget=True,
-    )
-    return Scenario(
-        name="log-forget",
-        seed=seed,
-        horizon_ms=5 * HOUR_MS + policy.mmd_ms + 8 * HOUR_MS,
-        policy=policy,
-        logs=(
-            SimLogConfig("log-forget", forget_config, background_per_hour=6.0),
-            _fast_log("log-b"),
-            _fast_log("log-c"),
-        ),
-        cas=(SimCaConfig("ca1", poll_interval_ms=10 * MINUTE_MS, update_delay_ms=30 * MINUTE_MS),),
-        clients=(SimClientConfig("client1", submit_copies=3),),
-        probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS),
-        schedule=(
-            ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-            ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1", "k": "3"}),
-        ),
-    )
+    logs = [
+        _fast_log("log-forget", publication_delay=f"fixed:{MINUTE_MS}", forget=True),
+        _fast_log("log-b"),
+        _fast_log("log-c"),
+    ]
+    return _one_certificate("log-forget", seed, policy, 5 * HOUR_MS + policy.mmd_ms + 8 * HOUR_MS,
+                            logs, [_revoke(k="3")], copies=3,
+                            probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS))
 
 
-def classes(seed: int) -> Scenario:
+def classes(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Six logs exercising every update-behavior class the classifier knows."""
     probe_interval = 50 * SECOND_MS
     logs = (
@@ -135,23 +135,14 @@ def classes(seed: int) -> Scenario:
                 publication_delay=f"uniform:{90 * SECOND_MS}:{3 * MINUTE_MS}",
             ),
         ),
-        SimLogConfig(
-            "periodic-120",
-            LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=120 * SECOND_MS,
-                      publication_delay="fixed:1000"),
-            background_per_hour=180.0,
-        ),
-        SimLogConfig(
-            "periodic-600",
-            LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=600 * SECOND_MS,
-                      publication_delay="fixed:1000"),
-            background_per_hour=180.0,
-        ),
-        SimLogConfig(
-            "periodic-3600",
-            LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=3600 * SECOND_MS,
-                      publication_delay="fixed:1000"),
-            background_per_hour=180.0,
+        *(
+            SimLogConfig(
+                f"periodic-{seconds}",
+                LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=seconds * SECOND_MS,
+                          publication_delay="fixed:1000"),
+                background_per_hour=180.0,
+            )
+            for seconds in (120, 600, 3600)
         ),
         SimLogConfig(
             "irregular",
@@ -166,12 +157,11 @@ def classes(seed: int) -> Scenario:
         name="classes",
         seed=seed,
         horizon_ms=31 * HOUR_MS,
-        policy=default_policy(),
+        policy=policy or default_policy(),
         logs=logs,
         cas=(),
         clients=(),
         probe=ProbeConfig(sth_interval_ms=probe_interval, submit_interval_ms=15 * MINUTE_MS),
-        schedule=(),
         build_proofs=False,
     )
 
@@ -183,7 +173,7 @@ REFERENCE_DELAY_MAX_MS = 13 * HOUR_MS
 REFERENCE_DELAY_SUBMISSIONS = 101
 
 
-def delay_percentiles(seed: int) -> Scenario:
+def delay_percentiles(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Delay distribution tuned so realized min/median/max hit the reference
     values exactly (ascending quantile grid; FIFO merge order keeps each
     realized delay equal to its nominal sample)."""
@@ -191,56 +181,34 @@ def delay_percentiles(seed: int) -> Scenario:
         f"grid:{REFERENCE_DELAY_MIN_MS}:{REFERENCE_DELAY_MEDIAN_MS}:{REFERENCE_DELAY_MAX_MS}"
         f":{REFERENCE_DELAY_SUBMISSIONS}"
     )
-    log = SimLogConfig(
-        "log-a",
-        LogConfig(update_class=UpdateClass.BUSY, publication_delay=grid),
-    )
+    log = SimLogConfig("log-a", LogConfig(update_class=UpdateClass.BUSY, publication_delay=grid))
     return Scenario(
         name="delay-percentiles",
         seed=seed,
         horizon_ms=15 * HOUR_MS,
-        policy=default_policy(),
+        policy=policy or default_policy(),
         logs=(log,),
         cas=(),
         clients=(),
         probe=ProbeConfig(sth_interval_ms=10 * SECOND_MS, submit_interval_ms=30 * SECOND_MS,
-                          submit_limit=REFERENCE_DELAY_SUBMISSIONS, logs=("log-a",)),
-        schedule=(),
+                          submit_limit=REFERENCE_DELAY_SUBMISSIONS),
         build_proofs=False,
     )
 
 
-def clock_skew(seed: int) -> Scenario:
+def clock_skew(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Per-log clock offsets drawn in [-3 s, +3 s]; honest revocation flow."""
     rng = random.Random(f"{seed}:clock-skew")
-    logs = []
-    for index in range(4):
-        offset = rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)
-        config = LogConfig(
-            update_class=UpdateClass.PERIODIC,
-            update_interval_ms=10 * MINUTE_MS,
-            publication_delay=f"uniform:{30 * SECOND_MS}:{2 * MINUTE_MS}",
-            clock_offset_ms=offset,
-        )
-        logs.append(SimLogConfig(f"log-{index}", config, background_per_hour=6.0))
-    return Scenario(
-        name="clock-skew",
-        seed=seed,
-        horizon_ms=18 * HOUR_MS,
-        policy=default_policy(),
-        logs=tuple(logs),
-        cas=(SimCaConfig("ca1", poll_interval_ms=10 * MINUTE_MS, update_delay_ms=30 * MINUTE_MS,
-                         clock_offset_ms=rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)),),
-        clients=(SimClientConfig("client1", submit_copies=4),),
+    logs = [_fast_log(f"log-{index}", clock_offset_ms=rng.randint(-3 * SECOND_MS, 3 * SECOND_MS))
+            for index in range(4)]
+    return _one_certificate(
+        "clock-skew", seed, policy, 18 * HOUR_MS, logs, [_revoke(k="4")], copies=4,
+        ca=replace(_CA, clock_offset_ms=rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)),
         probe=ProbeConfig(sth_interval_ms=MINUTE_MS, submit_interval_ms=5 * MINUTE_MS),
-        schedule=(
-            ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-            ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1", "k": "4"}),
-        ),
     )
 
 
-def pathologies(seed: int, *, probes: int = 10_000) -> Scenario:
+def pathologies(seed: int, policy: MrdPolicy | None = None, *, probes: int = 10_000) -> Scenario:
     """Out-of-order and lagging response injection next to an honest control."""
     interval = 10 * SECOND_MS
     growing = dict(update_class=UpdateClass.BUSY, publication_delay="fixed:500")
@@ -261,17 +229,16 @@ def pathologies(seed: int, *, probes: int = 10_000) -> Scenario:
         name="pathologies",
         seed=seed,
         horizon_ms=probes * interval + interval,
-        policy=default_policy(),
+        policy=policy or default_policy(),
         logs=logs,
         cas=(),
         clients=(),
         probe=ProbeConfig(sth_interval_ms=interval, size_interval_ms=interval),
-        schedule=(),
         build_proofs=False,
     )
 
 
-def collisions(seed: int) -> Scenario:
+def collisions(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Duplicate submissions against both duplicate policies."""
     reinsert = LogConfig(
         update_class=UpdateClass.BUSY,
@@ -279,78 +246,54 @@ def collisions(seed: int) -> Scenario:
         duplicate_policy=DuplicatePolicy.REINSERT,
     )
     dedupe = LogConfig(update_class=UpdateClass.BUSY, publication_delay="fixed:1000")
-    schedule = [
-        ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-    ]
-    for minute in (120, 150, 180):
-        schedule.append(
-            ScheduledEvent(minute * MINUTE_MS, "revoke-request",
-                           {"client": "client1", "serial": "1", "k": "2"})
-        )
-    return Scenario(
-        name="collisions",
-        seed=seed,
-        horizon_ms=10 * HOUR_MS,
-        policy=default_policy(),
-        logs=(
-            SimLogConfig("reinsert", reinsert),
-            SimLogConfig("dedupe", dedupe),
-        ),
-        cas=(SimCaConfig("ca1", poll_interval_ms=10 * MINUTE_MS),),
-        clients=(SimClientConfig("client1", submit_copies=2),),
-        probe=ProbeConfig(sth_interval_ms=MINUTE_MS),
-        schedule=tuple(schedule),
+    return _one_certificate(
+        "collisions", seed, policy, 10 * HOUR_MS,
+        [SimLogConfig("reinsert", reinsert), SimLogConfig("dedupe", dedupe)],
+        [_revoke(minute * MINUTE_MS, k="2") for minute in (120, 150, 180)],
         build_proofs=False,
     )
 
 
-def honest_random(seed: int) -> Scenario:
+def honest_random(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Randomized honest world for soundness sweeps: random log classes,
-    delays, skews and schedule, with deadlines every honest actor can meet."""
+    delays, skews and schedule, with deadlines every honest actor can meet.
+    A given ``policy`` replaces the drawn one; the draws stay the same."""
     rng = random.Random(f"{seed}:honest")
     mode = rng.choice([MrdMode.FROM_PUBLICATION, MrdMode.FROM_SUBMISSION])
     mmd = DAY_MS
     poll = rng.choice([10, 20, 30]) * MINUTE_MS
     update_delay = rng.choice([10, 30, 60]) * MINUTE_MS
     mrd_b = poll + update_delay + rng.choice([2, 4, 8]) * HOUR_MS
-    policy = (
+    policy = policy or (
         MrdPolicy(mode, mrd_ms=mrd_b, mmd_ms=mmd)
         if mode is MrdMode.FROM_PUBLICATION
         else MrdPolicy(mode, mrd_ms=mmd + mrd_b, mmd_ms=mmd)
     )
     logs = []
     for index in range(rng.randint(2, 3)):
-        kind = rng.choice(["busy", "periodic"])
+        periodic = rng.choice(["busy", "periodic"]) == "periodic"
         offset = rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)
-        if kind == "busy":
-            # busy logs only sign on change, so keep some traffic flowing
-            config = LogConfig(
-                update_class=UpdateClass.BUSY,
-                publication_delay=f"uniform:{10 * SECOND_MS}:{5 * MINUTE_MS}",
-                clock_offset_ms=offset,
-            )
-            background = rng.choice([2.0, 4.0])
-        else:
-            config = LogConfig(
-                update_class=UpdateClass.PERIODIC,
-                update_interval_ms=rng.choice([5, 10, 15]) * MINUTE_MS,
-                publication_delay=f"uniform:{10 * SECOND_MS}:{5 * MINUTE_MS}",
-                clock_offset_ms=offset,
-            )
-            background = rng.choice([0.0, 2.0])
+        config = LogConfig(
+            update_class=UpdateClass.PERIODIC if periodic else UpdateClass.BUSY,
+            update_interval_ms=rng.choice([5, 10, 15]) * MINUTE_MS if periodic else None,
+            publication_delay=f"uniform:{10 * SECOND_MS}:{5 * MINUTE_MS}",
+            clock_offset_ms=offset,
+        )
+        # busy logs only sign on change, so keep some traffic flowing
+        background = rng.choice([0.0, 2.0] if periodic else [2.0, 4.0])
         logs.append(SimLogConfig(f"log-{index}", config, background_per_hour=background))
     validity = rng.choice([8, 10, 16, 24]) * HOUR_MS
     issue_t = rng.randint(30, 90) * MINUTE_MS
     revoke_t = issue_t + rng.randint(60, 240) * MINUTE_MS
     direct = rng.random() < 0.25
     handoff = not direct and rng.random() < 0.3
-    revoke_kind = "revoke-direct" if direct else "revoke-request"
-    revoke_params = {"serial": "1"} if direct else {"client": "client1", "serial": "1"}
+    revoke = ScheduledEvent(revoke_t, "revoke-direct", {"serial": "1"}) if direct else _revoke(revoke_t)
     t_proof_bound = revoke_t + policy.mmd_ms + policy.mrd_ms
     return Scenario(
         name="honest-random",
         seed=seed,
-        horizon_ms=t_proof_bound + status_refresh_margin(validity),
+        # two status refreshes and two hours past the latest proof time
+        horizon_ms=t_proof_bound + 2 * status_update_deadline(validity) + 2 * HOUR_MS,
         policy=policy,
         logs=tuple(logs),
         cas=(SimCaConfig("ca1", poll_interval_ms=poll, status_validity_ms=validity,
@@ -359,17 +302,8 @@ def honest_random(seed: int) -> Scenario:
         clients=(SimClientConfig("client1", submit_copies=min(2, len(logs)),
                                  sct_handoff=handoff),),
         probe=ProbeConfig(sth_interval_ms=15 * MINUTE_MS),
-        schedule=(
-            ScheduledEvent(issue_t, "issue", {"ca": "ca1", "client": "client1", "serial": "1"}),
-            ScheduledEvent(revoke_t, revoke_kind, revoke_params),
-        ),
+        schedule=(replace(_ISSUE, t=issue_t), revoke),
     )
-
-
-def status_refresh_margin(validity_ms: int) -> int:
-    from .status import status_update_deadline
-
-    return 2 * status_update_deadline(validity_ms) + 2 * HOUR_MS
 
 
 def single_fault(seed: int, case: str) -> Scenario:
@@ -412,7 +346,4 @@ PRESETS = {
 
 
 def build_preset(name: str, seed: int, policy: MrdPolicy | None = None) -> Scenario:
-    factory = PRESETS[name]
-    if name in ("normal", "m1", "m2", "m3", "log-forget"):
-        return factory(seed, policy)
-    return factory(seed)
+    return PRESETS[name](seed, policy)

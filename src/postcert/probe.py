@@ -58,14 +58,12 @@ def binary_search_size(reader, now: int | None = None, at_least: int = 0) -> Siz
     gallops up from it (``at_least``, ``+1``, ``+3``, ``+7``, ...), so a log
     grown by ``d`` entries costs O(log d) reads; otherwise it searches from 0.
     Served entries form a prefix, so the answer is exact for any hint, and
-    without one the reads are 0, 1, 2, 4, ... as in a plain search.
+    without one the reads are 0, 1, 2, 4, ... as in a plain search. A
+    reader's failure, such as ``LogError`` or ``OSError``, propagates.
     """
 
     def has_entry(index: int) -> bool:
-        try:
-            return bool(reader.get_entries(index, index, now))
-        except Exception as exc:  # reader transport failure
-            raise AnalysisError("reader-unavailable", str(exc))
+        return bool(reader.get_entries(index, index, now))
 
     t = now if now is not None else 0
     base = max(at_least, 1)

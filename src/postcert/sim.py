@@ -11,9 +11,11 @@ configured deviation and nothing else.
 Every periodic actor (status refreshes, CA polls, background load and the
 probe's tree-head, size and submission ticks) is one ``Simulation.loop``: a
 tick runs, returns the delay to its next run or None to stop, and the run
-ends at the first event past the horizon. Every traced submission, a
-client's, a CA's or the probe's, walks the candidate logs through
-``_submission_attempts``, so a rejection becomes an error code in one place.
+ends at the first event past the horizon. The probe reads every log of the
+scenario, and an out-of-band SCT handoff takes ``HANDOFF_DELAY_MS``. Every
+traced submission, a client's, a CA's or the probe's, walks the candidate
+logs through ``_submission_attempts``, so a rejection becomes an error code
+in one place.
 
 Each issued certificate is one ``_Cert`` record in ``Simulation.certs``,
 keyed by serial: its certificate, postcertificate and chain, the status
@@ -93,6 +95,9 @@ from .trace import (
 )
 
 CERT_LIFETIME_MS = 400 * DAY_MS
+# A client that hands its SCTs to the CA out of band does so this long after
+# the logs return them.
+HANDOFF_DELAY_MS = MINUTE_MS
 _BACKGROUND_SERIAL_BASE = 1_000_000
 
 
@@ -133,7 +138,6 @@ class SimClientConfig:
     client_id: str
     submit_copies: int = 2
     sct_handoff: bool = False
-    handoff_delay_ms: int = MINUTE_MS
     scheme: PostcertScheme = PostcertScheme.CA_ISSUED
 
 
@@ -143,7 +147,6 @@ class ProbeConfig:
     size_interval_ms: int = 0
     submit_interval_ms: int = 0
     submit_limit: int = 0  # per log; 0 means unlimited
-    logs: tuple[str, ...] = ()  # empty means all scenario logs
 
 
 @dataclass(frozen=True)
@@ -225,15 +228,10 @@ def validate_scenario(scenario: Scenario) -> None:
                                 f"{VALIDITY_MIN_MS}..{VALIDITY_MAX_MS} ms")
         if min(ca.update_delay_ms, ca.processing_delay_ms) < 0:
             raise ScenarioError(f"invalid-scenario: ca {ca.ca_id}: negative update or processing delay")
-    for client in scenario.clients:
-        if client.handoff_delay_ms < 0:
-            raise ScenarioError(f"invalid-scenario: client {client.client_id}: negative handoff delay")
     probe = scenario.probe
     if probe and (probe.sth_interval_ms <= 0 or min(probe.size_interval_ms, probe.submit_interval_ms) < 0):
         raise ScenarioError("invalid-scenario: probe sth interval must be positive, size and submit >= 0")
     log_ids = {l.log_id for l in scenario.logs}
-    if probe and not log_ids.issuperset(probe.logs):
-        raise ScenarioError(f"invalid-scenario: unknown log in {','.join(probe.logs)}")
     client_ids = {c.client_id for c in scenario.clients}
     ca_ids = {c.ca_id for c in scenario.cas}
     holders: dict[int, str] = {}  # serial -> client, for the serials issued so far
@@ -586,7 +584,7 @@ class Simulation:
         scts = self.submit_postcert(client.client_id, cert, copies, now)
         if client.sct_handoff and scts:
             ca = self.cas[cert.ca_id]
-            self.schedule(now + client.handoff_delay_ms, lambda t: ca.on_sct_handoff(cert, scts, t))
+            self.schedule(now + HANDOFF_DELAY_MS, lambda t: ca.on_sct_handoff(cert, scts, t))
 
     def _filler_cert(self, issuer: str, key_id: str, serial: int, now: int) -> Certificate:
         tbs = TbsCertificate(
@@ -621,20 +619,14 @@ class Simulation:
 
     # -- probe actor
 
-    def _probe_logs(self) -> list[str]:
-        probe = self.scenario.probe
-        if probe and probe.logs:
-            return list(probe.logs)
-        return [l.log_id for l in self.scenario.logs]
-
     def _schedule_probe(self) -> None:
         probe = self.scenario.probe
         if probe is None:
             return
 
         def sth_tick(now: int) -> int:
-            for log_id in self._probe_logs():
-                obs = SthObservation(now, now, self.logs[log_id].get_sth(now))
+            for log in self.logs.values():
+                obs = SthObservation(now, now, log.get_sth(now))
                 self.emit(now, "probe", EventKind.STH, obs)
             return probe.sth_interval_ms
 
@@ -642,11 +634,11 @@ class Simulation:
 
         if probe.size_interval_ms:
             # each search gallops up from the size the previous one measured
-            last_size = {log_id: 0 for log_id in self._probe_logs()}
+            last_size = dict.fromkeys(self.logs, 0)
 
             def size_tick(now: int) -> int:
-                for log_id in self._probe_logs():
-                    record = binary_search_size(self.logs[log_id], now, last_size[log_id])
+                for log_id, log in self.logs.items():
+                    record = binary_search_size(log, now, last_size[log_id])
                     last_size[log_id] = record.size
                     self.emit(now, "probe", EventKind.SIZE, record)
                 return probe.size_interval_ms
@@ -655,11 +647,11 @@ class Simulation:
             self.loop(probe.size_interval_ms // 2 + 1, size_tick)
 
         if probe.submit_interval_ms:
-            submitted = {log_id: 0 for log_id in self._probe_logs()}
+            submitted = dict.fromkeys(self.logs, 0)
 
             def submit_tick(now: int) -> int | None:
                 due = [
-                    log_id for log_id in self._probe_logs()
+                    log_id for log_id in self.logs
                     if not probe.submit_limit or submitted[log_id] < probe.submit_limit
                 ]
                 if not due:
@@ -810,11 +802,6 @@ class Simulation:
         return events
 
 
-def run(scenario: Scenario) -> list[TraceEvent]:
-    """Run a scenario to its horizon and return the trace."""
-    return Simulation(scenario).run()
-
-
 # Scenario files ---------------------------------------------------------------------
 #
 # A header line, then one line per log, CA, client, probe and event after its
@@ -847,7 +834,6 @@ def _flag(text: str) -> bool:
 
 
 _FLAG = (lambda value: str(int(value)), _flag)
-_IDS = (lambda value: ",".join(value) or "-", lambda text: () if text == "-" else tuple(text.split(",")))
 # A time in ms: validate_scenario bounds every field read with one of these
 # two, which it tells from _INT by identity.
 _MS = (str, canonical_int)
@@ -889,7 +875,6 @@ _CLIENT_FIELDS = (
     ("id", "client_id", _TEXT),
     ("copies", "submit_copies", _INT),
     ("handoff", "sct_handoff", _FLAG),
-    ("handoff_delay", "handoff_delay_ms", _MS),
     ("scheme", "scheme", _enum(PostcertScheme)),
 )
 _PROBE_FIELDS = (
@@ -897,7 +882,6 @@ _PROBE_FIELDS = (
     ("size", "size_interval_ms", _MS),
     ("submit", "submit_interval_ms", _MS),
     ("submit_limit", "submit_limit", _INT, 0),
-    ("logs", "logs", _IDS),
 )
 _EVENT_FIELDS = (
     ("t", "t", _INT),

@@ -420,6 +420,40 @@ def test_verify_proof_undecodable_entry_is_rejected(tmp_path, capsys):
     assert (out, err) == ("REJECTED(undecodable-entry)\n", "")
 
 
+def test_verify_proof_of_a_request_for_another_status_is_rejected(tmp_path, capsys):
+    """An M1 bundle whose logged postcertificate, signed by its CA, asks for
+    GOOD instead of REVOKED: no status can break that request."""
+    from postcert.certs import (
+        PostcertScheme,
+        TbsCertificate,
+        TrustStore,
+        make_postcertificate,
+        postcert_signing_payload,
+        sign_certificate,
+    )
+    from postcert.log import CtLog, LogConfig, UpdateClass
+
+    registry = KeyRegistry.with_signers(["log-a", "ca1"])
+    root = sign_certificate(registry, "ca1", TbsCertificate(0, "ca1", "ca1", 0, 10**13, "ca1"))
+    cert = sign_certificate(registry, "ca1", TbsCertificate(7, "site.example", "ca1", 0, 10**13, "ca1"))
+    post = make_postcertificate(cert, PostcertScheme.CA_ISSUED, registry)
+    signed = postcert_signing_payload(post.tbs, post.revocation_ext, post.scheme, "GOOD")
+    post = dataclasses.replace(post, status="GOOD", signature=registry.sign("ca1", signed))
+    log = CtLog("log-a", registry, TrustStore([root]), LogConfig(update_class=UpdateClass.BUSY,
+                                                                 publication_delay="fixed:1000"))
+    log.submit(post, [root], 0)
+    log.advance(1000)
+    sth = log.latest_sth()
+    t = 10**9
+    status = issue_status(registry, "ca1", CertRef("ca1", 7), StatusValue.unknown(), t, 10 * 3600_000,
+                          honest=False)
+    bundle = MisbehaviorProofM12(log.get_entries(0, 0)[0], sth, status, log.audit_proof(0, sth.treesize))
+    path = tmp_path / "good-request.proof"
+    path.write_text(proof_to_text(bundle))
+    code, out, err = _run(capsys, "verify-proof", "--proof", str(path), "--trusted", "log-a")
+    assert (code, out, err) == (EXIT_REJECTED, "REJECTED(not-a-revocation-request)\n", "")
+
+
 def test_verify_proof_m3_roundtrip(tmp_path, capsys):
     trace = tmp_path / "t.trace"
     dumps = tmp_path / "logs"
@@ -612,6 +646,40 @@ def test_malformed_scenario_header_is_io_error(tmp_path, capsys, pattern, replac
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("kind, field", [("client", "handoff_delay=60000"), ("probe", "logs=log-a")],
+                         ids=["client-handoff-delay", "probe-logs"])
+def test_a_field_the_format_no_longer_has_is_io_error(tmp_path, capsys, kind, field):
+    """A client hands its SCTs over one minute after the logs return them,
+    and the probe reads every log: a line that sets either is refused."""
+    text = scenario_to_text(build_preset("m1", 4))
+    broken = re.sub(rf"^{kind} .*$", rf"\g<0> {field}", text, count=1, flags=re.M)
+    assert broken != text
+    scenario_file = tmp_path / "scenario.txt"
+    scenario_file.write_text(broken)
+    code, out, err = _run(capsys, "simulate", "--scenario", str(scenario_file))
+    assert (code, out) == (EXIT_IO, "")
+    key = field.partition("=")[0]
+    assert err.count("\n") == 1 and err.startswith("error: line ") and f"unknown field {key!r}" in err
+
+
+def test_a_policy_flag_reaches_every_preset(tmp_path, capsys):
+    """``--mrd`` sets ``clock-skew``'s deadline as it does ``normal``'s: at
+    1 ms the CA's update is late. Without a flag a preset keeps its own
+    policy, ``honest-random`` the one its seed draws."""
+    from postcert.presets import honest_random
+    from postcert.sim import Simulation
+    from postcert.trace import trace_to_text
+
+    trace = tmp_path / "t.trace"
+    code, _, _ = _run(capsys, "simulate", "--preset", "clock-skew", "--seed", "2", "--mrd", "1ms",
+                      "--out", str(trace))
+    assert code == EXIT_OK
+    code, out, _ = _run(capsys, "analyze", "--trace", str(trace))
+    assert code == EXIT_OK and "discovery-update-exceeds-mrd-b" in out
+    code, out, _ = _run(capsys, "simulate", "--preset", "honest-random", "--seed", "1")
+    assert (code, out) == (EXIT_OK, trace_to_text(Simulation(honest_random(1)).run()))
+
+
 @pytest.mark.parametrize(
     "pattern, replacement, message",
     [
@@ -648,7 +716,6 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"delay=\S+", "delay=exp:nan"),
         (r"delay=\S+", "delay=exp:1000"),
         (r"validity=\d+", "validity=0"),
-        (r"handoff=0 handoff_delay=\d+", "handoff=1 handoff_delay=-5"),
         (r"(ca .*)offset=0", r"\1offset=99999999999999999999"),
         (r"(ca .*)offset=0", r"\1offset=-99999999999999999999"),
         (r"offset=0", "offset=9223372036854775807"),
@@ -658,16 +725,14 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"(log .*)mmd=\d+", r"\1mmd=99999999999999999999"),
         (r"update=\d+", "update=99999999999999999999"),
         (r"processing=\d+", "processing=99999999999999999999"),
-        (r"handoff_delay=\d+", "handoff_delay=99999999999999999999"),
         (r"probe sth=\d+", "probe sth=99999999999999999999"),
         (r"(probe .*)size=\d+", r"\1size=99999999999999999999"),
     ],
     ids=["poll-zero", "poll-negative", "sth-zero", "sth-negative", "size-negative",
          "submit-negative", "background-nan", "delay-nan", "delay-exp", "validity-zero",
-         "handoff-delay-negative",
          "ca-offset-huge", "ca-offset-huge-negative", "log-offset-i64-max", "log-offset-i64-min",
          "horizon-huge", "mrd-huge", "log-mmd-huge", "update-huge",
-         "processing-huge", "handoff-delay-huge", "sth-huge", "size-huge"],
+         "processing-huge", "sth-huge", "size-huge"],
 )
 def test_out_of_range_scenario_value_is_io_error(tmp_path, capsys, pattern, replacement):
     """Values that would hang the run at one instant or fail inside it, and

@@ -707,6 +707,22 @@ def test_probe_of_a_malformed_answer_exits_3_with_one_line(stub_log, sth, tmp_pa
     assert err.count("\n") == 1 and err.startswith(f"error: {url}: malformed-response")
 
 
+def test_probe_size_search_of_an_unreadable_entry_exits_3_with_one_line(stub_log, tmp_path, capsys):
+    """RFC 6962 section 4.6 sends ``extra_data`` as base64, which this reader
+    cannot read: the size search fails as the target's read, not as a usage
+    error."""
+    from postcert.cli import main
+
+    url, answers = stub_log
+    answers["/ct/v1/get-entries"] = {"entries": [{"leaf_input": "AA==", "extra_data": "AA=="}]}
+    code = main(["probe", "--target", url, "--out", str(tmp_path / "live.trace"),
+                 "--duration", "1s", "--sth-interval", "100ms", "--size-interval", "200ms"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.count("\n") == 1 and err.startswith(f"error: {url}: malformed-response: get-entries")
+    assert not (tmp_path / "live.trace").exists()
+
+
 def test_probe_reads_an_rfc_6962_tree_head_that_names_no_log(stub_log, tmp_path, capsys):
     """An RFC 6962 section 4.3 get-sth answer carries no log id; the log is
     then named by the URL's host, port and path."""

@@ -228,6 +228,30 @@ def test_m2_wrong_status_after_deadline_proven():
     assert verdict.proven
 
 
+@pytest.mark.parametrize("case, value", [(Case.M1_MISSING_UPDATE, StatusValue.good()),
+                                         (Case.M2_INCORRECT_STATUS, StatusValue.unknown())])
+def test_a_request_for_another_status_is_no_m12_evidence(case, value):
+    """A logged postcertificate that asks for GOOD, not REVOKED, is skipped
+    by the builders, and ``verify_m12`` rejects a bundle made from it."""
+    from postcert.certs import postcert_signing_payload
+
+    world = World()
+    post = world.post
+    signed = postcert_signing_payload(post.tbs, post.revocation_ext, post.scheme, "GOOD")
+    good = dataclasses.replace(post, status="GOOD", signature=world.registry.sign("ca1", signed))
+    world.logs["log2"].submit(good, [world.root], now=world.submit_at)
+    world.trusted = TrustedLogSet.of("log2")
+    world.advance(world.publish_at)
+    sth = world.logs["log2"].latest_sth()
+    status = world.status(value, 10 * DAY_MS)
+    with pytest.raises(InsufficientEvidenceError):
+        world.build(case, PUB_POLICY, [status], [sth])
+    proof = MisbehaviorProofM12(world.logs["log2"].get_entries(0, 0)[0], sth, status,
+                                world.logs["log2"].audit_proof(0, sth.treesize))
+    verdict = verify_m12(proof, PUB_POLICY, world.trusted, world.registry)
+    assert (verdict.proven, verdict.reason) == (False, "not-a-revocation-request")
+
+
 def test_m12_flips_exactly_at_t_proof():
     for policy in (SUB_POLICY, PUB_POLICY):
         world = World()
