@@ -22,7 +22,6 @@ from .encoding import (
     TEXT,
     U64,
     decode_artifact,
-    encode_artifact,
     encoded,
     encoder,
     inline,
@@ -154,10 +153,6 @@ class Certificate:
     tbs: TbsCertificate
     signature: Signature
 
-    @property
-    def ref(self) -> CertRef:
-        return CertRef(self.tbs.issuer, self.tbs.serial)
-
 
 _POSTCERT_TAG = 2
 _POSTCERT_TAG_BYTE = bytes((_POSTCERT_TAG,))
@@ -195,11 +190,6 @@ postcert_signing_payload = signing_payload(Postcertificate)
 def is_postcert_payload(payload: bytes) -> bool:
     """Whether artifact bytes carry the Postcertificate tag, read without decoding."""
     return payload[:1] == _POSTCERT_TAG_BYTE
-
-
-def encode_payload(obj: Certificate | Postcertificate) -> bytes:
-    """Log-entry payload bytes; the artifact tag keeps the kind recoverable."""
-    return encode_artifact(obj)
 
 
 def decode_payload(data: bytes) -> Certificate | Postcertificate:

@@ -50,12 +50,12 @@ from .certs import (
     TrustStore,
     ValidationContext,
     decode_payload,
-    encode_payload,
     validate_chain,
 )
 from .crypto import HashScheme, KeyRegistry, SHA256, Signature
 from .encoding import (
-    BLOB, I64, TEXT, U64, DecodeError, FieldLine, canonical_int, inline, seq, signing_payload, wire,
+    BLOB, I64, TEXT, U64, DecodeError, FieldLine, canonical_int, encode_artifact, inline, seq, signing_payload,
+    wire,
 )
 from .merkle import MerkleTree, root_from_audit_path, verify_consistency
 from .timeutil import DAY_MS, SECOND_MS
@@ -188,7 +188,6 @@ class DelayModel:
     """
 
     def __init__(self, spec: str) -> None:
-        self.spec = spec
         parts = spec.split(":")
         self.kind = parts[0]
         args = [float(p) for p in parts[1:]]
@@ -494,7 +493,6 @@ class CtLog(LogView):
         self._now = 0
         self._delay_model = DelayModel(self.config.publication_delay)
         self._submission_index = 0
-        self._drop_serials: set[int] = set()
         self.frozen = False
         self._publish_sth(0)
 
@@ -570,10 +568,6 @@ class CtLog(LogView):
 
     # -- log operations
 
-    def drop_serial(self, serial: int) -> None:
-        """Silently forget future submissions whose TBS serial matches."""
-        self._drop_serials.add(serial)
-
     def freeze(self) -> None:
         self.frozen = True
 
@@ -599,7 +593,7 @@ class CtLog(LogView):
         verdict = validate_chain(payload, chain, context, self.registry, self.trust)
         if not verdict:
             raise LogError(ERR_CHAIN_REJECTED, verdict.reason or "")
-        payload_bytes = encode_payload(payload)
+        payload_bytes = encode_artifact(payload)
         entry_hash = self.scheme.hash_leaf(payload_bytes)
         dedupe = self.config.duplicate_policy is DuplicatePolicy.RETURN_OLD_SCT
         if dedupe:
@@ -609,8 +603,7 @@ class CtLog(LogView):
             if first is not None:
                 return first, entry_hash
         timestamp = self._log_clock(now)
-        forget = self.config.forget or payload.tbs.serial in self._drop_serials
-        if not forget:
+        if not self.config.forget:
             self._pending.append(
                 _Pending(ready_at=now + self._publication_delay(), payload=payload_bytes,
                          leaf_hash=entry_hash, sct_timestamp=timestamp)

@@ -7,7 +7,8 @@ Three CA misbehavior cases are covered:
   M2  incorrect status update: the CA serves a status of neither class GOOD
       nor the requested REVOKED after the deadline;
   M3  early non-good status: the CA serves a non-good status although no
-      trusted log holds a postcertificate submitted before it.
+      trusted log holds a revocation request (a postcertificate asking for
+      REVOKED) submitted before it.
 
 The revocation deadline can be anchored at submission time (in which case it
 must exceed the log's maximum merge delay) or at publication time (any
@@ -263,8 +264,9 @@ def verify_m3(
 
     The bundle must carry one verifying tree head per trusted log, each
     timestamped at or after status time plus the merge delay; the scan then
-    looks for any postcertificate entry for the same certificate submitted
-    before the status. Finding one refutes the claim.
+    looks for a revocation request for the same certificate, a postcertificate
+    entry that requests REVOKED, submitted before the status. Finding one
+    refutes the claim; a logged request for any other status does not.
     """
     status = proof.status
     if status.value.kind is StatusKind.GOOD:
@@ -292,9 +294,12 @@ def verify_m3(
                 payload = decode_artifact(entry.payload)
             except DecodeError as exc:
                 return _rejected("undecodable-entry", f"{log_id}#{entry.number}: {exc}")
-            if not isinstance(payload, Postcertificate):
-                continue
-            if payload.target_ref == status.cert_ref and entry.t_submission < status.t:
+            if (
+                isinstance(payload, Postcertificate)
+                and payload.status == REQUESTED_STATUS_REVOKED
+                and payload.target_ref == status.cert_ref
+                and entry.t_submission < status.t
+            ):
                 return _rejected("counterexample-entry", f"{log_id}#{entry.number}")
     return PROVEN
 

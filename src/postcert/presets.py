@@ -5,10 +5,15 @@ the same name always describes the same world, while reruns with different
 seeds redraw the random choices. Without a policy a preset keeps its own:
 ``default_policy()``, or for ``honest-random`` the one its seed draws.
 
-Most presets follow one certificate: ``ca1`` issues it to ``client1`` at
-1 h, and its holder then revokes it, through the logs or (``m3``) straight
-at the CA. ``_one_certificate`` builds those worlds from what sets them
-apart: their logs, revocation events, horizon and a few actor settings.
+Two templates build every fixed world. Most presets follow one
+certificate: ``ca1`` issues it to ``client1`` at 1 h, and its holder then
+revokes it, through the logs or (``m3``) straight at the CA.
+``_one_certificate`` builds those worlds from what sets them apart: their
+logs, revocation events, horizon and a few actor settings. ``classes``,
+``delay-percentiles`` and ``pathologies`` only probe their logs, and
+``_probe_only`` builds them with no CA, no client and no proofs. Every log
+of a preset is one ``_log`` call: its publication delay, background rate
+and the settings in which it differs from a default ``LogConfig``.
 """
 
 from __future__ import annotations
@@ -34,20 +39,30 @@ _CA = SimCaConfig("ca1")
 _ISSUE = ScheduledEvent(1 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "1"})
 
 
-def _revoke(t: int = 5 * HOUR_MS, **params: str) -> ScheduledEvent:
-    """``client1`` asks at ``t`` for its certificate's revocation through the logs."""
-    return ScheduledEvent(t, "revoke-request", {"client": "client1", "serial": "1", **params})
+def _revoke(t: int = 5 * HOUR_MS, direct: bool = False) -> ScheduledEvent:
+    """``client1`` asks at ``t`` for its certificate's revocation, through
+    the logs or, when ``direct``, straight at the CA."""
+    if direct:
+        return ScheduledEvent(t, "revoke-direct", {"serial": "1"})
+    return ScheduledEvent(t, "revoke-request", {"client": "client1", "serial": "1"})
 
 
-def _fast_log(log_id: str, publication_delay: str = f"uniform:{30 * SECOND_MS}:{2 * MINUTE_MS}",
-              **kwargs) -> SimLogConfig:
-    config = LogConfig(
-        update_class=UpdateClass.PERIODIC,
-        update_interval_ms=10 * MINUTE_MS,
-        publication_delay=publication_delay,
-        **kwargs,
-    )
-    return SimLogConfig(log_id, config, background_per_hour=6.0)
+def _log(log_id: str, delay: str, background: float = 0.0, **config) -> SimLogConfig:
+    """A log with publication ``delay``, ``background`` filler entries an
+    hour and ``config``'s other settings; BUSY unless ``config`` says otherwise."""
+    return SimLogConfig(log_id, LogConfig(publication_delay=delay, **config), background_per_hour=background)
+
+
+def _fast_log(log_id: str, delay: str = f"uniform:{30 * SECOND_MS}:{2 * MINUTE_MS}", **config) -> SimLogConfig:
+    return _log(log_id, delay, 6.0, update_class=UpdateClass.PERIODIC, update_interval_ms=10 * MINUTE_MS,
+                **config)
+
+
+def _probe_only(name: str, seed: int, policy: MrdPolicy | None, horizon_ms: int,
+                logs: list[SimLogConfig], probe: ProbeConfig) -> Scenario:
+    """A world of ``logs`` and the probe alone: no CA, no client, no proofs."""
+    return Scenario(name=name, seed=seed, horizon_ms=horizon_ms, policy=policy or default_policy(),
+                    logs=tuple(logs), cas=(), clients=(), probe=probe, build_proofs=False)
 
 
 def _one_certificate(name: str, seed: int, policy: MrdPolicy | None, horizon_ms: int,
@@ -84,11 +99,9 @@ def _misbehavior_scenario(name: str, seed: int, flag: CaMisbehavior,
     """Two honest logs and a CA that misbehaves as ``flag``; under M3 the
     revocation request goes straight to the CA, past the logs."""
     policy = policy or default_policy()
-    direct = flag is CaMisbehavior.M3_EARLY_REVOKE
-    revoke = ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1"}) if direct else _revoke()
     return _one_certificate(
         name, seed, policy, 5 * HOUR_MS + policy.mmd_ms + policy.mrd_ms + 12 * HOUR_MS,
-        [_fast_log("log-a"), _fast_log("log-b")], [revoke],
+        [_fast_log("log-a"), _fast_log("log-b")], [_revoke(direct=flag is CaMisbehavior.M3_EARLY_REVOKE)],
         ca=replace(_CA, misbehavior=flag), probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS),
     )
 
@@ -109,61 +122,22 @@ def log_forget(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """One log returns SCTs but never publishes; revocation still succeeds
     through the remaining logs and the broken promise becomes provable."""
     policy = policy or default_policy()
-    logs = [
-        _fast_log("log-forget", publication_delay=f"fixed:{MINUTE_MS}", forget=True),
-        _fast_log("log-b"),
-        _fast_log("log-c"),
-    ]
+    logs = [_fast_log("log-forget", f"fixed:{MINUTE_MS}", forget=True), _fast_log("log-b"), _fast_log("log-c")]
     return _one_certificate("log-forget", seed, policy, 5 * HOUR_MS + policy.mmd_ms + 8 * HOUR_MS,
-                            logs, [_revoke(k="3")], copies=3,
-                            probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS))
+                            logs, [_revoke()], copies=3, probe=ProbeConfig(sth_interval_ms=5 * MINUTE_MS))
 
 
 def classes(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Six logs exercising every update-behavior class the classifier knows."""
-    probe_interval = 50 * SECOND_MS
-    logs = (
-        SimLogConfig(
-            "busy",
-            LogConfig(update_class=UpdateClass.BUSY, publication_delay="fixed:1000"),
-            background_per_hour=144.0,
-        ),
-        SimLogConfig(
-            "unbusy",
-            LogConfig(
-                update_class=UpdateClass.UNBUSY,
-                publication_delay=f"uniform:{90 * SECOND_MS}:{3 * MINUTE_MS}",
-            ),
-        ),
-        *(
-            SimLogConfig(
-                f"periodic-{seconds}",
-                LogConfig(update_class=UpdateClass.PERIODIC, update_interval_ms=seconds * SECOND_MS,
-                          publication_delay="fixed:1000"),
-                background_per_hour=180.0,
-            )
-            for seconds in (120, 600, 3600)
-        ),
-        SimLogConfig(
-            "irregular",
-            LogConfig(
-                update_class=UpdateClass.BUSY,
-                publication_delay=f"uniform:{90 * SECOND_MS}:{10 * MINUTE_MS}",
-            ),
-            background_per_hour=120.0,
-        ),
-    )
-    return Scenario(
-        name="classes",
-        seed=seed,
-        horizon_ms=31 * HOUR_MS,
-        policy=policy or default_policy(),
-        logs=logs,
-        cas=(),
-        clients=(),
-        probe=ProbeConfig(sth_interval_ms=probe_interval, submit_interval_ms=15 * MINUTE_MS),
-        build_proofs=False,
-    )
+    logs = [
+        _log("busy", "fixed:1000", 144.0),
+        _log("unbusy", f"uniform:{90 * SECOND_MS}:{3 * MINUTE_MS}", update_class=UpdateClass.UNBUSY),
+        *(_log(f"periodic-{seconds}", "fixed:1000", 180.0, update_class=UpdateClass.PERIODIC,
+               update_interval_ms=seconds * SECOND_MS) for seconds in (120, 600, 3600)),
+        _log("irregular", f"uniform:{90 * SECOND_MS}:{10 * MINUTE_MS}", 120.0),
+    ]
+    return _probe_only("classes", seed, policy, 31 * HOUR_MS, logs,
+                       ProbeConfig(sth_interval_ms=50 * SECOND_MS, submit_interval_ms=15 * MINUTE_MS))
 
 
 # Publication-delay preset targets (the measured reference statistics).
@@ -181,19 +155,9 @@ def delay_percentiles(seed: int, policy: MrdPolicy | None = None) -> Scenario:
         f"grid:{REFERENCE_DELAY_MIN_MS}:{REFERENCE_DELAY_MEDIAN_MS}:{REFERENCE_DELAY_MAX_MS}"
         f":{REFERENCE_DELAY_SUBMISSIONS}"
     )
-    log = SimLogConfig("log-a", LogConfig(update_class=UpdateClass.BUSY, publication_delay=grid))
-    return Scenario(
-        name="delay-percentiles",
-        seed=seed,
-        horizon_ms=15 * HOUR_MS,
-        policy=policy or default_policy(),
-        logs=(log,),
-        cas=(),
-        clients=(),
-        probe=ProbeConfig(sth_interval_ms=10 * SECOND_MS, submit_interval_ms=30 * SECOND_MS,
-                          submit_limit=REFERENCE_DELAY_SUBMISSIONS),
-        build_proofs=False,
-    )
+    return _probe_only("delay-percentiles", seed, policy, 15 * HOUR_MS, [_log("log-a", grid)],
+                       ProbeConfig(sth_interval_ms=10 * SECOND_MS, submit_interval_ms=30 * SECOND_MS,
+                                   submit_limit=REFERENCE_DELAY_SUBMISSIONS))
 
 
 def clock_skew(seed: int, policy: MrdPolicy | None = None) -> Scenario:
@@ -202,7 +166,7 @@ def clock_skew(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     logs = [_fast_log(f"log-{index}", clock_offset_ms=rng.randint(-3 * SECOND_MS, 3 * SECOND_MS))
             for index in range(4)]
     return _one_certificate(
-        "clock-skew", seed, policy, 18 * HOUR_MS, logs, [_revoke(k="4")], copies=4,
+        "clock-skew", seed, policy, 18 * HOUR_MS, logs, [_revoke()], copies=4,
         ca=replace(_CA, clock_offset_ms=rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)),
         probe=ProbeConfig(sth_interval_ms=MINUTE_MS, submit_interval_ms=5 * MINUTE_MS),
     )
@@ -211,47 +175,20 @@ def clock_skew(seed: int, policy: MrdPolicy | None = None) -> Scenario:
 def pathologies(seed: int, policy: MrdPolicy | None = None, *, probes: int = 10_000) -> Scenario:
     """Out-of-order and lagging response injection next to an honest control."""
     interval = 10 * SECOND_MS
-    growing = dict(update_class=UpdateClass.BUSY, publication_delay="fixed:500")
-    logs = (
-        SimLogConfig(
-            "ooo",
-            LogConfig(sth_cache=SthCacheMode.OUT_OF_ORDER, sth_cache_p=0.05, **growing),
-            background_per_hour=1200.0,
-        ),
-        SimLogConfig(
-            "lagging",
-            LogConfig(sth_cache=SthCacheMode.LAGGING, sth_cache_p=0.10, **growing),
-            background_per_hour=1200.0,
-        ),
-        SimLogConfig("honest", LogConfig(**growing), background_per_hour=1200.0),
-    )
-    return Scenario(
-        name="pathologies",
-        seed=seed,
-        horizon_ms=probes * interval + interval,
-        policy=policy or default_policy(),
-        logs=logs,
-        cas=(),
-        clients=(),
-        probe=ProbeConfig(sth_interval_ms=interval, size_interval_ms=interval),
-        build_proofs=False,
-    )
+    logs = [
+        _log("ooo", "fixed:500", 1200.0, sth_cache=SthCacheMode.OUT_OF_ORDER, sth_cache_p=0.05),
+        _log("lagging", "fixed:500", 1200.0, sth_cache=SthCacheMode.LAGGING, sth_cache_p=0.10),
+        _log("honest", "fixed:500", 1200.0),
+    ]
+    return _probe_only("pathologies", seed, policy, probes * interval + interval, logs,
+                       ProbeConfig(sth_interval_ms=interval, size_interval_ms=interval))
 
 
 def collisions(seed: int, policy: MrdPolicy | None = None) -> Scenario:
     """Duplicate submissions against both duplicate policies."""
-    reinsert = LogConfig(
-        update_class=UpdateClass.BUSY,
-        publication_delay="fixed:1000",
-        duplicate_policy=DuplicatePolicy.REINSERT,
-    )
-    dedupe = LogConfig(update_class=UpdateClass.BUSY, publication_delay="fixed:1000")
-    return _one_certificate(
-        "collisions", seed, policy, 10 * HOUR_MS,
-        [SimLogConfig("reinsert", reinsert), SimLogConfig("dedupe", dedupe)],
-        [_revoke(minute * MINUTE_MS, k="2") for minute in (120, 150, 180)],
-        build_proofs=False,
-    )
+    logs = [_log("reinsert", "fixed:1000", duplicate_policy=DuplicatePolicy.REINSERT), _log("dedupe", "fixed:1000")]
+    return _one_certificate("collisions", seed, policy, 10 * HOUR_MS, logs,
+                            [_revoke(minute * MINUTE_MS) for minute in (120, 150, 180)], build_proofs=False)
 
 
 def honest_random(seed: int, policy: MrdPolicy | None = None) -> Scenario:
@@ -270,24 +207,23 @@ def honest_random(seed: int, policy: MrdPolicy | None = None) -> Scenario:
         else MrdPolicy(mode, mrd_ms=mmd + mrd_b, mmd_ms=mmd)
     )
     logs = []
+    # each log draws its class, offset, interval (periodic only) and background
+    # in this order, so a seed keeps its world
     for index in range(rng.randint(2, 3)):
         periodic = rng.choice(["busy", "periodic"]) == "periodic"
         offset = rng.randint(-3 * SECOND_MS, 3 * SECOND_MS)
-        config = LogConfig(
-            update_class=UpdateClass.PERIODIC if periodic else UpdateClass.BUSY,
-            update_interval_ms=rng.choice([5, 10, 15]) * MINUTE_MS if periodic else None,
-            publication_delay=f"uniform:{10 * SECOND_MS}:{5 * MINUTE_MS}",
-            clock_offset_ms=offset,
-        )
+        cadence = dict(update_class=UpdateClass.PERIODIC,
+                       update_interval_ms=rng.choice([5, 10, 15]) * MINUTE_MS) if periodic else {}
         # busy logs only sign on change, so keep some traffic flowing
         background = rng.choice([0.0, 2.0] if periodic else [2.0, 4.0])
-        logs.append(SimLogConfig(f"log-{index}", config, background_per_hour=background))
+        logs.append(_log(f"log-{index}", f"uniform:{10 * SECOND_MS}:{5 * MINUTE_MS}", background,
+                         clock_offset_ms=offset, **cadence))
     validity = rng.choice([8, 10, 16, 24]) * HOUR_MS
     issue_t = rng.randint(30, 90) * MINUTE_MS
     revoke_t = issue_t + rng.randint(60, 240) * MINUTE_MS
     direct = rng.random() < 0.25
     handoff = not direct and rng.random() < 0.3
-    revoke = ScheduledEvent(revoke_t, "revoke-direct", {"serial": "1"}) if direct else _revoke(revoke_t)
+    revoke = _revoke(revoke_t, direct)
     t_proof_bound = revoke_t + policy.mmd_ms + policy.mrd_ms
     return Scenario(
         name="honest-random",
@@ -317,10 +253,7 @@ def single_fault(seed: int, case: str) -> Scenario:
     schedule = base.schedule
     if flag is CaMisbehavior.M3_EARLY_REVOKE:
         # the early revocation must bypass the log submission entirely
-        schedule = tuple(
-            e if e.kind == "issue" else ScheduledEvent(e.t, "revoke-direct", {"serial": "1"})
-            for e in schedule
-        )
+        schedule = tuple(e if e.kind == "issue" else _revoke(e.t, direct=True) for e in schedule)
     return replace(
         base,
         name=f"fault-{case.lower()}",

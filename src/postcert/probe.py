@@ -99,47 +99,33 @@ def submission_to_publication(record: SubmissionRecord, sths: list[SthObservatio
 
 # Classification ---------------------------------------------------------------------
 
+def _head(obs: SthObservation) -> tuple[int, int]:
+    return obs.sth.t, obs.sth.treesize
+
+
 def _distinct_sths(sths: list[SthObservation]) -> list[SthObservation]:
-    ordered = sorted(sths, key=lambda o: (o.t_response, o.sth.t, o.sth.treesize))
     distinct: list[SthObservation] = []
-    for obs in ordered:
-        key = (obs.sth.t, obs.sth.treesize)
-        if not distinct or key != (distinct[-1].sth.t, distinct[-1].sth.treesize):
-            # skip stale re-appearances of an older tree head
-            if distinct and (obs.sth.t, obs.sth.treesize) < (
-                distinct[-1].sth.t,
-                distinct[-1].sth.treesize,
-            ):
-                continue
+    for obs in sorted(sths, key=lambda o: (o.t_response, *_head(o))):
+        # a head no greater than the last one kept repeats it or is a stale older one
+        if not distinct or _head(obs) > _head(distinct[-1]):
             distinct.append(obs)
     return distinct
 
 
 def _busy_fraction(sths: list[SthObservation], submissions: list[SubmissionRecord]) -> float:
+    """Share of successful submissions, among those with a head observed
+    before the request and one after the response, across which the head
+    changed."""
     ordered = sorted(sths, key=lambda o: o.t_response)
-    successful = [s for s in submissions if s.ok]
-    if not successful or not ordered:
-        return 0.0
     times = [o.t_response for o in ordered]
-    covered = 0
-    hits = 0
-    for sub in successful:
-        before = None
-        after = None
-        for obs, t in zip(ordered, times):
-            if t <= sub.t_request:
-                before = obs
-            elif t > sub.t_response:
-                after = obs
-                break
-        if before is None or after is None:
-            continue
-        covered += 1
-        if (after.sth.t, after.sth.treesize) != (before.sth.t, before.sth.treesize):
-            hits += 1
-    if covered == 0:
-        return 0.0
-    return hits / covered
+    covered = hits = 0
+    for sub in submissions:
+        before = bisect_right(times, sub.t_request) - 1
+        after = bisect_right(times, sub.t_response)
+        if sub.ok and before >= 0 and after < len(ordered):
+            covered += 1
+            hits += _head(ordered[after]) != _head(ordered[before])
+    return hits / covered if covered else 0.0
 
 
 def _detect_periodic(gaps: list[int]) -> int | None:
@@ -219,15 +205,15 @@ def out_of_order_fraction(sths: list[SthObservation]) -> float:
     if not sths:
         return 0.0
     ordered = sorted(sths, key=lambda o: o.t_response)
-    max_t = None
-    max_size = None
+    # a head that does not regress is at or above both maxima, so it holds them
+    max_t, max_size = _head(ordered[0])
     regressions = 0
-    for obs in ordered:
-        if max_t is not None and (obs.sth.t < max_t or obs.sth.treesize < max_size):
+    for obs in ordered[1:]:
+        t, size = _head(obs)
+        if t < max_t or size < max_size:
             regressions += 1
         else:
-            max_t = obs.sth.t if max_t is None else max(max_t, obs.sth.t)
-            max_size = obs.sth.treesize if max_size is None else max(max_size, obs.sth.treesize)
+            max_t, max_size = t, size
     return regressions / len(ordered)
 
 
@@ -281,10 +267,7 @@ def sth_update_rate(sths: list[SthObservation]) -> UpdateRate:
     if span_ms <= 0:
         return UpdateRate(0.0, False)
     updates = len(distinct) - 1
-    changed_pairs = 0
-    for prev, cur in zip(ordered, ordered[1:]):
-        if (cur.sth.t, cur.sth.treesize) != (prev.sth.t, prev.sth.treesize):
-            changed_pairs += 1
+    changed_pairs = sum(_head(cur) != _head(prev) for prev, cur in zip(ordered, ordered[1:]))
     saturated = changed_pairs / (len(ordered) - 1) >= MAJORITY
     return UpdateRate(updates * 3_600_000.0 / span_ms, saturated)
 

@@ -18,11 +18,12 @@ logs through ``_submission_attempts``, so a rejection becomes an error code
 in one place.
 
 Each issued certificate is one ``_Cert`` record in ``Simulation.certs``,
-keyed by serial: its certificate, postcertificate and chain, the status
-value, evidence and latest SCT time its CA keeps, and the times of its
-revocation request, submission, discovery and update that the delay audit
-reads. ``validate_scenario`` refuses a serial issued twice, by any CA, so a
-serial names one certificate.
+keyed by serial: its postcertificate and chain, the status value, evidence
+and latest SCT time its CA keeps, and the times of its revocation request,
+submission, discovery and update that the delay audit reads.
+``validate_scenario`` refuses a serial issued twice, by any CA, so a serial
+names one certificate, and a scheduled event with other params than its
+kind's row of ``_EVENT_PARAMS``.
 
 At the horizon the run audits itself: measured delay breakdowns go through
 the bound checker and, unless the scenario turns proofs off, a third-party
@@ -55,7 +56,6 @@ from .certs import (
     PostcertScheme,
     TbsCertificate,
     TrustStore,
-    encode_payload,
     is_postcert_payload,
     make_postcertificate,
     sign_certificate,
@@ -203,6 +203,16 @@ def _event_bound(scenario: Scenario) -> float:
     return sum(horizon / period for period in periods) + background + len(scenario.schedule)
 
 
+# The params each kind of scheduled event takes, sorted as a scenario file
+# writes them; an event takes exactly its kind's.
+_EVENT_PARAMS = {
+    "issue": ("ca", "client", "serial"),
+    "revoke-request": ("client", "serial"),
+    "revoke-direct": ("serial",),
+    "freeze-log": ("log",),
+}
+
+
 def validate_scenario(scenario: Scenario) -> None:
     for where, value in _times(scenario):
         if not -_TIME_LIMIT_MS <= value <= _TIME_LIMIT_MS:
@@ -241,25 +251,28 @@ def validate_scenario(scenario: Scenario) -> None:
         params, where = event.params, f"invalid-scenario: {event.kind} at t={event.t}"
         if event.t < 0 or event.t > scenario.horizon_ms:
             raise ScenarioError(f"invalid-scenario: event at t={event.t} outside horizon")
-        if event.kind not in ("issue", "revoke-request", "revoke-direct", "freeze-log", "drop-entry"):
+        takes = _EVENT_PARAMS.get(event.kind)
+        if takes is None:
             raise ScenarioError(f"invalid-scenario: unknown event kind {event.kind!r}")
-        try:
-            ints = {key: canonical_int(params[key]) for key in ("serial", "k", "delivery") if key in params}
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from None
-        if any(value < 0 for value in ints.values()):
-            raise ScenarioError(f"{where}: negative value in {ints}")
-        serial = ints.get("serial")
-        if serial is None and event.kind != "freeze-log":
-            raise ScenarioError(f"{where}: no serial")
+        if sorted(params) != list(takes):
+            raise ScenarioError(f"{where}: params {' '.join(sorted(params)) or '(none)'}, "
+                                f"not {' '.join(takes)}")
+        serial = None
+        if "serial" in params:
+            try:
+                serial = canonical_int(params["serial"])
+            except ValueError as exc:
+                raise ScenarioError(f"{where}: {exc}") from None
+            if serial < 0:
+                raise ScenarioError(f"{where}: negative serial {serial}")
         client = params.get("client")
-        if event.kind in ("issue", "revoke-request") and client not in client_ids:
+        if client is not None and client not in client_ids:
             raise ScenarioError(f"{where}: unknown client {client!r}")
-        if event.kind in ("freeze-log", "drop-entry") and params.get("log") not in log_ids:
-            raise ScenarioError(f"{where}: unknown log {params.get('log')!r}")
+        if event.kind == "freeze-log" and params["log"] not in log_ids:
+            raise ScenarioError(f"{where}: unknown log {params['log']!r}")
         if event.kind == "issue":
-            if params.get("ca") not in ca_ids:
-                raise ScenarioError(f"{where}: unknown ca {params.get('ca')!r}")
+            if params["ca"] not in ca_ids:
+                raise ScenarioError(f"{where}: unknown ca {params['ca']!r}")
             # a serial names one certificate: the simulator keys its record by it
             if serial in holders:
                 raise ScenarioError(f"{where}: serial {serial} already issued")
@@ -319,7 +332,6 @@ class _Cert:
 
     serial: int
     ca_id: str
-    cert: Certificate
     postcert: Postcertificate
     chain: list[Certificate]
     value: StatusValue = field(default_factory=StatusValue.good)
@@ -328,7 +340,6 @@ class _Cert:
     handled: bool = False  # the CA has acted on a revocation
     pathway: str = "POSTCERT"
     t_request: int | None = None
-    t_receive: int | None = None
     t_processed: int | None = None
     t_first_submit: int | None = None
     t_handoff: int | None = None
@@ -363,7 +374,7 @@ class _CaActor:
         cert = sign_certificate(self.sim.registry, self.ca_id, tbs)
         postcert = make_postcertificate(cert, client.scheme, self.sim.registry)
         chain = [self.root_cert] if client.scheme is PostcertScheme.CA_ISSUED else [cert, self.root_cert]
-        record = self.sim.certs[serial] = _Cert(serial, self.ca_id, cert, postcert, chain)
+        record = self.sim.certs[serial] = _Cert(serial, self.ca_id, postcert, chain)
         self._emit_status(record, now)
         self.sim.loop(now + self.refresh_ms, lambda t: self._refresh(record, t))
 
@@ -462,7 +473,6 @@ class _CaActor:
 
     def on_direct_request(self, cert: _Cert, now: int) -> None:
         cert.pathway = "CURRENT"
-        cert.t_receive = now
         self.sim.schedule(now + self.config.processing_delay_ms, lambda t: self._process_direct(cert, t))
 
     def _process_direct(self, cert: _Cert, now: int) -> None:
@@ -575,13 +585,12 @@ class Simulation:
             cert.t_first_submit = now
         return scts
 
-    def revoke_via_logs(self, client: SimClientConfig, serial: int, now: int, k: int | None) -> None:
+    def revoke_via_logs(self, client: SimClientConfig, serial: int, now: int) -> None:
         """The holder ``client`` asks for ``serial``'s revocation by logging
         its postcertificate, and hands the SCTs to the CA if it is set to."""
         cert = self.certs[serial]
         cert.t_request = now
-        copies = k if k is not None else client.submit_copies
-        scts = self.submit_postcert(client.client_id, cert, copies, now)
+        scts = self.submit_postcert(client.client_id, cert, client.submit_copies, now)
         if client.sct_handoff and scts:
             ca = self.cas[cert.ca_id]
             self.schedule(now + HANDOFF_DELAY_MS, lambda t: ca.on_sct_handoff(cert, scts, t))
@@ -674,17 +683,15 @@ class Simulation:
         if event.kind == "issue":
             self.cas[params["ca"]].issue(self.clients[params["client"]], int(params["serial"]), now)
         elif event.kind == "revoke-request":
-            k = int(params["k"]) if "k" in params else None
-            self.revoke_via_logs(self.clients[params["client"]], int(params["serial"]), now, k)
+            self.revoke_via_logs(self.clients[params["client"]], int(params["serial"]), now)
         elif event.kind == "revoke-direct":
             cert = self.certs[int(params["serial"])]
             cert.t_request = now
             issuer = self.cas[cert.ca_id]
-            self.schedule(now + int(params.get("delivery", "0")), lambda t: issuer.on_direct_request(cert, t))
+            # delivered at once, but as its own event, after whatever else is due now
+            self.schedule(now, lambda t: issuer.on_direct_request(cert, t))
         elif event.kind == "freeze-log":
             self.logs[params["log"]].freeze()
-        elif event.kind == "drop-entry":
-            self.logs[params["log"]].drop_serial(int(params["serial"]))
 
     # -- post-run auditing
 
@@ -699,11 +706,11 @@ class Simulation:
         if c.t_update is None:
             return None
         if c.pathway == "CURRENT":
-            if c.t_request is None or c.t_receive is None or c.t_processed is None:
+            if c.t_request is None or c.t_processed is None:
                 return None
             return DelayBreakdown.current(
-                delivery=c.t_receive - c.t_request,
-                processing=c.t_processed - c.t_receive,
+                delivery=0,
+                processing=c.t_processed - c.t_request,
                 update=c.t_update - c.t_processed,
             )
         if c.t_first_submit is None:
@@ -721,7 +728,7 @@ class Simulation:
         # CA made at issuance, so that one's leaf hash finds the first entry
         # with the serial and issuer.
         log = self.logs[c.discovery_log]
-        entry_number = log.leaf_number(log.scheme.hash_leaf(encode_payload(c.postcert)))
+        entry_number = log.leaf_number(log.scheme.hash_leaf(encode_artifact(c.postcert)))
         if entry_number is None:
             return None
         t_publish = log.merge_time_ref(entry_number)
@@ -808,7 +815,8 @@ class Simulation:
 # kind word. Each field is a row (key, attribute path, converter), with a
 # default where the key may be absent; a converter is a pair (value to text,
 # text to value), and a dotted path fills the nested LogConfig or MrdPolicy.
-# An event line is its t and kind, then its free-form params.
+# An event line is its t and kind, then its params; validate_scenario checks
+# that they are its kind's.
 
 
 def _enum(cls: type[enum.Enum]) -> tuple:

@@ -686,8 +686,11 @@ def test_a_policy_flag_reaches_every_preset(tmp_path, capsys):
         (r"(kind=issue .*)client=client1", r"\1client=nobody", "unknown client 'nobody'"),
         (r"(kind=revoke-request .*)serial=1", r"\1serial=2", "client client1 holds no certificate 2"),
         (r"(kind=issue .*)serial=1", r"\1serial=abc", "invalid literal for int()"),
+        # the request goes to as many logs as its client's copies
+        (r"(kind=revoke-request .*) serial=", r"\1 k=2 serial=",
+         "revoke-request at t=18000000: params client k serial, not client serial"),
     ],
-    ids=["unknown-client", "unissued-serial", "non-integer-serial"],
+    ids=["unknown-client", "unissued-serial", "non-integer-serial", "param-the-kind-does-not-take"],
 )
 def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replacement, message):
     from postcert.presets import normal_revocation

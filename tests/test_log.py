@@ -102,11 +102,9 @@ def test_duplicate_return_old_sct_is_byte_identical(registry, trust, ca_root, le
     assert log.published_size(10 * HOUR_MS) == 1
 
 
-@pytest.mark.parametrize("first_fate", ["merged", "pending", "forget", "drop_serial"])
+@pytest.mark.parametrize("first_fate", ["merged", "pending", "forget"])
 def test_duplicate_gets_the_first_sct_again(registry, trust, ca_root, leaf_cert, first_fate):
     log = _make_log(registry, trust, forget=first_fate == "forget")
-    if first_fate == "drop_serial":
-        log.drop_serial(leaf_cert.tbs.serial)
     first = log.submit(leaf_cert, [ca_root], now=1000)
     again_at = 1500 if first_fate == "pending" else 99000  # the entry merges at 2000
     if first_fate == "merged":

@@ -228,18 +228,24 @@ def test_m2_wrong_status_after_deadline_proven():
     assert verdict.proven
 
 
+def _submit_good_request(world: World, now: int) -> None:
+    """Log to log2, at ``now``, a CA-signed postcertificate for the world's
+    certificate that requests GOOD, not REVOKED."""
+    from postcert.certs import postcert_signing_payload
+
+    post = world.post
+    signed = postcert_signing_payload(post.tbs, post.revocation_ext, post.scheme, "GOOD")
+    good = dataclasses.replace(post, status="GOOD", signature=world.registry.sign("ca1", signed))
+    world.logs["log2"].submit(good, [world.root], now=now)
+
+
 @pytest.mark.parametrize("case, value", [(Case.M1_MISSING_UPDATE, StatusValue.good()),
                                          (Case.M2_INCORRECT_STATUS, StatusValue.unknown())])
 def test_a_request_for_another_status_is_no_m12_evidence(case, value):
     """A logged postcertificate that asks for GOOD, not REVOKED, is skipped
     by the builders, and ``verify_m12`` rejects a bundle made from it."""
-    from postcert.certs import postcert_signing_payload
-
     world = World()
-    post = world.post
-    signed = postcert_signing_payload(post.tbs, post.revocation_ext, post.scheme, "GOOD")
-    good = dataclasses.replace(post, status="GOOD", signature=world.registry.sign("ca1", signed))
-    world.logs["log2"].submit(good, [world.root], now=world.submit_at)
+    _submit_good_request(world, world.submit_at)
     world.trusted = TrustedLogSet.of("log2")
     world.advance(world.publish_at)
     sth = world.logs["log2"].latest_sth()
@@ -429,6 +435,19 @@ def test_m3_counterexample_entry_rejects():
     proof = MisbehaviorProofM3(status=status, sth_set=sths)
     verdict = verify_m3(proof, PUB_POLICY, world.trusted, world.registry, world.logs)
     assert verdict.reason == "counterexample-entry"
+
+
+def test_a_request_for_another_status_is_no_m3_counterexample():
+    """A GOOD request logged before an early REVOKED status does not refute
+    M3: only a logged revocation request does."""
+    world = World(submit_at=10**9)
+    _submit_good_request(world, HOUR_MS)
+    status = world.status(StatusValue.revoked(), 2 * HOUR_MS)
+    sth = world.logs["log2"].sign_tree_head(2 * HOUR_MS + MMD)
+    assert sth.treesize == 1
+    proof = MisbehaviorProofM3(status=status, sth_set=(sth,))
+    verdict = verify_m3(proof, PUB_POLICY, TrustedLogSet.of("log2"), world.registry, world.logs)
+    assert verdict.proven
 
 
 def _m3_proof(world: World, status) -> MisbehaviorProofM3:

@@ -405,15 +405,20 @@ def test_validate_rejects_unknown_event_kind():
     ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "2"}),
     ScheduledEvent(HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "abc"}),
     ScheduledEvent(HOUR_MS, "issue", {"ca": "ca1", "client": "client1"}),
-    ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1", "k": "two"}),
-    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1", "delivery": "1h"}),
-    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1", "delivery": str(-2 * HOUR_MS)}),
-    ScheduledEvent(5 * HOUR_MS, "drop-entry", {"log": "log-a", "serial": "x"}),
+    # a param that its kind does not take, a kind the schedule does not have,
+    # or a missing param
+    ScheduledEvent(5 * HOUR_MS, "revoke-request", {"client": "client1", "serial": "1", "k": "2"}),
+    ScheduledEvent(5 * HOUR_MS, "revoke-direct", {"serial": "1", "delivery": "0"}),
+    ScheduledEvent(5 * HOUR_MS, "drop-entry", {"log": "log-a", "serial": "1"}),
+    ScheduledEvent(2 * HOUR_MS, "issue", {"ca": "ca1", "client": "client1", "serial": "2", "log": "log-a"}),
+    ScheduledEvent(5 * HOUR_MS, "freeze-log", {}),
 ])
 def test_validate_rejects_malformed_events(event):
+    """Each event is refused after ``normal``'s issue alone, which would take
+    it but for the one fault it has."""
     base = normal_revocation(seed=1)
     with pytest.raises(ScenarioError):
-        validate_scenario(dataclasses.replace(base, schedule=base.schedule + (event,)))
+        validate_scenario(dataclasses.replace(base, schedule=base.schedule[:1] + (event,)))
 
 
 def test_validate_rejects_revocation_before_issue():
@@ -490,8 +495,9 @@ def test_scenario_text_round_trip():
 # hand-written codec wrote, less the fields operator, trusted, frozen,
 # monitors, avoid_issuer and check_bounds, which no world set, and less the
 # client's handoff_delay and the probe's logs, which every world set to one
-# minute and to all of its logs
-SCENARIO_TEXT_DIGEST = "0143e9fe50795234ae2440634070333c6b93e6a5fc2f8b1419459a00d626916f"
+# minute and to all of its logs, and less each revoke-request's k, which
+# every world that set it set to its client's copies
+SCENARIO_TEXT_DIGEST = "baba7e407b5b088978e21bc764f95db84cce7112bcac7b5de3fa3d6c63cd8654"
 
 
 def test_scenario_text_is_pinned_and_round_trips():
