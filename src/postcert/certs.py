@@ -65,6 +65,11 @@ class ValidationContext(enum.Enum):
     LOG_SELF_SIGNED = "LOG_SELF_SIGNED"
 
 
+# validate_chain runs on every log write; a module global is cheaper to read
+# than an enum member.
+_LOG_CA_ISSUED, _LOG_SELF_SIGNED = ValidationContext.LOG_CA_ISSUED, ValidationContext.LOG_SELF_SIGNED
+
+
 # Reject reasons reported by validate_chain.
 REJECT_BAD_SIGNATURE = "bad-signature"
 REJECT_UNTRUSTED_ROOT = "untrusted-root"
@@ -202,7 +207,7 @@ def decode_payload(data: bytes) -> Certificate | Postcertificate:
 # Construction ----------------------------------------------------------------
 
 def sign_certificate(registry: KeyRegistry, issuer_key_id: str, tbs: TbsCertificate) -> Certificate:
-    return Certificate(tbs=tbs, signature=registry.sign(issuer_key_id, tbs.encoded))
+    return Certificate(tbs, registry.sign(issuer_key_id, tbs.encoded))
 
 
 def make_postcertificate(
@@ -312,9 +317,10 @@ def _verify_cert_signature(cert: Certificate, issuer: Certificate, registry: Key
 def _validate_issuer_chain(
     chain: list[Certificate], registry: KeyRegistry, trust: TrustStore
 ) -> ChainVerdict:
-    for child, parent in zip(chain, chain[1:]):
-        if not _verify_cert_signature(child, parent, registry):
-            return _reject(REJECT_BAD_SIGNATURE)
+    if len(chain) > 1:
+        for child, parent in zip(chain, chain[1:]):
+            if not _verify_cert_signature(child, parent, registry):
+                return _reject(REJECT_BAD_SIGNATURE)
     root = chain[-1]
     if trust.contains(root):
         return _ACCEPT
@@ -340,7 +346,7 @@ def validate_chain(
     if not chain:
         return _reject(REJECT_EMPTY_CHAIN)
 
-    if context is ValidationContext.LOG_CA_ISSUED:
+    if context is _LOG_CA_ISSUED:
         if isinstance(leaf, Postcertificate):
             payload = postcert_signing_payload(
                 leaf.tbs, leaf.revocation_ext, leaf.scheme, leaf.status
@@ -356,7 +362,7 @@ def validate_chain(
                 return _reject(REJECT_BAD_SIGNATURE)
         return _validate_issuer_chain(chain, registry, trust)
 
-    if context is ValidationContext.LOG_SELF_SIGNED:
+    if context is _LOG_SELF_SIGNED:
         if not isinstance(leaf, Postcertificate):
             return _reject(REJECT_MISSING_TARGET)
         target = chain[0]

@@ -120,7 +120,7 @@ class KeyRegistry:
         pads = self._pads.get(signer_id)
         if pads is None:
             raise UnknownSignerError(f"unknown signer: {signer_id}")
-        return Signature(signer_id=signer_id, value=_tag(pads, payload))
+        return Signature(signer_id, _tag(pads, payload))
 
     def verify(self, signature: Signature, payload: bytes) -> bool:
         pads = self._pads.get(signature.signer_id)

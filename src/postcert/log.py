@@ -29,12 +29,19 @@ answered by signing that time again. The leaf-hash index is built on the
 first lookup and extended on later ones, so a log nobody looks up in keeps
 none. Pending records leave the queue as they merge, and of the heads only
 the newest one read is kept as an ``STH``.
+
+A log reads its frozen ``LogConfig`` once, when it is made: whether it is
+PERIODIC, whether it fixes a head per merged entry (UNBUSY) or per merge
+batch (BUSY), the ``RETURN_OLD_SCT`` dedupe flag, the delay cap and the
+self-signed gate, and it parses the delay spec into its sampler. Every
+chain signature is still verified on every write. A filler certificate over
+its trusted root costs about 7.3 µs to ``submit`` and 4.0 µs to ``add``, plus
+about 2.8 µs to merge (``BENCH_28.json``, one pinned CPU).
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import random
 from array import array
 from bisect import bisect_left
@@ -44,11 +51,12 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .certs import (
+    _LOG_CA_ISSUED,
+    _LOG_SELF_SIGNED,
     Certificate,
     Postcertificate,
     PostcertScheme,
     TrustStore,
-    ValidationContext,
     decode_payload,
     validate_chain,
 )
@@ -92,6 +100,11 @@ class UpdateClass(enum.Enum):
 class DuplicatePolicy(enum.Enum):
     RETURN_OLD_SCT = "RETURN_OLD_SCT"
     REINSERT = "REINSERT"
+
+
+# A member lookup on an enum class costs several times an empty call; the
+# write path compares against this and certs' context aliases instead.
+_SELF_SIGNED = PostcertScheme.SELF_SIGNED
 
 
 class SthCacheMode(enum.Enum):
@@ -180,25 +193,31 @@ def verify_consistency_sths(sth_a: STH, sth_b: STH, path: tuple[bytes, ...]) -> 
 class DelayModel:
     """Sampler for submission-to-merge delays, parsed from a config string.
 
-    Supported forms (values are durations in milliseconds):
+    Supported forms (every bound a canonical non-negative integer of
+    milliseconds, as ``canonical_int`` reads it):
       fixed:X            constant delay
-      uniform:LO:HI      uniform
-      grid:A:B:C:N       deterministic ascending quantile grid over N
-                         submissions; realizes min/median/max of A/B/C exactly
+      uniform:LO:HI      uniform, LO <= HI
+      grid:A:B:C:N       deterministic ascending quantile grid over N >= 1
+                         submissions, A <= B <= C; realizes min/median/max of
+                         A/B/C exactly when N is odd (N = 1 gives B alone)
+
+    The spec is parsed once: ``sample`` is the bound sampler of its kind.
     """
 
     def __init__(self, spec: str) -> None:
-        parts = spec.split(":")
-        self.kind = parts[0]
-        args = [float(p) for p in parts[1:]]
-        if not all(map(math.isfinite, args)):
+        kind, *parts = spec.split(":")
+        try:
+            args = [canonical_int(p) for p in parts]
+        except ValueError:
+            raise ValueError(f"bad delay spec: {spec!r}") from None
+        if min(args, default=0) < 0:
             raise ValueError(f"bad delay spec: {spec!r}")
-        if self.kind == "fixed" and len(args) == 1:
-            pass
-        elif self.kind == "uniform" and len(args) == 2 and args[0] <= args[1]:
-            pass
-        elif self.kind == "grid" and len(args) == 4 and args[0] <= args[1] <= args[2]:
-            pass
+        if kind == "fixed" and len(args) == 1:
+            self.sample = self._fixed
+        elif kind == "uniform" and len(args) == 2 and args[0] <= args[1]:
+            self.sample = self._uniform
+        elif kind == "grid" and len(args) == 4 and args[0] <= args[1] <= args[2] and args[3] >= 1:
+            self.sample = self._grid
         else:
             raise ValueError(f"bad delay spec: {spec!r}")
         self.args = args
@@ -214,24 +233,25 @@ class DelayModel:
             return self._log_interp(lo, med, u * 2.0)
         return self._log_interp(med, hi, (u - 0.5) * 2.0)
 
-    def sample(self, rng: random.Random, index: int) -> int:
-        if self.kind == "fixed":
-            return int(self.args[0])
-        if self.kind == "uniform":
-            return int(round(rng.uniform(self.args[0], self.args[1])))
-        # grid: ascending quantiles indexed by the submission counter
-        lo, med, hi, n = self.args
-        count = max(int(n), 1)
+    def _fixed(self, rng: random.Random, index: int) -> int:
+        return self.args[0]
+
+    def _uniform(self, rng: random.Random, index: int) -> int:
+        return int(round(rng.uniform(self.args[0], self.args[1])))
+
+    def _grid(self, rng: random.Random, index: int) -> int:
+        # ascending quantiles indexed by the submission counter
+        lo, med, hi, count = self.args
         k = index % count
         if count == 1:
-            return int(med)
+            return med
         u = k / (count - 1)
         if k == 0:
-            return int(lo)
+            return lo
         if k == count - 1:
-            return int(hi)
+            return hi
         if abs(u - 0.5) < 1e-12:
-            return int(med)
+            return med
         return int(round(self._quantile(lo, med, hi, u)))
 
 
@@ -483,7 +503,14 @@ class CtLog(LogView):
         self.sth_history = TreeHeads(log_id, registry, self.tree)  # heads over the view's tree
         self.registry = registry
         self.trust = trust
-        self.config = config or LogConfig()
+        self.config = config = config or LogConfig()
+        # The config is frozen: what the write path asks of it is read here once.
+        self._periodic = config.update_class is UpdateClass.PERIODIC
+        self._head_per_entry = config.update_class is UpdateClass.UNBUSY
+        self._head_per_batch = config.update_class is UpdateClass.BUSY
+        self._dedupe = config.duplicate_policy is DuplicatePolicy.RETURN_OLD_SCT
+        self._accept_self_signed = config.accept_self_signed
+        self._delay_cap = config.mmd_ms - (config.update_interval_ms if self._periodic else 0)
         self.rng = random.Random(f"{seed}:{log_id}")
         self._pending: deque[_Pending] = deque()
         self._merge_t_ref = array("q")
@@ -491,7 +518,7 @@ class CtLog(LogView):
         self._last_merge_t = 0
         self._last_tick = 0
         self._now = 0
-        self._delay_model = DelayModel(self.config.publication_delay)
+        self._sample_delay = DelayModel(config.publication_delay).sample
         self._submission_index = 0
         self.frozen = False
         self._publish_sth(0)
@@ -508,63 +535,53 @@ class CtLog(LogView):
         sig = self.registry.sign(self.log_id, sct_signing_payload(self.log_id, timestamp, entry_hash))
         return SCT(self.log_id, timestamp, entry_hash, sig)
 
-    def _merge_one(self, pending: _Pending, t_ref: int) -> None:
-        self.entries.append(LogEntry(
-            payload=pending.payload,
-            t_submission=pending.sct_timestamp,
-            log_id=self.log_id,
-            number=len(self.entries),
-        ))
-        self.tree.append(pending.payload, pending.leaf_hash)
-        self._merge_t_ref.append(t_ref)
-
     def advance(self, now: int) -> None:
         """Merge due entries and sign tree heads up to reference time ``now``."""
         if now < self._now:
             return
         self._now = now
-        periodic = self.config.update_class is UpdateClass.PERIODIC
+        periodic = self._periodic
         pending = self._pending
         # Without ticks, only a due queue head can change anything; merges
         # never run ahead of ``now``, so the head is due once it is ready.
         if not periodic and (not pending or pending[0].ready_at > now):
             return
         interval = self.config.update_interval_ms
+        entries = self.entries
+        append_leaf = self.tree.append
+        merge_t_ref = self._merge_t_ref
+        log_id = self.log_id
+        per_entry = self._head_per_entry
         while True:
-            merge_t: int | None = None
+            merge_t = now + 1  # past ``now``: nothing to merge
             if pending:
-                merge_t = max(pending[0].ready_at, self._last_merge_t)
-                if merge_t > now:
-                    merge_t = None
-            tick_t: int | None = None
+                merge_t = pending[0].ready_at
+                if merge_t < self._last_merge_t:
+                    merge_t = self._last_merge_t
             if periodic:
+                # A tick comes before a merge at the same instant.
                 tick_t = self._last_tick + interval
-                if tick_t > now:
-                    tick_t = None
-            if merge_t is None and tick_t is None:
+                if tick_t <= now and tick_t <= merge_t:
+                    self._last_tick = tick_t
+                    self._publish_sth(tick_t)
+                    continue
+            if merge_t > now:
                 break
-            if tick_t is not None and (merge_t is None or tick_t <= merge_t):
-                self._last_tick = tick_t
-                self._publish_sth(tick_t)
-                continue
-            # Merge every queued entry due at this instant, then publish per class.
-            batch_t = merge_t
-            merged = 0
-            while pending and max(pending[0].ready_at, self._last_merge_t) == batch_t:
-                self._merge_one(pending.popleft(), batch_t)
-                self._last_merge_t = batch_t
-                merged += 1
-                if self.config.update_class is UpdateClass.UNBUSY:
-                    self._publish_sth(batch_t)
-            if merged and self.config.update_class is UpdateClass.BUSY:
-                self._publish_sth(batch_t)
+            # Merge the queue prefix due at this instant, then publish per class.
+            while pending and pending[0].ready_at <= merge_t:
+                queued = pending.popleft()
+                entries.append(LogEntry(queued.payload, queued.sct_timestamp, log_id, len(entries)))
+                append_leaf(queued.payload, queued.leaf_hash)
+                merge_t_ref.append(merge_t)
+                if per_entry:
+                    self._publish_sth(merge_t)
+            self._last_merge_t = merge_t
+            if self._head_per_batch:
+                self._publish_sth(merge_t)
 
     def _publication_delay(self) -> int:
-        delay = self._delay_model.sample(self.rng, self._submission_index)
-        cap = self.config.mmd_ms
-        if self.config.update_class is UpdateClass.PERIODIC:
-            cap -= self.config.update_interval_ms or 0
-        return max(0, min(delay, cap))
+        delay = self._sample_delay(self.rng, self._submission_index)
+        return delay if delay < self._delay_cap else self._delay_cap
 
     # -- log operations
 
@@ -583,19 +600,19 @@ class CtLog(LogView):
         self.advance(now)
         if self.frozen:
             raise LogError(ERR_LOG_FROZEN, self.log_id)
-        context = ValidationContext.LOG_CA_ISSUED
+        context = _LOG_CA_ISSUED
         if (
-            isinstance(payload, Postcertificate)
-            and payload.scheme is PostcertScheme.SELF_SIGNED
-            and self.config.accept_self_signed
+            self._accept_self_signed
+            and isinstance(payload, Postcertificate)
+            and payload.scheme is _SELF_SIGNED
         ):
-            context = ValidationContext.LOG_SELF_SIGNED
+            context = _LOG_SELF_SIGNED
         verdict = validate_chain(payload, chain, context, self.registry, self.trust)
-        if not verdict:
+        if not verdict.accepted:
             raise LogError(ERR_CHAIN_REJECTED, verdict.reason or "")
         payload_bytes = encode_artifact(payload)
         entry_hash = self.scheme.hash_leaf(payload_bytes)
-        dedupe = self.config.duplicate_policy is DuplicatePolicy.RETURN_OLD_SCT
+        dedupe = self._dedupe
         if dedupe:
             # An SCT is a deterministic signature over (log id, timestamp,
             # entry hash): signing the first timestamp again gives the first SCT.
@@ -604,10 +621,7 @@ class CtLog(LogView):
                 return first, entry_hash
         timestamp = self._log_clock(now)
         if not self.config.forget:
-            self._pending.append(
-                _Pending(ready_at=now + self._publication_delay(), payload=payload_bytes,
-                         leaf_hash=entry_hash, sct_timestamp=timestamp)
-            )
+            self._pending.append(_Pending(now + self._publication_delay(), payload_bytes, entry_hash, timestamp))
         if dedupe:
             self._first_timestamp[payload_bytes] = timestamp
         self._submission_index += 1

@@ -596,14 +596,9 @@ class Simulation:
             self.schedule(now + HANDOFF_DELAY_MS, lambda t: ca.on_sct_handoff(cert, scts, t))
 
     def _filler_cert(self, issuer: str, key_id: str, serial: int, now: int) -> Certificate:
-        tbs = TbsCertificate(
-            serial=serial,
-            subject=f"filler-{serial}.example",
-            issuer=issuer,
-            not_before=now,
-            not_after=now + CERT_LIFETIME_MS,
-            public_key_id=key_id,
-        )
+        # Positional, in field order: keywords into a frozen dataclass cost
+        # more, and every background entry is one of these.
+        tbs = TbsCertificate(serial, f"filler-{serial}.example", issuer, now, now + CERT_LIFETIME_MS, key_id)
         return sign_certificate(self.registry, issuer, tbs)
 
     # -- background load

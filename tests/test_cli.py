@@ -718,6 +718,9 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"background=[\d.]+", "background=nan"),
         (r"delay=\S+", "delay=exp:nan"),
         (r"delay=\S+", "delay=exp:1000"),
+        (r"delay=\S+", "delay=fixed:-1000"),
+        (r"delay=\S+", "delay=uniform:0.5:2"),
+        (r"delay=\S+", "delay=grid:0:1000:2000:2.5"),
         (r"validity=\d+", "validity=0"),
         (r"(ca .*)offset=0", r"\1offset=99999999999999999999"),
         (r"(ca .*)offset=0", r"\1offset=-99999999999999999999"),
@@ -732,7 +735,8 @@ def test_malformed_scenario_event_is_io_error(tmp_path, capsys, pattern, replace
         (r"(probe .*)size=\d+", r"\1size=99999999999999999999"),
     ],
     ids=["poll-zero", "poll-negative", "sth-zero", "sth-negative", "size-negative",
-         "submit-negative", "background-nan", "delay-nan", "delay-exp", "validity-zero",
+         "submit-negative", "background-nan", "delay-nan", "delay-exp", "delay-negative",
+         "delay-fraction", "delay-grid-fractional-count", "validity-zero",
          "ca-offset-huge", "ca-offset-huge-negative", "log-offset-i64-max", "log-offset-i64-min",
          "horizon-huge", "mrd-huge", "log-mmd-huge", "update-huge",
          "processing-huge", "sth-huge", "size-huge"],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -169,6 +171,37 @@ def test_log_snapshot_and_http_readers_answer_alike(registry, trust, ca_root):
     assert duplicate.entry_number == 2 and answers[0]["audit_proof"][-1].entry_number == 7
     assert [code for code, _ in answers[0]["errors"]] == [
         "entry-out-of-range", "entry-out-of-range", "unknown-leaf-hash", "size-out-of-range"]
+
+
+@pytest.mark.parametrize("duplicates", list(DuplicatePolicy), ids=lambda policy: policy.value)
+def test_http_writes_equal_in_process_writes(registry, trust, ca_root, leaf_cert, duplicates):
+    """One sequence of fresh certificates and repeats, submitted over HTTP
+    to a served log and in process to its twin at the same clock, gives
+    equal SCT bytes and then equal snapshots."""
+    config = LogConfig(publication_delay="uniform:0:3000", duplicate_policy=duplicates)
+    served, twin = (CtLog("log1", registry, trust, config, seed=5) for _ in range(2))
+    now = 1_000_000
+    server = serve_log(served, clock=lambda: now)
+    host, port = server.server_address
+    reader = HttpLogReader(f"http://{host}:{port}")
+    pace = random.Random(7)
+    fresh = [make_postcertificate(leaf_cert, PostcertScheme.CA_ISSUED, registry)]
+    fresh += [_cert(registry, serial) for serial in range(600, 630)]
+    sequence = fresh + [pace.choice(fresh) for _ in range(15)]
+    pace.shuffle(sequence)
+    try:
+        for payload in sequence:
+            over_http = reader.submit(payload, [ca_root])
+            assert encode_artifact(over_http) == encode_artifact(twin.submit(payload, [ca_root], now))
+            now += pace.choice((0, 500, 2000))
+    finally:
+        reader.close()
+        server.shutdown()
+        server.server_close()
+    for log in (served, twin):
+        log.advance(now + 10_000)
+    assert len(served.entries) == len(sequence if duplicates is DuplicatePolicy.REINSERT else fresh)
+    assert log_snapshot_text(served) == log_snapshot_text(twin)
 
 
 def test_probe_command_records_live_trace(served_log, registry, ca_root, tmp_path, capsys):

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from postcert.certs import PostcertScheme, TbsCertificate, make_postcertificate, sign_certificate
-from postcert.crypto import SHA256, HashScheme
+from postcert.certs import PostcertScheme, TbsCertificate, TrustStore, make_postcertificate, sign_certificate
+from postcert.crypto import SHA256, HashScheme, KeyRegistry, Signature
 from postcert.encoding import encode_artifact
 from postcert.log import (
     CtLog,
+    DelayModel,
     DuplicatePolicy,
     ERR_CHAIN_REJECTED,
     ERR_LOG_FROZEN,
@@ -711,3 +713,151 @@ def test_reinserted_payload_keeps_its_first_number_across_lookups(registry, trus
         assert log.leaf_number(leaf) == 1
     assert len(log.entries) == 4
     assert log.get_proof_by_hash(leaf, 4) == log.audit_proof(1, 4)
+
+
+_MODEL_INTERVAL = _UPDATE_CLASSES["PERIODIC"]["update_interval_ms"]
+
+
+def _merge_model(update: str, seed: int, delay: tuple[int, int], ops: list[tuple[str, int]]):
+    """The merge rule written out for ``ops``, (kind, time) pairs at
+    non-decreasing times, under ``uniform`` delays over ``delay``. Returns
+    each added entry's merge time and the index of the op that merges it
+    (None if none does), and the heads as (t, treesize, index of the op that
+    fixes it)."""
+    rng = random.Random(f"{seed}:log1")  # the log's stream; it draws only delays here
+    merge_t: list[int] = []
+    merged_by: list[int | None] = []
+    for i, (kind, t) in enumerate(ops):
+        if kind == "add":
+            ready = t + int(round(rng.uniform(*delay)))
+            merge_t.append(max(ready, merge_t[-1] if merge_t else 0))
+            merged_by.append(next((j for j in range(i + 1, len(ops)) if ops[j][1] >= merge_t[-1]), None))
+    merged = [n for n, j in enumerate(merged_by) if j is not None]
+    heads = [(0, 0, -1)]
+    if update == "UNBUSY":  # one head per entry
+        heads += [(merge_t[n], n + 1, merged_by[n]) for n in merged]
+    elif update == "BUSY":  # one head per merge instant of each op
+        for n in merged:
+            if n + 1 == len(merged) or (merge_t[n + 1], merged_by[n + 1]) != (merge_t[n], merged_by[n]):
+                heads.append((merge_t[n], n + 1, merged_by[n]))
+    else:  # one head per tick; a tick comes before a merge at the same instant
+        for tick in range(_MODEL_INTERVAL, ops[-1][1] + 1, _MODEL_INTERVAL):
+            fixed_by = next(j for j, (_, t) in enumerate(ops) if t >= tick)
+            heads.append((tick, sum(m < tick for m in merge_t), fixed_by))
+    return merge_t, merged_by, heads
+
+
+# Delays of 0-4 s reorder ready times; delays of 1000-1001 ms after steps of
+# whole seconds put merges on PERIODIC ticks.
+_OPS = st.lists(st.tuples(st.sampled_from(("add", "add", "advance", "get_sth")),
+                          st.sampled_from((0, 1, 1000, 2500))),
+                min_size=1, max_size=30)
+
+
+@pytest.mark.parametrize("update", sorted(_UPDATE_CLASSES))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])  # the fixtures are read only
+@given(seed=st.integers(0, 2**16), delay=st.sampled_from(((0, 4000), (1000, 1001))), steps=_OPS)
+@example(seed=1, delay=(1000, 1001), steps=[("add", 4000), ("get_sth", 1000)])  # merge on a tick
+def test_merges_and_heads_follow_the_merge_rule(registry, trust, ca_root, update, seed, delay, steps):
+    """Uniform delays make ready times arrive out of order; entries still
+    merge in submission order, each at the later of its ready time and the
+    previous entry's merge time, and every head read mid-run and afterwards
+    is the one the update class fixes."""
+    ops, now = [], 0
+    for kind, step in steps:
+        now += step
+        ops.append((kind, now))
+    ops.append(("advance", now + HOUR_MS))
+    merge_t, merged_by, heads = _merge_model(update, seed, delay, ops)
+    config = LogConfig(publication_delay="uniform:%d:%d" % delay, **_UPDATE_CLASSES[update])
+    log = CtLog("log1", registry, trust, config, seed=seed)
+    make = _cert_factory(registry)
+    added = []
+    for i, (kind, t) in enumerate(ops):
+        if kind == "add":
+            added.append((make(), t))
+            log.add(added[-1][0], [ca_root], t)
+        elif kind == "advance":
+            log.advance(t)
+        else:
+            sth = log.get_sth(t)
+            assert (sth.t, sth.treesize) == [head[:2] for head in heads if head[2] <= i][-1]
+    assert all(j is not None for j in merged_by)  # the last op merges everything
+    assert [(e.payload, e.t_submission) for e in log.entries] == [(encode_artifact(c), t) for c, t in added]
+    assert [log.merge_time_ref(n) for n in range(len(log.entries))] == merge_t
+    assert [(sth.t, sth.treesize) for sth in log.sth_history] == [head[:2] for head in heads]
+
+
+class _CountingRegistry(KeyRegistry):
+    verifies = 0
+
+    def verify(self, signature, payload):
+        self.verifies += 1
+        return super().verify(signature, payload)
+
+
+def _tampered(signed):
+    return dataclasses.replace(signed, signature=Signature(signed.signature.signer_id, b"\x00" * 32))
+
+
+@pytest.mark.parametrize("repeat", [False, True], ids=["first", "repeat"])
+def test_every_write_verifies_every_signature(repeat):
+    """A certificate over its trusted root costs one verify, over an
+    intermediate two, a CA-issued postcertificate one; a repeat under
+    ``RETURN_OLD_SCT`` is verified again, and a bad signature anywhere in
+    the chain, or a root outside the trust store, is refused, first
+    submission or repeat."""
+    registry = _CountingRegistry.with_signers(["root", "inter", "log1", "leaf-key"])
+
+    def cert(serial, subject, issuer, key_id):
+        tbs = TbsCertificate(serial=serial, subject=subject, issuer=issuer, not_before=0,
+                             not_after=10**12, public_key_id=key_id)
+        return sign_certificate(registry, issuer, tbs)
+
+    root = cert(0, "root", "root", "root")
+    inter = cert(1, "inter", "root", "inter")
+    direct, via_inter = cert(2, "a.example", "root", "leaf-key"), cert(3, "b.example", "inter", "leaf-key")
+    postcert = make_postcertificate(direct, PostcertScheme.CA_ISSUED, registry)
+    log = CtLog("log1", registry, TrustStore([root]), LogConfig(publication_delay="fixed:0"))
+    writes = [(direct, [root], 1), (via_inter, [inter, root], 2), (postcert, [root], 1)]
+    if repeat:
+        for payload, chain, _ in writes:
+            log.submit(payload, chain, now=0)
+    for payload, chain, verifies in writes:
+        registry.verifies = 0
+        log.submit(payload, chain, now=1)
+        assert registry.verifies == verifies
+    # Repeats reuse a logged payload, so only its chain can be bad; it is
+    # validated before dedupe. A root with the anchor's name and key but
+    # another serial is not the anchor.
+    target = via_inter if repeat else cert(4, "c.example", "inter", "leaf-key")
+    bad = [(target, [_tampered(inter), root]), (target, [inter, _tampered(root)]),
+           (target, [inter, cert(9, "root", "root", "root")])]
+    if not repeat:
+        bad += [(_tampered(direct), [root]), (_tampered(postcert), [root])]
+    for payload, chain in bad:
+        with pytest.raises(LogError) as excinfo:
+            log.submit(payload, chain, now=2)
+        assert excinfo.value.code == ERR_CHAIN_REJECTED
+    assert len(log.entries) == len(writes)
+
+
+@pytest.mark.parametrize("spec", [
+    "fixed:-5000", "uniform:-100:-50", "grid:0:1000:2000:2.5", "grid:0:1000:2000:-3", "grid:0:1000:2000:0",
+    "fixed:0.4", "fixed:1e3", "fixed:1000.0", "fixed:01000", "fixed:+5", "fixed:-0", "fixed: 5",
+    "fixed:nan", "fixed:inf", "uniform:5:4", "grid:3:2:1:5", "fixed", "fixed:1:2", "exp:1000", "",
+])
+def test_delay_spec_takes_only_canonical_milliseconds(spec):
+    with pytest.raises(ValueError, match="bad delay spec"):
+        LogConfig(publication_delay=spec)
+
+
+@pytest.mark.parametrize("spec, delays", [
+    ("fixed:250", [250, 250]),
+    ("grid:0:1000:2000:3", [0, 1000, 2000, 0]),
+    ("grid:10:1000:5000:1", [1000, 1000]),
+])
+def test_delay_spec_samples(spec, delays):
+    model = DelayModel(spec)
+    assert [model.sample(random.Random(0), index) for index in range(len(delays))] == delays
